@@ -3,6 +3,11 @@
 These three pieces are the shared machinery behind every feature-fusion step
 in the model: encoder-side sketch fusion, decoder token refinement, and
 multi-sketch query fusion.
+
+Attention is packed: each projection is one d x d matrix whose column block h
+belongs to head h, and one call computes every head, and every independent
+key/value group (e.g. the L sketches of a multi-query bundle), with one
+batched softmax over (groups*heads, n_q, n_k).
 """
 
 from __future__ import annotations
@@ -16,33 +21,41 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    concat,
+    bmm,
     matmul,
+    merge_heads,
     relu,
     scale,
     softmax_rows,
-    transpose,
+    split_heads,
 )
 
 
 @dataclass
 class AttentionParams:
-    """Per-head projection matrices.
+    """Packed projection matrices, each d x d.
 
-    Each head h projects queries/keys to width `key_width` = d / heads and
-    values to d / heads; head outputs concatenate back to width d, with no
-    extra output projection and no bias terms.
+    Head h projects queries, keys and values with the column block
+    h*dk:(h+1)*dk of `wq`, `wk` and `wv`, where dk = `key_width` = d / heads.
+    Head outputs concatenate back to width d, with no extra output projection
+    and no bias terms.
     """
 
-    wq: list  # H tensors of shape d x d'
-    wk: list  # H tensors of shape d x d'
-    wv: list  # H tensors of shape d x (d // H)
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     heads: int
-    width: int
-    key_width: int
+
+    @property
+    def width(self) -> int:
+        return self.wq.shape[0]
+
+    @property
+    def key_width(self) -> int:
+        return self.width // self.heads
 
     def tensors(self) -> list:
-        return list(self.wq) + list(self.wk) + list(self.wv)
+        return [self.wq, self.wk, self.wv]
 
 
 @dataclass
@@ -96,13 +109,17 @@ def sinusoidal_pos_2d(w: int, h: int, d: int) -> PosEncoding2D:
     return PosEncoding2D(w, h, d, table)
 
 
-def _pos_tensor(pos, n: int, d: int, like: Tensor) -> Tensor | None:
+def _add_pos(seq: Tensor, pos, groups: int) -> Tensor:
+    """Add one group's position table to each of the `groups` row blocks."""
     if pos is None:
-        return None
+        return seq
     table = pos.table if isinstance(pos, PosEncoding2D) else np.asarray(pos)
+    n, d = seq.shape[0] // groups, seq.shape[1]
     if table.shape != (n, d):
         raise ShapeError(f"position table shape {table.shape} != sequence {(n, d)}")
-    return Tensor(table.astype(like.data.dtype))
+    if groups > 1:
+        table = np.tile(table, (groups, 1))
+    return add(seq, Tensor(table.astype(seq.data.dtype)))
 
 
 def cross_attention(
@@ -112,29 +129,37 @@ def cross_attention(
     params: AttentionParams,
     q_pos=None,
     k_pos=None,
+    groups: int = 1,
 ) -> Tensor:
-    """Multi-head attention from `query_seq` (n_q x d) over `key_seq`/`value_seq`
-    (n_k x d). Positions are added to queries and keys only, never values."""
-    n_q, d = query_seq.shape
-    n_k, d_k = key_seq.shape
-    if d != params.width or d_k != params.width or value_seq.shape != (n_k, d):
+    """Multi-head attention from one query sequence over `groups` independent
+    key/value groups.
+
+    `query_seq` is n_q x d. `key_seq` and `value_seq` stack G groups of n_k
+    rows each, group-major ((G*n_k) x d). The queries attend to each group on
+    its own, with a softmax over that group's keys only; the result is
+    (G*n_q) x d, group-major. `q_pos` is an n_q x d table added to the
+    queries, and `k_pos` an n_k x d table added to every group's keys, never
+    to the values.
+    """
+    d = params.width
+    if (
+        query_seq.shape[1] != d
+        or key_seq.shape[1] != d
+        or value_seq.shape != key_seq.shape
+        or key_seq.shape[0] % groups
+    ):
         raise ShapeError(
-            f"attention widths mismatch: q {query_seq.shape}, k {key_seq.shape}, "
-            f"v {value_seq.shape}, params width {params.width}"
+            f"attention shapes mismatch: q {query_seq.shape}, k {key_seq.shape}, "
+            f"v {value_seq.shape}, params width {d}, {groups} groups"
         )
-    qp = _pos_tensor(q_pos, n_q, d, query_seq)
-    kp = _pos_tensor(k_pos, n_k, d, key_seq)
-    q = add(query_seq, qp) if qp is not None else query_seq
-    k = add(key_seq, kp) if kp is not None else key_seq
-    inv = 1.0 / math.sqrt(params.key_width)
-    heads = []
-    for h in range(params.heads):
-        qh = matmul(q, params.wq[h])
-        kh = matmul(k, params.wk[h])
-        vh = matmul(value_seq, params.wv[h])
-        att = softmax_rows(scale(matmul(qh, transpose(kh)), inv))
-        heads.append(matmul(att, vh))
-    return concat(heads, axis=1)
+    h = params.heads
+    q = _add_pos(query_seq, q_pos, 1)
+    k = _add_pos(key_seq, k_pos, groups)
+    qh = split_heads(matmul(q, params.wq), h)
+    kh = split_heads(matmul(k, params.wk), h, groups)
+    vh = split_heads(matmul(value_seq, params.wv), h, groups)
+    att = softmax_rows(scale(bmm(qh, kh, transpose_b=True), 1.0 / math.sqrt(params.key_width)))
+    return merge_heads(bmm(att, vh), h)
 
 
 def adapter_fuse(attended: Tensor, residual: Tensor, params: AdapterParams) -> Tensor:

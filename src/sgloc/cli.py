@@ -7,8 +7,6 @@ import json
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .data import DataConfig, Dataset, generate_dataset, read_pgm, read_ppm
 from .metrics import evaluate_queries
 from .train import TrainConfig, load_model, train

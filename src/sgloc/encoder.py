@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AdapterParams, AttentionParams, adapter_fuse, cross_attention, sinusoidal_pos_2d
-from .multiquery import encoder_fusion_multi
+from .multiquery import MultiQueryBundle, encoder_fusion_multi
 from .tensor import ShapeError, Tensor, add, layer_norm_rows, matmul
 
 
@@ -30,11 +30,6 @@ class SketchFeatureMap:
     @property
     def width(self) -> int:
         return self.tokens.shape[1]
-
-    def map3d(self) -> np.ndarray:
-        """View as d x w x h (channels first)."""
-        d = self.width
-        return self.tokens.data.T.reshape(d, self.h, self.w).transpose(0, 2, 1)
 
 
 @dataclass
@@ -156,35 +151,32 @@ def embed_image(image: np.ndarray, params: ImageEncoderParams, patch: int = 4) -
 
 def sketch_guided_encode(
     image: np.ndarray,
-    sketch_maps,
+    bundle: MultiQueryBundle | None,
     params: ImageEncoderParams,
     patch: int = 4,
 ) -> list:
     """Run all encoder stages, fusing the sketch bundle after each block.
 
-    `sketch_maps` is a list of SketchFeatureMap (one per query sketch); with a
-    query-agnostic encoder (params.fusions None) the sketches are ignored.
-    Returns the list of per-stage StageFeatures (fused flattened outputs).
+    With a query-agnostic encoder (params.fusions None) the bundle is ignored
+    and may be None. Returns the list of per-stage StageFeatures (fused
+    flattened outputs).
     """
     if len(params.blocks) < 2:
         raise ShapeError("encoder needs at least 2 stages")
+    if bundle is None and params.fusions is not None:
+        raise ValueError("a query-conditioned encoder needs a sketch bundle")
     stage = embed_image(image, params, patch)
     d = params.patch_embed.shape[1]
     out = []
-    sketch_pos = None
-    if sketch_maps:
-        m0 = sketch_maps[0]
-        sketch_pos = sinusoidal_pos_2d(m0.w, m0.h, d)
     for n, blk in enumerate(params.blocks):
         stage = image_block(stage, blk)
         if params.fusions is not None:
-            stage_pos = sinusoidal_pos_2d(stage.w, stage.h, d)
             fused = encoder_fusion_multi(
                 stage.tokens,
-                [m.tokens for m in sketch_maps],
+                bundle,
                 params.fusions[n],
-                q_pos=stage_pos,
-                k_pos=sketch_pos,
+                q_pos=sinusoidal_pos_2d(stage.w, stage.h, d),
+                k_pos=sinusoidal_pos_2d(bundle.w, bundle.h, d),
             )
             stage = ImageFeatureStage(stage.index, fused, stage.w, stage.h)
         out.append(StageFeatures(stage.tokens, sinusoidal_pos_2d(stage.w, stage.h, d).table))

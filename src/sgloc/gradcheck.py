@@ -15,6 +15,7 @@ from .tensor import (
     absolute,
     add,
     add_rowvec,
+    bmm,
     concat,
     div,
     finite_difference_check,
@@ -25,6 +26,8 @@ from .tensor import (
     matmul,
     maximum,
     mean_all,
+    mean_groups,
+    merge_heads,
     minimum,
     mul,
     neg,
@@ -34,9 +37,9 @@ from .tensor import (
     sigmoid,
     slice_cols,
     softmax_rows,
+    split_heads,
     sub,
     sum_all,
-    transpose,
 )
 
 TOLERANCE = 1e-5
@@ -83,15 +86,22 @@ _OP_CASES = [
     ("div", [(4,), (4,)], lambda a, b: sum_all(div(a, add(mul(b, b), Tensor(np.ones(4)))))),
     ("scale", [(3, 2)], _projected(lambda a: scale(a, 1.7))),
     ("matmul", [(3, 4), (4, 2)], _projected(matmul)),
-    ("transpose", [(3, 4)], _projected(transpose)),
+    ("bmm", [(2, 3, 4), (2, 4, 5)], _projected(bmm)),
+    ("bmm_transpose_b", [(2, 3, 4), (2, 5, 4)], _projected(lambda a, b: bmm(a, b, transpose_b=True))),
+    ("bmm_shared_a", [(2, 3, 4), (6, 5, 4)], _projected(lambda a, b: bmm(a, b, transpose_b=True))),
+    ("split_heads", [(6, 4)], _projected(lambda a: split_heads(a, 2, groups=3))),
+    ("merge_heads", [(6, 3, 2)], _projected(lambda a: merge_heads(a, 2))),
+    ("mean_groups", [(6, 4)], _projected(lambda a: mean_groups(a, 3))),
     ("reshape", [(3, 4)], _projected(lambda a: reshape(a, (2, 6)))),
     ("relu", [(4, 4)], _projected(relu)),
     ("sigmoid", [(4, 4)], _projected(sigmoid)),
     ("log", [(6,)], lambda a: sum_all(log(add(mul(a, a), Tensor(np.ones(6)))))),
     ("absolute", [(5,)], _projected(absolute)),
     ("maximum", [(4, 4), (4, 4)], _projected(maximum)),
+    ("maximum_scalar", [(4, 4)], _projected(lambda a: maximum(a, 0.1))),
     ("minimum", [(4, 4), (4, 4)], _projected(minimum)),
     ("softmax_rows", [(3, 5)], _projected(softmax_rows)),
+    ("softmax_rows_rank3", [(2, 3, 5)], _projected(softmax_rows)),
     ("layer_norm_rows", [(3, 6)], _projected(layer_norm_rows)),
     ("concat", [(2, 3), (4, 3)], _projected(lambda a, b: concat([a, b], axis=0))),
     ("slice_cols", [(3, 6)], _projected(lambda a: slice_cols(a, 1, 4))),
@@ -115,24 +125,22 @@ def check_ops(eps: float = EPS) -> list:
     rng = np.random.default_rng(7)
     results = [(name, check_op_case(name, shapes, loss_fn, rng, eps)) for name, shapes, loss_fn in _OP_CASES]
 
-    d, heads = 8, 2
-    dk = d // heads
+    # Packed attention with G = 2 key/value groups: one shared group of 3
+    # queries attends over each group's 5 keys, and the adapter fuses the
+    # mean over the groups.
+    d, heads, groups = 8, 2, 2
     mk = lambda s: Tensor(rng.standard_normal(s) * 0.4)
-    attn = AttentionParams(
-        [mk((d, dk)) for _ in range(heads)],
-        [mk((d, dk)) for _ in range(heads)],
-        [mk((d, d // heads)) for _ in range(heads)],
-        heads, d, dk,
-    )
+    attn = AttentionParams(mk((d, d)), mk((d, d)), mk((d, d)), heads)
     adapter = AdapterParams(mk((d, 2 * d)), mk((2 * d, d)))
     aparams = [Param(f"attn.{i}", t) for i, t in enumerate(attn.tensors())]
     aparams += [Param("adapter.in", adapter.w_in), Param("adapter.out", adapter.w_out)]
     q = Tensor(rng.standard_normal((3, d)))
-    kv = Tensor(rng.standard_normal((5, d)))
+    kv = Tensor(rng.standard_normal((groups * 5, d)))
     r = Tensor(rng.standard_normal((3, d)))
 
     def attn_loss():
-        out = adapter_fuse(cross_attention(q, kv, kv, attn), q, adapter)
+        attended = mean_groups(cross_attention(q, kv, kv, attn, groups=groups), groups)
+        out = adapter_fuse(attended, q, adapter)
         return sum_all(mul(out, r))
 
     results.append(("cross_attention+adapter", finite_difference_check(attn_loss, aparams, eps=eps)))

@@ -18,7 +18,6 @@ from .data import derive_seed
 
 IOU_SWEEP = tuple(np.round(np.arange(0.5, 1.0, 0.05), 2))
 LARGE_AREA = 400.0  # px^2; the COCO 32^2 threshold mapped onto 64x64 scenes
-SMALL_AREA = 144.0
 
 
 @dataclass

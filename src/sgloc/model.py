@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,8 +123,10 @@ class SketchLocalizer:
     # -- parameter construction -------------------------------------------
 
     def _mk(self, name: str, shape, kind: str = "xavier") -> Tensor:
-        if name in self._by_name:
-            raise ValueError(f"duplicate parameter name {name}")
+        return self._register(name, self._draw(name, shape, kind))
+
+    def _draw(self, name: str, shape, kind: str) -> np.ndarray:
+        """Initial values, from a stream seeded by the model seed and `name`."""
         rng = np.random.default_rng(derive_seed(self.seed, "param", name))
         if kind == "xavier":
             fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (shape[0], shape[0])
@@ -138,22 +140,29 @@ class SketchLocalizer:
             data = np.full(shape, -2.0)  # start scores low: ~4 foreground tokens in 100
         else:
             raise ValueError(kind)
+        return data
+
+    def _register(self, name: str, data: np.ndarray) -> Tensor:
+        if name in self._by_name:
+            raise ValueError(f"duplicate parameter name {name}")
         p = Param(name, Tensor(data, requires_grad=True))
         self.params.append(p)
         self._by_name[name] = p
         return p.value
 
     def _attn(self, prefix: str) -> AttentionParams:
+        """Packed d x d projections `prefix.attn.{q,k,v}`. Column block h is
+        drawn as its own d x (d/heads) matrix under the name `...q{h}` (k, v
+        alike), so each head's initial values do not depend on the others."""
         c = self.config
         dk = c.d // c.heads
-        return AttentionParams(
-            wq=[self._mk(f"{prefix}.attn.q{h}", (c.d, dk)) for h in range(c.heads)],
-            wk=[self._mk(f"{prefix}.attn.k{h}", (c.d, dk)) for h in range(c.heads)],
-            wv=[self._mk(f"{prefix}.attn.v{h}", (c.d, c.d // c.heads)) for h in range(c.heads)],
-            heads=c.heads,
-            width=c.d,
-            key_width=dk,
-        )
+
+        def packed(kind: str) -> Tensor:
+            name = f"{prefix}.attn.{kind}"
+            cols = [self._draw(f"{name}{h}", (c.d, dk), "xavier") for h in range(c.heads)]
+            return self._register(name, np.concatenate(cols, axis=1))
+
+        return AttentionParams(wq=packed("q"), wk=packed("k"), wv=packed("v"), heads=c.heads)
 
     def _adapter(self, prefix: str) -> AdapterParams:
         c = self.config
@@ -178,7 +187,7 @@ class SketchLocalizer:
 
     def encode_sketches(self, sketches) -> MultiQueryBundle:
         maps = [encode_sketch(s, self.sketch_enc, self.config.sketch_patch) for s in sketches]
-        return MultiQueryBundle(maps)
+        return MultiQueryBundle.stack(maps)
 
     def forward(self, image: np.ndarray, sketches) -> tuple:
         """Score and box every DET token for one scene and 1..L query sketches.
@@ -186,10 +195,9 @@ class SketchLocalizer:
         Returns (scores (T,), boxes (T,4)) as tape tensors.
         """
         bundle = self.encode_sketches(sketches)
-        features = sketch_guided_encode(image, bundle.maps, self.image_enc, self.config.image_patch)
+        features = sketch_guided_encode(image, bundle, self.image_enc, self.config.image_patch)
         det = decode(features, self.decoder)
-        m0 = bundle.maps[0]
-        query = SketchFeatureMap(fuse_queries(bundle, self.query_fusion), m0.w, m0.h)
+        query = SketchFeatureMap(fuse_queries(bundle, self.query_fusion), bundle.w, bundle.h)
         if self.config.refinement:
             det_r = refine_object_tokens(det, query, self.refine_obj)
             query_r = refine_query_tokens(query, det, self.refine_query)

@@ -93,10 +93,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=current_dtype()), requires_grad)
-
 
 def _make(arr: np.ndarray, parents: tuple, bw: Callable) -> Tensor:
     """Wrap an op result; drops the tape when no parent needs gradients."""
@@ -236,10 +232,77 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects rank-2, got {a.shape}")
-    return _make(a.data.T, (a,), lambda g: (g.T,))
+def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Batched matmul of rank-3 operands: (B, n, k) @ (B, k, m) -> (B, n, m),
+    or (B, n, k) @ (B, m, k)^T with `transpose_b`.
+
+    `a` may also hold B/G entries for G groups of b: a[i] then multiplies
+    b[g*(B/G) + i] for every g, and its gradient sums over the groups.
+    """
+    if a.ndim != 3 or b.ndim != 3:
+        raise ShapeError(f"bmm expects rank-3 operands, got {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
+    bt = bd.transpose(0, 2, 1) if transpose_b else bd
+    if b.shape[0] % a.shape[0] or ad.shape[2] != bt.shape[1]:
+        raise ShapeError(f"bmm: operands {a.shape} and {b.shape} do not chain")
+    ba, bb = a.shape[0], b.shape[0]
+    groups = bb // ba
+    bt4 = bt.reshape(groups, ba, *bt.shape[1:])
+    out = (ad @ bt4).reshape(bb, ad.shape[1], bt.shape[2])
+
+    def bw(g):
+        g4 = g.reshape(groups, ba, *g.shape[1:])
+        ga = (g4 @ bt4.transpose(0, 1, 3, 2)).sum(axis=0)
+        if transpose_b:
+            gb = g4.transpose(0, 1, 3, 2) @ ad
+        else:
+            gb = ad.transpose(0, 2, 1) @ g4
+        return ga, gb.reshape(bd.shape)
+
+    return _make(out, (a, b), bw)
+
+
+def split_heads(x: Tensor, heads: int, groups: int = 1) -> Tensor:
+    """(G*n, H*dk) -> (G*H, n, dk): row block g, column block h becomes batch
+    entry g*H + h."""
+    if x.ndim != 2 or x.shape[0] % groups or x.shape[1] % heads:
+        raise ShapeError(f"split_heads: shape {x.shape} does not split into {groups} x {heads}")
+    return _make(_split(x.data, heads, groups), (x,), lambda g: (_merge(g, heads),))
+
+
+def merge_heads(x: Tensor, heads: int) -> Tensor:
+    """Inverse of `split_heads`: (G*H, n, dk) -> (G*n, H*dk)."""
+    if x.ndim != 3 or x.shape[0] % heads:
+        raise ShapeError(f"merge_heads: shape {x.shape} does not hold {heads} heads")
+    groups = x.shape[0] // heads
+    out = _merge(x.data, heads)
+    return _make(out, (x,), lambda g: (_split(g, heads, groups),))
+
+
+def _merge(arr: np.ndarray, heads: int) -> np.ndarray:
+    b, n, dk = arr.shape
+    groups = b // heads
+    return arr.reshape(groups, heads, n, dk).transpose(0, 2, 1, 3).reshape(groups * n, heads * dk)
+
+
+def _split(arr: np.ndarray, heads: int, groups: int) -> np.ndarray:
+    rows, d = arr.shape
+    n, dk = rows // groups, d // heads
+    return arr.reshape(groups, n, heads, dk).transpose(0, 2, 1, 3).reshape(groups * heads, n, dk)
+
+
+def mean_groups(x: Tensor, groups: int) -> Tensor:
+    """Mean of the G leading row blocks: (G*n, k) -> (n, k). With G = 1 the
+    input itself is returned."""
+    if x.ndim != 2 or x.shape[0] % groups:
+        raise ShapeError(f"mean_groups: {x.shape[0]} rows do not split into {groups} groups")
+    if groups == 1:
+        return x
+    n = x.shape[0] // groups
+    inv = 1.0 / groups
+    out = x.data.reshape(groups, n, x.shape[1]).sum(axis=0) * inv
+    shape = x.shape
+    return _make(out, (x,), lambda g: (np.broadcast_to(g * inv, (groups, *g.shape)).reshape(shape),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -269,15 +332,16 @@ def layer_norm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, computed with row-max subtraction."""
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows expects rank-2, got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis of a rank-2 or rank-3 tensor, computed with
+    max subtraction."""
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"softmax_rows expects rank 2 or 3, got {x.shape}")
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
     return _make(out, (x,), bw)
@@ -368,36 +432,20 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def global_max_pool(x: Tensor) -> Tensor:
-    """Per-channel spatial max.
+    """Per-channel max over the rows of a flattened (w*h) x d map; returns a
+    length-d vector. Gradient routes to the first argmax row."""
+    if x.ndim != 2:
+        raise ShapeError(f"global_max_pool expects rank-2, got {x.shape}")
+    s, d = x.shape
+    idx = x.data.argmax(axis=0)
+    out = x.data[idx, np.arange(d)]
 
-    Accepts d x w x h (channels first) or the flattened (w*h) x d form; returns
-    a length-d vector. Gradient routes to the first argmax in row-major order.
-    """
-    if x.ndim == 3:
-        d = x.shape[0]
-        flat = x.data.reshape(d, -1)
-        idx = flat.argmax(axis=1)
-        out = flat[np.arange(d), idx]
-        shape = x.shape
+    def bw(g):
+        full = np.zeros((s, d), dtype=g.dtype)
+        full[idx, np.arange(d)] = g
+        return (full,)
 
-        def bw(g):
-            full = np.zeros((d, flat.shape[1]), dtype=g.dtype)
-            full[np.arange(d), idx] = g
-            return (full.reshape(shape),)
-
-        return _make(out, (x,), bw)
-    if x.ndim == 2:
-        s, d = x.shape
-        idx = x.data.argmax(axis=0)
-        out = x.data[idx, np.arange(d)]
-
-        def bw2(g):
-            full = np.zeros((s, d), dtype=g.dtype)
-            full[idx, np.arange(d)] = g
-            return (full,)
-
-        return _make(out, (x,), bw2)
-    raise ShapeError(f"global_max_pool expects rank 2 or 3, got {x.shape}")
+    return _make(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Training loop, Adam optimizer, configuration, and checkpoint serialization.
 
-Checkpoint format (all little-endian):
+Checkpoint format, version 2 (all little-endian):
     magic "SGL1" | u32 version | u32 config length | config utf-8 |
     u32 param count | per param: u16 name length, utf-8 name, u8 rank,
     u32 extents..., float32 values.
+
+Version 2 stores each attention projection packed, as one d x d matrix
+`*.attn.q`, `*.attn.k`, `*.attn.v` whose column blocks are the heads.
+Version 1 stored one d x (d/heads) matrix per head (`*.attn.q0` ...) and is
+rejected. A file that ends inside a field, or goes on after the last one,
+raises ValueError naming the path and the offset.
 
 Training is single-threaded over batches and fully deterministic given the
 config seed: data order, query sampling, and parameter init all derive from
@@ -13,20 +19,21 @@ it. Identical configs therefore produce byte-identical checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import Dataset, derive_seed
 from .matching import LossWeights, build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
-from .tensor import GradientMap, NonFiniteError, Param, Tensor, add_n, backward, scale
+from .tensor import GradientMap, NonFiniteError, add_n, backward, scale
 
 CHECKPOINT_MAGIC = b"SGL1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -194,34 +201,57 @@ def save_checkpoint(path: str, model: SketchLocalizer, config_text: str) -> None
     os.replace(tmp, path)
 
 
+class _Reader:
+    """Bounds-checked reads from a checkpoint buffer."""
+
+    def __init__(self, path: str, buf: bytes):
+        self.path = path
+        self.buf = buf
+        self.off = 0
+
+    def take(self, n: int) -> bytes:
+        if self.off + n > len(self.buf):
+            raise ValueError(f"{self.path}: truncated at offset {self.off}")
+        out = self.buf[self.off : self.off + n]
+        self.off += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        off = self.off
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"{self.path}: invalid utf-8 text at offset {off}") from None
+
+
 def read_checkpoint(path: str):
     """Returns (config_text, {name: float32 array})."""
     with open(path, "rb") as f:
-        buf = f.read()
-    if buf[:4] != CHECKPOINT_MAGIC:
+        r = _Reader(path, f.read())
+    if r.take(4) != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    version, cfg_len = struct.unpack_from("<II", buf, 4)
+    (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
-    config_text = buf[off : off + cfg_len].decode()
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", buf, off)
-    off += 4
+        raise ValueError(
+            f"{path}: checkpoint version {version} is not supported "
+            f"(this build reads version {CHECKPOINT_VERSION})"
+        )
+    (cfg_len,) = r.unpack("<I")
+    config_text = r.text(cfg_len)
+    (count,) = r.unpack("<I")
     entries = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off : off + nlen].decode()
-        off += nlen
-        (rank,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", buf, off)
-        off += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(buf, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
-        entries[name] = data.copy()
+        (nlen,) = r.unpack("<H")
+        name = r.text(nlen)
+        (rank,) = r.unpack("<B")
+        shape = r.unpack(f"<{rank}I")
+        n = math.prod(shape)
+        entries[name] = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape).copy()
+    if r.off != len(r.buf):
+        raise ValueError(f"{path}: {len(r.buf) - r.off} trailing bytes at offset {r.off}")
     return config_text, entries
 
 

@@ -11,6 +11,8 @@ from sgloc.attention import (
     cross_attention,
     sinusoidal_pos_2d,
 )
+from sgloc import tensor as T
+from sgloc.data import derive_seed
 from sgloc.tensor import (
     Param,
     ShapeError,
@@ -20,20 +22,29 @@ from sgloc.tensor import (
     mul,
     sum_all,
 )
+from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 
 def make_attention(d, heads, rng, requires_grad=False):
-    dk = d // heads
-    dv = d // heads
     mk = lambda shape: Tensor(rng.standard_normal(shape) * 0.3, requires_grad=requires_grad)
-    return AttentionParams(
-        wq=[mk((d, dk)) for _ in range(heads)],
-        wk=[mk((d, dk)) for _ in range(heads)],
-        wv=[mk((d, dv)) for _ in range(heads)],
-        heads=heads,
-        width=d,
-        key_width=dk,
-    )
+    return AttentionParams(wq=mk((d, d)), wk=mk((d, d)), wv=mk((d, d)), heads=heads)
+
+
+def head_cols(w, p, h):
+    """Head h's d x dk projection: column block h of a packed matrix."""
+    dk = p.key_width
+    return w.data[:, h * dk : (h + 1) * dk]
+
+
+def per_head_oracle(q, k, v, p):
+    """Multi-head attention as a loop over heads, each with its own d x dk
+    projections (positions already added to q and k)."""
+    heads = []
+    for h in range(p.heads):
+        logits = (q @ head_cols(p.wq, p, h)) @ (k @ head_cols(p.wk, p, h)).T / math.sqrt(p.key_width)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        heads.append((e / e.sum(axis=1, keepdims=True)) @ (v @ head_cols(p.wv, p, h)))
+    return np.concatenate(heads, axis=1)
 
 
 class TestPosEncoding:
@@ -78,7 +89,7 @@ class TestCrossAttention:
         q = Tensor(rng.standard_normal((5, d)))
         kv = Tensor(rng.standard_normal((1, d)))
         out = cross_attention(q, kv, kv, p).data
-        want = np.concatenate([kv.data @ p.wv[h].data for h in range(H)], axis=1)
+        want = kv.data @ p.wv.data
         for r in range(5):
             assert np.allclose(out[r], want[0], atol=1e-6)
 
@@ -101,7 +112,7 @@ class TestCrossAttention:
         wq = rng.standard_normal((d, d))
         wk = rng.standard_normal((d, d))
         wv = rng.standard_normal((d, d))
-        p = AttentionParams([Tensor(wq)], [Tensor(wk)], [Tensor(wv)], 1, d, d)
+        p = AttentionParams(Tensor(wq), Tensor(wk), Tensor(wv), 1)
         q = rng.standard_normal((2, d))
         k = rng.standard_normal((2, d))
         got = cross_attention(Tensor(q), Tensor(k), Tensor(k), p).data
@@ -116,8 +127,8 @@ class TestCrossAttention:
         # with zero W_Q (uniform attention), k_pos must not change the output
         d, H = 8, 1
         p = make_attention(d, H, rng)
-        p.wq[0] = Tensor(np.zeros((d, d)))
-        p.wv[0] = Tensor(rng.standard_normal((d, d)))
+        p.wq = Tensor(np.zeros((d, d)))
+        p.wv = Tensor(rng.standard_normal((d, d)))
         q = Tensor(rng.standard_normal((3, d)))
         kv = Tensor(rng.standard_normal((4, d)))
         pos = rng.standard_normal((4, d))
@@ -134,7 +145,7 @@ class TestCrossAttention:
         kv = Tensor(rng.standard_normal((7, d)))
         out = cross_attention(q, kv, kv, p).data
         for h in range(H):
-            v_proj = kv.data @ p.wv[h].data
+            v_proj = kv.data @ head_cols(p.wv, p, h)
             lo, hi = v_proj.min(axis=0), v_proj.max(axis=0)
             block = out[:, h * dv : (h + 1) * dv]
             assert (block >= lo - 1e-6).all() and (block <= hi + 1e-6).all()
@@ -159,6 +170,82 @@ class TestCrossAttention:
         p = make_attention(8, 2, rng)
         with pytest.raises(ShapeError):
             cross_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 8))), Tensor(np.ones((2, 8))), p)
+
+    def test_group_rows_must_split_evenly(self, rng):
+        p = make_attention(8, 2, rng)
+        kv = Tensor(np.ones((5, 8)))
+        with pytest.raises(ShapeError):
+            cross_attention(Tensor(np.ones((4, 8))), kv, kv, p, groups=2)
+
+
+class TestPackedMatchesPerHeadLoop:
+    """Packed attention against the per-head loop, at f64."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_single_group(self, f64, rng, heads):
+        d = 16
+        p = make_attention(d, heads, rng)
+        q, kv = rng.standard_normal((5, d)), rng.standard_normal((7, d))
+        q_pos, k_pos = rng.standard_normal((5, d)), rng.standard_normal((7, d))
+        got = cross_attention(Tensor(q), Tensor(kv), Tensor(kv), p, q_pos=q_pos, k_pos=k_pos).data
+        want = per_head_oracle(q + q_pos, kv + k_pos, kv, p)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_groups_attend_only_to_their_own_keys(self, f64, rng):
+        d, heads, G, n_q, n_k = 8, 2, 3, 4, 5
+        p = make_attention(d, heads, rng)
+        q = rng.standard_normal((n_q, d))
+        kv = rng.standard_normal((G * n_k, d))
+        q_pos, k_pos = rng.standard_normal((n_q, d)), rng.standard_normal((n_k, d))
+        got = cross_attention(Tensor(q), Tensor(kv), Tensor(kv), p, q_pos=q_pos, k_pos=k_pos, groups=G).data
+        assert got.shape == (G * n_q, d)
+        for g in range(G):
+            kg = kv[g * n_k : (g + 1) * n_k]
+            want = per_head_oracle(q + q_pos, kg + k_pos, kg, p)
+            assert np.max(np.abs(got[g * n_q : (g + 1) * n_q] - want)) < 1e-12
+
+    def test_gradcheck_groups(self, f64, rng):
+        d, G = 8, 3
+        p = make_attention(d, 2, rng, requires_grad=True)
+        params = [Param(f"w{i}", t) for i, t in enumerate(p.tensors())]
+        q = Tensor(rng.standard_normal((4, d)))
+        kv = Tensor(rng.standard_normal((G * 2, d)))
+        pos_q = rng.standard_normal((4, d)) * 0.2
+        pos_k = rng.standard_normal((2, d)) * 0.2
+        r = Tensor(rng.standard_normal((G * 4, d)))
+
+        def loss():
+            out = cross_attention(q, kv, kv, p, q_pos=pos_q, k_pos=pos_k, groups=G)
+            return sum_all(mul(out, r))
+
+        assert finite_difference_check(loss, params, eps=1e-5) < 1e-5
+
+
+class TestPackedModelParameters:
+    def test_packed_init_is_concatenated_per_head_draws(self):
+        # each column block is the draw a per-head d x dk matrix named
+        # `<prefix>.attn.<q|k|v><h>` would have received
+        m = tiny_model(seed=3)
+        d, heads = TINY.d, TINY.heads
+        dk = d // heads
+        limit = math.sqrt(6.0 / (d + dk))
+        packed = [n for n in m.named_parameters() if ".attn." in n]
+        assert packed and all(n[-2:] in (".q", ".k", ".v") for n in packed)
+        for name in packed:
+            cols = [
+                np.random.default_rng(derive_seed(3, "param", f"{name}{h}")).uniform(-limit, limit, (d, dk))
+                for h in range(heads)
+            ]
+            want = Tensor(np.concatenate(cols, axis=1)).data
+            assert np.array_equal(m.get_param(name).value.data, want)
+
+    def test_tape_size_does_not_grow_with_heads(self, rng):
+        img, sks = rand_image(rng), [rand_sketch(rng) for _ in range(2)]
+        sizes = []
+        for heads in (1, 2, 4):
+            s, b = tiny_model(d=16, heads=heads).forward(img, sks)
+            sizes.append(len(T._topo(sum_all(mul(s, s)))))
+        assert sizes[0] == sizes[1] == sizes[2]
 
 
 class TestAdapterFuse:

@@ -93,11 +93,13 @@ class TestRefinement:
         pos = sinusoidal_pos_2d(2, 2, TINY.d).table
         k = sk.tokens.data + pos
         heads = []
+        dk = p.attn.key_width
         for h in range(p.attn.heads):
-            q = det.data @ p.attn.wq[h].data
-            kk = k @ p.attn.wk[h].data
-            vv = sk.tokens.data @ p.attn.wv[h].data
-            logits = q @ kk.T / math.sqrt(p.attn.key_width)
+            cols = slice(h * dk, (h + 1) * dk)  # head h's column block
+            q = det.data @ p.attn.wq.data[:, cols]
+            kk = k @ p.attn.wk.data[:, cols]
+            vv = sk.tokens.data @ p.attn.wv.data[:, cols]
+            logits = q @ kk.T / math.sqrt(dk)
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             att = e / e.sum(axis=1, keepdims=True)
             heads.append(att @ vv)

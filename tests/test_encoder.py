@@ -52,23 +52,32 @@ class TestPatches:
 class TestEncodeSketch:
     def test_deterministic_on_equal_inputs(self):
         m = tiny_model()
-        a = m.encode_sketches([np.zeros((64, 64))]).maps[0]
-        b = m.encode_sketches([np.zeros((64, 64))]).maps[0]
+        a = m.encode_sketches([np.zeros((64, 64))])
+        b = m.encode_sketches([np.zeros((64, 64))])
         assert np.array_equal(a.tokens.data, b.tokens.data)
 
     def test_output_shape(self, rng):
         m = tiny_model()
-        out = m.encode_sketches([rand_sketch(rng)]).maps[0]
+        out = m.encode_sketches([rand_sketch(rng)])
         assert out.tokens.shape == (64, TINY.d)
-        assert out.map3d().shape == (TINY.d, 8, 8)
+        assert (out.w, out.h, len(out)) == (8, 8, 1)
+
+    def test_bundle_stacks_each_sketch_encoded_alone(self, rng):
+        m = tiny_model()
+        sks = [rand_sketch(rng) for _ in range(3)]
+        bundle = m.encode_sketches(sks)
+        assert bundle.tokens.shape == (3 * 64, TINY.d) and len(bundle) == 3
+        for i, sk in enumerate(sks):
+            alone = m.encode_sketches([sk]).tokens.data
+            assert np.array_equal(bundle.tokens.data[i * 64 : (i + 1) * 64], alone)
 
     def test_one_patch_difference_changes_features(self, rng):
         m = tiny_model()
         s1 = rand_sketch(rng)
         s2 = s1.copy()
         s2[0:8, 0:8] = 1.0 - s2[0:8, 0:8]
-        a = m.encode_sketches([s1]).maps[0].tokens.data
-        b = m.encode_sketches([s2]).maps[0].tokens.data
+        a = m.encode_sketches([s1]).tokens.data
+        b = m.encode_sketches([s2]).tokens.data
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_rejects_out_of_range(self):
@@ -122,7 +131,7 @@ class TestSketchGuidedEncode:
         bundle = m.encode_sketches([rand_sketch(rng)])
         from sgloc.encoder import sketch_guided_encode
 
-        feats = sketch_guided_encode(img, bundle.maps, m.image_enc, 4)
+        feats = sketch_guided_encode(img, bundle, m.image_enc, 4)
         assert [f.tokens.shape[0] for f in feats] == [64, 16, 4]
 
     def test_zero_fusion_reduces_to_query_agnostic(self, rng):
@@ -135,10 +144,16 @@ class TestSketchGuidedEncode:
         from sgloc.encoder import sketch_guided_encode
 
         bundle = full.encode_sketches([rand_sketch(rng)])
-        fused = sketch_guided_encode(img, bundle.maps, full.image_enc, 4)
-        bare = sketch_guided_encode(img, [], plain.image_enc, 4)
+        fused = sketch_guided_encode(img, bundle, full.image_enc, 4)
+        bare = sketch_guided_encode(img, None, plain.image_enc, 4)
         for a, b in zip(fused, bare):
             assert np.array_equal(a.tokens.data, b.tokens.data)
+
+    def test_conditioned_encoder_rejects_missing_bundle(self, rng):
+        from sgloc.encoder import sketch_guided_encode
+
+        with pytest.raises(ValueError, match="needs a sketch bundle"):
+            sketch_guided_encode(rand_image(rng), None, tiny_model().image_enc, 4)
 
     def test_zero_fusion_sketch_independent_bit_exact(self, rng):
         m = tiny_model(seed=5)
@@ -148,8 +163,8 @@ class TestSketchGuidedEncode:
         from sgloc.encoder import sketch_guided_encode
 
         img = rand_image(rng)
-        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]).maps, m.image_enc, 4)
-        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]).maps, m.image_enc, 4)
+        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc, 4)
+        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc, 4)
         for a, b in zip(f1, f2):
             assert np.array_equal(a.tokens.data, b.tokens.data)
 
@@ -158,8 +173,8 @@ class TestSketchGuidedEncode:
         from sgloc.encoder import sketch_guided_encode
 
         img = rand_image(rng)
-        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]).maps, m.image_enc, 4)
-        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]).maps, m.image_enc, 4)
+        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc, 4)
+        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc, 4)
         assert any(np.max(np.abs(a.tokens.data - b.tokens.data)) > 1e-6 for a, b in zip(f1, f2))
 
     def test_query_conditioning_gradient_nonzero(self, f64, rng):
@@ -172,7 +187,7 @@ class TestSketchGuidedEncode:
         r = None
 
         def out_sum(s):
-            feats = sketch_guided_encode(img, m.encode_sketches([s]).maps, m.image_enc, 4)
+            feats = sketch_guided_encode(img, m.encode_sketches([s]), m.image_enc, 4)
             total = 0.0
             for f in feats:
                 total += float(f.tokens.data.sum())

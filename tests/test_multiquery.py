@@ -12,6 +12,11 @@ def leaf_map(rng, d=TINY.d, w=2, h=2, requires_grad=False):
     return SketchFeatureMap(Tensor(rng.standard_normal((w * h, d)), requires_grad), w, h)
 
 
+def bundle_of(tokens, w=2, h=2):
+    """A bundle of 2x2 sketch maps from their token matrices."""
+    return MultiQueryBundle.stack([SketchFeatureMap(t, w, h) for t in tokens])
+
+
 class TestEncoderFusionMulti:
     def test_single_matches_plain_fusion_bit_exact(self, rng):
         m = tiny_model()
@@ -20,7 +25,7 @@ class TestEncoderFusionMulti:
         sk = Tensor(rng.standard_normal((4, TINY.d)))
         q_pos = sinusoidal_pos_2d(4, 4, TINY.d)
         k_pos = sinusoidal_pos_2d(2, 2, TINY.d)
-        got = encoder_fusion_multi(stage, [sk], fp, q_pos=q_pos, k_pos=k_pos).data
+        got = encoder_fusion_multi(stage, bundle_of([sk]), fp, q_pos=q_pos, k_pos=k_pos).data
         att = cross_attention(stage, sk, sk, fp.attn, q_pos=q_pos, k_pos=k_pos)
         want = adapter_fuse(att, stage, fp.adapter).data
         assert np.array_equal(got, want)
@@ -30,8 +35,8 @@ class TestEncoderFusionMulti:
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sk = Tensor(rng.standard_normal((4, TINY.d)))
-        one = encoder_fusion_multi(stage, [sk], fp).data
-        five = encoder_fusion_multi(stage, [sk] * 5, fp).data
+        one = encoder_fusion_multi(stage, bundle_of([sk]), fp).data
+        five = encoder_fusion_multi(stage, bundle_of([sk] * 5), fp).data
         assert np.max(np.abs(one - five)) < 1e-6
 
     def test_order_invariance(self, rng):
@@ -39,21 +44,36 @@ class TestEncoderFusionMulti:
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sks = [Tensor(rng.standard_normal((4, TINY.d))) for _ in range(4)]
-        a = encoder_fusion_multi(stage, sks, fp).data
-        b = encoder_fusion_multi(stage, sks[::-1], fp).data
+        a = encoder_fusion_multi(stage, bundle_of(sks), fp).data
+        b = encoder_fusion_multi(stage, bundle_of(sks[::-1]), fp).data
         assert np.max(np.abs(a - b)) < 1e-6
 
-    def test_empty_bundle_rejected(self, rng):
+    def test_matches_per_sketch_loop(self, f64, rng):
+        # one attention per sketch, then the adapter on the mean pre-activation
         m = tiny_model()
+        fp = m.image_enc.fusions[0]
+        stage = Tensor(rng.standard_normal((16, TINY.d)))
+        sks = [Tensor(rng.standard_normal((4, TINY.d))) for _ in range(3)]
+        q_pos = sinusoidal_pos_2d(4, 4, TINY.d)
+        k_pos = sinusoidal_pos_2d(2, 2, TINY.d)
+        got = encoder_fusion_multi(stage, bundle_of(sks), fp, q_pos=q_pos, k_pos=k_pos).data
+        pre = [
+            cross_attention(stage, sk, sk, fp.attn, q_pos=q_pos, k_pos=k_pos).data @ fp.adapter.w_in.data
+            for sk in sks
+        ]
+        want = stage.data + np.maximum(sum(pre) / 3, 0.0) @ fp.adapter.w_out.data
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_empty_bundle_rejected(self, rng):
         with pytest.raises(ValueError):
-            encoder_fusion_multi(Tensor(np.ones((4, TINY.d))), [], m.image_enc.fusions[0])
+            bundle_of([])
 
     def test_gradients_reach_every_sketch(self, f64, rng):
         m = tiny_model()
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sks = [Tensor(rng.standard_normal((4, TINY.d)), requires_grad=True) for _ in range(3)]
-        gm = backward(sum_all(encoder_fusion_multi(stage, sks, fp)))
+        gm = backward(sum_all(encoder_fusion_multi(stage, bundle_of(sks), fp)))
         for sk in sks:
             assert np.max(np.abs(gm.of(sk).data)) > 0
 
@@ -64,35 +84,44 @@ class TestFuseQueries:
         m.get_param("query_fusion.adapter.in").value.data[...] = 0.0
         m.get_param("query_fusion.adapter.out").value.data[...] = 0.0
         maps = [leaf_map(rng) for _ in range(3)]
-        bundle = MultiQueryBundle(maps)
+        bundle = MultiQueryBundle.stack(maps)
         got = fuse_queries(bundle, m.query_fusion).data
         assert np.array_equal(got, bundle.average_tokens().data)
 
     def test_bundle_permutation_invariance(self, rng):
         m = tiny_model()
         maps = [leaf_map(rng) for _ in range(5)]
-        a = fuse_queries(MultiQueryBundle(maps), m.query_fusion).data
+        a = fuse_queries(MultiQueryBundle.stack(maps), m.query_fusion).data
         perm = [maps[i] for i in rng.permutation(5)]
-        b = fuse_queries(MultiQueryBundle(perm), m.query_fusion).data
+        b = fuse_queries(MultiQueryBundle.stack(perm), m.query_fusion).data
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_identical_sketches_attend_to_own_features(self, rng):
         # softmax over L identical key blocks equals attention over one block
         m = tiny_model()
         sk = leaf_map(rng)
-        one = fuse_queries(MultiQueryBundle([sk]), m.query_fusion).data
-        many = fuse_queries(MultiQueryBundle([sk] * 4), m.query_fusion).data
+        one = fuse_queries(MultiQueryBundle.stack([sk]), m.query_fusion).data
+        many = fuse_queries(MultiQueryBundle.stack([sk] * 4), m.query_fusion).data
         assert np.max(np.abs(one - many)) < 1e-6
 
     def test_mismatched_grids_rejected(self, rng):
         big = SketchFeatureMap(Tensor(rng.standard_normal((16, TINY.d))), 4, 4)
         with pytest.raises(ValueError):
-            MultiQueryBundle([leaf_map(rng), big])
+            MultiQueryBundle.stack([leaf_map(rng), big])
+        with pytest.raises(ValueError):  # 20 rows are not whole 3x3 maps
+            MultiQueryBundle(Tensor(rng.standard_normal((20, TINY.d))), 3, 3)
+
+    def test_zero_row_bundle_rejected(self):
+        # op results skip the constructor's extent check, so the bundle checks
+        empty = Tensor(np.ones((1, TINY.d)))
+        empty.data = np.zeros((0, TINY.d))
+        with pytest.raises(ValueError, match="0 bundle rows"):
+            MultiQueryBundle(empty, 2, 2)
 
     def test_gradients_reach_every_sketch(self, f64, rng):
         m = tiny_model()
         maps = [leaf_map(rng, requires_grad=True) for _ in range(3)]
-        gm = backward(sum_all(fuse_queries(MultiQueryBundle(maps), m.query_fusion)))
+        gm = backward(sum_all(fuse_queries(MultiQueryBundle.stack(maps), m.query_fusion)))
         for mp in maps:
             assert np.max(np.abs(gm.of(mp.tokens).data)) > 0
 

@@ -1,38 +1,31 @@
 import numpy as np
 import pytest
 
+from sgloc import gradcheck
 from sgloc import tensor as T
 from sgloc.tensor import (
     GradientMap,
     Param,
     ShapeError,
     Tensor,
-    absolute,
     add,
     add_n,
-    add_rowvec,
     backward,
+    bmm,
     concat,
-    div,
     finite_difference_check,
-    gather_rows,
     global_max_pool,
-    log,
     matmul,
-    maximum,
-    mean_all,
-    minimum,
+    mean_groups,
+    merge_heads,
     mul,
     neg,
     relu,
-    reshape,
     scale,
     sigmoid,
-    slice_cols,
     softmax_rows,
-    sub,
+    split_heads,
     sum_all,
-    transpose,
 )
 
 
@@ -107,6 +100,85 @@ class TestSoftmaxRows:
         shifted = softmax_rows(Tensor(x + 3.7)).data
         assert np.max(np.abs(out - shifted)) < 1e-6
 
+    def test_rank3_is_rank2_per_batch_entry(self, f64, rng):
+        x = rng.standard_normal((3, 4, 6))
+        got = softmax_rows(Tensor(x)).data
+        for b in range(3):
+            assert np.array_equal(got[b], softmax_rows(Tensor(x[b])).data)
+
+    def test_rank4_rejected(self):
+        with pytest.raises(ShapeError):
+            softmax_rows(Tensor(np.ones((2, 2, 2, 2))))
+
+
+class TestBatched:
+    def test_bmm_against_loop_oracle(self, f64, rng):
+        a = rng.standard_normal((3, 4, 2))
+        b = rng.standard_normal((3, 2, 5))
+        got = bmm(Tensor(a), Tensor(b)).data
+        for i in range(3):
+            assert np.max(np.abs(got[i] - matmul_loops(a[i], b[i]))) < 1e-12
+
+    def test_bmm_transpose_b(self, f64, rng):
+        a = rng.standard_normal((2, 4, 3))
+        b = rng.standard_normal((2, 5, 3))
+        got = bmm(Tensor(a), Tensor(b), transpose_b=True).data
+        for i in range(2):
+            assert np.max(np.abs(got[i] - matmul_loops(a[i], b[i].T))) < 1e-12
+
+    def test_bmm_shared_a_repeats_over_groups(self, f64, rng):
+        # a holds B/G = 2 entries; b holds G = 3 groups of 2, group-major
+        a = rng.standard_normal((2, 4, 3))
+        b = rng.standard_normal((6, 3, 5))
+        got = bmm(Tensor(a), Tensor(b)).data
+        for g in range(3):
+            for i in range(2):
+                assert np.max(np.abs(got[2 * g + i] - a[i] @ b[2 * g + i])) < 1e-12
+
+    def test_bmm_shape_errors(self):
+        with pytest.raises(ShapeError):
+            bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 2))))
+        with pytest.raises(ShapeError):
+            bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+        with pytest.raises(ShapeError):
+            bmm(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))))
+
+    def test_split_heads_layout(self, rng):
+        # entry g*H + h holds rows of group g and column block h
+        x = rng.standard_normal((2 * 3, 4 * 2))
+        got = split_heads(Tensor(x), heads=4, groups=2).data
+        assert got.shape == (8, 3, 2)
+        for g in range(2):
+            for h in range(4):
+                assert np.array_equal(got[g * 4 + h], x[g * 3 : (g + 1) * 3, h * 2 : (h + 1) * 2].astype(got.dtype))
+
+    def test_merge_inverts_split(self, rng):
+        x = Tensor(rng.standard_normal((6, 8)))
+        assert np.array_equal(merge_heads(split_heads(x, 4, groups=3), 4).data, x.data)
+        y = Tensor(rng.standard_normal((6, 2, 3)))
+        assert np.array_equal(split_heads(merge_heads(y, 2), 2, groups=3).data, y.data)
+
+    def test_split_merge_shape_errors(self):
+        with pytest.raises(ShapeError):
+            split_heads(Tensor(np.ones((6, 8))), 3)
+        with pytest.raises(ShapeError):
+            split_heads(Tensor(np.ones((6, 8))), 2, groups=4)
+        with pytest.raises(ShapeError):
+            merge_heads(Tensor(np.ones((5, 2, 2))), 2)
+
+    def test_mean_groups_matches_add_n_then_scale_bit_exact(self, rng):
+        blocks = [Tensor(rng.standard_normal((3, 4))) for _ in range(5)]
+        got = mean_groups(concat(blocks, axis=0), 5).data
+        assert np.array_equal(got, scale(add_n(blocks), 1.0 / 5).data)
+
+    def test_mean_groups_single_group_is_identity(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)))
+        assert mean_groups(x, 1) is x
+
+    def test_mean_groups_rejects_uneven_split(self):
+        with pytest.raises(ShapeError):
+            mean_groups(Tensor(np.ones((5, 2))), 2)
+
 
 class TestElementwise:
     def test_relu(self):
@@ -157,29 +229,21 @@ class TestConcat:
 
 class TestGlobalMaxPool:
     def test_constant_map(self):
-        out = global_max_pool(Tensor(np.full((5, 3, 3), 3.0)))
+        out = global_max_pool(Tensor(np.full((9, 5), 3.0)))
         assert np.array_equal(out.data, np.full(5, 3.0))
 
     def test_single_channel(self):
-        out = global_max_pool(Tensor([[[1.0, 5.0], [2.0, 0.0]]]))
+        out = global_max_pool(Tensor([[1.0], [5.0], [2.0], [0.0]]))
         assert out.data[0] == 5.0
 
     def test_against_scan_oracle(self, rng):
-        x = rng.standard_normal((6, 4, 5))
+        x = rng.standard_normal((20, 6))  # (w*h) x d
         got = global_max_pool(Tensor(x)).data
         for c in range(6):
             best = -np.inf
-            for i in range(4):
-                for j in range(5):
-                    best = max(best, x[c, i, j])
+            for s in range(20):
+                best = max(best, x[s, c])
             assert got[c] == pytest.approx(best)
-
-    def test_flattened_form_matches(self, rng):
-        x = rng.standard_normal((5, 2, 3))
-        flat = x.reshape(5, 6).T.copy()  # (w*h) x d
-        assert np.array_equal(
-            global_max_pool(Tensor(x)).data, global_max_pool(Tensor(flat)).data
-        )
 
     def test_grad_routes_to_first_argmax(self):
         x = leaf([[2.0, 1.0], [2.0, 0.0]])  # column 0 ties on rows 0 and 1
@@ -247,69 +311,18 @@ class TestFiniteDifference:
             finite_difference_check(lambda: sum_all(w.value), [w])
 
 
-def _check_op(f64, builder, n_params, eps=1e-5, tol=1e-5, seed=0):
-    rng = np.random.default_rng(seed)
-    params = [Param(f"p{i}", Tensor(t)) for i, t in enumerate(builder.make(rng))]
-    err = finite_difference_check(lambda: builder.loss(*params), params, eps=eps)
-    assert err < tol, f"{builder.__class__.__name__}: rel error {err}"
-
-
 class TestGradcheckAllOps:
-    """Every differentiable op against the central-difference oracle (f64)."""
+    """Every op case of `sgloc gradcheck` against the central-difference
+    oracle, on fresh inputs from the CLI's input seed 7 (tests/test_gradcheck.py
+    covers seeds 0-4). The cases live only in `gradcheck._OP_CASES`."""
 
-    CASES = {}
+    CASES = {name: (shapes, loss) for name, shapes, loss in gradcheck._OP_CASES}
 
-    def case(shapes, fn):
-        class B:
-            def make(self, rng):
-                return [rng.standard_normal(s) for s in shapes]
-
-            def loss(self, *ps):
-                return fn(*[p.value for p in ps])
-
-        return B()
-
-    weights = None  # placeholder to keep the class namespace tidy
-
-    OPS = {
-        "add": case([(3, 4), (3, 4)], lambda a, b: sum_all(mul(add(a, b), add(a, b)))),
-        "sub": case([(3, 4), (3, 4)], lambda a, b: sum_all(mul(sub(a, b), sub(a, b)))),
-        "neg": case([(5,)], lambda a: sum_all(mul(neg(a), neg(a)))),
-        "mul": case([(3, 3), (3, 3)], lambda a, b: sum_all(mul(mul(a, b), a))),
-        "div": case(
-            [(4,), (4,)],
-            lambda a, b: sum_all(div(a, add(mul(b, b), Tensor(np.ones(4))))),
-        ),
-        "scale": case([(3, 2)], lambda a: sum_all(mul(scale(a, 2.5), a))),
-        "matmul": case([(3, 4), (4, 2)], lambda a, b: sum_all(mul(matmul(a, b), matmul(a, b)))),
-        "transpose": case([(3, 4)], lambda a: sum_all(mul(transpose(a), transpose(a)))),
-        "reshape": case([(3, 4)], lambda a: sum_all(mul(reshape(a, (2, 6)), reshape(a, (2, 6))))),
-        "relu": case([(4, 4)], lambda a: sum_all(mul(relu(a), relu(a)))),
-        "sigmoid": case([(4, 4)], lambda a: sum_all(mul(sigmoid(a), sigmoid(a)))),
-        "log": case([(6,)], lambda a: sum_all(log(add(mul(a, a), Tensor(np.ones(6)))))),
-        "absolute": case([(5,)], lambda a: sum_all(mul(absolute(a), a))),
-        "maximum": case([(4, 4), (4, 4)], lambda a, b: sum_all(mul(maximum(a, b), a))),
-        "maximum_scalar": case([(4, 4)], lambda a: sum_all(mul(maximum(a, 0.1), a))),
-        "minimum": case([(4, 4), (4, 4)], lambda a, b: sum_all(mul(minimum(a, b), b))),
-        "softmax_rows": case([(3, 5)], lambda a: sum_all(mul(softmax_rows(a), a))),
-        "layer_norm_rows": case([(3, 6)], lambda a: sum_all(mul(T.layer_norm_rows(a), a))),
-        "concat": case(
-            [(2, 3), (4, 3)],
-            lambda a, b: sum_all(mul(concat([a, b], axis=0), concat([a, b], axis=0))),
-        ),
-        "slice_cols": case([(3, 6)], lambda a: sum_all(mul(slice_cols(a, 1, 4), slice_cols(a, 1, 4)))),
-        "gather_rows": case(
-            [(5, 3)],
-            lambda a: sum_all(mul(gather_rows(a, [0, 2, 2, 4]), gather_rows(a, [0, 2, 2, 4]))),
-        ),
-        "add_rowvec": case([(3, 4), (4,)], lambda a, b: sum_all(mul(add_rowvec(a, b), add_rowvec(a, b)))),
-        "mean_all": case([(3, 4)], lambda a: mean_all(mul(a, a))),
-        "global_max_pool": case([(6, 4)], lambda a: sum_all(mul(global_max_pool(a), global_max_pool(a)))),
-    }
-
-    @pytest.mark.parametrize("name", sorted(OPS))
+    @pytest.mark.parametrize("name", sorted(CASES))
     def test_op(self, f64, name):
-        _check_op(f64, self.OPS[name], None)
+        shapes, loss = self.CASES[name]
+        err = gradcheck.check_op_case(name, shapes, loss, np.random.default_rng(7))
+        assert err < gradcheck.TOLERANCE, f"{name}: rel error {err:.3e}"
 
 
 class TestLayerNorm:

@@ -138,6 +138,77 @@ class TestCheckpoint:
         assert got == text
 
 
+class TestMalformedCheckpoint:
+    """Damaged files raise ValueError naming the path, never a raw
+    struct/numpy error."""
+
+    CONFIG = "seed = 1\n"
+
+    def saved(self, tmp_path):
+        path = str(tmp_path / "a.sgl")
+        m = tiny_model()
+        save_checkpoint(path, m, self.CONFIG)
+        with open(path, "rb") as f:
+            return path, f.read(), m
+
+    def first_param_offsets(self, m):
+        """(name, shape, data) offsets of the first parameter record."""
+        p = m.params[0]
+        name = 4 + 4 + 4 + len(self.CONFIG) + 4 + 2
+        shape = name + len(p.name.encode()) + 1
+        return name, shape, shape + 4 * p.value.ndim
+
+    def truncated(self, tmp_path, buf, n):
+        path = str(tmp_path / f"cut{n}.sgl")
+        with open(path, "wb") as f:
+            f.write(buf[:n])
+        return path
+
+    def test_truncation_names_path_and_offset(self, tmp_path):
+        _, buf, m = self.saved(tmp_path)
+        name, shape, data = self.first_param_offsets(m)
+        last_data = len(buf) - 4 * m.params[-1].value.size
+        # (bytes kept, offset of the field the file ends in)
+        cuts = [(0, 0), (4, 4), (12, 12), (name + 2, name), (shape + 2, shape),
+                (data + 5, data), (len(buf) - 1, last_data)]
+        for n, off in cuts:
+            path = self.truncated(tmp_path, buf, n)
+            with pytest.raises(ValueError) as e:
+                read_checkpoint(path)
+            assert str(e.value) == f"{path}: truncated at offset {off}", n
+
+    def test_every_short_prefix_raises_value_error(self, tmp_path):
+        _, buf, m = self.saved(tmp_path)
+        _, _, data = self.first_param_offsets(m)
+        for n in range(data + 8):
+            with pytest.raises(ValueError):
+                read_checkpoint(self.truncated(tmp_path, buf, n))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, buf, _ = self.saved(tmp_path)
+        with open(path, "wb") as f:
+            f.write(buf + b"JUNK")
+        with pytest.raises(ValueError) as e:
+            read_checkpoint(path)
+        assert str(e.value) == f"{path}: 4 trailing bytes at offset {len(buf)}"
+
+    def test_version_1_rejected(self, tmp_path):
+        path, buf, _ = self.saved(tmp_path)
+        with open(path, "wb") as f:
+            f.write(buf[:4] + (1).to_bytes(4, "little") + buf[8:])
+        with pytest.raises(ValueError) as e:
+            read_checkpoint(path)
+        assert path in str(e.value) and "version 1" in str(e.value)
+
+    def test_invalid_utf8_name_rejected(self, tmp_path):
+        path, buf, m = self.saved(tmp_path)
+        name, _, _ = self.first_param_offsets(m)
+        with open(path, "wb") as f:
+            f.write(buf[:name] + b"\xff" + buf[name + 1 :])
+        with pytest.raises(ValueError, match=f"offset {name}"):
+            read_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def train_corpus(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("train_corpus"))
