@@ -2,7 +2,7 @@
 
 These three pieces are the shared machinery behind every feature-fusion step
 in the model: encoder-side sketch fusion, decoder token refinement, and
-multi-sketch query fusion.
+multi-sketch query fusion. A `Block` pairs one attention with one adapter.
 
 Attention is packed: each projection is one d x d matrix whose column block h
 belongs to head h, and one call computes every head, and every independent
@@ -68,6 +68,16 @@ class AdapterParams:
     @property
     def hidden(self) -> int:
         return self.w_in.shape[1]
+
+
+@dataclass
+class Block:
+    """The model's one repeated unit: attention, then the adapter MLP on its
+    output. Every self-attention block, encoder fusion, decoder layer half,
+    refinement pass and the query fusion holds one."""
+
+    attn: AttentionParams
+    adapter: AdapterParams
 
 
 @dataclass

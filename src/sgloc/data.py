@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boxes import iou
+
 IMAGE_SIZE = 64
 
 CLASS_NAMES = [
@@ -210,16 +212,6 @@ def _tight_box(mask: np.ndarray):
     return (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
 
 
-def _box_iou(a, b) -> float:
-    iw = max(0, min(a[2], b[2]) - max(a[0], b[0]))
-    ih = max(0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = iw * ih
-    if inter == 0:
-        return 0.0
-    ua = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return inter / ua
-
-
 # ---------------------------------------------------------------------------
 # scenes
 
@@ -314,7 +306,7 @@ def generate_scene(seed: int, config: DataConfig, classes=None) -> SceneSample:
             box = _tight_box(mask)
             if box is None:
                 continue
-            if any(_box_iou(box, b) > config.overlap_max for b in boxes):
+            if boxes and iou([box], boxes).max() > config.overlap_max:
                 continue
             color = _PALETTE[rng.integers(len(_PALETTE))] + rng.uniform(-0.08, 0.08, 3)
             texture = rng.uniform(-0.07, 0.07, (size, size))
@@ -410,13 +402,7 @@ def write_ppm(path: str, img: np.ndarray) -> None:
 
 
 def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    magic, w, h, maxval, raster = _parse_pnm(data, path)
-    if magic != b"P6":
-        raise DatasetError(f"{path}: not a binary PPM")
-    arr = np.frombuffer(raster, dtype=np.uint8, count=w * h * 3).reshape(h, w, 3)
-    return arr.astype(np.float64) / float(maxval)
+    return _read_pnm(path, b"P6", "PPM", (3,))
 
 
 def write_pgm(path: str, img: np.ndarray) -> None:
@@ -428,19 +414,29 @@ def write_pgm(path: str, img: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
+    return _read_pnm(path, b"P5", "PGM", ())
+
+
+def _read_pnm(path: str, magic: bytes, kind: str, channels: tuple) -> np.ndarray:
+    """An 8-bit binary PNM raster as floats in [0, 1]; bytes after the raster
+    are ignored."""
     with open(path, "rb") as f:
         data = f.read()
-    magic, w, h, maxval, raster = _parse_pnm(data, path)
-    if magic != b"P5":
-        raise DatasetError(f"{path}: not a binary PGM")
-    arr = np.frombuffer(raster, dtype=np.uint8, count=w * h).reshape(h, w)
+    if data[:2] != magic:
+        raise DatasetError(f"{path}: not a binary {kind}")
+    w, h, maxval, start = _parse_pnm_header(data, path)
+    shape = (h, w) + channels
+    n = math.prod(shape)
+    if len(data) - start < n:
+        raise DatasetError(f"{path}: raster holds {len(data) - start} bytes, a {w}x{h} {kind} needs {n}")
+    arr = np.frombuffer(data, dtype=np.uint8, count=n, offset=start).reshape(shape)
     return arr.astype(np.float64) / float(maxval)
 
 
-def _parse_pnm(data: bytes, path: str):
+def _parse_pnm_header(data: bytes, path: str) -> tuple:
+    """(width, height, maxval, raster offset) of the header after the magic."""
     fields = []
     i = 2
-    magic = data[:2]
     while len(fields) < 3:
         while i < len(data) and data[i : i + 1].isspace():
             i += 1
@@ -451,11 +447,20 @@ def _parse_pnm(data: bytes, path: str):
         j = i
         while j < len(data) and not data[j : j + 1].isspace():
             j += 1
+        if i == j:
+            raise DatasetError(f"{path}: header ends after {len(fields)} of 3 fields")
+        if not data[i:j].isdigit():
+            raise DatasetError(f"{path}: header field {data[i:j]!r} is not a decimal number")
         fields.append(int(data[i:j]))
         i = j
-    i += 1  # single whitespace after maxval
+    if i == len(data):
+        raise DatasetError(f"{path}: header ends without the whitespace after maxval")
     w, h, maxval = fields
-    return magic, w, h, maxval, data[i:]
+    if w < 1 or h < 1:
+        raise DatasetError(f"{path}: extents {w}x{h} are not positive")
+    if not 1 <= maxval <= 255:
+        raise DatasetError(f"{path}: maxval {maxval} is outside 1..255 (only 8-bit rasters are read)")
+    return w, h, maxval, i + 1  # one whitespace byte follows maxval
 
 
 # ---------------------------------------------------------------------------

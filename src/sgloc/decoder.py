@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AdapterParams, AttentionParams, adapter_fuse, cross_attention, sinusoidal_pos_2d
+from .attention import Block, adapter_fuse, cross_attention, sinusoidal_pos_2d
 from .encoder import SketchFeatureMap
 from .tensor import (
     Tensor,
@@ -30,22 +30,14 @@ from .tensor import (
 
 @dataclass
 class DecoderLayerParams:
-    self_attn: AttentionParams
-    self_adapter: AdapterParams
-    cross_attn: AttentionParams
-    cross_adapter: AdapterParams
+    self_block: Block  # among the DET tokens
+    cross_block: Block  # DET tokens over the encoder memory
 
 
 @dataclass
 class DecoderParams:
     det_embed: Tensor  # token count x d
     layers: list
-
-
-@dataclass
-class RefineParams:
-    attn: AttentionParams
-    adapter: AdapterParams
 
 
 @dataclass
@@ -83,22 +75,22 @@ def decode(features, params: DecoderParams) -> Tensor:
     x = params.det_embed
     for layer in params.layers:
         xn = layer_norm_rows(x)
-        attended = cross_attention(xn, xn, xn, layer.self_attn)
-        x = adapter_fuse(attended, x, layer.self_adapter)
+        attended = cross_attention(xn, xn, xn, layer.self_block.attn)
+        x = adapter_fuse(attended, x, layer.self_block.adapter)
         xn = layer_norm_rows(x)
-        attended = cross_attention(xn, memory, memory, layer.cross_attn, k_pos=k_pos)
-        x = adapter_fuse(attended, x, layer.cross_adapter)
+        attended = cross_attention(xn, memory, memory, layer.cross_block.attn, k_pos=k_pos)
+        x = adapter_fuse(attended, x, layer.cross_block.adapter)
     return x
 
 
-def refine_object_tokens(det: Tensor, sketch: SketchFeatureMap, params: RefineParams) -> Tensor:
+def refine_object_tokens(det: Tensor, sketch: SketchFeatureMap, params: Block) -> Tensor:
     """Pull sketch features into the object tokens (queries = DET tokens)."""
     pos = sinusoidal_pos_2d(sketch.w, sketch.h, sketch.width)
     attended = cross_attention(det, sketch.tokens, sketch.tokens, params.attn, k_pos=pos)
     return adapter_fuse(attended, det, params.adapter)
 
 
-def refine_query_tokens(sketch: SketchFeatureMap, det: Tensor, params: RefineParams) -> SketchFeatureMap:
+def refine_query_tokens(sketch: SketchFeatureMap, det: Tensor, params: Block) -> SketchFeatureMap:
     """Mirror refinement with roles swapped: sketch tokens query the DET tokens."""
     pos = sinusoidal_pos_2d(sketch.w, sketch.h, sketch.width)
     attended = cross_attention(sketch.tokens, det, det, params.attn, q_pos=pos)

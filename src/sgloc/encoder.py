@@ -14,9 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AdapterParams, AttentionParams, adapter_fuse, cross_attention, sinusoidal_pos_2d
+from .attention import Block, adapter_fuse, cross_attention, sinusoidal_pos_2d
+from .data import IMAGE_SIZE
 from .multiquery import MultiQueryBundle, encoder_fusion_multi
 from .tensor import ShapeError, Tensor, add, layer_norm_rows, matmul
+
+IMAGE_PATCH = 4  # scene patch side: a 16x16 token grid
+SKETCH_PATCH = 8  # sketch patch side: an 8x8 token grid
 
 
 @dataclass
@@ -47,49 +51,32 @@ class StageFeatures:
 
 
 @dataclass
-class SelfBlockParams:
-    attn: AttentionParams
-    adapter: AdapterParams
-
-
-@dataclass
-class FusionParams:
-    attn: AttentionParams
-    adapter: AdapterParams
-
-
-@dataclass
 class SketchEncoderParams:
     patch_embed: Tensor  # (patch*patch) x d
-    blocks: list  # SelfBlockParams
+    blocks: list  # Block
 
 
 @dataclass
 class ImageEncoderParams:
     patch_embed: Tensor  # (patch*patch*3) x d
-    blocks: list  # SelfBlockParams, one per stage
-    fusions: list | None  # FusionParams per stage, or None for a query-agnostic encoder
+    blocks: list  # Block, one per stage
+    fusions: list | None  # Block per stage, or None for a query-agnostic encoder
 
 
-def image_to_patches(image: np.ndarray, patch: int) -> np.ndarray:
-    """Non-overlapping patches of an (s, s, 3) raster, row-major token order."""
-    s = image.shape[0]
-    if image.shape != (s, s, 3) or s % patch:
-        raise ShapeError(f"expected square RGB raster divisible by {patch}, got {image.shape}")
-    g = s // patch
-    return (
-        image.reshape(g, patch, g, patch, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(g * g, patch * patch * 3)
-    )
+def image_to_patches(image: np.ndarray) -> np.ndarray:
+    """Non-overlapping IMAGE_PATCH-sided patches of a scene, row-major token order."""
+    if image.shape != (IMAGE_SIZE, IMAGE_SIZE, 3):
+        raise ShapeError(f"expected an RGB scene of shape {(IMAGE_SIZE, IMAGE_SIZE, 3)}, got {image.shape}")
+    p, g = IMAGE_PATCH, IMAGE_SIZE // IMAGE_PATCH
+    return image.reshape(g, p, g, p, 3).transpose(0, 2, 1, 3, 4).reshape(g * g, p * p * 3)
 
 
-def sketch_to_patches(raster: np.ndarray, patch: int) -> np.ndarray:
-    s = raster.shape[0]
-    if raster.ndim != 2 or raster.shape != (s, s) or s % patch:
-        raise ShapeError(f"expected square grayscale raster divisible by {patch}, got {raster.shape}")
-    g = s // patch
-    return raster.reshape(g, patch, g, patch).transpose(0, 2, 1, 3).reshape(g * g, patch * patch)
+def sketch_to_patches(raster: np.ndarray) -> np.ndarray:
+    """Non-overlapping SKETCH_PATCH-sided patches of a sketch, row-major token order."""
+    if raster.shape != (IMAGE_SIZE, IMAGE_SIZE):
+        raise ShapeError(f"expected a grayscale sketch of shape {(IMAGE_SIZE, IMAGE_SIZE)}, got {raster.shape}")
+    p, g = SKETCH_PATCH, IMAGE_SIZE // SKETCH_PATCH
+    return raster.reshape(g, p, g, p).transpose(0, 2, 1, 3).reshape(g * g, p * p)
 
 
 _pool_cache: dict = {}
@@ -111,14 +98,14 @@ def _pool_matrix(w: int, h: int, dtype) -> np.ndarray:
     return got
 
 
-def encode_sketch(raster: np.ndarray, params: SketchEncoderParams, patch: int = 8) -> SketchFeatureMap:
+def encode_sketch(raster: np.ndarray, params: SketchEncoderParams) -> SketchFeatureMap:
     """Patch-embed a 64x64 grayscale sketch and run the self-attention stack."""
     if raster.min() < 0.0 or raster.max() > 1.0:
         raise ValueError("sketch pixel values must lie in [0, 1]")
     d = params.patch_embed.shape[1]
-    g = raster.shape[0] // patch
+    g = IMAGE_SIZE // SKETCH_PATCH
     pos = sinusoidal_pos_2d(g, g, d)
-    patches = Tensor(sketch_to_patches(raster, patch))
+    patches = Tensor(sketch_to_patches(raster))
     x = add(matmul(patches, params.patch_embed), Tensor(pos.table))
     for blk in params.blocks:
         xn = layer_norm_rows(x)  # pre-norm, as in the Swin blocks this stands in for
@@ -127,7 +114,7 @@ def encode_sketch(raster: np.ndarray, params: SketchEncoderParams, patch: int = 
     return SketchFeatureMap(x, g, g)
 
 
-def image_block(stage: ImageFeatureStage, params: SelfBlockParams) -> ImageFeatureStage:
+def image_block(stage: ImageFeatureStage, params: Block) -> ImageFeatureStage:
     """Self-attention + adapter over the stage tokens, then a 2x2 average pool."""
     if stage.w % 2 or stage.h % 2:
         raise ShapeError(f"stage extents must be even to pool, got {stage.w}x{stage.h}")
@@ -140,10 +127,10 @@ def image_block(stage: ImageFeatureStage, params: SelfBlockParams) -> ImageFeatu
     return ImageFeatureStage(stage.index + 1, pooled, stage.w // 2, stage.h // 2)
 
 
-def embed_image(image: np.ndarray, params: ImageEncoderParams, patch: int = 4) -> ImageFeatureStage:
+def embed_image(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureStage:
     d = params.patch_embed.shape[1]
-    g = image.shape[0] // patch
-    patches = Tensor(image_to_patches(image, patch))
+    g = IMAGE_SIZE // IMAGE_PATCH
+    patches = Tensor(image_to_patches(image))
     pos = sinusoidal_pos_2d(g, g, d)
     tokens = add(matmul(patches, params.patch_embed), Tensor(pos.table))
     return ImageFeatureStage(0, tokens, g, g)
@@ -153,7 +140,6 @@ def sketch_guided_encode(
     image: np.ndarray,
     bundle: MultiQueryBundle | None,
     params: ImageEncoderParams,
-    patch: int = 4,
 ) -> list:
     """Run all encoder stages, fusing the sketch bundle after each block.
 
@@ -165,7 +151,7 @@ def sketch_guided_encode(
         raise ShapeError("encoder needs at least 2 stages")
     if bundle is None and params.fusions is not None:
         raise ValueError("a query-conditioned encoder needs a sketch bundle")
-    stage = embed_image(image, params, patch)
+    stage = embed_image(image, params)
     d = params.patch_embed.shape[1]
     out = []
     for n, blk in enumerate(params.blocks):

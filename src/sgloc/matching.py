@@ -2,8 +2,9 @@
 
 Predicted boxes use normalized center-size form (cx, cy, w, h) in (0,1);
 ground-truth boxes are handled in normalized corner form (x0, y0, x1, y1).
-The assignment itself runs on detached values; gradients only flow through
-the loss terms evaluated at the resulting discrete matching.
+The assignment itself runs on detached values, with box geometry from
+`boxes`; gradients only flow through the loss terms evaluated at the
+resulting discrete matching, whose GIoU term is built on the tape here.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boxes import corners_to_cxcywh, cxcywh_to_corners, giou
 from .tensor import (
     ShapeError,
     Tensor,
@@ -58,76 +60,6 @@ class LossBreakdown:
     total: float
     weights: LossWeights
     total_tensor: Tensor = field(repr=False)
-
-
-# ---------------------------------------------------------------------------
-# box helpers
-
-
-def cxcywh_to_corners(b: np.ndarray) -> np.ndarray:
-    b = np.asarray(b, dtype=np.float64)
-    half_w = b[..., 2] / 2.0
-    half_h = b[..., 3] / 2.0
-    return np.stack(
-        [b[..., 0] - half_w, b[..., 1] - half_h, b[..., 0] + half_w, b[..., 1] + half_h],
-        axis=-1,
-    )
-
-
-def corners_to_cxcywh(b: np.ndarray) -> np.ndarray:
-    b = np.asarray(b, dtype=np.float64)
-    return np.stack(
-        [
-            (b[..., 0] + b[..., 2]) / 2.0,
-            (b[..., 1] + b[..., 3]) / 2.0,
-            b[..., 2] - b[..., 0],
-            b[..., 3] - b[..., 1],
-        ],
-        axis=-1,
-    )
-
-
-# ---------------------------------------------------------------------------
-# GIoU
-
-
-def giou(a, b) -> float:
-    """Generalized IoU of two corner-form boxes, in (-1, 1].
-
-    IoU minus the fraction of the enclosing box not covered by the union.
-    Degenerate zero-area inputs yield IoU 0.
-    """
-    ax0, ay0, ax1, ay1 = (float(v) for v in a)
-    bx0, by0, bx1, by1 = (float(v) for v in b)
-    area_a = max(0.0, ax1 - ax0) * max(0.0, ay1 - ay0)
-    area_b = max(0.0, bx1 - bx0) * max(0.0, by1 - by0)
-    iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
-    ih = max(0.0, min(ay1, by1) - max(ay0, by0))
-    inter = iw * ih
-    union = area_a + area_b - inter
-    iou = inter / union if union > 0 else 0.0
-    hull = (max(ax1, bx1) - min(ax0, bx0)) * (max(ay1, by1) - min(ay0, by0))
-    if hull <= 0:
-        return iou
-    return iou - (hull - union) / hull
-
-
-def giou_pairwise(boxes: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """GIoU for every (box, gt) pair of corner-form arrays: (T,4) x (G,4) -> (T,G)."""
-    b = np.asarray(boxes, dtype=np.float64)[:, None, :]
-    g = np.asarray(gts, dtype=np.float64)[None, :, :]
-    area_b = np.clip(b[..., 2] - b[..., 0], 0, None) * np.clip(b[..., 3] - b[..., 1], 0, None)
-    area_g = np.clip(g[..., 2] - g[..., 0], 0, None) * np.clip(g[..., 3] - g[..., 1], 0, None)
-    iw = np.clip(np.minimum(b[..., 2], g[..., 2]) - np.maximum(b[..., 0], g[..., 0]), 0, None)
-    ih = np.clip(np.minimum(b[..., 3], g[..., 3]) - np.maximum(b[..., 1], g[..., 1]), 0, None)
-    inter = iw * ih
-    union = area_b + area_g - inter
-    iou = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
-    hull = (np.maximum(b[..., 2], g[..., 2]) - np.minimum(b[..., 0], g[..., 0])) * (
-        np.maximum(b[..., 3], g[..., 3]) - np.minimum(b[..., 1], g[..., 1])
-    )
-    out = np.where(hull > 0, iou - (hull - union) / np.where(hull > 0, hull, 1.0), iou)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +207,7 @@ def build_cost_matrix(scores, boxes, gt_corners, weights: LossWeights | None = N
     gt_corners = np.asarray(gt_corners, dtype=np.float64).reshape(-1, 4)
     gt_cs = corners_to_cxcywh(gt_corners)
     l1 = np.abs(boxes[:, None, :] - gt_cs[None, :, :]).sum(axis=2)
-    gi = giou_pairwise(cxcywh_to_corners(boxes), gt_corners)
+    gi = giou(cxcywh_to_corners(boxes), gt_corners)
     return -w.lam_cls * scores[:, None] + w.lam_l1 * l1 + w.lam_giou * (1.0 - gi)
 
 

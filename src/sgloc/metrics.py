@@ -1,10 +1,11 @@
-"""IoU, average precision, and query-set evaluation.
+"""Average precision and query-set evaluation.
 
 AP uses COCO-style conventions at desk scale: greedy score-ordered matching,
 101-point interpolation, an IoU sweep of .50:.05:.95 for mAP, and a
 large-object bucket (area >= 400 px^2 at 64x64) for the AP^L analog.
 Detections are pooled per query class across scenes; reported aggregates are
-means over the queried classes.
+means over the queried classes. Box areas and IoUs come from `boxes`, one
+IoU table per AP call.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boxes import area, cxcywh_to_corners, iou
 from .data import derive_seed
 
 IOU_SWEEP = tuple(np.round(np.arange(0.5, 1.0, 0.05), 2))
@@ -62,23 +64,6 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two corner-form boxes; 0 when the union is empty."""
-    ax0, ay0, ax1, ay1 = (float(v) for v in a)
-    bx0, by0, bx1, by1 = (float(v) for v in b)
-    iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
-    ih = max(0.0, min(ay1, by1) - max(ay0, by0))
-    inter = iw * ih
-    area_a = max(0.0, ax1 - ax0) * max(0.0, ay1 - ay0)
-    area_b = max(0.0, bx1 - bx0) * max(0.0, by1 - by0)
-    union = area_a + area_b - inter
-    return inter / union if union > 0 else 0.0
-
-
-def _box_area(b) -> float:
-    return max(0.0, float(b[2]) - float(b[0])) * max(0.0, float(b[3]) - float(b[1]))
-
-
 def average_precision(dets, gts, iou_thresh, area_range=None) -> float:
     """AP for one class: greedy highest-score-first matching, each ground truth
     used at most once, 101-point interpolated precision envelope.
@@ -90,39 +75,43 @@ def average_precision(dets, gts, iou_thresh, area_range=None) -> float:
     """
     lo, hi = area_range if area_range is not None else (0.0, np.inf)
 
-    gt_boxes = {s: np.asarray(b, dtype=np.float64).reshape(-1, 4) for s, b in gts.items()}
-    gt_in_range = {
-        s: np.array([lo <= _box_area(bb) < hi for bb in b], dtype=bool)
-        for s, b in gt_boxes.items()
-    }
-    n_pos = int(sum(m.sum() for m in gt_in_range.values()))
+    per_scene = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b in gts.values()]
+    gt_boxes = np.concatenate([np.zeros((0, 4)), *per_scene])
+    cols, n = {}, 0  # scene id -> its columns of the IoU table
+    for s, b in zip(gts, per_scene):
+        cols[s] = range(n, n + len(b))
+        n += len(b)
+    gt_area = area(gt_boxes)
+    gt_in_range = ((lo <= gt_area) & (gt_area < hi)).tolist()
+    n_pos = sum(gt_in_range)
     if n_pos == 0:
         return 0.0
 
+    det_boxes = np.asarray([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
+    table = iou(det_boxes, gt_boxes)
+    det_area = area(det_boxes).tolist()
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    used = {s: np.zeros(len(b), dtype=bool) for s, b in gt_boxes.items()}
+    used = [False] * n
     flags = []  # 1 = TP, 0 = FP; ignored detections are left out
     for i in order:
-        det = dets[i]
-        boxes = gt_boxes.get(det.scene)
         best_j, best_iou = -1, iou_thresh
         best_ign_j, best_ign_iou = -1, iou_thresh
-        if boxes is not None:
-            for j in range(len(boxes)):
-                if used[det.scene][j]:
-                    continue
-                v = iou(det.box, boxes[j])
-                if gt_in_range[det.scene][j]:
-                    if v >= best_iou:
-                        best_iou, best_j = v, j
-                elif v >= best_ign_iou:
-                    best_ign_iou, best_ign_j = v, j
+        scene_cols = cols.get(dets[i].scene, range(0))
+        row = table[i, scene_cols.start : scene_cols.stop].tolist()
+        for j, v in zip(scene_cols, row):
+            if used[j]:
+                continue
+            if gt_in_range[j]:
+                if v >= best_iou:
+                    best_iou, best_j = v, j
+            elif v >= best_ign_iou:
+                best_ign_iou, best_ign_j = v, j
         if best_j >= 0:
-            used[det.scene][best_j] = True
+            used[best_j] = True
             flags.append(1)
         elif best_ign_j >= 0:
-            used[det.scene][best_ign_j] = True  # matched an out-of-range gt: ignore
-        elif lo <= _box_area(det.box) < hi:
+            used[best_ign_j] = True  # matched an out-of-range gt: ignore
+        elif lo <= det_area[i] < hi:
             flags.append(0)
 
     if not flags:
@@ -182,13 +171,10 @@ def evaluate_queries(
             sketches = [dataset.load_sketch(pool[i]) for i in pick]
             result = model.localize(image, sketches, threshold=0.0)
             n_queries += 1
-            dlist = dets_by_class.setdefault(cls, [])
-            for box01, score in result.detections:
-                x0 = (box01[0] - box01[2] / 2.0) * size
-                y0 = (box01[1] - box01[3] / 2.0) * size
-                x1 = (box01[0] + box01[2] / 2.0) * size
-                y1 = (box01[1] + box01[3] / 2.0) * size
-                dlist.append(Detection(np.array([x0, y0, x1, y1]), score, sid))
+            corners = cxcywh_to_corners(np.reshape([b for b, _ in result.detections], (-1, 4))) * size
+            dets_by_class.setdefault(cls, []).extend(
+                Detection(c, score, sid) for c, (_, score) in zip(corners, result.detections)
+            )
             mask = [c == cls for c in ann.classes]
             gts_by_class.setdefault(cls, {})[sid] = ann.boxes[mask]
 
@@ -198,9 +184,7 @@ def evaluate_queries(
         dets = dets_by_class.get(cls, [])
         gts = gts_by_class[cls]
         sweep = [average_precision(dets, gts, t) for t in IOU_SWEEP]
-        has_large = any(
-            any(_box_area(b) >= LARGE_AREA for b in boxes) for boxes in gts.values()
-        )
+        has_large = any((area(boxes) >= LARGE_AREA).any() for boxes in gts.values())
         ap_l = (
             float(np.mean([average_precision(dets, gts, t, large) for t in IOU_SWEEP]))
             if has_large

@@ -7,13 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AdapterParams, AttentionParams
-from .data import derive_seed
+from .attention import AdapterParams, AttentionParams, Block
+from .data import IMAGE_SIZE, derive_seed
 from .decoder import (
     DecoderLayerParams,
     DecoderParams,
     HeadParams,
-    RefineParams,
     decode,
     global_sketch_embed,
     predict_boxes,
@@ -22,9 +21,9 @@ from .decoder import (
     score_tokens,
 )
 from .encoder import (
-    FusionParams,
+    IMAGE_PATCH,
+    SKETCH_PATCH,
     ImageEncoderParams,
-    SelfBlockParams,
     SketchEncoderParams,
     SketchFeatureMap,
     encode_sketch,
@@ -43,18 +42,16 @@ class ModelConfig:
     num_tokens: int = 100
     d_hidden: int = 128
     sketch_layers: int = 2
-    image_size: int = 64
-    image_patch: int = 4
-    sketch_patch: int = 8
     encoder_fusion: bool = True  # sketch-guided encoder (early fusion)
     refinement: bool = True  # object/query refinement at the decoder output
 
     def validate(self) -> None:
+        for name in ("d", "heads", "stages", "dec_layers", "num_tokens", "d_hidden", "sketch_layers"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"config field {name} must be positive")
         if self.d % (4 * self.heads):
             raise ShapeError(f"model width {self.d} must be divisible by 4*heads={4 * self.heads}")
-        if self.image_size % self.image_patch or self.image_size % self.sketch_patch:
-            raise ShapeError("patch sizes must divide the raster size")
-        grid = self.image_size // self.image_patch
+        grid = IMAGE_SIZE // IMAGE_PATCH
         if grid >> self.stages < 1:
             raise ShapeError(f"{self.stages} stages exhaust a {grid}x{grid} patch grid")
         if self.stages < 2:
@@ -78,25 +75,23 @@ class SketchLocalizer:
         c = self.config
 
         self.sketch_enc = SketchEncoderParams(
-            patch_embed=self._mk("sketch.embed", (c.sketch_patch**2, c.d)),
-            blocks=[self._self_block(f"sketch.block{i}") for i in range(c.sketch_layers)],
+            patch_embed=self._mk("sketch.embed", (SKETCH_PATCH**2, c.d)),
+            blocks=[self._block(f"sketch.block{i}") for i in range(c.sketch_layers)],
         )
         fusions = None
         if c.encoder_fusion:
-            fusions = [self._fusion(f"fusion{n}") for n in range(c.stages)]
+            fusions = [self._block(f"fusion{n}") for n in range(c.stages)]
         self.image_enc = ImageEncoderParams(
-            patch_embed=self._mk("image.embed", (c.image_patch**2 * 3, c.d)),
-            blocks=[self._self_block(f"image.block{n}") for n in range(c.stages)],
+            patch_embed=self._mk("image.embed", (IMAGE_PATCH**2 * 3, c.d)),
+            blocks=[self._block(f"image.block{n}") for n in range(c.stages)],
             fusions=fusions,
         )
         self.decoder = DecoderParams(
             det_embed=self._mk("decoder.embed", (c.num_tokens, c.d), kind="embed"),
             layers=[
                 DecoderLayerParams(
-                    self_attn=self._attn(f"decoder.layer{i}.self"),
-                    self_adapter=self._adapter(f"decoder.layer{i}.self"),
-                    cross_attn=self._attn(f"decoder.layer{i}.cross"),
-                    cross_adapter=self._adapter(f"decoder.layer{i}.cross"),
+                    self_block=self._block(f"decoder.layer{i}.self"),
+                    cross_block=self._block(f"decoder.layer{i}.cross"),
                 )
                 for i in range(c.dec_layers)
             ],
@@ -104,9 +99,9 @@ class SketchLocalizer:
         self.refine_obj = None
         self.refine_query = None
         if c.refinement:
-            self.refine_obj = RefineParams(self._attn("refine_obj"), self._adapter("refine_obj"))
-            self.refine_query = RefineParams(self._attn("refine_query"), self._adapter("refine_query"))
-        self.query_fusion = FusionParams(self._attn("query_fusion"), self._adapter("query_fusion"))
+            self.refine_obj = self._block("refine_obj")
+            self.refine_query = self._block("refine_query")
+        self.query_fusion = self._block("query_fusion")
         self.heads = HeadParams(
             score_w1=self._mk("head.score.w1", (2 * c.d, c.d_hidden)),
             score_b1=self._mk("head.score.b1", (c.d_hidden,), kind="zero"),
@@ -150,10 +145,11 @@ class SketchLocalizer:
         self._by_name[name] = p
         return p.value
 
-    def _attn(self, prefix: str) -> AttentionParams:
-        """Packed d x d projections `prefix.attn.{q,k,v}`. Column block h is
-        drawn as its own d x (d/heads) matrix under the name `...q{h}` (k, v
-        alike), so each head's initial values do not depend on the others."""
+    def _block(self, prefix: str) -> Block:
+        """Packed d x d projections `prefix.attn.{q,k,v}`, then the adapter
+        `prefix.adapter.{in,out}`. Column block h of a projection is drawn as
+        its own d x (d/heads) matrix under the name `...q{h}` (k, v alike), so
+        each head's initial values do not depend on the others."""
         c = self.config
         dk = c.d // c.heads
 
@@ -162,20 +158,12 @@ class SketchLocalizer:
             cols = [self._draw(f"{name}{h}", (c.d, dk), "xavier") for h in range(c.heads)]
             return self._register(name, np.concatenate(cols, axis=1))
 
-        return AttentionParams(wq=packed("q"), wk=packed("k"), wv=packed("v"), heads=c.heads)
-
-    def _adapter(self, prefix: str) -> AdapterParams:
-        c = self.config
-        return AdapterParams(
+        attn = AttentionParams(wq=packed("q"), wk=packed("k"), wv=packed("v"), heads=c.heads)
+        adapter = AdapterParams(
             w_in=self._mk(f"{prefix}.adapter.in", (c.d, c.d_hidden)),
             w_out=self._mk(f"{prefix}.adapter.out", (c.d_hidden, c.d)),
         )
-
-    def _self_block(self, prefix: str) -> SelfBlockParams:
-        return SelfBlockParams(self._attn(prefix), self._adapter(prefix))
-
-    def _fusion(self, prefix: str) -> FusionParams:
-        return FusionParams(self._attn(prefix), self._adapter(prefix))
+        return Block(attn, adapter)
 
     def named_parameters(self) -> dict:
         return {p.name: p for p in self.params}
@@ -186,7 +174,7 @@ class SketchLocalizer:
     # -- forward ------------------------------------------------------------
 
     def encode_sketches(self, sketches) -> MultiQueryBundle:
-        maps = [encode_sketch(s, self.sketch_enc, self.config.sketch_patch) for s in sketches]
+        maps = [encode_sketch(s, self.sketch_enc) for s in sketches]
         return MultiQueryBundle.stack(maps)
 
     def forward(self, image: np.ndarray, sketches) -> tuple:
@@ -195,7 +183,7 @@ class SketchLocalizer:
         Returns (scores (T,), boxes (T,4)) as tape tensors.
         """
         bundle = self.encode_sketches(sketches)
-        features = sketch_guided_encode(image, bundle, self.image_enc, self.config.image_patch)
+        features = sketch_guided_encode(image, bundle, self.image_enc)
         det = decode(features, self.decoder)
         query = SketchFeatureMap(fuse_queries(bundle, self.query_fusion), bundle.w, bundle.h)
         if self.config.refinement:

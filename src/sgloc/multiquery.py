@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import adapter_fuse, cross_attention, sinusoidal_pos_2d
+from .attention import Block, adapter_fuse, cross_attention, sinusoidal_pos_2d
 from .tensor import Tensor, add, concat, matmul, mean_groups, relu
 
 
@@ -56,7 +56,7 @@ class MultiQueryBundle:
 def encoder_fusion_multi(
     stage_tokens: Tensor,
     bundle: MultiQueryBundle,
-    params,
+    params: Block,
     q_pos=None,
     k_pos=None,
 ) -> Tensor:
@@ -72,7 +72,7 @@ def encoder_fusion_multi(
     return add(stage_tokens, matmul(relu(pre), params.adapter.w_out))
 
 
-def fuse_queries(bundle: MultiQueryBundle, params) -> Tensor:
+def fuse_queries(bundle: MultiQueryBundle, params: Block) -> Tensor:
     """Attention-based query fusion: average-map tokens attend over all
     stacked sketch tokens; returns the fused (w*h) x d token matrix."""
     d = bundle.tokens.shape[1]

@@ -11,6 +11,10 @@ Version 1 stored one d x (d/heads) matrix per head (`*.attn.q0` ...) and is
 rejected. A file that ends inside a field, or goes on after the last one,
 raises ValueError naming the path and the offset.
 
+The config echoed into a checkpoint is flat `key = value` text, one
+`TrainConfig` field per line. Key order is not significant: a file written
+before the model fields came first still parses to the same config.
+
 Training is single-threaded over batches and fully deterministic given the
 config seed: data order, query sampling, and parameter init all derive from
 it. Identical configs therefore produce byte-identical checkpoints.
@@ -37,14 +41,9 @@ CHECKPOINT_VERSION = 2
 
 
 @dataclass
-class TrainConfig:
-    d: int = 64
-    heads: int = 4
-    stages: int = 3
-    dec_layers: int = 2
-    num_tokens: int = 100
-    d_hidden: int = 128
-    sketch_layers: int = 2
+class TrainConfig(ModelConfig):
+    """The model's fields (see `ModelConfig`) plus those of the run."""
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -58,32 +57,14 @@ class TrainConfig:
     dataset: str = ""
     mode: str = "closed"
     protocol_mix: float = 0.5  # probability that a batch uses 5 query sketches
-    encoder_fusion: bool = True
-    refinement: bool = True
 
     def validate(self) -> None:
-        numeric = ["d", "heads", "stages", "dec_layers", "num_tokens", "d_hidden",
-                   "sketch_layers", "lr", "batch_size", "epochs"]
-        for name in numeric:
+        super().validate()
+        for name in ("lr", "batch_size", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
-        if self.d % (4 * self.heads):
-            raise ValueError(f"d={self.d} must be divisible by 4*heads={4 * self.heads}")
         if not 0.0 <= self.protocol_mix <= 1.0:
             raise ValueError("protocol_mix must lie in [0, 1]")
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            d=self.d,
-            heads=self.heads,
-            stages=self.stages,
-            dec_layers=self.dec_layers,
-            num_tokens=self.num_tokens,
-            d_hidden=self.d_hidden,
-            sketch_layers=self.sketch_layers,
-            encoder_fusion=self.encoder_fusion,
-            refinement=self.refinement,
-        )
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.lam_cls, self.lam_l1, self.lam_giou)
@@ -278,7 +259,7 @@ def load_model(path: str) -> tuple:
     """Rebuild the model a checkpoint was trained with and load its weights."""
     config_text, _ = read_checkpoint(path)
     cfg = TrainConfig.from_text(config_text)
-    model = SketchLocalizer(cfg.model_config(), seed=cfg.seed)
+    model = SketchLocalizer(cfg, seed=cfg.seed)
     load_checkpoint(path, model)
     return model, cfg
 
@@ -302,7 +283,7 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr)
     dataset = Dataset(config.dataset)
-    model = SketchLocalizer(config.model_config(), seed=config.seed)
+    model = SketchLocalizer(config, seed=config.seed)
     state = OptimState(model.params)
     weights = config.loss_weights()
     rng = np.random.default_rng(derive_seed(config.seed, "train"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgloc.cli import main
-from sgloc.data import Dataset
+from sgloc.data import Dataset, write_pgm, write_ppm
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,22 @@ class TestTrainEval:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "scene_side, sketch_side, expected",
+        [(32, 64, "(64, 64, 3)"), (128, 64, "(64, 64, 3)"), (64, 32, "(64, 64)")],
+    )
+    def test_localize_rejects_wrong_size_raster(
+        self, trained, tmp_path, capsys, scene_side, sketch_side, expected
+    ):
+        _, _, ckpt = trained
+        scene, sketch = str(tmp_path / "scene.ppm"), str(tmp_path / "sketch.pgm")
+        write_ppm(scene, np.full((scene_side, scene_side, 3), 0.5))
+        write_pgm(sketch, np.zeros((sketch_side, sketch_side)))
+        code = main(["localize", "--ckpt", ckpt, "--scene", scene, "--sketch", sketch])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and expected in err
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["train", "--no-such-flag", "x", "--out", "y"]) == 2
 

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgloc.data import (
     CLASS_NAMES,
@@ -65,15 +67,15 @@ class TestGenerateScene:
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
 
     def test_overlap_bounded(self):
-        from sgloc.metrics import iou
+        from sgloc.boxes import iou
 
         cfg = DataConfig(instances=(4, 4))
         for i in range(20):
             s = generate_scene(derive_seed(9, "scene", i), cfg)
-            boxes = s.boxes
-            for a in range(len(boxes)):
-                for b in range(a + 1, len(boxes)):
-                    assert iou(boxes[a], boxes[b]) <= cfg.overlap_max + 1e-9
+            table = iou(s.boxes, s.boxes)
+            for a in range(len(s.boxes)):
+                for b in range(a + 1, len(s.boxes)):
+                    assert table[a, b] <= cfg.overlap_max + 1e-9
 
     def test_unsatisfiable_placement(self):
         cfg = DataConfig(instances=(4, 4), size_range=(58.0, 60.0), overlap_max=0.0)
@@ -177,6 +179,62 @@ class TestPnm:
         write_ppm(str(tmp_path / "x.pgm"), rng.random((8, 8, 3)))
         with pytest.raises(DatasetError):
             read_pgm(p)
+
+    @pytest.mark.parametrize(
+        "blob, match",
+        [
+            (b"P5\n4 4\n65535\n" + bytes(32), "maxval 65535 is outside 1..255"),
+            (b"P5\n4 4\n0\n" + bytes(16), "maxval 0 is outside 1..255"),
+            (b"P5\n-4 64\n255\n" + bytes(4096), "header field b'-4' is not a decimal number"),
+            (b"P5\nfour 4\n255\n" + bytes(16), "header field b'four' is not a decimal number"),
+            (b"P5\n0 4\n255\n", "extents 0x4 are not positive"),
+            (b"P5\n4 4", "header ends after 2 of 3 fields"),
+            (b"P5\n4 4\n255", "header ends without the whitespace after maxval"),
+            (b"P5\n4 4\n255\n" + bytes(15), "raster holds 15 bytes, a 4x4 PGM needs 16"),
+        ],
+        ids=["maxval-16bit", "maxval-0", "negative-width", "word-width", "zero-width",
+             "header-cut-in-fields", "header-cut-after-maxval", "short-raster"],
+    )
+    def test_malformed_pgm_names_path_and_fault(self, tmp_path, blob, match):
+        p = str(tmp_path / "bad.pgm")
+        with open(p, "wb") as f:
+            f.write(blob)
+        with pytest.raises(DatasetError, match=match) as err:
+            read_pgm(p)
+        assert str(err.value).startswith(p + ": ")
+
+    def test_short_ppm_raster(self, tmp_path):
+        p = str(tmp_path / "bad.ppm")
+        with open(p, "wb") as f:
+            f.write(b"P6\n4 4\n255\n" + bytes(47))
+        with pytest.raises(DatasetError, match="raster holds 47 bytes, a 4x4 PPM needs 48"):
+            read_ppm(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reader=st.sampled_from([read_pgm, read_ppm]), data=st.data())
+    def test_damaged_file_reads_or_raises_dataset_error(self, pnm_dir, reader, data):
+        channels = 3 if reader is read_ppm else 1
+        blob = bytearray(b"P%d\n# comment\n8 8\n255\n" % (6 if channels == 3 else 5))
+        blob += bytes(range(64 * channels))
+        if data.draw(st.booleans(), label="truncate"):
+            del blob[data.draw(st.integers(0, len(blob) - 1), label="cut"):]
+        else:
+            at = data.draw(st.one_of(st.integers(0, 24), st.integers(0, len(blob) - 1)), label="at")
+            blob[at] = data.draw(st.integers(0, 255), label="byte")
+        path = os.path.join(pnm_dir, "damaged")
+        with open(path, "wb") as f:
+            f.write(blob)
+        try:
+            out = reader(path)
+        except DatasetError as e:
+            assert str(e).startswith(path + ": ")
+        else:
+            assert out.dtype == np.float64 and out.ndim == (3 if channels == 3 else 2)
+
+
+@pytest.fixture(scope="module")
+def pnm_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("pnm"))
 
 
 @pytest.fixture(scope="module")

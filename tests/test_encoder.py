@@ -6,7 +6,6 @@ import pytest
 from sgloc import tensor as T
 from sgloc.encoder import (
     ImageFeatureStage,
-    SelfBlockParams,
     image_block,
     image_to_patches,
     sketch_to_patches,
@@ -35,7 +34,7 @@ def rand_image(rng):
 class TestPatches:
     def test_image_patch_layout(self, rng):
         img = rng.random((64, 64, 3))
-        p = image_to_patches(img, 4)
+        p = image_to_patches(img)
         assert p.shape == (256, 48)
         # token s = y*16 + x; check patch (y=2, x=3)
         want = img[8:12, 12:16, :].reshape(-1)
@@ -43,7 +42,7 @@ class TestPatches:
 
     def test_sketch_patch_layout(self, rng):
         img = rng.random((64, 64))
-        p = sketch_to_patches(img, 8)
+        p = sketch_to_patches(img)
         assert p.shape == (64, 64)
         want = img[8:16, 0:8].reshape(-1)
         assert np.array_equal(p[8], want)  # token s = 1*8 + 0
@@ -131,7 +130,7 @@ class TestSketchGuidedEncode:
         bundle = m.encode_sketches([rand_sketch(rng)])
         from sgloc.encoder import sketch_guided_encode
 
-        feats = sketch_guided_encode(img, bundle, m.image_enc, 4)
+        feats = sketch_guided_encode(img, bundle, m.image_enc)
         assert [f.tokens.shape[0] for f in feats] == [64, 16, 4]
 
     def test_zero_fusion_reduces_to_query_agnostic(self, rng):
@@ -144,8 +143,8 @@ class TestSketchGuidedEncode:
         from sgloc.encoder import sketch_guided_encode
 
         bundle = full.encode_sketches([rand_sketch(rng)])
-        fused = sketch_guided_encode(img, bundle, full.image_enc, 4)
-        bare = sketch_guided_encode(img, None, plain.image_enc, 4)
+        fused = sketch_guided_encode(img, bundle, full.image_enc)
+        bare = sketch_guided_encode(img, None, plain.image_enc)
         for a, b in zip(fused, bare):
             assert np.array_equal(a.tokens.data, b.tokens.data)
 
@@ -153,7 +152,7 @@ class TestSketchGuidedEncode:
         from sgloc.encoder import sketch_guided_encode
 
         with pytest.raises(ValueError, match="needs a sketch bundle"):
-            sketch_guided_encode(rand_image(rng), None, tiny_model().image_enc, 4)
+            sketch_guided_encode(rand_image(rng), None, tiny_model().image_enc)
 
     def test_zero_fusion_sketch_independent_bit_exact(self, rng):
         m = tiny_model(seed=5)
@@ -163,8 +162,8 @@ class TestSketchGuidedEncode:
         from sgloc.encoder import sketch_guided_encode
 
         img = rand_image(rng)
-        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc, 4)
-        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc, 4)
+        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
+        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
         for a, b in zip(f1, f2):
             assert np.array_equal(a.tokens.data, b.tokens.data)
 
@@ -173,8 +172,8 @@ class TestSketchGuidedEncode:
         from sgloc.encoder import sketch_guided_encode
 
         img = rand_image(rng)
-        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc, 4)
-        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc, 4)
+        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
+        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
         assert any(np.max(np.abs(a.tokens.data - b.tokens.data)) > 1e-6 for a, b in zip(f1, f2))
 
     def test_query_conditioning_gradient_nonzero(self, f64, rng):
@@ -187,7 +186,7 @@ class TestSketchGuidedEncode:
         r = None
 
         def out_sum(s):
-            feats = sketch_guided_encode(img, m.encode_sketches([s]), m.image_enc, 4)
+            feats = sketch_guided_encode(img, m.encode_sketches([s]), m.image_enc)
             total = 0.0
             for f in feats:
                 total += float(f.tokens.data.sum())

@@ -4,21 +4,26 @@ import math
 import numpy as np
 import pytest
 
+from sgloc.boxes import corners_to_cxcywh, cxcywh_to_corners
+from sgloc.boxes import giou as giou_table
+from sgloc.boxes import iou as iou_table
 from sgloc.matching import (
     Assignment,
     LossWeights,
     bce_score_loss,
     build_cost_matrix,
-    corners_to_cxcywh,
-    cxcywh_to_corners,
-    giou,
     giou_loss_matched,
-    giou_pairwise,
     hungarian_assign,
     l1_loss_matched,
     total_loss,
 )
 from sgloc.tensor import Param, ShapeError, Tensor, backward, finite_difference_check, sum_all
+from test_boxes import giou_scalar
+
+
+def giou(a, b) -> float:
+    """GIoU of one pair, read from the pairwise table."""
+    return float(giou_table([a], [b])[0, 0])
 
 
 def brute_force_assignments(cost):
@@ -138,7 +143,8 @@ class TestGiou:
             assert -1.0 < v <= 1.0 + 1e-12
 
     def test_giou_leq_iou(self, rng):
-        from sgloc.metrics import iou
+        def iou(a, b):
+            return float(iou_table([a], [b])[0, 0])
 
         for _ in range(100):
             a = rng.random(2)
@@ -155,10 +161,10 @@ class TestGiou:
         boxes = np.concatenate([boxes, boxes + rng.random((6, 2)) + 0.05], axis=1)
         gts = rng.random((3, 2))
         gts = np.concatenate([gts, gts + rng.random((3, 2)) + 0.05], axis=1)
-        table = giou_pairwise(boxes, gts)
+        table = giou_table(boxes, gts)
         for t in range(6):
             for g in range(3):
-                assert table[t, g] == pytest.approx(giou(boxes[t], gts[g]), abs=1e-12)
+                assert table[t, g] == giou_scalar(boxes[t], gts[g])
 
     def test_tensor_route_matches_scalar_oracle(self, f64, rng):
         pred = np.column_stack(
@@ -170,7 +176,7 @@ class TestGiou:
             )
         )
         got = giou_loss_matched(Tensor(pred), gt_c).item()
-        want = np.mean([1.0 - giou(cxcywh_to_corners(pred[i]), gt_c[i]) for i in range(4)])
+        want = np.mean([1.0 - giou_scalar(cxcywh_to_corners(pred[i]), gt_c[i]) for i in range(4)])
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_giou_loss_gradcheck(self, f64, rng):

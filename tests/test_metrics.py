@@ -10,8 +10,13 @@ from sgloc.metrics import (
     MetricsReport,
     average_precision,
     evaluate_queries,
-    iou,
 )
+from sgloc.boxes import iou as iou_table
+
+
+def iou(a, b) -> float:
+    """IoU of one pair, read from the pairwise table."""
+    return float(iou_table([a], [b])[0, 0])
 
 
 class TestIou:

@@ -5,7 +5,7 @@ import pytest
 
 from sgloc.data import DataConfig, Dataset, generate_dataset
 from sgloc.matching import build_cost_matrix, hungarian_assign, total_loss
-from sgloc.model import SketchLocalizer
+from sgloc.model import ModelConfig, SketchLocalizer
 from sgloc.tensor import NonFiniteError, Param, Tensor, backward
 from sgloc.train import (
     OptimState,
@@ -80,6 +80,23 @@ class TestTrainConfig:
     def test_comments_and_blanks(self):
         cfg = TrainConfig.from_text("# comment\n\nd = 32  # inline\nheads = 2\n")
         assert cfg.d == 32 and cfg.heads == 2
+
+    def test_text_written_before_the_key_reorder_parses_to_default(self):
+        # `TrainConfig().to_text()` as written when the run fields preceded
+        # encoder_fusion and refinement; existing checkpoints echo this text.
+        old = (
+            "d = 64\nheads = 4\nstages = 3\ndec_layers = 2\nnum_tokens = 100\n"
+            "d_hidden = 128\nsketch_layers = 2\nlr = 0.001\nbeta1 = 0.9\nbeta2 = 0.999\n"
+            "eps = 1e-08\nbatch_size = 8\nepochs = 40\nlam_cls = 2.0\nlam_l1 = 5.0\n"
+            "lam_giou = 2.0\nseed = 0\ndataset = \nmode = closed\nprotocol_mix = 0.5\n"
+            "encoder_fusion = true\nrefinement = true\n"
+        )
+        assert TrainConfig.from_text(old) == TrainConfig()
+
+    @pytest.mark.parametrize("field", ["d", "heads", "num_tokens", "dec_layers"])
+    def test_non_positive_model_field_is_named(self, field):
+        with pytest.raises(ValueError, match=f"config field {field} must be positive"):
+            ModelConfig(**{field: 0}).validate()
 
     def test_validation(self):
         with pytest.raises(ValueError):
