@@ -9,8 +9,7 @@ from .tensor import (
     Tensor,
     backward,
     finite_difference_check,
-    get_precision,
-    set_precision,
+    precision,
 )
 
 __all__ = [
@@ -22,8 +21,7 @@ __all__ = [
     "Tensor",
     "backward",
     "finite_difference_check",
-    "get_precision",
-    "set_precision",
+    "precision",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Multi-head cross-attention, 2D sinusoidal positions, and the fusion adapter.
+"""Multi-head cross-attention, 2D sinusoidal grid positions, and the fusion adapter.
 
 These three pieces are the shared machinery behind every feature-fusion step
 in the model: encoder-side sketch fusion, decoder token refinement, and
@@ -13,7 +13,7 @@ batched softmax over (groups*heads, n_q, n_k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,50 +80,43 @@ class Block:
     adapter: AdapterParams
 
 
-@dataclass
-class PosEncoding2D:
-    """Precomputed sinusoidal table for a w x h grid, row s = y*w + x."""
-
-    w: int
-    h: int
-    width: int
-    table: np.ndarray = field(repr=False)
-
-
 _pos_cache: dict = {}
 
 
-def sinusoidal_pos_2d(w: int, h: int, d: int) -> PosEncoding2D:
-    """2D sinusoidal position table of shape (w*h) x d.
+def grid_pos(n: int, d: int) -> np.ndarray:
+    """2D sinusoidal position table, n x d, for the g x g grid with g*g = n;
+    row s = y*g + x.
 
     The first d/2 channels encode x with interleaved sin/cos at geometric
     frequencies (base 10000); the last d/2 encode y the same way.
     """
+    g = math.isqrt(n)
+    if g * g != n:
+        raise ShapeError(f"{n} tokens do not form a square grid")
     if d % 4 != 0:
         raise ShapeError(f"position encoding width must be divisible by 4, got {d}")
-    key = (w, h, d)
+    key = (n, d)
     table = _pos_cache.get(key)
     if table is None:
         quarter = d // 4
         freqs = np.power(10000.0, -np.arange(quarter) / quarter)
-        xs = np.arange(w, dtype=np.float64)
-        ys = np.arange(h, dtype=np.float64)
-        grid_x = np.tile(xs, h)  # s = y*w + x
-        grid_y = np.repeat(ys, w)
-        table = np.empty((w * h, d), dtype=np.float64)
+        coords = np.arange(g, dtype=np.float64)
+        grid_x = np.tile(coords, g)  # s = y*g + x
+        grid_y = np.repeat(coords, g)
+        table = np.empty((n, d), dtype=np.float64)
         for half, coord in ((0, grid_x), (d // 2, grid_y)):
             ang = coord[:, None] * freqs[None, :]
             table[:, half + 0 : half + d // 2 : 2] = np.sin(ang)
             table[:, half + 1 : half + d // 2 : 2] = np.cos(ang)
+        table.flags.writeable = False  # shared by every caller
         _pos_cache[key] = table
-    return PosEncoding2D(w, h, d, table)
+    return table
 
 
-def _add_pos(seq: Tensor, pos, groups: int) -> Tensor:
+def _add_pos(seq: Tensor, table: np.ndarray | None, groups: int) -> Tensor:
     """Add one group's position table to each of the `groups` row blocks."""
-    if pos is None:
+    if table is None:
         return seq
-    table = pos.table if isinstance(pos, PosEncoding2D) else np.asarray(pos)
     n, d = seq.shape[0] // groups, seq.shape[1]
     if table.shape != (n, d):
         raise ShapeError(f"position table shape {table.shape} != sequence {(n, d)}")

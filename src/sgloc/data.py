@@ -430,6 +430,9 @@ def _read_pnm(path: str, magic: bytes, kind: str, channels: tuple) -> np.ndarray
     if len(data) - start < n:
         raise DatasetError(f"{path}: raster holds {len(data) - start} bytes, a {w}x{h} {kind} needs {n}")
     arr = np.frombuffer(data, dtype=np.uint8, count=n, offset=start).reshape(shape)
+    top = int(arr.max())
+    if top > maxval:
+        raise DatasetError(f"{path}: sample {top} exceeds maxval {maxval}")
     return arr.astype(np.float64) / float(maxval)
 
 

@@ -13,13 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Block, adapter_fuse, cross_attention, sinusoidal_pos_2d
-from .encoder import SketchFeatureMap
+from .attention import Block, adapter_fuse, cross_attention, grid_pos
 from .tensor import (
     Tensor,
     add_rowvec,
     concat,
-    global_max_pool,
     layer_norm_rows,
     matmul,
     relu,
@@ -61,17 +59,18 @@ class LocalizationResult:
     detections: list  # [(np.ndarray(4), float score)]
 
 
-def decode(features, params: DecoderParams) -> Tensor:
+def decode(features: list, params: DecoderParams) -> Tensor:
     """Refine the DET tokens against the concatenated multi-scale memory.
 
-    Each layer: self-attention among tokens, cross-attention over all stage
-    tokens (each stage keeping its own position encoding), adapter MLPs on the
+    `features` holds one token matrix per encoder stage. Each layer:
+    self-attention among tokens, cross-attention over all stage tokens (each
+    stage keeping its own grid's position encoding), adapter MLPs on the
     residual stream.
     """
     if not params.layers:
         raise ValueError("decoder needs at least one layer")
-    memory = layer_norm_rows(concat([s.tokens for s in features], axis=0))
-    k_pos = np.concatenate([s.pos for s in features], axis=0)
+    memory = layer_norm_rows(concat(features, axis=0))
+    k_pos = np.concatenate([grid_pos(*f.shape) for f in features], axis=0)
     x = params.det_embed
     for layer in params.layers:
         xn = layer_norm_rows(x)
@@ -83,23 +82,16 @@ def decode(features, params: DecoderParams) -> Tensor:
     return x
 
 
-def refine_object_tokens(det: Tensor, sketch: SketchFeatureMap, params: Block) -> Tensor:
+def refine_object_tokens(det: Tensor, sketch: Tensor, params: Block) -> Tensor:
     """Pull sketch features into the object tokens (queries = DET tokens)."""
-    pos = sinusoidal_pos_2d(sketch.w, sketch.h, sketch.width)
-    attended = cross_attention(det, sketch.tokens, sketch.tokens, params.attn, k_pos=pos)
+    attended = cross_attention(det, sketch, sketch, params.attn, k_pos=grid_pos(*sketch.shape))
     return adapter_fuse(attended, det, params.adapter)
 
 
-def refine_query_tokens(sketch: SketchFeatureMap, det: Tensor, params: Block) -> SketchFeatureMap:
+def refine_query_tokens(sketch: Tensor, det: Tensor, params: Block) -> Tensor:
     """Mirror refinement with roles swapped: sketch tokens query the DET tokens."""
-    pos = sinusoidal_pos_2d(sketch.w, sketch.h, sketch.width)
-    attended = cross_attention(sketch.tokens, det, det, params.attn, q_pos=pos)
-    return SketchFeatureMap(adapter_fuse(attended, sketch.tokens, params.adapter), sketch.w, sketch.h)
-
-
-def global_sketch_embed(sketch: SketchFeatureMap) -> Tensor:
-    """Channel-wise max over all spatial positions of the sketch map."""
-    return global_max_pool(sketch.tokens)
+    attended = cross_attention(sketch, det, det, params.attn, q_pos=grid_pos(*sketch.shape))
+    return adapter_fuse(attended, sketch, params.adapter)
 
 
 def score_tokens(det: Tensor, sketch_vec: Tensor, params: HeadParams) -> Tensor:
@@ -117,20 +109,3 @@ def predict_boxes(det: Tensor, params: HeadParams) -> Tensor:
     h = relu(add_rowvec(matmul(det, params.box_w1), params.box_b1))
     h = relu(add_rowvec(matmul(h, params.box_w2), params.box_b2))
     return sigmoid(add_rowvec(matmul(h, params.box_w3), params.box_b3))
-
-
-def localize(image: np.ndarray, sketches, model, threshold: float = 0.5) -> LocalizationResult:
-    """Full forward pass; keeps all detections scoring >= threshold, sorted by
-    descending score. No non-maximum suppression."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    if isinstance(sketches, np.ndarray) and sketches.ndim == 2:
-        sketches = [sketches]
-    if not sketches:
-        raise ValueError("need at least one query sketch")
-    scores, boxes = model.forward(image, list(sketches))
-    s = scores.data
-    b = boxes.data
-    order = sorted(range(len(s)), key=lambda i: (-s[i], i))
-    dets = [(b[i].astype(np.float64).copy(), float(s[i])) for i in order if s[i] >= threshold]
-    return LocalizationResult(dets)

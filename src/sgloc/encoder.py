@@ -1,53 +1,45 @@
-"""Sketch encoder and the sketch-guided image encoder.
+"""Sketch encoder, the sketch-guided image encoder, and multi-sketch fusion.
+
+A feature map is a plain (n, d) token matrix whose n rows are a square g x g
+grid, row s = y*g + x; `attention.grid_pos(n, d)` is its position table.
 
 The image path is a plain patch-embedding transformer: each stage runs full
-self-attention plus an adapter over the flattened tokens, then a 2x2 average
-pool halves both spatial extents. After every stage the sketch features are
-fused into the stage output with cross-attention (image tokens as queries,
-sketch tokens as keys/values) followed by the adapter MLP; the fused outputs
-of all stages form the multi-scale memory handed to the decoder.
+self-attention plus an adapter over the tokens, then a 2x2 average pool halves
+the grid side. After every stage the sketch features are fused into the stage
+output with cross-attention (image tokens as queries, sketch tokens as
+keys/values) followed by the adapter MLP; the fused outputs of all stages form
+the multi-scale memory handed to the decoder.
+
+A bundle of L query sketches is their encoded maps stacked sketch by sketch:
+one (L*SKETCH_TOKENS, d) matrix. Two fusion points use it. In the encoder,
+the L per-sketch cross-attentions run as one grouped attention and are
+averaged inside the adapter (mean of the hidden pre-activations). At the
+decoder output, `fuse_queries` makes one query map by attending from the
+average map over all stacked sketch tokens. Both are invariant to the order of
+the bundle, and a one-element bundle reproduces the single-query computation
+bit-exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Block, adapter_fuse, cross_attention, sinusoidal_pos_2d
+from .attention import Block, adapter_fuse, cross_attention, grid_pos
 from .data import IMAGE_SIZE
-from .multiquery import MultiQueryBundle, encoder_fusion_multi
-from .tensor import ShapeError, Tensor, add, layer_norm_rows, matmul
+from .tensor import ShapeError, Tensor, add, layer_norm_rows, matmul, mean_groups, relu
 
 IMAGE_PATCH = 4  # scene patch side: a 16x16 token grid
 SKETCH_PATCH = 8  # sketch patch side: an 8x8 token grid
-
-
-@dataclass
-class SketchFeatureMap:
-    """Flattened sketch features: (w*h) x d tokens for a w x h grid."""
-
-    tokens: Tensor
-    w: int
-    h: int
-
-    @property
-    def width(self) -> int:
-        return self.tokens.shape[1]
+SKETCH_TOKENS = (IMAGE_SIZE // SKETCH_PATCH) ** 2  # rows of one encoded sketch
 
 
 @dataclass
 class ImageFeatureStage:
     index: int
-    tokens: Tensor  # (w*h) x d
-    w: int
-    h: int
-
-
-@dataclass
-class StageFeatures:
-    tokens: Tensor
-    pos: np.ndarray  # (w*h) x d position table
+    tokens: Tensor  # n x d over a square grid
 
 
 @dataclass
@@ -82,88 +74,105 @@ def sketch_to_patches(raster: np.ndarray) -> np.ndarray:
 _pool_cache: dict = {}
 
 
-def _pool_matrix(w: int, h: int, dtype) -> np.ndarray:
-    """Constant (w*h/4) x (w*h) matrix averaging 2x2 token neighborhoods."""
-    key = (w, h, np.dtype(dtype).str)
+def _pool_matrix(g: int, dtype) -> np.ndarray:
+    """Constant (g*g/4) x (g*g) matrix averaging 2x2 token neighborhoods."""
+    key = (g, np.dtype(dtype).str)
     got = _pool_cache.get(key)
     if got is None:
-        ow, oh = w // 2, h // 2
-        got = np.zeros((ow * oh, w * h), dtype=dtype)
-        for oy in range(oh):
-            for ox in range(ow):
+        half = g // 2
+        got = np.zeros((half * half, g * g), dtype=dtype)
+        for oy in range(half):
+            for ox in range(half):
                 for dy in (0, 1):
                     for dx in (0, 1):
-                        got[oy * ow + ox, (2 * oy + dy) * w + (2 * ox + dx)] = 0.25
+                        got[oy * half + ox, (2 * oy + dy) * g + (2 * ox + dx)] = 0.25
         _pool_cache[key] = got
     return got
 
 
-def encode_sketch(raster: np.ndarray, params: SketchEncoderParams) -> SketchFeatureMap:
-    """Patch-embed a 64x64 grayscale sketch and run the self-attention stack."""
+def encode_sketch(raster: np.ndarray, params: SketchEncoderParams) -> Tensor:
+    """Patch-embed a 64x64 grayscale sketch and run the self-attention stack;
+    returns its SKETCH_TOKENS x d map."""
     if raster.min() < 0.0 or raster.max() > 1.0:
         raise ValueError("sketch pixel values must lie in [0, 1]")
-    d = params.patch_embed.shape[1]
-    g = IMAGE_SIZE // SKETCH_PATCH
-    pos = sinusoidal_pos_2d(g, g, d)
+    pos = grid_pos(SKETCH_TOKENS, params.patch_embed.shape[1])
     patches = Tensor(sketch_to_patches(raster))
-    x = add(matmul(patches, params.patch_embed), Tensor(pos.table))
+    x = add(matmul(patches, params.patch_embed), Tensor(pos))
     for blk in params.blocks:
         xn = layer_norm_rows(x)  # pre-norm, as in the Swin blocks this stands in for
         attended = cross_attention(xn, xn, xn, blk.attn, q_pos=pos, k_pos=pos)
         x = adapter_fuse(attended, x, blk.adapter)
-    return SketchFeatureMap(x, g, g)
+    return x
 
 
 def image_block(stage: ImageFeatureStage, params: Block) -> ImageFeatureStage:
     """Self-attention + adapter over the stage tokens, then a 2x2 average pool."""
-    if stage.w % 2 or stage.h % 2:
-        raise ShapeError(f"stage extents must be even to pool, got {stage.w}x{stage.h}")
-    pos = sinusoidal_pos_2d(stage.w, stage.h, stage.tokens.shape[1])
+    n, d = stage.tokens.shape
+    pos = grid_pos(n, d)
+    g = math.isqrt(n)
+    if g % 2:
+        raise ShapeError(f"a stage grid must have an even side to pool, got {g}x{g}")
     xn = layer_norm_rows(stage.tokens)
     attended = cross_attention(xn, xn, xn, params.attn, q_pos=pos, k_pos=pos)
     x = adapter_fuse(attended, stage.tokens, params.adapter)
-    pool = Tensor(_pool_matrix(stage.w, stage.h, x.data.dtype))
-    pooled = matmul(pool, x)
-    return ImageFeatureStage(stage.index + 1, pooled, stage.w // 2, stage.h // 2)
+    pooled = matmul(Tensor(_pool_matrix(g, x.data.dtype)), x)
+    return ImageFeatureStage(stage.index + 1, pooled)
 
 
 def embed_image(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureStage:
-    d = params.patch_embed.shape[1]
-    g = IMAGE_SIZE // IMAGE_PATCH
     patches = Tensor(image_to_patches(image))
-    pos = sinusoidal_pos_2d(g, g, d)
-    tokens = add(matmul(patches, params.patch_embed), Tensor(pos.table))
-    return ImageFeatureStage(0, tokens, g, g)
+    pos = grid_pos(patches.shape[0], params.patch_embed.shape[1])
+    return ImageFeatureStage(0, add(matmul(patches, params.patch_embed), Tensor(pos)))
 
 
-def sketch_guided_encode(
-    image: np.ndarray,
-    bundle: MultiQueryBundle | None,
-    params: ImageEncoderParams,
-) -> list:
+def bundle_size(bundle: Tensor) -> int:
+    """The number L of sketch maps stacked in a bundle."""
+    rows = bundle.shape[0]
+    if rows == 0 or rows % SKETCH_TOKENS:
+        raise ValueError(f"{rows} bundle rows are not a whole number of {SKETCH_TOKENS}-token sketch maps")
+    return rows // SKETCH_TOKENS
+
+
+def encoder_fusion_multi(stage_tokens: Tensor, bundle: Tensor, params: Block) -> Tensor:
+    """Fuse L sketches into one stage: one grouped cross-attention from the
+    stage tokens over each sketch (shared projections), then the adapter
+    applied to the mean hidden pre-activation over the L sketches."""
+    n = bundle_size(bundle)
+    d = stage_tokens.shape[1]
+    attended = cross_attention(
+        stage_tokens, bundle, bundle, params.attn,
+        q_pos=grid_pos(stage_tokens.shape[0], d), k_pos=grid_pos(SKETCH_TOKENS, d), groups=n,
+    )
+    pre = mean_groups(matmul(attended, params.adapter.w_in), n)
+    return add(stage_tokens, matmul(relu(pre), params.adapter.w_out))
+
+
+def fuse_queries(bundle: Tensor, params: Block) -> Tensor:
+    """Attention-based query fusion: the average map's tokens attend over all
+    stacked sketch tokens; returns the fused SKETCH_TOKENS x d map."""
+    n = bundle_size(bundle)
+    pos = grid_pos(SKETCH_TOKENS, bundle.shape[1])
+    avg = mean_groups(bundle, n)
+    attended = cross_attention(avg, bundle, bundle, params.attn, q_pos=pos, k_pos=np.tile(pos, (n, 1)))
+    return adapter_fuse(attended, avg, params.adapter)
+
+
+def sketch_guided_encode(image: np.ndarray, bundle: Tensor | None, params: ImageEncoderParams) -> list:
     """Run all encoder stages, fusing the sketch bundle after each block.
 
     With a query-agnostic encoder (params.fusions None) the bundle is ignored
-    and may be None. Returns the list of per-stage StageFeatures (fused
-    flattened outputs).
+    and may be None. Returns the fused token matrix of every stage.
     """
     if len(params.blocks) < 2:
         raise ShapeError("encoder needs at least 2 stages")
     if bundle is None and params.fusions is not None:
         raise ValueError("a query-conditioned encoder needs a sketch bundle")
     stage = embed_image(image, params)
-    d = params.patch_embed.shape[1]
     out = []
     for n, blk in enumerate(params.blocks):
         stage = image_block(stage, blk)
         if params.fusions is not None:
-            fused = encoder_fusion_multi(
-                stage.tokens,
-                bundle,
-                params.fusions[n],
-                q_pos=sinusoidal_pos_2d(stage.w, stage.h, d),
-                k_pos=sinusoidal_pos_2d(bundle.w, bundle.h, d),
-            )
-            stage = ImageFeatureStage(stage.index, fused, stage.w, stage.h)
-        out.append(StageFeatures(stage.tokens, sinusoidal_pos_2d(stage.w, stage.h, d).table))
+            fused = encoder_fusion_multi(stage.tokens, bundle, params.fusions[n])
+            stage = ImageFeatureStage(stage.index, fused)
+        out.append(stage.tokens)
     return out

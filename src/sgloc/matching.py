@@ -85,44 +85,27 @@ def _subset_indices(G: int):
     return got
 
 
-def _dp_forward(cost: np.ndarray) -> np.ndarray:
+def _dp_table(cost: np.ndarray, fixed: dict | None = None) -> np.ndarray:
+    """dp[t, S]: the least cost of giving the ground truths in subset S to
+    distinct tokens among the first t. `fixed` maps a token t to the gt it is
+    forced to take."""
     T, G = cost.shape
     idx = _subset_indices(G)
     dp = np.full((T + 1, 1 << G), np.inf)
     dp[0, 0] = 0.0
     for t in range(T):
-        cur = dp[t]
-        nxt = cur.copy()
-        row = cost[t]
-        for g in range(G):
-            with_g, without_g = idx[g]
-            nxt[with_g] = np.minimum(nxt[with_g], cur[without_g] + row[g])
-        dp[t + 1] = nxt
-    return dp
-
-
-def _opt_with_fixed(cost: np.ndarray, fixed: dict) -> float:
-    """Optimal total cost when token t is forced to take gt fixed[t]."""
-    T, G = cost.shape
-    full = 1 << G
-    dp = np.full(full, np.inf)
-    dp[0] = 0.0
-    idx = _subset_indices(G)
-    for t in range(T):
-        g = fixed.get(t)
+        cur, nxt = dp[t], dp[t + 1]
+        g = None if fixed is None else fixed.get(t)
         if g is None:
-            nxt = dp.copy()
+            nxt[:] = cur
             row = cost[t]
             for gg in range(G):
                 with_g, without_g = idx[gg]
-                nxt[with_g] = np.minimum(nxt[with_g], dp[without_g] + row[gg])
-            dp = nxt
+                nxt[with_g] = np.minimum(nxt[with_g], cur[without_g] + row[gg])
         else:
-            nxt = np.full(full, np.inf)
             with_g, without_g = idx[g]
-            nxt[with_g] = dp[without_g] + cost[t, g]
-            dp = nxt
-    return float(dp[full - 1])
+            nxt[with_g] = cur[without_g] + cost[t, g]
+    return dp
 
 
 def hungarian_assign(cost) -> Assignment:
@@ -138,7 +121,7 @@ def hungarian_assign(cost) -> Assignment:
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
 
-    dp = _dp_forward(cost)
+    dp = _dp_table(cost)
     full = (1 << G) - 1
 
     token_for_gt = np.full(G, -1, dtype=np.intp)
@@ -182,7 +165,7 @@ def _lexicographic_optimum(cost: np.ndarray, cstar: float) -> np.ndarray:
             if t in fixed:
                 continue
             fixed[t] = g
-            if _opt_with_fixed(cost, fixed) == cstar:
+            if _dp_table(cost, fixed)[T, -1] == cstar:
                 out[g] = t
                 break
             del fixed[t]

@@ -13,8 +13,8 @@ from .decoder import (
     DecoderLayerParams,
     DecoderParams,
     HeadParams,
+    LocalizationResult,
     decode,
-    global_sketch_embed,
     predict_boxes,
     refine_object_tokens,
     refine_query_tokens,
@@ -25,12 +25,11 @@ from .encoder import (
     SKETCH_PATCH,
     ImageEncoderParams,
     SketchEncoderParams,
-    SketchFeatureMap,
     encode_sketch,
+    fuse_queries,
     sketch_guided_encode,
 )
-from .multiquery import MultiQueryBundle, fuse_queries
-from .tensor import Param, ShapeError, Tensor
+from .tensor import Param, ShapeError, Tensor, concat, global_max_pool
 
 
 @dataclass
@@ -173,9 +172,11 @@ class SketchLocalizer:
 
     # -- forward ------------------------------------------------------------
 
-    def encode_sketches(self, sketches) -> MultiQueryBundle:
-        maps = [encode_sketch(s, self.sketch_enc) for s in sketches]
-        return MultiQueryBundle.stack(maps)
+    def encode_sketches(self, sketches) -> Tensor:
+        """The bundle: each sketch's SKETCH_TOKENS x d map, stacked in order."""
+        if not sketches:
+            raise ValueError("need at least one query sketch")
+        return concat([encode_sketch(s, self.sketch_enc) for s in sketches], axis=0)
 
     def forward(self, image: np.ndarray, sketches) -> tuple:
         """Score and box every DET token for one scene and 1..L query sketches.
@@ -185,18 +186,26 @@ class SketchLocalizer:
         bundle = self.encode_sketches(sketches)
         features = sketch_guided_encode(image, bundle, self.image_enc)
         det = decode(features, self.decoder)
-        query = SketchFeatureMap(fuse_queries(bundle, self.query_fusion), bundle.w, bundle.h)
+        query = fuse_queries(bundle, self.query_fusion)
         if self.config.refinement:
             det_r = refine_object_tokens(det, query, self.refine_obj)
             query_r = refine_query_tokens(query, det, self.refine_query)
         else:
             det_r, query_r = det, query
-        sketch_vec = global_sketch_embed(query_r)
-        scores = score_tokens(det_r, sketch_vec, self.heads)
+        scores = score_tokens(det_r, global_max_pool(query_r), self.heads)
         boxes = predict_boxes(det_r, self.heads)
         return scores, boxes
 
-    def localize(self, image: np.ndarray, sketches, threshold: float = 0.5):
-        from .decoder import localize as _localize
-
-        return _localize(image, sketches, self, threshold)
+    def localize(self, image: np.ndarray, sketches, threshold: float = 0.5) -> LocalizationResult:
+        """Full forward pass; keeps all detections scoring >= threshold, sorted
+        by descending score. No non-maximum suppression."""
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+        if isinstance(sketches, np.ndarray) and sketches.ndim == 2:
+            sketches = [sketches]
+        scores, boxes = self.forward(image, list(sketches))
+        s = scores.data
+        b = boxes.data
+        order = sorted(range(len(s)), key=lambda i: (-s[i], i))
+        dets = [(b[i].astype(np.float64).copy(), float(s[i])) for i in order if s[i] >= threshold]
+        return LocalizationResult(dets)

@@ -4,14 +4,13 @@ A small tape-based engine over numpy arrays: every differentiable op returns
 a Tensor that remembers its parents and a closure computing parent gradients.
 `backward()` walks the tape once and returns a GradientMap for the leaves.
 
-Layout convention used throughout the package: feature maps of shape
-d x w x h are flattened to (w*h) x d matrices with spatial index s = y*w + x
-selecting row s.
+Layout convention used throughout the package: a feature map is an n x d
+matrix whose n rows are a square g x g grid, with row s = y*g + x.
 """
 
 from __future__ import annotations
 
-import os
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -31,21 +30,22 @@ class NonFiniteError(RuntimeError):
 
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
-_precision = os.environ.get("SGL_PRECISION", "f32")
-if _precision not in _DTYPES:
-    raise PrecisionError(f"SGL_PRECISION must be f32 or f64, got {_precision!r}")
+_precision = "f32"
 
 
-def set_precision(name: str) -> None:
-    """Select the global scalar precision: 'f32' (training) or 'f64' (verification)."""
+@contextlib.contextmanager
+def precision(name: str):
+    """Run the block at scalar precision `name`: 'f32' (training, the default)
+    or 'f64' (verification). The previous precision is restored on exit, also
+    when the block raises."""
     global _precision
     if name not in _DTYPES:
         raise PrecisionError(f"unknown precision {name!r}; expected 'f32' or 'f64'")
-    _precision = name
-
-
-def get_precision() -> str:
-    return _precision
+    prev, _precision = _precision, name
+    try:
+        yield
+    finally:
+        _precision = prev
 
 
 def current_dtype() -> type:
@@ -86,9 +86,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -348,13 +345,13 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along `axis`; the gradient splits back to the inputs."""
+    """Concatenate along `axis`; the gradient splits back to the inputs. One
+    tensor is returned as it is."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat of zero tensors")
     if len(tensors) == 1:
-        t = tensors[0]
-        return _make(t.data, (t,), lambda g: (g,))
+        return tensors[0]
     base = tensors[0]
     for t in tensors[1:]:
         if t.ndim != base.ndim or any(
@@ -416,13 +413,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    shape = a.shape
-    out = np.asarray(a.data.sum() / n, dtype=a.data.dtype)
-    return _make(out, (a,), lambda g: (np.broadcast_to(g / n, shape).copy(),))
-
-
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
     """Left-to-right sum of a nonempty list (fixed order for determinism)."""
     acc = tensors[0]
@@ -432,7 +422,7 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def global_max_pool(x: Tensor) -> Tensor:
-    """Per-channel max over the rows of a flattened (w*h) x d map; returns a
+    """Per-channel max over the rows of an n x d feature map; returns a
     length-d vector. Gradient routes to the first argmax row."""
     if x.ndim != 2:
         raise ShapeError(f"global_max_pool expects rank-2, got {x.shape}")
@@ -550,7 +540,7 @@ def finite_difference_check(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if get_precision() != "f64":
+    if _precision != "f64":
         raise PrecisionError("finite_difference_check requires f64 precision")
     tensors = [p.value if isinstance(p, Param) else p for p in params]
     gm = backward(f())

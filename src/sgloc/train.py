@@ -91,7 +91,10 @@ class TrainConfig(ModelConfig):
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in known:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            kwargs[key] = _parse_value(val, known[key])
+            try:
+                kwargs[key] = _parse_value(val, known[key])
+            except ValueError as e:
+                raise ValueError(f"config line {lineno}: bad value for {key}: {e}") from None
         return cls(**kwargs)
 
     @classmethod

@@ -7,18 +7,14 @@ from sgloc import tensor as T
 @pytest.fixture
 def f64():
     """Run a test at verification precision, restoring the previous mode."""
-    prev = T.get_precision()
-    T.set_precision("f64")
-    yield
-    T.set_precision(prev)
+    with T.precision("f64"):
+        yield
 
 
 @pytest.fixture
 def f32():
-    prev = T.get_precision()
-    T.set_precision("f32")
-    yield
-    T.set_precision(prev)
+    with T.precision("f32"):
+        yield
 
 
 @pytest.fixture

@@ -6,11 +6,11 @@ import pytest
 from sgloc.attention import (
     AdapterParams,
     AttentionParams,
-    PosEncoding2D,
     adapter_fuse,
     cross_attention,
-    sinusoidal_pos_2d,
+    grid_pos,
 )
+from sgloc import attention
 from sgloc import tensor as T
 from sgloc.data import derive_seed
 from sgloc.tensor import (
@@ -49,37 +49,45 @@ def per_head_oracle(q, k, v, p):
 
 class TestPosEncoding:
     def test_origin_row(self):
-        pe = sinusoidal_pos_2d(4, 4, 8)
-        row0 = pe.table[0]
+        row0 = grid_pos(16, 8)[0]
         assert np.allclose(row0[0::2], 0.0)  # sin channels
         assert np.allclose(row0[1::2], 1.0)  # cos channels
 
     def test_range(self):
-        pe = sinusoidal_pos_2d(8, 8, 16)
-        assert pe.table.min() >= -1.0 and pe.table.max() <= 1.0
+        table = grid_pos(64, 16)
+        assert table.min() >= -1.0 and table.max() <= 1.0
 
     def test_all_positions_distinct(self):
-        pe = sinusoidal_pos_2d(8, 8, 16)
-        n = pe.table.shape[0]
+        table = grid_pos(64, 16)
+        n = table.shape[0]
         for i in range(n):
             for j in range(i + 1, n):
-                assert not np.allclose(pe.table[i], pe.table[j], atol=1e-9)
+                assert not np.allclose(table[i], table[j], atol=1e-9)
 
     def test_width_divisibility(self):
         with pytest.raises(ShapeError):
-            sinusoidal_pos_2d(4, 4, 10)
+            grid_pos(16, 10)
 
     def test_deterministic(self):
-        a = sinusoidal_pos_2d(5, 3, 12).table
-        b = sinusoidal_pos_2d(5, 3, 12).table
-        assert np.array_equal(a, b)
+        a = grid_pos(25, 12).copy()
+        attention._pos_cache.clear()  # rebuild the table from scratch
+        assert np.array_equal(grid_pos(25, 12), a)
 
     def test_row_indexing_is_y_major(self):
-        # row s = y*w + x: moving one row down changes only the y half
-        pe = sinusoidal_pos_2d(4, 4, 8)
+        # row s = y*g + x: moving one row down changes only the y half
+        table = grid_pos(16, 8)
         d = 8
-        assert np.allclose(pe.table[0][: d // 2], pe.table[4][: d // 2])
-        assert not np.allclose(pe.table[0][d // 2 :], pe.table[4][d // 2 :])
+        assert np.allclose(table[0][: d // 2], table[4][: d // 2])
+        assert not np.allclose(table[0][d // 2 :], table[4][d // 2 :])
+
+    @pytest.mark.parametrize("n", [2, 15, 20, 63])
+    def test_non_square_row_count_rejected(self, n):
+        with pytest.raises(ShapeError, match=f"{n} tokens do not form a square grid"):
+            grid_pos(n, 8)
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            grid_pos(16, 8)[0, 0] = 5.0
 
 
 class TestCrossAttention:

@@ -210,6 +210,19 @@ class TestPnm:
         with pytest.raises(DatasetError, match="raster holds 47 bytes, a 4x4 PPM needs 48"):
             read_ppm(p)
 
+    @pytest.mark.parametrize("reader, magic, channels", [(read_pgm, b"P5", 1), (read_ppm, b"P6", 3)],
+                             ids=["pgm", "ppm"])
+    def test_sample_above_maxval_rejected(self, tmp_path, reader, magic, channels):
+        p = str(tmp_path / "bright")
+        with open(p, "wb") as f:
+            f.write(magic + b"\n2 1\n100\n" + bytes([7] * (2 * channels - 1) + [100]))
+        assert reader(p).max() == 1.0  # a sample equal to maxval is full scale
+        with open(p, "wb") as f:
+            f.write(magic + b"\n2 1\n100\n" + bytes([200] * 2 * channels))
+        with pytest.raises(DatasetError, match="sample 200 exceeds maxval 100") as err:
+            reader(p)
+        assert str(err.value).startswith(p + ": ")
+
     @settings(max_examples=300, deadline=None)
     @given(reader=st.sampled_from([read_pgm, read_ppm]), data=st.data())
     def test_damaged_file_reads_or_raises_dataset_error(self, pnm_dir, reader, data):
@@ -230,6 +243,7 @@ class TestPnm:
             assert str(e).startswith(path + ": ")
         else:
             assert out.dtype == np.float64 and out.ndim == (3 if channels == 3 else 2)
+            assert 0.0 <= out.min() and out.max() <= 1.0
 
 
 @pytest.fixture(scope="module")

@@ -3,28 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from sgloc.attention import cross_attention, grid_pos
 from sgloc.decoder import (
-    LocalizationResult,
     decode,
-    global_sketch_embed,
-    localize,
     predict_boxes,
     refine_object_tokens,
     refine_query_tokens,
     score_tokens,
 )
-from sgloc.encoder import SketchFeatureMap, StageFeatures
-from sgloc.attention import sinusoidal_pos_2d
-from sgloc.tensor import Param, Tensor, finite_difference_check, mul, sum_all
+from sgloc.tensor import Tensor, finite_difference_check, global_max_pool, mul, sum_all
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 
-def fake_features(rng, d, counts=((4, 2, 2), (1, 1, 1))):
-    out = []
-    for n, w, h in [(4, 2, 2), (1, 1, 1)]:
-        pos = sinusoidal_pos_2d(w, h, d).table
-        out.append(StageFeatures(Tensor(rng.standard_normal((n, d))), pos))
-    return out
+def fake_features(rng, d):
+    """Stage token matrices over a 2x2 and a 1x1 grid."""
+    return [Tensor(rng.standard_normal((n, d))) for n in (4, 1)]
 
 
 class TestDecode:
@@ -51,7 +44,7 @@ class TestDecode:
 
 class TestRefinement:
     def sketch_map(self, rng, n=4, d=TINY.d):
-        return SketchFeatureMap(Tensor(rng.standard_normal((n, d))), 2, 2)
+        return Tensor(rng.standard_normal((n, d)))  # a 2x2 grid
 
     def test_zero_adapter_identity_object(self, rng):
         m = tiny_model()
@@ -68,18 +61,14 @@ class TestRefinement:
         sk = self.sketch_map(rng)
         det = Tensor(rng.standard_normal((TINY.num_tokens, TINY.d)))
         out = refine_query_tokens(sk, det, m.refine_query)
-        assert np.array_equal(out.tokens.data, sk.tokens.data)
-        assert (out.w, out.h) == (sk.w, sk.h)
+        assert np.array_equal(out.data, sk.data)
 
     def test_single_sketch_token_same_attended_value(self, rng):
         # softmax over one key is 1: before the MLP every token sees the same value
         m = tiny_model()
-        sk = SketchFeatureMap(Tensor(rng.standard_normal((1, TINY.d))), 1, 1)
+        sk = Tensor(rng.standard_normal((1, TINY.d)))  # a 1x1 grid
         det = Tensor(rng.standard_normal((TINY.num_tokens, TINY.d)))
-        from sgloc.attention import cross_attention
-
-        att = cross_attention(det, sk.tokens, sk.tokens, m.refine_obj.attn,
-                              k_pos=sinusoidal_pos_2d(1, 1, TINY.d)).data
+        att = cross_attention(det, sk, sk, m.refine_obj.attn, k_pos=grid_pos(1, TINY.d)).data
         assert np.allclose(att, att[0], atol=1e-6)
 
     def test_matches_direct_formula(self, f64, rng):
@@ -90,15 +79,15 @@ class TestRefinement:
         got = refine_object_tokens(det, sk, m.refine_obj).data
 
         p = m.refine_obj
-        pos = sinusoidal_pos_2d(2, 2, TINY.d).table
-        k = sk.tokens.data + pos
+        pos = grid_pos(4, TINY.d)
+        k = sk.data + pos
         heads = []
         dk = p.attn.key_width
         for h in range(p.attn.heads):
             cols = slice(h * dk, (h + 1) * dk)  # head h's column block
             q = det.data @ p.attn.wq.data[:, cols]
             kk = k @ p.attn.wk.data[:, cols]
-            vv = sk.tokens.data @ p.attn.wv.data[:, cols]
+            vv = sk.data @ p.attn.wv.data[:, cols]
             logits = q @ kk.T / math.sqrt(dk)
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             att = e / e.sum(axis=1, keepdims=True)
@@ -112,14 +101,13 @@ class TestRefinement:
         sk = self.sketch_map(rng)
         det = Tensor(rng.standard_normal((TINY.num_tokens, TINY.d)))
         out = refine_query_tokens(sk, det, m.refine_query)
-        assert np.max(np.abs(out.tokens.data - sk.tokens.data)) > 1e-8
+        assert np.max(np.abs(out.data - sk.data)) > 1e-8
 
 
 class TestHeads:
     def test_global_embed_is_channel_max(self, rng):
         toks = rng.standard_normal((6, TINY.d))
-        sk = SketchFeatureMap(Tensor(toks), 3, 2)
-        assert np.allclose(global_sketch_embed(sk).data, toks.max(axis=0))
+        assert np.allclose(global_max_pool(Tensor(toks)).data, toks.max(axis=0))
 
     def test_zero_final_layer_scores_half(self, rng):
         m = tiny_model()
@@ -185,12 +173,12 @@ class TestHeads:
 class TestLocalize:
     def test_threshold_one_empty(self, rng):
         m = tiny_model()
-        res = localize(rand_image(rng), [rand_sketch(rng)], m, threshold=1.0)
+        res = m.localize(rand_image(rng), [rand_sketch(rng)], threshold=1.0)
         assert res.detections == []
 
     def test_threshold_zero_returns_all_tokens(self, rng):
         m = tiny_model()
-        res = localize(rand_image(rng), [rand_sketch(rng)], m, threshold=0.0)
+        res = m.localize(rand_image(rng), [rand_sketch(rng)], threshold=0.0)
         assert len(res.detections) == TINY.num_tokens
         scores = [s for _, s in res.detections]
         assert scores == sorted(scores, reverse=True)
@@ -198,9 +186,9 @@ class TestLocalize:
     def test_invalid_threshold(self, rng):
         m = tiny_model()
         with pytest.raises(ValueError):
-            localize(rand_image(rng), [rand_sketch(rng)], m, threshold=1.5)
+            m.localize(rand_image(rng), [rand_sketch(rng)], threshold=1.5)
 
     def test_single_raster_accepted(self, rng):
         m = tiny_model()
-        res = localize(rand_image(rng), rand_sketch(rng), m, threshold=0.0)
+        res = m.localize(rand_image(rng), rand_sketch(rng), threshold=0.0)
         assert len(res.detections) == TINY.num_tokens

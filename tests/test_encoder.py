@@ -5,7 +5,9 @@ import pytest
 
 from sgloc import tensor as T
 from sgloc.encoder import (
+    SKETCH_TOKENS,
     ImageFeatureStage,
+    bundle_size,
     image_block,
     image_to_patches,
     sketch_to_patches,
@@ -53,30 +55,30 @@ class TestEncodeSketch:
         m = tiny_model()
         a = m.encode_sketches([np.zeros((64, 64))])
         b = m.encode_sketches([np.zeros((64, 64))])
-        assert np.array_equal(a.tokens.data, b.tokens.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_output_shape(self, rng):
         m = tiny_model()
         out = m.encode_sketches([rand_sketch(rng)])
-        assert out.tokens.shape == (64, TINY.d)
-        assert (out.w, out.h, len(out)) == (8, 8, 1)
+        assert SKETCH_TOKENS == 64  # an 8x8 grid
+        assert out.shape == (64, TINY.d) and bundle_size(out) == 1
 
     def test_bundle_stacks_each_sketch_encoded_alone(self, rng):
         m = tiny_model()
         sks = [rand_sketch(rng) for _ in range(3)]
         bundle = m.encode_sketches(sks)
-        assert bundle.tokens.shape == (3 * 64, TINY.d) and len(bundle) == 3
+        assert bundle.shape == (3 * 64, TINY.d) and bundle_size(bundle) == 3
         for i, sk in enumerate(sks):
-            alone = m.encode_sketches([sk]).tokens.data
-            assert np.array_equal(bundle.tokens.data[i * 64 : (i + 1) * 64], alone)
+            alone = m.encode_sketches([sk]).data
+            assert np.array_equal(bundle.data[i * 64 : (i + 1) * 64], alone)
 
     def test_one_patch_difference_changes_features(self, rng):
         m = tiny_model()
         s1 = rand_sketch(rng)
         s2 = s1.copy()
         s2[0:8, 0:8] = 1.0 - s2[0:8, 0:8]
-        a = m.encode_sketches([s1]).tokens.data
-        b = m.encode_sketches([s2]).tokens.data
+        a = m.encode_sketches([s1]).data
+        b = m.encode_sketches([s2]).data
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_rejects_out_of_range(self):
@@ -88,24 +90,27 @@ class TestEncodeSketch:
 class TestImageBlock:
     def test_halves_extents(self, rng):
         m = tiny_model()
-        stage = ImageFeatureStage(0, Tensor(rng.standard_normal((64, TINY.d))), 8, 8)
+        stage = ImageFeatureStage(0, Tensor(rng.standard_normal((64, TINY.d))))
         out = image_block(stage, m.image_enc.blocks[0])
-        assert (out.w, out.h) == (4, 4)
-        assert out.tokens.shape == (16, TINY.d)
+        assert out.index == 1
+        assert out.tokens.shape == (16, TINY.d)  # 8x8 -> 4x4
 
     def test_constant_preserved_under_zero_weights(self):
         m = tiny_model()
         blk = m.image_enc.blocks[0]
         for t in blk.attn.tensors() + [blk.adapter.w_in, blk.adapter.w_out]:
             t.data[...] = 0.0
-        stage = ImageFeatureStage(0, Tensor(np.full((16, TINY.d), 0.7)), 4, 4)
+        stage = ImageFeatureStage(0, Tensor(np.full((16, TINY.d), 0.7)))
         out = image_block(stage, blk)
         assert np.allclose(out.tokens.data, 0.7, atol=1e-7)
 
     def test_odd_extent_rejected(self, rng):
         m = tiny_model()
-        stage = ImageFeatureStage(0, Tensor(rng.standard_normal((9, TINY.d))), 3, 3)
-        with pytest.raises(ShapeError):
+        stage = ImageFeatureStage(0, Tensor(rng.standard_normal((9, TINY.d))))  # 3x3
+        with pytest.raises(ShapeError, match="even side"):
+            image_block(stage, m.image_enc.blocks[0])
+        stage = ImageFeatureStage(0, Tensor(rng.standard_normal((8, TINY.d))))  # no square grid
+        with pytest.raises(ShapeError, match="square grid"):
             image_block(stage, m.image_enc.blocks[0])
 
     def test_gradcheck_through_block(self, f64, rng):
@@ -117,7 +122,7 @@ class TestImageBlock:
         r = Tensor(rng.standard_normal((4, TINY.d)))
 
         def loss():
-            stage = ImageFeatureStage(0, x, 4, 4)
+            stage = ImageFeatureStage(0, x)
             return sum_all(mul(image_block(stage, blk).tokens, r))
 
         assert finite_difference_check(loss, params, eps=1e-5, max_coords=200) < 1e-5
@@ -131,7 +136,7 @@ class TestSketchGuidedEncode:
         from sgloc.encoder import sketch_guided_encode
 
         feats = sketch_guided_encode(img, bundle, m.image_enc)
-        assert [f.tokens.shape[0] for f in feats] == [64, 16, 4]
+        assert [f.shape[0] for f in feats] == [64, 16, 4]
 
     def test_zero_fusion_reduces_to_query_agnostic(self, rng):
         full = tiny_model(seed=3)
@@ -146,7 +151,7 @@ class TestSketchGuidedEncode:
         fused = sketch_guided_encode(img, bundle, full.image_enc)
         bare = sketch_guided_encode(img, None, plain.image_enc)
         for a, b in zip(fused, bare):
-            assert np.array_equal(a.tokens.data, b.tokens.data)
+            assert np.array_equal(a.data, b.data)
 
     def test_conditioned_encoder_rejects_missing_bundle(self, rng):
         from sgloc.encoder import sketch_guided_encode
@@ -165,7 +170,7 @@ class TestSketchGuidedEncode:
         f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
         f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
         for a, b in zip(f1, f2):
-            assert np.array_equal(a.tokens.data, b.tokens.data)
+            assert np.array_equal(a.data, b.data)
 
     def test_different_sketches_give_different_features(self, rng):
         m = tiny_model(seed=7)
@@ -174,7 +179,7 @@ class TestSketchGuidedEncode:
         img = rand_image(rng)
         f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
         f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
-        assert any(np.max(np.abs(a.tokens.data - b.tokens.data)) > 1e-6 for a, b in zip(f1, f2))
+        assert any(np.max(np.abs(a.data - b.data)) > 1e-6 for a, b in zip(f1, f2))
 
     def test_query_conditioning_gradient_nonzero(self, f64, rng):
         # finite differences through the full encoder w.r.t. one sketch pixel
@@ -189,7 +194,7 @@ class TestSketchGuidedEncode:
             feats = sketch_guided_encode(img, m.encode_sketches([s]), m.image_enc)
             total = 0.0
             for f in feats:
-                total += float(f.tokens.data.sum())
+                total += float(f.data.sum())
             return total
 
         eps = 1e-4

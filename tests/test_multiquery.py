@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from sgloc.attention import adapter_fuse, cross_attention, sinusoidal_pos_2d
-from sgloc.encoder import SketchFeatureMap
-from sgloc.multiquery import MultiQueryBundle, encoder_fusion_multi, fuse_queries
-from sgloc.tensor import Tensor, backward, sum_all
+from sgloc.attention import adapter_fuse, cross_attention, grid_pos
+from sgloc.encoder import SKETCH_TOKENS, encoder_fusion_multi, fuse_queries
+from sgloc.tensor import Tensor, backward, concat, mean_groups, sum_all
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 
-def leaf_map(rng, d=TINY.d, w=2, h=2, requires_grad=False):
-    return SketchFeatureMap(Tensor(rng.standard_normal((w * h, d)), requires_grad), w, h)
+def leaf_map(rng, d=TINY.d, requires_grad=False):
+    """A random encoded-sketch map: SKETCH_TOKENS x d over the 8x8 grid."""
+    return Tensor(rng.standard_normal((SKETCH_TOKENS, d)), requires_grad)
 
 
-def bundle_of(tokens, w=2, h=2):
-    """A bundle of 2x2 sketch maps from their token matrices."""
-    return MultiQueryBundle.stack([SketchFeatureMap(t, w, h) for t in tokens])
+def bundle_of(maps):
+    """The bundle of sketch maps, stacked as `SketchLocalizer.encode_sketches` does."""
+    return concat(maps, axis=0)
 
 
 class TestEncoderFusionMulti:
@@ -22,10 +22,10 @@ class TestEncoderFusionMulti:
         m = tiny_model()
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
-        sk = Tensor(rng.standard_normal((4, TINY.d)))
-        q_pos = sinusoidal_pos_2d(4, 4, TINY.d)
-        k_pos = sinusoidal_pos_2d(2, 2, TINY.d)
-        got = encoder_fusion_multi(stage, bundle_of([sk]), fp, q_pos=q_pos, k_pos=k_pos).data
+        sk = leaf_map(rng)
+        q_pos = grid_pos(16, TINY.d)
+        k_pos = grid_pos(SKETCH_TOKENS, TINY.d)
+        got = encoder_fusion_multi(stage, bundle_of([sk]), fp).data
         att = cross_attention(stage, sk, sk, fp.attn, q_pos=q_pos, k_pos=k_pos)
         want = adapter_fuse(att, stage, fp.adapter).data
         assert np.array_equal(got, want)
@@ -34,7 +34,7 @@ class TestEncoderFusionMulti:
         m = tiny_model()
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
-        sk = Tensor(rng.standard_normal((4, TINY.d)))
+        sk = leaf_map(rng)
         one = encoder_fusion_multi(stage, bundle_of([sk]), fp).data
         five = encoder_fusion_multi(stage, bundle_of([sk] * 5), fp).data
         assert np.max(np.abs(one - five)) < 1e-6
@@ -43,7 +43,7 @@ class TestEncoderFusionMulti:
         m = tiny_model()
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
-        sks = [Tensor(rng.standard_normal((4, TINY.d))) for _ in range(4)]
+        sks = [leaf_map(rng) for _ in range(4)]
         a = encoder_fusion_multi(stage, bundle_of(sks), fp).data
         b = encoder_fusion_multi(stage, bundle_of(sks[::-1]), fp).data
         assert np.max(np.abs(a - b)) < 1e-6
@@ -53,10 +53,10 @@ class TestEncoderFusionMulti:
         m = tiny_model()
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
-        sks = [Tensor(rng.standard_normal((4, TINY.d))) for _ in range(3)]
-        q_pos = sinusoidal_pos_2d(4, 4, TINY.d)
-        k_pos = sinusoidal_pos_2d(2, 2, TINY.d)
-        got = encoder_fusion_multi(stage, bundle_of(sks), fp, q_pos=q_pos, k_pos=k_pos).data
+        sks = [leaf_map(rng) for _ in range(3)]
+        q_pos = grid_pos(16, TINY.d)
+        k_pos = grid_pos(SKETCH_TOKENS, TINY.d)
+        got = encoder_fusion_multi(stage, bundle_of(sks), fp).data
         pre = [
             cross_attention(stage, sk, sk, fp.attn, q_pos=q_pos, k_pos=k_pos).data @ fp.adapter.w_in.data
             for sk in sks
@@ -65,14 +65,17 @@ class TestEncoderFusionMulti:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_empty_bundle_rejected(self, rng):
-        with pytest.raises(ValueError):
-            bundle_of([])
+        m = tiny_model()
+        with pytest.raises(ValueError, match="at least one query sketch"):
+            m.encode_sketches([])
+        with pytest.raises(ValueError, match="at least one query sketch"):
+            m.localize(rand_image(rng), [])
 
     def test_gradients_reach_every_sketch(self, f64, rng):
         m = tiny_model()
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
-        sks = [Tensor(rng.standard_normal((4, TINY.d)), requires_grad=True) for _ in range(3)]
+        sks = [leaf_map(rng, requires_grad=True) for _ in range(3)]
         gm = backward(sum_all(encoder_fusion_multi(stage, bundle_of(sks), fp)))
         for sk in sks:
             assert np.max(np.abs(gm.of(sk).data)) > 0
@@ -83,47 +86,51 @@ class TestFuseQueries:
         m = tiny_model()
         m.get_param("query_fusion.adapter.in").value.data[...] = 0.0
         m.get_param("query_fusion.adapter.out").value.data[...] = 0.0
-        maps = [leaf_map(rng) for _ in range(3)]
-        bundle = MultiQueryBundle.stack(maps)
+        bundle = bundle_of([leaf_map(rng) for _ in range(3)])
         got = fuse_queries(bundle, m.query_fusion).data
-        assert np.array_equal(got, bundle.average_tokens().data)
+        assert np.array_equal(got, mean_groups(bundle, 3).data)
 
     def test_bundle_permutation_invariance(self, rng):
         m = tiny_model()
         maps = [leaf_map(rng) for _ in range(5)]
-        a = fuse_queries(MultiQueryBundle.stack(maps), m.query_fusion).data
+        a = fuse_queries(bundle_of(maps), m.query_fusion).data
         perm = [maps[i] for i in rng.permutation(5)]
-        b = fuse_queries(MultiQueryBundle.stack(perm), m.query_fusion).data
+        b = fuse_queries(bundle_of(perm), m.query_fusion).data
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_identical_sketches_attend_to_own_features(self, rng):
         # softmax over L identical key blocks equals attention over one block
         m = tiny_model()
         sk = leaf_map(rng)
-        one = fuse_queries(MultiQueryBundle.stack([sk]), m.query_fusion).data
-        many = fuse_queries(MultiQueryBundle.stack([sk] * 4), m.query_fusion).data
+        one = fuse_queries(bundle_of([sk]), m.query_fusion).data
+        many = fuse_queries(bundle_of([sk] * 4), m.query_fusion).data
         assert np.max(np.abs(one - many)) < 1e-6
 
     def test_mismatched_grids_rejected(self, rng):
-        big = SketchFeatureMap(Tensor(rng.standard_normal((16, TINY.d))), 4, 4)
-        with pytest.raises(ValueError):
-            MultiQueryBundle.stack([leaf_map(rng), big])
-        with pytest.raises(ValueError):  # 20 rows are not whole 3x3 maps
-            MultiQueryBundle(Tensor(rng.standard_normal((20, TINY.d))), 3, 3)
+        # a 64-row sketch map stacked with a 16-row (4x4) map: 80 rows
+        m = tiny_model()
+        mixed = bundle_of([leaf_map(rng), Tensor(rng.standard_normal((16, TINY.d)))])
+        stage = Tensor(rng.standard_normal((16, TINY.d)))
+        with pytest.raises(ValueError, match="80 bundle rows"):
+            fuse_queries(mixed, m.query_fusion)
+        with pytest.raises(ValueError, match="80 bundle rows"):
+            encoder_fusion_multi(stage, mixed, m.image_enc.fusions[0])
+        with pytest.raises(ValueError, match="20 bundle rows"):  # less than one map
+            fuse_queries(Tensor(rng.standard_normal((20, TINY.d))), m.query_fusion)
 
     def test_zero_row_bundle_rejected(self):
         # op results skip the constructor's extent check, so the bundle checks
         empty = Tensor(np.ones((1, TINY.d)))
         empty.data = np.zeros((0, TINY.d))
         with pytest.raises(ValueError, match="0 bundle rows"):
-            MultiQueryBundle(empty, 2, 2)
+            fuse_queries(empty, tiny_model().query_fusion)
 
     def test_gradients_reach_every_sketch(self, f64, rng):
         m = tiny_model()
         maps = [leaf_map(rng, requires_grad=True) for _ in range(3)]
-        gm = backward(sum_all(fuse_queries(MultiQueryBundle.stack(maps), m.query_fusion)))
+        gm = backward(sum_all(fuse_queries(bundle_of(maps), m.query_fusion)))
         for mp in maps:
-            assert np.max(np.abs(gm.of(mp.tokens).data)) > 0
+            assert np.max(np.abs(gm.of(mp).data)) > 0
 
 
 class TestPipelineInvariances:

@@ -208,6 +208,7 @@ class TestConcat:
     def test_single_identity(self, rng):
         x = Tensor(rng.standard_normal((2, 3)))
         assert np.array_equal(concat([x], axis=0).data, x.data)
+        assert concat([x], axis=1) is x  # no tape node for a one-element list
 
     def test_gradient_splits(self, rng):
         a = leaf(rng.standard_normal((2, 3)))
@@ -354,14 +355,25 @@ class TestTensorBasics:
             Tensor(np.zeros((0, 3)))
 
     def test_precision_switch(self):
-        prev = T.get_precision()
-        try:
-            T.set_precision("f64")
+        assert Tensor([1.0]).data.dtype == np.float32  # the default
+        with T.precision("f64"):
             assert Tensor([1.0]).data.dtype == np.float64
-            T.set_precision("f32")
-            assert Tensor([1.0]).data.dtype == np.float32
-        finally:
-            T.set_precision(prev)
+            with T.precision("f32"):
+                assert Tensor([1.0]).data.dtype == np.float32
+            assert Tensor([1.0]).data.dtype == np.float64
+        assert Tensor([1.0]).data.dtype == np.float32
+
+    def test_precision_restored_after_exception(self):
+        with pytest.raises(KeyError):
+            with T.precision("f64"):
+                raise KeyError("inside the block")
+        assert Tensor([1.0]).data.dtype == np.float32
+
+    def test_unknown_precision_rejected(self):
+        with pytest.raises(T.PrecisionError, match="f16"):
+            with T.precision("f16"):
+                pass
+        assert Tensor([1.0]).data.dtype == np.float32
 
     def test_gradient_map_shapes(self, rng):
         w = leaf(rng.standard_normal((3, 2)))

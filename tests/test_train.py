@@ -77,6 +77,19 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="unknown key"):
             TrainConfig.from_text("nonsense = 4\n")
 
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            ("d = 6x4", "config line 2: bad value for d: .*'6x4'"),
+            ("lr = fast", "config line 2: bad value for lr: .*'fast'"),
+            ("refinement = maybe", "config line 2: bad value for refinement: .*'maybe'"),
+        ],
+        ids=["int", "float", "bool"],
+    )
+    def test_bad_value_names_line_and_key(self, line, want):
+        with pytest.raises(ValueError, match=want):
+            TrainConfig.from_text("# run config\n" + line + "\n")
+
     def test_comments_and_blanks(self):
         cfg = TrainConfig.from_text("# comment\n\nd = 32  # inline\nheads = 2\n")
         assert cfg.d == 32 and cfg.heads == 2
