@@ -3,9 +3,25 @@
 AP uses COCO-style conventions at desk scale: greedy score-ordered matching,
 101-point interpolation, an IoU sweep of .50:.05:.95 for mAP, and a
 large-object bucket (area >= 400 px^2 at 64x64) for the AP^L analog.
-Detections are pooled per query class across scenes; reported aggregates are
-means over the queried classes. Box areas and IoUs come from `boxes`, one
-IoU table per AP call.
+Detections are pooled per query class across scenes, as one `Detections`
+set of arrays per class; reported aggregates are means over the queried
+classes. Box areas and IoUs come from `boxes`, one IoU table per AP call.
+
+Greedy matching walks the detections in (-score, index) order, and each
+either takes a ground truth or does not. A ground truth is *live* for a
+detection when it is unused, in the same scene and overlaps it with IoU at
+or above the threshold. `average_precision` does not visit every detection:
+it jumps from one *match event*, the next detection that has a live ground
+truth, to the following one. The event takes the last of its maximal-IoU
+in-range candidates (a true positive), else the last of its maximal
+out-of-range ones (ignored). Every detection between two events is a false
+positive if its own area is in range and is left out otherwise. Jumping is
+exact because detections in different scenes never compete for a ground
+truth, and the used set only grows: a detection with no live ground truth
+when the walk reaches it would have had none at any later point either. Each
+event uses up one ground truth, so the loop runs at most once per ground
+truth, and the next event is found by keeping, for each live ground truth,
+the first detection at or after the walk's position that it overlaps.
 """
 
 from __future__ import annotations
@@ -20,13 +36,27 @@ from .data import derive_seed
 
 IOU_SWEEP = tuple(np.round(np.arange(0.5, 1.0, 0.05), 2))
 LARGE_AREA = 400.0  # px^2; the COCO 32^2 threshold mapped onto 64x64 scenes
+RECALL_POINTS = np.linspace(0.0, 1.0, 101)  # of the interpolated precision envelope
 
 
 @dataclass
-class Detection:
-    box: np.ndarray  # corner form (x0, y0, x1, y1), pixels
-    score: float
-    scene: int
+class Detections:
+    """The scored boxes of one class, pooled over scenes."""
+
+    boxes: np.ndarray  # (N, 4) corner form (x0, y0, x1, y1), pixels
+    scores: np.ndarray  # (N,)
+    scenes: np.ndarray  # (N,) scene id of each box
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    @classmethod
+    def concat(cls, parts: list) -> "Detections":
+        return cls(
+            np.concatenate([np.zeros((0, 4)), *(p.boxes for p in parts)]),
+            np.concatenate([np.zeros(0), *(p.scores for p in parts)]),
+            np.concatenate([np.zeros(0, dtype=np.int64), *(p.scenes for p in parts)]),
+        )
 
 
 @dataclass
@@ -64,68 +94,67 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def average_precision(dets, gts, iou_thresh, area_range=None) -> float:
+def average_precision(dets: Detections, gts, iou_thresh, area_range=None) -> float:
     """AP for one class: greedy highest-score-first matching, each ground truth
     used at most once, 101-point interpolated precision envelope.
 
     `gts` maps scene id -> (G, 4) corner boxes. With `area_range = (lo, hi)`,
     ground truths outside the range are ignored rather than counted, and
     unmatched detections whose own area falls outside the range do not count
-    as false positives (COCO size-bucket convention).
+    as false positives (COCO size-bucket convention). Matching jumps from one
+    match event to the next, as the module docstring describes.
     """
     lo, hi = area_range if area_range is not None else (0.0, np.inf)
 
     per_scene = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b in gts.values()]
     gt_boxes = np.concatenate([np.zeros((0, 4)), *per_scene])
-    cols, n = {}, 0  # scene id -> its columns of the IoU table
-    for s, b in zip(gts, per_scene):
-        cols[s] = range(n, n + len(b))
-        n += len(b)
     gt_area = area(gt_boxes)
-    gt_in_range = ((lo <= gt_area) & (gt_area < hi)).tolist()
-    n_pos = sum(gt_in_range)
+    gt_in_range = (lo <= gt_area) & (gt_area < hi)
+    n_pos = int(gt_in_range.sum())
     if n_pos == 0:
         return 0.0
 
-    det_boxes = np.asarray([d.box for d in dets], dtype=np.float64).reshape(-1, 4)
+    gt_scene = np.repeat(list(gts), [len(b) for b in per_scene])
+    order = np.argsort(-dets.scores, kind="stable")
+    det_boxes = dets.boxes[order]
     table = iou(det_boxes, gt_boxes)
-    det_area = area(det_boxes).tolist()
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    used = [False] * n
-    flags = []  # 1 = TP, 0 = FP; ignored detections are left out
-    for i in order:
-        best_j, best_iou = -1, iou_thresh
-        best_ign_j, best_ign_iou = -1, iou_thresh
-        scene_cols = cols.get(dets[i].scene, range(0))
-        row = table[i, scene_cols.start : scene_cols.stop].tolist()
-        for j, v in zip(scene_cols, row):
-            if used[j]:
-                continue
-            if gt_in_range[j]:
-                if v >= best_iou:
-                    best_iou, best_j = v, j
-            elif v >= best_ign_iou:
-                best_ign_iou, best_ign_j = v, j
-        if best_j >= 0:
-            used[best_j] = True
-            flags.append(1)
-        elif best_ign_j >= 0:
-            used[best_ign_j] = True  # matched an out-of-range gt: ignore
-        elif lo <= det_area[i] < hi:
-            flags.append(0)
+    n = len(dets)
+    hits = (table >= iou_thresh) & (dets.scenes[order, None] == gt_scene[None, :])
+    hits = np.concatenate([hits, np.ones((1, len(gt_scene)), dtype=bool)])  # row n: no more hits
+    # first row at or after the walk's position that each live gt overlaps
+    nxt = hits.argmax(axis=0)
+    is_tp = np.zeros(n, dtype=bool)
+    is_event = np.zeros(n, dtype=bool)
+    while (r := int(nxt.min())) < n:
+        cands = np.flatnonzero(nxt == r)
+        pool = cands[gt_in_range[cands]]
+        if len(pool) == 0:
+            pool = cands  # only out-of-range gts: the detection is ignored
+        v = table[r, pool]
+        chosen = pool[len(v) - 1 - int(np.argmax(v[::-1]))]  # last of the maximal
+        is_event[r] = True
+        is_tp[r] = gt_in_range[chosen]
+        nxt[chosen] = n
+        rest = cands[cands != chosen]
+        nxt[rest] = r + 1 + hits[r + 1 :, rest].argmax(axis=0)
 
-    if not flags:
+    det_area = area(det_boxes)
+    counted = is_tp | (~is_event & (lo <= det_area) & (det_area < hi))
+    flags = is_tp[counted]  # True = TP, False = FP; ignored detections are left out
+    if not len(flags):
         return 0.0
-    tp = np.cumsum(np.array(flags) == 1)
-    fp = np.cumsum(np.array(flags) == 0)
+    tp = np.cumsum(flags)
+    fp = np.cumsum(~flags)
     recall = tp / n_pos
     precision = tp / np.maximum(tp + fp, 1)
-    # precision envelope, then 101-point interpolation
+    # precision envelope, then 101-point interpolation. The points are summed
+    # left to right as Python floats: np.sum's pairwise order, or sum()'s
+    # compensation from Python 3.12 on, could round the last bit differently.
     env = np.maximum.accumulate(precision[::-1])[::-1]
+    k = np.searchsorted(recall, RECALL_POINTS, side="left")
     out = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        k = np.searchsorted(recall, r, side="left")
-        out += env[k] if k < len(env) else 0.0
+    for x in np.where(k < len(env), env[np.minimum(k, len(env) - 1)], 0.0).tolist():
+        out += x
     return out / 101.0
 
 
@@ -137,7 +166,6 @@ def evaluate_queries(
     seed: int = 0,
     restrict_classes=None,
     sketch_class_map=None,
-    max_scenes=None,
 ) -> MetricsReport:
     """Query every (scene, present class) pair of a split and score detections
     against the queried class only.
@@ -150,8 +178,6 @@ def evaluate_queries(
         raise ValueError(f"unknown protocol {protocol!r}")
     n_query = 5 if protocol == "5Q" else 1
     scene_ids = dataset.scene_ids(subset)
-    if max_scenes is not None:
-        scene_ids = scene_ids[:max_scenes]
 
     dets_by_class: dict = {}
     gts_by_class: dict = {}
@@ -172,8 +198,9 @@ def evaluate_queries(
             result = model.localize(image, sketches, threshold=0.0)
             n_queries += 1
             corners = cxcywh_to_corners(np.reshape([b for b, _ in result.detections], (-1, 4))) * size
-            dets_by_class.setdefault(cls, []).extend(
-                Detection(c, score, sid) for c, (_, score) in zip(corners, result.detections)
+            scores = np.array([score for _, score in result.detections], dtype=np.float64)
+            dets_by_class.setdefault(cls, []).append(
+                Detections(corners, scores, np.full(len(scores), sid, dtype=np.int64))
             )
             mask = [c == cls for c in ann.classes]
             gts_by_class.setdefault(cls, {})[sid] = ann.boxes[mask]
@@ -181,7 +208,7 @@ def evaluate_queries(
     per_class = {}
     large = (LARGE_AREA, np.inf)
     for cls in sorted(gts_by_class):
-        dets = dets_by_class.get(cls, [])
+        dets = Detections.concat(dets_by_class[cls])
         gts = gts_by_class[cls]
         sweep = [average_precision(dets, gts, t) for t in IOU_SWEEP]
         has_large = any((area(boxes) >= LARGE_AREA).any() for boxes in gts.values())

@@ -206,6 +206,6 @@ class SketchLocalizer:
         scores, boxes = self.forward(image, list(sketches))
         s = scores.data
         b = boxes.data
-        order = sorted(range(len(s)), key=lambda i: (-s[i], i))
-        dets = [(b[i].astype(np.float64).copy(), float(s[i])) for i in order if s[i] >= threshold]
-        return LocalizationResult(dets)
+        order = np.argsort(-s, kind="stable")  # (-score, index) order
+        order = order[s[order] >= threshold]
+        return LocalizationResult(list(zip(b[order].astype(np.float64), s[order].tolist())))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -192,3 +193,17 @@ class TestLocalize:
         m = tiny_model()
         res = m.localize(rand_image(rng), rand_sketch(rng), threshold=0.0)
         assert len(res.detections) == TINY.num_tokens
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.25, 0.6])
+    def test_order_matches_key_sort_on_tied_scores(self, rng, threshold):
+        m = tiny_model()
+        s = (rng.integers(0, 5, 100) / 4).astype(np.float32)  # many ties, some at the threshold
+        b = rng.random((100, 4)).astype(np.float32)
+        m.forward = lambda image, sketches: (SimpleNamespace(data=s), SimpleNamespace(data=b))
+        res = m.localize(rand_image(rng), [rand_sketch(rng)], threshold=threshold)
+        order = sorted(range(len(s)), key=lambda i: (-s[i], i))
+        want = [(b[i].astype(np.float64), float(s[i])) for i in order if s[i] >= threshold]
+        assert len(res.detections) == len(want) > 0
+        for (box, score), (want_box, want_score) in zip(res.detections, want):
+            assert box.dtype == np.float64 and np.array_equal(box, want_box)
+            assert type(score) is float and score == want_score

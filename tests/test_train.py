@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgloc.data import DataConfig, Dataset, generate_dataset
 from sgloc.matching import build_cost_matrix, hungarian_assign, total_loss
@@ -222,6 +224,30 @@ class TestMalformedCheckpoint:
             read_checkpoint(path)
         assert str(e.value) == f"{path}: 4 trailing bytes at offset {len(buf)}"
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_loads_or_raises_value_error(self, fuzz_checkpoint, data):
+        # A guard: cut anywhere, or flip one bit (mostly in the first 600
+        # bytes, which hold the header, the config text and the first
+        # parameter records). `ShapeError` is a `ValueError`; a raw struct,
+        # index, decode or type error fails the test.
+        path, buf = fuzz_checkpoint
+        blob = bytearray(buf)
+        if data.draw(st.booleans(), label="truncate"):
+            del blob[data.draw(st.integers(0, len(blob) - 1), label="cut"):]
+        else:
+            bits = st.one_of(st.integers(0, 8 * 600 - 1), st.integers(0, 8 * len(blob) - 1))
+            bit = data.draw(bits, label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        damaged = path + ".damaged"
+        with open(damaged, "wb") as f:
+            f.write(blob)
+        try:
+            model, cfg = load_model(damaged)
+        except ValueError:
+            return
+        assert isinstance(model, SketchLocalizer) and model.config == cfg
+
     def test_version_1_rejected(self, tmp_path):
         path, buf, _ = self.saved(tmp_path)
         with open(path, "wb") as f:
@@ -245,6 +271,16 @@ def train_corpus(tmp_path_factory):
     cfg = DataConfig(n_train=12, n_val=4, seed=3, sketches_per_class=6, val_sketches_per_class=2)
     generate_dataset(cfg, out)
     return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """(path, bytes) of a tiny model's checkpoint with its full config text."""
+    cfg = tiny_train_config("")
+    path = str(tmp_path_factory.mktemp("fuzz") / "a.sgl")
+    save_checkpoint(path, SketchLocalizer(cfg, seed=cfg.seed), cfg.to_text())
+    with open(path, "rb") as f:
+        return path, f.read()
 
 
 def tiny_train_config(dataset, **kw):
