@@ -1,12 +1,20 @@
-"""Multi-head cross-attention, 2D sinusoidal grid positions, and the fusion adapter.
+"""The model's one repeated unit, `Block`, and the pieces it is built from.
 
-These three pieces are the shared machinery behind every feature-fusion step
-in the model: encoder-side sketch fusion, decoder token refinement, and
-multi-sketch query fusion. A `Block` pairs one attention with one adapter.
+Every attention site in the model is a `Block` call: the image and sketch
+encoder stages, the sketch-guided fusion after each image stage, both halves
+of each decoder layer, object/query refinement and multi-sketch query fusion.
+A block computes
+
+    x + W_out relu(mean_G(W_in attention(q, kv)))
+
+where q is x, or x layer-normalized row by row when the site pre-norms, and
+kv is q unless the site attends over another sequence. With G key/value
+groups (the L sketches of a bundle) the queries attend to each group on its
+own and the adapter averages the G hidden pre-activations; with G = 1 the
+mean is the identity.
 
 Attention is packed: each projection is one d x d matrix whose column block h
-belongs to head h, and one call computes every head, and every independent
-key/value group (e.g. the L sketches of a multi-query bundle), with one
+belongs to head h, and one call computes every head and every group with one
 batched softmax over (groups*heads, n_q, n_k).
 """
 
@@ -22,7 +30,9 @@ from .tensor import (
     Tensor,
     add,
     bmm,
+    layer_norm_rows,
     matmul,
+    mean_groups,
     merge_heads,
     relu,
     scale,
@@ -65,19 +75,22 @@ class AdapterParams:
     w_in: Tensor  # d x d_h
     w_out: Tensor  # d_h x d
 
-    @property
-    def hidden(self) -> int:
-        return self.w_in.shape[1]
-
 
 @dataclass
 class Block:
-    """The model's one repeated unit: attention, then the adapter MLP on its
-    output. Every self-attention block, encoder fusion, decoder layer half,
-    refinement pass and the query fusion holds one."""
+    """Attention, then the adapter MLP on its output (see the module docstring)."""
 
     attn: AttentionParams
     adapter: AdapterParams
+
+    def __call__(self, x: Tensor, kv: Tensor | None = None, *, norm: bool = False,
+                 q_pos=None, k_pos=None, groups: int = 1) -> Tensor:
+        """`x` is the n x d residual stream. The queries are `x`, pre-normed
+        when `norm` is set; `kv` (default: the queries) stacks `groups` groups
+        of keys/values. `q_pos`/`k_pos` are as in `cross_attention`."""
+        q = layer_norm_rows(x) if norm else x
+        attended = cross_attention(q, q if kv is None else kv, self.attn, q_pos, k_pos, groups)
+        return adapter_fuse(attended, x, self.adapter, groups)
 
 
 _pos_cache: dict = {}
@@ -128,7 +141,6 @@ def _add_pos(seq: Tensor, table: np.ndarray | None, groups: int) -> Tensor:
 def cross_attention(
     query_seq: Tensor,
     key_seq: Tensor,
-    value_seq: Tensor,
     params: AttentionParams,
     q_pos=None,
     k_pos=None,
@@ -137,36 +149,37 @@ def cross_attention(
     """Multi-head attention from one query sequence over `groups` independent
     key/value groups.
 
-    `query_seq` is n_q x d. `key_seq` and `value_seq` stack G groups of n_k
-    rows each, group-major ((G*n_k) x d). The queries attend to each group on
-    its own, with a softmax over that group's keys only; the result is
-    (G*n_q) x d, group-major. `q_pos` is an n_q x d table added to the
-    queries, and `k_pos` an n_k x d table added to every group's keys, never
-    to the values.
+    `query_seq` is n_q x d. `key_seq` stacks G groups of n_k rows each,
+    group-major ((G*n_k) x d), and serves as both keys and values. The
+    queries attend to each group on its own, with a softmax over that group's
+    keys only; the result is (G*n_q) x d, group-major. `q_pos` is an n_q x d
+    table added to the queries, and `k_pos` an n_k x d table added to every
+    group's keys, never to the values.
     """
     d = params.width
     if (
         query_seq.shape[1] != d
         or key_seq.shape[1] != d
-        or value_seq.shape != key_seq.shape
         or key_seq.shape[0] % groups
     ):
         raise ShapeError(
-            f"attention shapes mismatch: q {query_seq.shape}, k {key_seq.shape}, "
-            f"v {value_seq.shape}, params width {d}, {groups} groups"
+            f"attention shapes mismatch: q {query_seq.shape}, kv {key_seq.shape}, "
+            f"params width {d}, {groups} groups"
         )
     h = params.heads
     q = _add_pos(query_seq, q_pos, 1)
     k = _add_pos(key_seq, k_pos, groups)
     qh = split_heads(matmul(q, params.wq), h)
     kh = split_heads(matmul(k, params.wk), h, groups)
-    vh = split_heads(matmul(value_seq, params.wv), h, groups)
+    vh = split_heads(matmul(key_seq, params.wv), h, groups)
     att = softmax_rows(scale(bmm(qh, kh, transpose_b=True), 1.0 / math.sqrt(params.key_width)))
     return merge_heads(bmm(att, vh), h)
 
 
-def adapter_fuse(attended: Tensor, residual: Tensor, params: AdapterParams) -> Tensor:
-    """residual + W_out(relu(W_in(attended))), position-wise per row."""
-    if attended.shape != residual.shape:
-        raise ShapeError(f"adapter_fuse: shapes {attended.shape} and {residual.shape} differ")
-    return add(residual, matmul(relu(matmul(attended, params.w_in)), params.w_out))
+def adapter_fuse(attended: Tensor, residual: Tensor, params: AdapterParams, groups: int = 1) -> Tensor:
+    """residual + W_out(relu(mean_G(W_in(attended)))), position-wise per row;
+    `attended` stacks G row blocks of `residual`'s shape, group-major."""
+    n, d = residual.shape
+    if attended.shape != (groups * n, d):
+        raise ShapeError(f"adapter_fuse: {attended.shape} is not {groups} groups of {residual.shape}")
+    return add(residual, matmul(relu(mean_groups(matmul(attended, params.w_in), groups)), params.w_out))

@@ -26,22 +26,6 @@ from .boxes import iou
 
 IMAGE_SIZE = 64
 
-CLASS_NAMES = [
-    "circle",
-    "square",
-    "triangle",
-    "star",
-    "cross",
-    "ring",
-    "arrow",
-    "crescent",
-    "trapezoid",
-    "l_shape",
-    "t_shape",
-    "zigzag",
-]
-
-
 class PlacementError(RuntimeError):
     """Raised when instances cannot be placed within the retry budget."""
 
@@ -159,17 +143,7 @@ _OUTLINES = {
 }
 
 
-@dataclass(frozen=True)
-class ShapeClass:
-    id: int
-    name: str
-
-    def outline(self) -> list:
-        """Closed loops in the canonical [-1, 1] frame."""
-        return [loop.copy() for loop in _OUTLINES[self.name]()]
-
-
-SHAPE_CLASSES = [ShapeClass(i, n) for i, n in enumerate(CLASS_NAMES)]
+CLASS_NAMES = list(_OUTLINES)  # class id = index
 
 
 def _transform(loops, rot: float, scale_xy, center) -> list:
@@ -290,7 +264,7 @@ def generate_scene(seed: int, config: DataConfig, classes=None) -> SceneSample:
     boxes, cls_ids, masks = [], [], []
     for _ in range(n_inst):
         cls = int(rng.choice(pool))
-        shape = SHAPE_CLASSES[cls]
+        name = CLASS_NAMES[cls]
         placed = False
         s = float(rng.uniform(*config.size_range))
         for attempt in range(80):
@@ -301,7 +275,7 @@ def generate_scene(seed: int, config: DataConfig, classes=None) -> SceneSample:
             cy = rng.uniform(half + 1, size - half - 1)
             rot = math.radians(rng.uniform(-config.rot_deg, config.rot_deg))
             stretch = rng.uniform(0.85, 1.15)
-            loops = _transform(shape.outline(), rot, (half, half * stretch), (cx, cy))
+            loops = _transform(_OUTLINES[name](), rot, (half, half * stretch), (cx, cy))
             mask = _rasterize(loops)
             box = _tight_box(mask)
             if box is None:
@@ -318,7 +292,7 @@ def generate_scene(seed: int, config: DataConfig, classes=None) -> SceneSample:
             break
         if not placed:
             raise PlacementError(
-                f"could not place a {shape.name} of size ~{s:.0f}px after 80 attempts"
+                f"could not place a {name} of size ~{s:.0f}px after 80 attempts"
             )
     np.clip(img, 0.0, 1.0, out=img)
     return SceneSample(img, np.array(boxes, dtype=np.float64), cls_ids, seed, masks)
@@ -337,7 +311,7 @@ def render_sketch(cls: int, seed: int, style: SketchStyle | None = None) -> np.n
     half = draw_size / 2.0
     center = size / 2.0 + rng.uniform(-style.offset_px, style.offset_px, 2)
     rot = math.radians(rng.uniform(-style.rot_deg, style.rot_deg))
-    loops = _transform(SHAPE_CLASSES[cls].outline(), rot, (half, half), center)
+    loops = _transform(_OUTLINES[CLASS_NAMES[cls]](), rot, (half, half), center)
 
     img = np.zeros((size, size), dtype=np.float64)
     width = float(rng.uniform(*style.width_range))
@@ -393,12 +367,18 @@ def _draw_segment(img: np.ndarray, a, b, width: float) -> None:
 # PPM / PGM
 
 
-def write_ppm(path: str, img: np.ndarray) -> None:
+def _write_pnm(path: str, img: np.ndarray, magic: str, channels: tuple) -> None:
     arr = np.clip(np.rint(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
-    h, w, _ = arr.shape
+    h, w, *rest = arr.shape
+    if tuple(rest) != channels:
+        raise ValueError(f"{path}: cannot write an array of shape {arr.shape} as {magic}")
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
+        f.write(f"{magic}\n{w} {h}\n255\n".encode())
         f.write(arr.tobytes())
+
+
+def write_ppm(path: str, img: np.ndarray) -> None:
+    _write_pnm(path, img, "P6", (3,))
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -406,11 +386,7 @@ def read_ppm(path: str) -> np.ndarray:
 
 
 def write_pgm(path: str, img: np.ndarray) -> None:
-    arr = np.clip(np.rint(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
-    h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(arr.tobytes())
+    _write_pnm(path, img, "P5", ())
 
 
 def read_pgm(path: str) -> np.ndarray:

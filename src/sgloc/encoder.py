@@ -2,22 +2,21 @@
 
 A feature map is a plain (n, d) token matrix whose n rows are a square g x g
 grid, row s = y*g + x; `attention.grid_pos(n, d)` is its position table.
+Every stage below is one pre-normed self-attention `attention.Block`; every
+fusion is one `Block` from one token set over another.
 
-The image path is a plain patch-embedding transformer: each stage runs full
-self-attention plus an adapter over the tokens, then a 2x2 average pool halves
-the grid side. After every stage the sketch features are fused into the stage
-output with cross-attention (image tokens as queries, sketch tokens as
-keys/values) followed by the adapter MLP; the fused outputs of all stages form
-the multi-scale memory handed to the decoder.
+The image path is a plain patch-embedding transformer: each stage runs a
+self-attention block over the tokens, then a 2x2 average pool halves the grid
+side. After every stage the sketch bundle is fused into the stage output (image
+tokens as queries, sketch tokens as keys/values); the fused outputs of all
+stages form the multi-scale memory handed to the decoder.
 
 A bundle of L query sketches is their encoded maps stacked sketch by sketch:
-one (L*SKETCH_TOKENS, d) matrix. Two fusion points use it. In the encoder,
-the L per-sketch cross-attentions run as one grouped attention and are
-averaged inside the adapter (mean of the hidden pre-activations). At the
-decoder output, `fuse_queries` makes one query map by attending from the
-average map over all stacked sketch tokens. Both are invariant to the order of
-the bundle, and a one-element bundle reproduces the single-query computation
-bit-exactly.
+one (L*SKETCH_TOKENS, d) matrix. Two fusion points use it. In the encoder it
+is L key/value groups of one block call. At the decoder output, `fuse_queries`
+makes one query map by attending from the average map over all stacked sketch
+tokens. Both are invariant to the order of the bundle, and a one-element
+bundle reproduces the single-query computation bit-exactly.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Block, adapter_fuse, cross_attention, grid_pos
+from .attention import Block, grid_pos
 from .data import IMAGE_SIZE
-from .tensor import ShapeError, Tensor, add, layer_norm_rows, matmul, mean_groups, relu
+from .tensor import ShapeError, Tensor, add, matmul, mean_groups
 
 IMAGE_PATCH = 4  # scene patch side: a 16x16 token grid
 SKETCH_PATCH = 8  # sketch patch side: an 8x8 token grid
@@ -71,6 +70,12 @@ def sketch_to_patches(raster: np.ndarray) -> np.ndarray:
     return raster.reshape(g, p, g, p).transpose(0, 2, 1, 3).reshape(g * g, p * p)
 
 
+def _check_pixels(pixels: np.ndarray, what: str) -> None:
+    """A scene or sketch must hold finite values in [0, 1]; NaN fails too."""
+    if not (0.0 <= pixels.min() and pixels.max() <= 1.0):
+        raise ValueError(f"{what} pixel values must be finite and lie in [0, 1]")
+
+
 _pool_cache: dict = {}
 
 
@@ -93,33 +98,29 @@ def _pool_matrix(g: int, dtype) -> np.ndarray:
 def encode_sketch(raster: np.ndarray, params: SketchEncoderParams) -> Tensor:
     """Patch-embed a 64x64 grayscale sketch and run the self-attention stack;
     returns its SKETCH_TOKENS x d map."""
-    if raster.min() < 0.0 or raster.max() > 1.0:
-        raise ValueError("sketch pixel values must lie in [0, 1]")
+    _check_pixels(raster, "sketch")
     pos = grid_pos(SKETCH_TOKENS, params.patch_embed.shape[1])
     patches = Tensor(sketch_to_patches(raster))
     x = add(matmul(patches, params.patch_embed), Tensor(pos))
-    for blk in params.blocks:
-        xn = layer_norm_rows(x)  # pre-norm, as in the Swin blocks this stands in for
-        attended = cross_attention(xn, xn, xn, blk.attn, q_pos=pos, k_pos=pos)
-        x = adapter_fuse(attended, x, blk.adapter)
+    for blk in params.blocks:  # pre-norm, as in the Swin blocks this stands in for
+        x = blk(x, norm=True, q_pos=pos, k_pos=pos)
     return x
 
 
 def image_block(stage: ImageFeatureStage, params: Block) -> ImageFeatureStage:
-    """Self-attention + adapter over the stage tokens, then a 2x2 average pool."""
+    """A self-attention block over the stage tokens, then a 2x2 average pool."""
     n, d = stage.tokens.shape
     pos = grid_pos(n, d)
     g = math.isqrt(n)
     if g % 2:
         raise ShapeError(f"a stage grid must have an even side to pool, got {g}x{g}")
-    xn = layer_norm_rows(stage.tokens)
-    attended = cross_attention(xn, xn, xn, params.attn, q_pos=pos, k_pos=pos)
-    x = adapter_fuse(attended, stage.tokens, params.adapter)
+    x = params(stage.tokens, norm=True, q_pos=pos, k_pos=pos)
     pooled = matmul(Tensor(_pool_matrix(g, x.data.dtype)), x)
     return ImageFeatureStage(stage.index + 1, pooled)
 
 
 def embed_image(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureStage:
+    _check_pixels(image, "scene")
     patches = Tensor(image_to_patches(image))
     pos = grid_pos(patches.shape[0], params.patch_embed.shape[1])
     return ImageFeatureStage(0, add(matmul(patches, params.patch_embed), Tensor(pos)))
@@ -134,17 +135,14 @@ def bundle_size(bundle: Tensor) -> int:
 
 
 def encoder_fusion_multi(stage_tokens: Tensor, bundle: Tensor, params: Block) -> Tensor:
-    """Fuse L sketches into one stage: one grouped cross-attention from the
-    stage tokens over each sketch (shared projections), then the adapter
-    applied to the mean hidden pre-activation over the L sketches."""
-    n = bundle_size(bundle)
+    """Fuse L sketches into one stage: the stage tokens attend over each
+    sketch as its own key/value group, and the adapter averages the L hidden
+    pre-activations."""
     d = stage_tokens.shape[1]
-    attended = cross_attention(
-        stage_tokens, bundle, bundle, params.attn,
-        q_pos=grid_pos(stage_tokens.shape[0], d), k_pos=grid_pos(SKETCH_TOKENS, d), groups=n,
+    return params(
+        stage_tokens, bundle, q_pos=grid_pos(stage_tokens.shape[0], d),
+        k_pos=grid_pos(SKETCH_TOKENS, d), groups=bundle_size(bundle),
     )
-    pre = mean_groups(matmul(attended, params.adapter.w_in), n)
-    return add(stage_tokens, matmul(relu(pre), params.adapter.w_out))
 
 
 def fuse_queries(bundle: Tensor, params: Block) -> Tensor:
@@ -153,8 +151,7 @@ def fuse_queries(bundle: Tensor, params: Block) -> Tensor:
     n = bundle_size(bundle)
     pos = grid_pos(SKETCH_TOKENS, bundle.shape[1])
     avg = mean_groups(bundle, n)
-    attended = cross_attention(avg, bundle, bundle, params.attn, q_pos=pos, k_pos=np.tile(pos, (n, 1)))
-    return adapter_fuse(attended, avg, params.adapter)
+    return params(avg, bundle, q_pos=pos, k_pos=np.tile(pos, (n, 1)))
 
 
 def sketch_guided_encode(image: np.ndarray, bundle: Tensor | None, params: ImageEncoderParams) -> list:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import AdapterParams, AttentionParams, adapter_fuse, cross_attention
+from .attention import AdapterParams, AttentionParams, Block
 from .matching import build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
 from .tensor import (
@@ -123,25 +123,21 @@ def check_ops(eps: float = EPS) -> list:
     rng = np.random.default_rng(7)
     results = [(name, check_op_case(name, shapes, loss_fn, rng, eps)) for name, shapes, loss_fn in _OP_CASES]
 
-    # Packed attention with G = 2 key/value groups: one shared group of 3
-    # queries attends over each group's 5 keys, and the adapter fuses the
-    # mean over the groups.
+    # One block call with G = 2 key/value groups, as the encoder fusion of a
+    # two-sketch bundle runs it: 3 queries attend over each group's 5 keys,
+    # and the adapter averages the two hidden pre-activations.
     d, heads, groups = 8, 2, 2
-    mk = lambda s: Tensor(rng.standard_normal(s) * 0.4)
-    attn = AttentionParams(mk((d, d)), mk((d, d)), mk((d, d)), heads)
-    adapter = AdapterParams(mk((d, 2 * d)), mk((2 * d, d)))
-    aparams = [Param(f"attn.{i}", t) for i, t in enumerate(attn.tensors())]
-    aparams += [Param("adapter.in", adapter.w_in), Param("adapter.out", adapter.w_out)]
-    q = Tensor(rng.standard_normal((3, d)))
+    shapes = {
+        "attn.q": (d, d), "attn.k": (d, d), "attn.v": (d, d), "adapter.in": (d, 2 * d), "adapter.out": (2 * d, d),
+    }
+    bparams = [Param(name, Tensor(rng.standard_normal(s) * 0.4)) for name, s in shapes.items()]
+    wq, wk, wv, w_in, w_out = (p.value for p in bparams)
+    blk = Block(AttentionParams(wq, wk, wv, heads), AdapterParams(w_in, w_out))
+    x = Tensor(rng.standard_normal((3, d)))
     kv = Tensor(rng.standard_normal((groups * 5, d)))
     r = Tensor(rng.standard_normal((3, d)))
-
-    def attn_loss():
-        attended = mean_groups(cross_attention(q, kv, kv, attn, groups=groups), groups)
-        out = adapter_fuse(attended, q, adapter)
-        return sum_all(mul(out, r))
-
-    results.append(("cross_attention+adapter", finite_difference_check(attn_loss, aparams, eps=eps)))
+    block_loss = lambda: sum_all(mul(blk(x, kv, groups=groups), r))
+    results.append(("block", finite_difference_check(block_loss, bparams, eps=eps)))
     return results
 
 

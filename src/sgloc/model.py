@@ -102,16 +102,8 @@ class SketchLocalizer:
             self.refine_query = self._block("refine_query")
         self.query_fusion = self._block("query_fusion")
         self.heads = HeadParams(
-            score_w1=self._mk("head.score.w1", (2 * c.d, c.d_hidden)),
-            score_b1=self._mk("head.score.b1", (c.d_hidden,), kind="zero"),
-            score_w2=self._mk("head.score.w2", (c.d_hidden, 1)),
-            score_b2=self._mk("head.score.b2", (1,), kind="score_bias"),
-            box_w1=self._mk("head.box.w1", (c.d, c.d)),
-            box_b1=self._mk("head.box.b1", (c.d,), kind="zero"),
-            box_w2=self._mk("head.box.w2", (c.d, c.d)),
-            box_b2=self._mk("head.box.b2", (c.d,), kind="zero"),
-            box_w3=self._mk("head.box.w3", (c.d, 4)),
-            box_b3=self._mk("head.box.b3", (4,), kind="zero"),
+            score=self._mlp("head.score", (2 * c.d, c.d_hidden, 1), last_bias="score_bias"),
+            box=self._mlp("head.box", (c.d, c.d, c.d, 4)),
         )
 
     # -- parameter construction -------------------------------------------
@@ -143,6 +135,19 @@ class SketchLocalizer:
         self.params.append(p)
         self._by_name[name] = p
         return p.value
+
+    def _mlp(self, prefix: str, widths, last_bias: str = "zero") -> list:
+        """(w, b) layers `prefix.w{i}`, `prefix.b{i}` from widths[i-1] to
+        widths[i], i = 1, 2, ...; biases start at zero except the last, which
+        is drawn as `last_bias`."""
+        n = len(widths) - 1
+        return [
+            (
+                self._mk(f"{prefix}.w{i}", (widths[i - 1], widths[i])),
+                self._mk(f"{prefix}.b{i}", (widths[i],), kind=last_bias if i == n else "zero"),
+            )
+            for i in range(1, n + 1)
+        ]
 
     def _block(self, prefix: str) -> Block:
         """Packed d x d projections `prefix.attn.{q,k,v}`, then the adapter

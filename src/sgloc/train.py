@@ -242,6 +242,11 @@ def read_checkpoint(path: str):
 def load_checkpoint(path: str, model: SketchLocalizer) -> str:
     """Load parameters into `model`; unknown names are rejected."""
     config_text, entries = read_checkpoint(path)
+    _load_entries(path, entries, model)
+    return config_text
+
+
+def _load_entries(path: str, entries: dict, model: SketchLocalizer) -> None:
     named = model.named_parameters()
     for name, data in entries.items():
         if name not in named:
@@ -255,15 +260,14 @@ def load_checkpoint(path: str, model: SketchLocalizer) -> str:
     missing = set(named) - set(entries)
     if missing:
         raise ValueError(f"{path}: checkpoint missing parameters {sorted(missing)[:3]}...")
-    return config_text
 
 
 def load_model(path: str) -> tuple:
     """Rebuild the model a checkpoint was trained with and load its weights."""
-    config_text, _ = read_checkpoint(path)
+    config_text, entries = read_checkpoint(path)
     cfg = TrainConfig.from_text(config_text)
     model = SketchLocalizer(cfg, seed=cfg.seed)
-    load_checkpoint(path, model)
+    _load_entries(path, entries, model)
     return model, cfg
 
 

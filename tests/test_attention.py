@@ -6,6 +6,7 @@ import pytest
 from sgloc.attention import (
     AdapterParams,
     AttentionParams,
+    Block,
     adapter_fuse,
     cross_attention,
     grid_pos,
@@ -18,10 +19,13 @@ from sgloc.tensor import (
     ShapeError,
     Tensor,
     backward,
+    add,
     finite_difference_check,
+    layer_norm_rows,
     mul,
     sum_all,
 )
+from sgloc.model import ModelConfig, SketchLocalizer
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 
@@ -96,7 +100,7 @@ class TestCrossAttention:
         p = make_attention(d, H, rng)
         q = Tensor(rng.standard_normal((5, d)))
         kv = Tensor(rng.standard_normal((1, d)))
-        out = cross_attention(q, kv, kv, p).data
+        out = cross_attention(q, kv, p).data
         want = kv.data @ p.wv.data
         for r in range(5):
             assert np.allclose(out[r], want[0], atol=1e-6)
@@ -108,10 +112,8 @@ class TestCrossAttention:
         kv = rng.standard_normal((n_k, d))
         pos = rng.standard_normal((n_k, d)) * 0.1
         perm = rng.permutation(n_k)
-        out1 = cross_attention(Tensor(q.data), Tensor(kv), Tensor(kv), p, k_pos=pos).data
-        out2 = cross_attention(
-            Tensor(q.data), Tensor(kv[perm]), Tensor(kv[perm]), p, k_pos=pos[perm]
-        ).data
+        out1 = cross_attention(Tensor(q.data), Tensor(kv), p, k_pos=pos).data
+        out2 = cross_attention(Tensor(q.data), Tensor(kv[perm]), p, k_pos=pos[perm]).data
         assert np.max(np.abs(out1 - out2)) < 1e-5
 
     def test_matches_direct_formula(self, f64, rng):
@@ -123,7 +125,7 @@ class TestCrossAttention:
         p = AttentionParams(Tensor(wq), Tensor(wk), Tensor(wv), 1)
         q = rng.standard_normal((2, d))
         k = rng.standard_normal((2, d))
-        got = cross_attention(Tensor(q), Tensor(k), Tensor(k), p).data
+        got = cross_attention(Tensor(q), Tensor(k), p).data
 
         logits = (q @ wq) @ (k @ wk).T / math.sqrt(d)
         att = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -140,8 +142,8 @@ class TestCrossAttention:
         q = Tensor(rng.standard_normal((3, d)))
         kv = Tensor(rng.standard_normal((4, d)))
         pos = rng.standard_normal((4, d))
-        out1 = cross_attention(q, kv, kv, p, k_pos=None).data
-        out2 = cross_attention(q, kv, kv, p, k_pos=pos).data
+        out1 = cross_attention(q, kv, p, k_pos=None).data
+        out2 = cross_attention(q, kv, p, k_pos=pos).data
         assert np.allclose(out1, out2, atol=1e-6)
 
     def test_convex_hull_bound(self, rng):
@@ -151,7 +153,7 @@ class TestCrossAttention:
         p = make_attention(d, H, rng)
         q = Tensor(rng.standard_normal((5, d)))
         kv = Tensor(rng.standard_normal((7, d)))
-        out = cross_attention(q, kv, kv, p).data
+        out = cross_attention(q, kv, p).data
         for h in range(H):
             v_proj = kv.data @ head_cols(p.wv, p, h)
             lo, hi = v_proj.min(axis=0), v_proj.max(axis=0)
@@ -169,7 +171,7 @@ class TestCrossAttention:
         r = Tensor(rng.standard_normal((3, d)))
 
         def loss():
-            out = cross_attention(q, kv, kv, p, q_pos=pos_q, k_pos=pos_k)
+            out = cross_attention(q, kv, p, q_pos=pos_q, k_pos=pos_k)
             return sum_all(mul(out, r))
 
         assert finite_difference_check(loss, params, eps=1e-5) < 1e-5
@@ -177,13 +179,13 @@ class TestCrossAttention:
     def test_width_mismatch(self, rng):
         p = make_attention(8, 2, rng)
         with pytest.raises(ShapeError):
-            cross_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 8))), Tensor(np.ones((2, 8))), p)
+            cross_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 8))), p)
 
     def test_group_rows_must_split_evenly(self, rng):
         p = make_attention(8, 2, rng)
         kv = Tensor(np.ones((5, 8)))
         with pytest.raises(ShapeError):
-            cross_attention(Tensor(np.ones((4, 8))), kv, kv, p, groups=2)
+            cross_attention(Tensor(np.ones((4, 8))), kv, p, groups=2)
 
 
 class TestPackedMatchesPerHeadLoop:
@@ -195,7 +197,7 @@ class TestPackedMatchesPerHeadLoop:
         p = make_attention(d, heads, rng)
         q, kv = rng.standard_normal((5, d)), rng.standard_normal((7, d))
         q_pos, k_pos = rng.standard_normal((5, d)), rng.standard_normal((7, d))
-        got = cross_attention(Tensor(q), Tensor(kv), Tensor(kv), p, q_pos=q_pos, k_pos=k_pos).data
+        got = cross_attention(Tensor(q), Tensor(kv), p, q_pos=q_pos, k_pos=k_pos).data
         want = per_head_oracle(q + q_pos, kv + k_pos, kv, p)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -205,7 +207,7 @@ class TestPackedMatchesPerHeadLoop:
         q = rng.standard_normal((n_q, d))
         kv = rng.standard_normal((G * n_k, d))
         q_pos, k_pos = rng.standard_normal((n_q, d)), rng.standard_normal((n_k, d))
-        got = cross_attention(Tensor(q), Tensor(kv), Tensor(kv), p, q_pos=q_pos, k_pos=k_pos, groups=G).data
+        got = cross_attention(Tensor(q), Tensor(kv), p, q_pos=q_pos, k_pos=k_pos, groups=G).data
         assert got.shape == (G * n_q, d)
         for g in range(G):
             kg = kv[g * n_k : (g + 1) * n_k]
@@ -223,7 +225,7 @@ class TestPackedMatchesPerHeadLoop:
         r = Tensor(rng.standard_normal((G * 4, d)))
 
         def loss():
-            out = cross_attention(q, kv, kv, p, q_pos=pos_q, k_pos=pos_k, groups=G)
+            out = cross_attention(q, kv, p, q_pos=pos_q, k_pos=pos_k, groups=G)
             return sum_all(mul(out, r))
 
         assert finite_difference_check(loss, params, eps=1e-5) < 1e-5
@@ -256,7 +258,37 @@ class TestPackedModelParameters:
         assert sizes[0] == sizes[1] == sizes[2]
 
 
+class TestTapeSize:
+    """Tape nodes of one default-config forward, reduced to
+    sum(scores * R1) + sum(boxes * R2). A refactor of the model must not add
+    nodes; a change that means to must update these counts."""
+
+    @pytest.mark.parametrize(
+        "n_sketches, ablate, nodes", [(1, False, 290), (5, False, 447), (1, True, 207), (5, True, 361)]
+    )
+    def test_default_config_tape_nodes(self, rng, n_sketches, ablate, nodes):
+        cfg = ModelConfig(encoder_fusion=not ablate, refinement=not ablate)
+        scores, boxes = SketchLocalizer(cfg).forward(rand_image(rng), [rand_sketch(rng) for _ in range(n_sketches)])
+        r1 = Tensor(rng.standard_normal(scores.shape))
+        r2 = Tensor(rng.standard_normal(boxes.shape))
+        loss = add(sum_all(mul(scores, r1)), sum_all(mul(boxes, r2)))
+        assert len(T._topo(loss)) == nodes
+
+
+class TestBlock:
+    def test_self_attention_attends_over_the_normed_queries(self, rng):
+        mk = lambda shape: Tensor(rng.standard_normal(shape) * 0.3)
+        blk = Block(make_attention(8, 2, rng), AdapterParams(mk((8, 12)), mk((12, 8))))
+        x = Tensor(rng.standard_normal((6, 8)))
+        assert np.array_equal(blk(x, norm=True).data, blk(x, layer_norm_rows(x), norm=True).data)
+        assert np.array_equal(blk(x).data, blk(x, x).data)
+
+
 class TestAdapterFuse:
+    def test_rows_must_match_groups(self):
+        p = AdapterParams(Tensor(np.ones((4, 6))), Tensor(np.ones((6, 4))))
+        with pytest.raises(ShapeError):
+            adapter_fuse(Tensor(np.ones((6, 4))), Tensor(np.ones((2, 4))), p, groups=2)
     def test_zero_weights_identity(self, rng):
         d, dh = 6, 12
         p = AdapterParams(Tensor(np.zeros((d, dh))), Tensor(np.zeros((dh, d))))

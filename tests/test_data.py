@@ -174,6 +174,12 @@ class TestPnm:
         back = read_pgm(p)
         assert np.array_equal(np.rint(back * 255), np.rint(read_pgm(p) * 255))
 
+    def test_writer_rejects_wrong_channel_count(self, tmp_path, rng):
+        with pytest.raises(ValueError, match="as P5"):
+            write_pgm(str(tmp_path / "x.pgm"), rng.random((8, 8, 3)))
+        with pytest.raises(ValueError, match="as P6"):
+            write_ppm(str(tmp_path / "x.ppm"), rng.random((8, 8)))
+
     def test_wrong_magic(self, tmp_path, rng):
         p = str(tmp_path / "x.pgm")
         write_ppm(str(tmp_path / "x.pgm"), rng.random((8, 8, 3)))

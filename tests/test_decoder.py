@@ -69,7 +69,7 @@ class TestRefinement:
         m = tiny_model()
         sk = Tensor(rng.standard_normal((1, TINY.d)))  # a 1x1 grid
         det = Tensor(rng.standard_normal((TINY.num_tokens, TINY.d)))
-        att = cross_attention(det, sk, sk, m.refine_obj.attn, k_pos=grid_pos(1, TINY.d)).data
+        att = cross_attention(det, sk, m.refine_obj.attn, k_pos=grid_pos(1, TINY.d)).data
         assert np.allclose(att, att[0], atol=1e-6)
 
     def test_matches_direct_formula(self, f64, rng):
@@ -131,8 +131,9 @@ class TestHeads:
         vec = rng.standard_normal(TINY.d)
         got = score_tokens(Tensor(det), Tensor(vec), m.heads).data
         z = np.concatenate([det, np.tile(vec, (3, 1))], axis=1)
-        h = np.maximum(z @ m.heads.score_w1.data + m.heads.score_b1.data, 0)
-        logits = (h @ m.heads.score_w2.data + m.heads.score_b2.data).reshape(-1)
+        (w1, b1), (w2, b2) = m.heads.score
+        h = np.maximum(z @ w1.data + b1.data, 0)
+        logits = (h @ w2.data + b2.data).reshape(-1)
         want = 1 / (1 + np.exp(-logits))
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -188,6 +189,19 @@ class TestLocalize:
         m = tiny_model()
         with pytest.raises(ValueError):
             m.localize(rand_image(rng), [rand_sketch(rng)], threshold=1.5)
+
+    @pytest.mark.parametrize("fault", ["scene_0_255", "nan_scene", "nan_sketch"])
+    def test_rejects_pixels_outside_unit_range(self, rng, fault):
+        m = tiny_model()
+        image, sketch = rand_image(rng), rand_sketch(rng)
+        if fault == "scene_0_255":
+            image = image * 255.0
+        elif fault == "nan_scene":
+            image[3, 5, 1] = np.nan
+        else:
+            sketch[7, 2] = np.nan
+        with pytest.raises(ValueError, match=r"pixel values must be finite and lie in \[0, 1\]"):
+            m.localize(image, [sketch])
 
     def test_single_raster_accepted(self, rng):
         m = tiny_model()

@@ -26,7 +26,7 @@ class TestEncoderFusionMulti:
         q_pos = grid_pos(16, TINY.d)
         k_pos = grid_pos(SKETCH_TOKENS, TINY.d)
         got = encoder_fusion_multi(stage, bundle_of([sk]), fp).data
-        att = cross_attention(stage, sk, sk, fp.attn, q_pos=q_pos, k_pos=k_pos)
+        att = cross_attention(stage, sk, fp.attn, q_pos=q_pos, k_pos=k_pos)
         want = adapter_fuse(att, stage, fp.adapter).data
         assert np.array_equal(got, want)
 
@@ -58,7 +58,7 @@ class TestEncoderFusionMulti:
         k_pos = grid_pos(SKETCH_TOKENS, TINY.d)
         got = encoder_fusion_multi(stage, bundle_of(sks), fp).data
         pre = [
-            cross_attention(stage, sk, sk, fp.attn, q_pos=q_pos, k_pos=k_pos).data @ fp.adapter.w_in.data
+            cross_attention(stage, sk, fp.attn, q_pos=q_pos, k_pos=k_pos).data @ fp.adapter.w_in.data
             for sk in sks
         ]
         want = stage.data + np.maximum(sum(pre) / 3, 0.0) @ fp.adapter.w_out.data

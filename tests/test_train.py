@@ -20,6 +20,7 @@ from sgloc.train import (
     train,
 )
 from sgloc.tensor import GradientMap
+from sgloc import train as train_module
 from test_encoder import TINY, tiny_model
 
 
@@ -314,6 +315,18 @@ class TestTrainLoop:
         model, loaded_cfg = load_model(ckpt)
         assert loaded_cfg == cfg
         assert model.config.d == cfg.d
+
+    def test_load_model_reads_the_checkpoint_once(self, train_corpus, tmp_path, monkeypatch):
+        ckpt = train(tiny_train_config(train_corpus), str(tmp_path / "run"), log=lambda m: None)
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return read_checkpoint(path)
+
+        monkeypatch.setattr(train_module, "read_checkpoint", counting)
+        load_model(ckpt)
+        assert calls == [ckpt]
 
     def test_fixed_batch_overfit_decreases_loss(self, train_corpus):
         ds = Dataset(train_corpus)
