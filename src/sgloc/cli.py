@@ -18,22 +18,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a synthetic corpus")
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--mode", choices=["closed", "open"], default="closed")
-    g.add_argument("--train", type=int, default=400, dest="n_train")
-    g.add_argument("--val", type=int, default=100, dest="n_val")
-    g.add_argument("--unseen", default="10,11", help="comma-separated class ids held out in open mode")
-    g.add_argument("--sketches-per-class", type=int, default=24)
-    g.add_argument("--val-sketches-per-class", type=int, default=None,
-                   help="defaults to a third of the pool")
+    dc = DataConfig()
+    g.add_argument("--seed", type=int, default=dc.seed)
+    g.add_argument("--mode", choices=["closed", "open"], default=dc.mode)
+    g.add_argument("--train", type=int, default=dc.n_train, dest="n_train")
+    g.add_argument("--val", type=int, default=dc.n_val, dest="n_val")
+    g.add_argument("--unseen", type=_parse_ids, default=dc.unseen,
+                   help="comma-separated class ids held out in open mode")
+    g.add_argument("--sketches-per-class", type=int, default=dc.sketches_per_class)
+    g.add_argument("--val-sketches-per-class", type=int, default=dc.val_sketches_per_class,
+                   help="defaults to a third of the pool, at least 2")
 
     t = sub.add_parser("train", help="train a model")
     t.add_argument("--config", help="flat key = value config file")
-    t.add_argument("--dataset")
     t.add_argument("--out", required=True)
     for f in fields(TrainConfig):
-        if f.name in ("dataset",):
-            continue
         flag = "--" + f.name.replace("_", "-")
         if f.type == "bool" or isinstance(f.default, bool):
             t.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
@@ -67,20 +66,15 @@ def _parse_bool(s: str) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {s!r}")
 
 
+def _parse_ids(s: str) -> tuple:
+    try:
+        return tuple(int(x) for x in s.split(",") if x.strip() != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated class ids: {s!r}") from None
+
+
 def _cmd_gen_data(args) -> int:
-    unseen = tuple(int(x) for x in str(args.unseen).split(",") if x.strip() != "")
-    n_val_sk = args.val_sketches_per_class
-    if n_val_sk is None:
-        n_val_sk = max(2, args.sketches_per_class // 3)
-    cfg = DataConfig(
-        n_train=args.n_train,
-        n_val=args.n_val,
-        mode=args.mode,
-        unseen=unseen,
-        sketches_per_class=args.sketches_per_class,
-        val_sketches_per_class=n_val_sk,
-        seed=args.seed,
-    )
+    cfg = DataConfig(**{f.name: getattr(args, f.name) for f in fields(DataConfig)})
     generate_dataset(cfg, args.out)
     print(f"wrote {cfg.n_train + cfg.n_val} scenes to {args.out}", file=sys.stderr)
     return 0
@@ -92,8 +86,6 @@ def _cmd_train(args) -> int:
         override = getattr(args, f.name, None)
         if override is not None:
             setattr(cfg, f.name, override)
-    if args.dataset:
-        cfg.dataset = args.dataset
     if not cfg.dataset:
         raise ValueError("no dataset given (use --dataset or a config file)")
     ckpt = train(cfg, args.out)

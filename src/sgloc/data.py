@@ -6,6 +6,14 @@ drawings of a single shape class. Every artifact is a pure function of
 (master seed, config); per-item seeds derive from the master seed with a
 splitmix64 mix so generation order never matters.
 
+The recipe is fixed, as the paper's evaluation data is: `DataConfig` sets
+only the corpus's size, split and seed. The scene recipe is `INSTANCES`,
+`SIZE_RANGE`, `OVERLAP_MAX` and `ROT_DEG`; the sketch recipe is
+`SKETCH_JITTER`, `SKETCH_ROT_DEG`, `SKETCH_WIDTH_RANGE`, `SKETCH_GAP_PROB`,
+`SKETCH_SCALE_RANGE` and `SKETCH_OFFSET_PX`. `generate_scene` and
+`render_sketch` read them when called. There are `len(CLASS_NAMES)` = 12
+classes.
+
 On-disk layout:
     scenes/NNNNNN.ppm          binary P6
     sketches/CLASS/NNNN.pgm    binary P5
@@ -18,13 +26,27 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import iou
 
 IMAGE_SIZE = 64
+
+# scene recipe
+INSTANCES = (1, 4)  # inclusive range of shapes per scene
+SIZE_RANGE = (8.0, 40.0)  # drawn size in pixels, before placement retries shrink it
+OVERLAP_MAX = 0.3  # largest IoU between two boxes of one scene
+ROT_DEG = 15.0  # largest rotation either way
+
+# sketch recipe
+SKETCH_JITTER = 0.06  # vertex noise as a fraction of the drawn size
+SKETCH_ROT_DEG = 15.0
+SKETCH_WIDTH_RANGE = (1.0, 2.0)  # stroke width in pixels
+SKETCH_GAP_PROB = 0.08  # chance that a stroke segment is left out
+SKETCH_SCALE_RANGE = (0.66, 0.84)  # drawn size as a fraction of the raster
+SKETCH_OFFSET_PX = 2.5  # largest shift of the centre along each axis
 
 class PlacementError(RuntimeError):
     """Raised when instances cannot be placed within the retry budget."""
@@ -203,26 +225,11 @@ _PALETTE = np.array(
 class DataConfig:
     n_train: int = 400
     n_val: int = 100
-    n_classes: int = 12
     mode: str = "closed"  # or "open"
     unseen: tuple = (10, 11)  # holdout ids in open mode
-    instances: tuple = (1, 4)
-    size_range: tuple = (8.0, 40.0)
-    overlap_max: float = 0.3
-    rot_deg: float = 15.0
     sketches_per_class: int = 24
-    val_sketches_per_class: int = 8
+    val_sketches_per_class: int | None = None  # None: a third of the pool, at least 2
     seed: int = 0
-
-
-@dataclass
-class SketchStyle:
-    jitter: float = 0.06  # vertex noise as a fraction of the drawn size
-    rot_deg: float = 15.0
-    width_range: tuple = (1.0, 2.0)
-    gap_prob: float = 0.08
-    scale_range: tuple = (0.66, 0.84)
-    offset_px: float = 2.5
 
 
 @dataclass
@@ -230,8 +237,7 @@ class SceneSample:
     image: np.ndarray  # (64, 64, 3) float in [0, 1]
     boxes: np.ndarray  # (n, 4) int corner boxes, x1/y1 exclusive
     classes: list
-    seed: int
-    masks: list = field(default_factory=list)  # per-instance painted-pixel masks
+    masks: list  # per-instance painted-pixel masks
 
 
 @dataclass
@@ -240,7 +246,7 @@ class Annotation:
     classes: list
 
 
-def generate_scene(seed: int, config: DataConfig, classes=None) -> SceneSample:
+def generate_scene(seed: int, classes=None) -> SceneSample:
     """Deterministic scene: cluttered background plus 1..4 textured shapes."""
     rng = np.random.default_rng(seed)
     size = IMAGE_SIZE
@@ -259,28 +265,28 @@ def generate_scene(seed: int, config: DataConfig, classes=None) -> SceneSample:
         img += blob[:, :, None] * amp
     img += rng.uniform(-0.05, 0.05, (size, size, 3))
 
-    pool = list(range(config.n_classes)) if classes is None else list(classes)
-    n_inst = int(rng.integers(config.instances[0], config.instances[1] + 1))
+    pool = list(range(len(CLASS_NAMES))) if classes is None else list(classes)
+    n_inst = int(rng.integers(INSTANCES[0], INSTANCES[1] + 1))
     boxes, cls_ids, masks = [], [], []
     for _ in range(n_inst):
         cls = int(rng.choice(pool))
         name = CLASS_NAMES[cls]
         placed = False
-        s = float(rng.uniform(*config.size_range))
+        s = float(rng.uniform(*SIZE_RANGE))
         for attempt in range(80):
             if attempt and attempt % 10 == 0:
-                s = max(config.size_range[0], s * 0.85)
+                s = max(SIZE_RANGE[0], s * 0.85)
             half = s / 2.0
             cx = rng.uniform(half + 1, size - half - 1)
             cy = rng.uniform(half + 1, size - half - 1)
-            rot = math.radians(rng.uniform(-config.rot_deg, config.rot_deg))
+            rot = math.radians(rng.uniform(-ROT_DEG, ROT_DEG))
             stretch = rng.uniform(0.85, 1.15)
             loops = _transform(_OUTLINES[name](), rot, (half, half * stretch), (cx, cy))
             mask = _rasterize(loops)
             box = _tight_box(mask)
             if box is None:
                 continue
-            if boxes and iou([box], boxes).max() > config.overlap_max:
+            if boxes and iou([box], boxes).max() > OVERLAP_MAX:
                 continue
             color = _PALETTE[rng.integers(len(_PALETTE))] + rng.uniform(-0.08, 0.08, 3)
             texture = rng.uniform(-0.07, 0.07, (size, size))
@@ -295,33 +301,32 @@ def generate_scene(seed: int, config: DataConfig, classes=None) -> SceneSample:
                 f"could not place a {name} of size ~{s:.0f}px after 80 attempts"
             )
     np.clip(img, 0.0, 1.0, out=img)
-    return SceneSample(img, np.array(boxes, dtype=np.float64), cls_ids, seed, masks)
+    return SceneSample(img, np.array(boxes, dtype=np.float64), cls_ids, masks)
 
 
 # ---------------------------------------------------------------------------
 # sketches
 
 
-def render_sketch(cls: int, seed: int, style: SketchStyle | None = None) -> np.ndarray:
+def render_sketch(cls: int, seed: int) -> np.ndarray:
     """White-on-black jittered outline drawing of one shape class."""
-    style = style or SketchStyle()
     rng = np.random.default_rng(seed)
     size = IMAGE_SIZE
-    draw_size = float(rng.uniform(*style.scale_range)) * size
+    draw_size = float(rng.uniform(*SKETCH_SCALE_RANGE)) * size
     half = draw_size / 2.0
-    center = size / 2.0 + rng.uniform(-style.offset_px, style.offset_px, 2)
-    rot = math.radians(rng.uniform(-style.rot_deg, style.rot_deg))
+    center = size / 2.0 + rng.uniform(-SKETCH_OFFSET_PX, SKETCH_OFFSET_PX, 2)
+    rot = math.radians(rng.uniform(-SKETCH_ROT_DEG, SKETCH_ROT_DEG))
     loops = _transform(_OUTLINES[CLASS_NAMES[cls]](), rot, (half, half), center)
 
     img = np.zeros((size, size), dtype=np.float64)
-    width = float(rng.uniform(*style.width_range))
-    sigma = style.jitter * draw_size
+    width = float(rng.uniform(*SKETCH_WIDTH_RANGE))
+    sigma = SKETCH_JITTER * draw_size
     for loop in loops:
         pts = _subdivide(loop, max_step=5.0)
         pts = pts + rng.normal(0.0, sigma, pts.shape)
         n = len(pts)
         for i in range(n):
-            if style.gap_prob > 0 and rng.random() < style.gap_prob:
+            if rng.random() < SKETCH_GAP_PROB:
                 continue
             _draw_segment(img, pts[i], pts[(i + 1) % n], width)
     return np.clip(img, 0.0, 1.0)
@@ -458,14 +463,17 @@ class DatasetSplit:
 
 def make_splits(config: DataConfig) -> DatasetSplit:
     """Decide seen/unseen classes, scene id ranges, and per-class sketch pools."""
-    all_ids = list(range(config.n_classes))
+    for name in ("n_train", "n_val"):
+        if getattr(config, name) <= 0:
+            raise DatasetError(f"config field {name} must be positive, got {getattr(config, name)}")
+    all_ids = list(range(len(CLASS_NAMES)))
     if config.mode == "closed":
         unseen: list = []
     elif config.mode == "open":
         unseen = sorted(int(u) for u in config.unseen)
         if len(set(unseen)) != len(unseen) or any(u not in all_ids for u in unseen):
             raise DatasetError(f"invalid unseen class ids {config.unseen}")
-        if len(unseen) >= config.n_classes / 2:
+        if len(unseen) >= len(CLASS_NAMES) / 2:
             raise DatasetError("unseen classes must be fewer than half of all classes")
     else:
         raise DatasetError(f"unknown mode {config.mode!r}")
@@ -473,6 +481,8 @@ def make_splits(config: DataConfig) -> DatasetSplit:
 
     n_sk = config.sketches_per_class
     n_val_sk = config.val_sketches_per_class
+    if n_val_sk is None:
+        n_val_sk = max(2, n_sk // 3)
     if not (0 < n_val_sk < n_sk):
         raise DatasetError("val sketch count must be positive and below the pool size")
     train_sk, val_sk = {}, {}
@@ -494,13 +504,13 @@ def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
     """Generate and write a full corpus; returns the loaded Dataset."""
     split = make_splits(config)
     os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
-    for name in CLASS_NAMES[: config.n_classes]:
+    for name in CLASS_NAMES:
         os.makedirs(os.path.join(out_dir, "sketches", name), exist_ok=True)
 
     lines = []
     for sid in split.train_scenes + split.val_scenes:
         pool = split.seen if (config.mode == "open" and sid in set(split.train_scenes)) else None
-        sample = generate_scene(derive_seed(config.seed, "scene", sid), config, classes=pool)
+        sample = generate_scene(derive_seed(config.seed, "scene", sid), classes=pool)
         rel = f"scenes/{sid:06d}.ppm"
         write_ppm(os.path.join(out_dir, rel), sample.image)
         lines.append(
@@ -515,7 +525,7 @@ def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
     with open(os.path.join(out_dir, "annotations.jsonl"), "w") as f:
         f.write("\n".join(lines) + "\n")
 
-    for c in range(config.n_classes):
+    for c in range(len(CLASS_NAMES)):
         for i in range(config.sketches_per_class):
             img = render_sketch(c, derive_seed(config.seed, "sketch", c, i))
             write_pgm(os.path.join(out_dir, f"sketches/{CLASS_NAMES[c]}/{i:04d}.pgm"), img)
@@ -529,7 +539,7 @@ def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
                 "val_scenes": split.val_scenes,
                 "train_sketches": {str(k): v for k, v in split.train_sketches.items()},
                 "val_sketches": {str(k): v for k, v in split.val_sketches.items()},
-                "class_names": CLASS_NAMES[: config.n_classes],
+                "class_names": CLASS_NAMES,
                 "mode": config.mode,
                 "seed": config.seed,
             },
@@ -537,6 +547,39 @@ def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
             indent=1,
         )
     return Dataset(out_dir)
+
+
+def _json_record(text: str, where: str, keys: tuple) -> dict:
+    """A JSON object holding at least `keys`, or a DatasetError naming `where`."""
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DatasetError(f"{where}: not valid JSON: {e}") from None
+    if not isinstance(rec, dict):
+        raise DatasetError(f"{where}: expected a JSON object")
+    for key in keys:
+        if key not in rec:
+            raise DatasetError(f"{where}: missing key {key!r}")
+    return rec
+
+
+def _annotation(rec: dict, n_classes: int, where: str) -> Annotation:
+    """The boxes and class ids of one annotation record, checked."""
+    try:
+        boxes = np.array(rec["boxes"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DatasetError(f"{where}: boxes are not an (n, 4) array of numbers") from None
+    if boxes.shape == (0,):
+        boxes = boxes.reshape(0, 4)
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise DatasetError(f"{where}: boxes have shape {boxes.shape}, not (n, 4)")
+    classes = rec["classes"]
+    if not isinstance(classes, list) or len(classes) != len(boxes):
+        raise DatasetError(f"{where}: {len(boxes)} boxes but classes {classes!r}")
+    for c in classes:
+        if not (type(c) is int and 0 <= c < n_classes):
+            raise DatasetError(f"{where}: class id {c!r} is outside 0..{n_classes - 1}")
+    return Annotation(boxes, classes)
 
 
 class Dataset:
@@ -550,7 +593,8 @@ class Dataset:
         if not os.path.exists(split_path):
             raise DatasetError(f"no split.json under {root}")
         with open(split_path) as f:
-            raw = json.load(f)
+            raw = _json_record(f.read(), split_path, ("seen", "unseen", "train_scenes", "val_scenes",
+                                                      "train_sketches", "val_sketches", "class_names"))
         self.split = DatasetSplit(
             seen=raw["seen"],
             unseen=raw["unseen"],
@@ -561,13 +605,19 @@ class Dataset:
         )
         self.class_names = raw["class_names"]
         self.annotations = []
-        with open(os.path.join(root, "annotations.jsonl")) as f:
-            for line in f:
+        ann_path = os.path.join(root, "annotations.jsonl")
+        with open(ann_path) as f:
+            for lineno, line in enumerate(f, 1):
                 if line.strip():
-                    rec = json.loads(line)
-                    self.annotations.append(
-                        (rec["image"], Annotation(np.array(rec["boxes"], dtype=np.float64).reshape(-1, 4), rec["classes"]))
-                    )
+                    where = f"{ann_path} line {lineno}"
+                    rec = _json_record(line, where, ("image", "boxes", "classes"))
+                    self.annotations.append((rec["image"], _annotation(rec, len(self.class_names), where)))
+        for sid in self.split.train_scenes + self.split.val_scenes:
+            if not (type(sid) is int and 0 <= sid < len(self.annotations)):
+                raise DatasetError(
+                    f"{split_path}: scene id {sid!r} does not index the "
+                    f"{len(self.annotations)} annotation lines"
+                )
         self._scene_cache: dict = {}
         self._sketch_cache: dict = {}
 

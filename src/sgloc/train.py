@@ -13,11 +13,15 @@ raises ValueError naming the path and the offset.
 
 The config echoed into a checkpoint is flat `key = value` text, one
 `TrainConfig` field per line. Key order is not significant: a file written
-before the model fields came first still parses to the same config.
+before the model fields came first still parses to the same config. The key
+`mode`, a field that nothing read, is skipped on read, so checkpoints and
+config files that still carry it parse.
 
 Training is single-threaded over batches and fully deterministic given the
 config seed: data order, query sampling, and parameter init all derive from
-it. Identical configs therefore produce byte-identical checkpoints.
+it. Identical configs therefore produce byte-identical checkpoints. The echoed
+config includes `dataset`, the corpus path, so two runs on copies of one
+corpus at different paths give the same parameters but different bytes.
 """
 
 from __future__ import annotations
@@ -50,19 +54,25 @@ class TrainConfig(ModelConfig):
     eps: float = 1e-8
     batch_size: int = 8
     epochs: int = 40
-    lam_cls: float = 2.0
-    lam_l1: float = 5.0
-    lam_giou: float = 2.0
+    lam_cls: float = LossWeights.lam_cls
+    lam_l1: float = LossWeights.lam_l1
+    lam_giou: float = LossWeights.lam_giou
     seed: int = 0
     dataset: str = ""
-    mode: str = "closed"
     protocol_mix: float = 0.5  # probability that a batch uses 5 query sketches
 
     def validate(self) -> None:
         super().validate()
-        for name in ("lr", "batch_size", "epochs"):
-            if getattr(self, name) <= 0:
+        # written as `not ...` so that a NaN fails each test too
+        for name in ("lr", "eps", "batch_size", "epochs"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"config field {name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"config field {name} must lie in [0, 1)")
+        for name in ("lam_cls", "lam_l1", "lam_giou"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"config field {name} must not be negative")
         if not 0.0 <= self.protocol_mix <= 1.0:
             raise ValueError("protocol_mix must lie in [0, 1]")
 
@@ -89,6 +99,8 @@ class TrainConfig(ModelConfig):
             if "=" not in line:
                 raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key == "mode":  # a deleted field that older files still carry
+                continue
             if key not in known:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             try:
@@ -290,6 +302,9 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr)
     dataset = Dataset(config.dataset)
+    train_ids = dataset.scene_ids("train")
+    if not train_ids:
+        raise ValueError(f"{config.dataset}: the train split holds no scenes")
     model = SketchLocalizer(config, seed=config.seed)
     state = OptimState(model.params)
     weights = config.loss_weights()
@@ -298,7 +313,6 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     ckpt_path = os.path.join(out_dir, "last.sgl")
     config_text = config.to_text()
     size = float(dataset.image_size)
-    train_ids = dataset.scene_ids("train")
     history = []
 
     for epoch in range(config.epochs):

@@ -45,6 +45,7 @@ class TestGenData:
         assert len(ds.scene_ids("train")) == 10
         assert len(ds.scene_ids("val")) == 4
         assert ds.split.unseen == [10, 11]
+        assert len(ds.split.val_sketches[0]) == 2  # a third of the 6-sketch pool
 
 
 class TestTrainEval:
@@ -102,6 +103,31 @@ class TestErrors:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["train", "--no-such-flag", "x", "--out", "y"]) == 2
+
+    def test_deleted_mode_flag_exits_2(self, tmp_path, capsys):
+        assert main(["train", "--mode", "open", "--out", str(tmp_path / "o")]) == 2
+
+    def test_malformed_unseen_ids_exit_2(self, tmp_path, capsys):
+        assert main(["gen-data", "--out", str(tmp_path / "c"), "--unseen", "10,x"]) == 2
+        assert "not comma-separated class ids: '10,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [("--train", "n_train"), ("--val", "n_val")])
+    def test_non_positive_scene_count_writes_nothing(self, tmp_path, capsys, flag, field):
+        out = str(tmp_path / "c")
+        assert main(["gen-data", "--out", out, flag, "-3"]) == 1
+        assert capsys.readouterr().err == f"error: config field {field} must be positive, got -3\n"
+        assert not os.path.exists(out)
+
+    def test_eval_on_malformed_split_is_named(self, trained, tmp_path, capsys):
+        _, data_dir, ckpt = trained
+        with open(os.path.join(data_dir, "split.json")) as f:
+            split = json.load(f)
+        del split["seen"]
+        with open(tmp_path / "split.json", "w") as f:
+            json.dump(split, f)
+        assert main(["eval", "--ckpt", ckpt, "--dataset", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'split.json'}: missing key 'seen'\n"
 
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o")]) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgloc import data
 from sgloc.data import (
     CLASS_NAMES,
     DataConfig,
     Dataset,
     DatasetError,
     PlacementError,
-    SketchStyle,
     derive_seed,
     generate_dataset,
     generate_scene,
@@ -41,52 +42,52 @@ class TestSeeds:
 
 class TestGenerateScene:
     def test_deterministic(self):
-        cfg = DataConfig()
-        a = generate_scene(123, cfg)
-        b = generate_scene(123, cfg)
+        a = generate_scene(123)
+        b = generate_scene(123)
         assert np.array_equal(a.image, b.image)
         assert np.array_equal(a.boxes, b.boxes)
         assert a.classes == b.classes
 
-    def test_single_instance_config(self):
-        cfg = DataConfig(instances=(1, 1))
-        s = generate_scene(7, cfg)
+    def test_single_instance_config(self, monkeypatch):
+        monkeypatch.setattr(data, "INSTANCES", (1, 1))
+        s = generate_scene(7)
         assert len(s.classes) == 1 and s.boxes.shape == (1, 4)
 
     def test_boxes_tight_by_pixel_scan(self):
-        cfg = DataConfig()
         for i in range(60):
-            s = generate_scene(derive_seed(5, "scene", i), cfg)
+            s = generate_scene(derive_seed(5, "scene", i))
             for box, mask in zip(s.boxes, s.masks):
                 ys, xs = np.nonzero(mask)
                 scan = (xs.min(), ys.min(), xs.max() + 1, ys.max() + 1)
                 assert all(abs(int(box[k]) - scan[k]) <= 1 for k in range(4))
 
     def test_pixels_in_unit_range(self):
-        s = generate_scene(11, DataConfig())
+        s = generate_scene(11)
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
 
-    def test_overlap_bounded(self):
+    def test_overlap_bounded(self, monkeypatch):
         from sgloc.boxes import iou
 
-        cfg = DataConfig(instances=(4, 4))
+        monkeypatch.setattr(data, "INSTANCES", (4, 4))
         for i in range(20):
-            s = generate_scene(derive_seed(9, "scene", i), cfg)
+            s = generate_scene(derive_seed(9, "scene", i))
             table = iou(s.boxes, s.boxes)
             for a in range(len(s.boxes)):
                 for b in range(a + 1, len(s.boxes)):
-                    assert table[a, b] <= cfg.overlap_max + 1e-9
+                    assert table[a, b] <= data.OVERLAP_MAX + 1e-9
 
-    def test_unsatisfiable_placement(self):
-        cfg = DataConfig(instances=(4, 4), size_range=(58.0, 60.0), overlap_max=0.0)
+    def test_unsatisfiable_placement(self, monkeypatch):
+        monkeypatch.setattr(data, "INSTANCES", (4, 4))
+        monkeypatch.setattr(data, "SIZE_RANGE", (58.0, 60.0))
+        monkeypatch.setattr(data, "OVERLAP_MAX", 0.0)
         with pytest.raises(PlacementError):
             for i in range(5):
-                generate_scene(derive_seed(1, "scene", i), cfg)
+                generate_scene(derive_seed(1, "scene", i))
 
-    def test_class_pool_respected(self):
-        cfg = DataConfig(instances=(2, 4))
+    def test_class_pool_respected(self, monkeypatch):
+        monkeypatch.setattr(data, "INSTANCES", (2, 4))
         for i in range(20):
-            s = generate_scene(derive_seed(3, "scene", i), cfg, classes=[0, 1, 2])
+            s = generate_scene(derive_seed(3, "scene", i), classes=[0, 1, 2])
             assert set(s.classes) <= {0, 1, 2}
 
 
@@ -96,10 +97,11 @@ class TestRenderSketch:
         b = render_sketch(4, 99)
         assert np.array_equal(a, b)
 
-    def test_zero_jitter_is_seed_independent(self):
-        style = SketchStyle(jitter=0.0, rot_deg=0.0, width_range=(1.5, 1.5),
-                            gap_prob=0.0, scale_range=(0.75, 0.75), offset_px=0.0)
-        imgs = [render_sketch(2, seed, style) for seed in (1, 2, 3)]
+    def test_zero_jitter_is_seed_independent(self, monkeypatch):
+        for name, value in [("JITTER", 0.0), ("ROT_DEG", 0.0), ("WIDTH_RANGE", (1.5, 1.5)),
+                            ("GAP_PROB", 0.0), ("SCALE_RANGE", (0.75, 0.75)), ("OFFSET_PX", 0.0)]:
+            monkeypatch.setattr(data, "SKETCH_" + name, value)
+        imgs = [render_sketch(2, seed) for seed in (1, 2, 3)]
         assert (imgs[0] > 0.5).sum() > 50
         assert np.array_equal(imgs[0], imgs[1]) and np.array_equal(imgs[1], imgs[2])
 
@@ -156,6 +158,16 @@ class TestSplits:
     def test_unknown_mode(self):
         with pytest.raises(DatasetError):
             make_splits(DataConfig(mode="hybrid"))
+
+    @pytest.mark.parametrize("field, value", [("n_train", 0), ("n_train", -3), ("n_val", 0), ("n_val", -1)])
+    def test_non_positive_scene_count_is_named(self, field, value):
+        with pytest.raises(DatasetError, match=f"config field {field} must be positive, got {value}"):
+            make_splits(DataConfig(**{field: value}))
+
+    @pytest.mark.parametrize("pool, want", [(3, 2), (6, 2), (9, 3), (24, 8)])
+    def test_default_val_pool_is_a_third_of_the_pool_at_least_two(self, pool, want):
+        split = make_splits(DataConfig(sketches_per_class=pool))
+        assert all(len(split.val_sketches[c]) == want for c in range(len(CLASS_NAMES)))
 
 
 class TestPnm:
@@ -302,7 +314,7 @@ class TestDatasetDirectory:
         ds, cfg, _ = small_open_dataset
         sid = ds.split.train_scenes[0]
         img = ds.load_scene(sid)
-        regen = generate_scene(derive_seed(cfg.seed, "scene", sid), cfg, classes=ds.split.seen)
+        regen = generate_scene(derive_seed(cfg.seed, "scene", sid), classes=ds.split.seen)
         assert np.max(np.abs(img - regen.image)) <= 1.0 / 255.0 + 1e-9
 
     def test_deterministic_regeneration(self, small_open_dataset, tmp_path):
@@ -317,3 +329,106 @@ class TestDatasetDirectory:
         ds, _, _ = small_open_dataset
         with pytest.raises(DatasetError):
             ds.sketch_pool(10, "train")
+
+
+@pytest.fixture(scope="module")
+def metadata(tmp_path_factory):
+    """The split.json and annotations.jsonl texts of an 8-scene corpus."""
+    out = tmp_path_factory.mktemp("metadata")
+    generate_dataset(DataConfig(n_train=6, n_val=2, sketches_per_class=3, val_sketches_per_class=1), str(out))
+    files = {}
+    for name in ("split.json", "annotations.jsonl"):
+        with open(out / name) as f:
+            files[name] = f.read()
+    return files
+
+
+def _edit_line(n: int, edit):
+    """Apply `edit` to the record on line `n` of annotations.jsonl."""
+    def apply(files):
+        lines = files["annotations.jsonl"].splitlines()
+        lines[n - 1] = edit(lines[n - 1])
+        files["annotations.jsonl"] = "\n".join(lines) + "\n"
+    return apply
+
+
+def _edit_record(n: int, edit):
+    return _edit_line(n, lambda line: json.dumps(edit(json.loads(line))))
+
+
+def _edit_split(edit):
+    def apply(files):
+        files["split.json"] = json.dumps(edit(json.loads(files["split.json"])))
+    return apply
+
+
+def _without(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "damage, where, match",
+    [
+        (lambda files: files.update({"split.json": '{"seen": [0, 1'}), "split.json", "not valid JSON"),
+        (_edit_split(_without("seen")), "split.json", "missing key 'seen'"),
+        (_edit_split(_without("class_names")), "split.json", "missing key 'class_names'"),
+        (_edit_line(2, lambda line: line[:-3]), "annotations.jsonl line 2", "not valid JSON"),
+        (_edit_line(2, lambda line: "[1, 2]"), "annotations.jsonl line 2", "expected a JSON object"),
+        (_edit_record(3, _without("boxes")), "annotations.jsonl line 3", "missing key 'boxes'"),
+        (_edit_record(1, lambda r: {**r, "boxes": [b[:3] for b in r["boxes"]]}),
+         "annotations.jsonl line 1", r"boxes have shape \(\d+, 3\), not \(n, 4\)"),
+        (_edit_record(1, lambda r: {**r, "boxes": [[1, 2], [3, 4, 5, 6]]}),
+         "annotations.jsonl line 1", r"boxes are not an \(n, 4\) array of numbers"),
+        (_edit_record(1, lambda r: {**r, "boxes": r["boxes"] + [[1, 1, 5, 5]]}),
+         "annotations.jsonl line 1", "boxes but classes"),
+        (_edit_record(4, lambda r: {**r, "classes": [12] * len(r["classes"])}),
+         "annotations.jsonl line 4", r"class id 12 is outside 0\.\.11"),
+        (_edit_record(4, lambda r: {**r, "classes": [-1] * len(r["classes"])}),
+         "annotations.jsonl line 4", r"class id -1 is outside 0\.\.11"),
+        (_edit_split(lambda s: {**s, "val_scenes": [-3, -2]}), "split.json",
+         "scene id -3 does not index the 8 annotation lines"),
+        (_edit_split(lambda s: {**s, "train_scenes": s["train_scenes"] + [8]}), "split.json",
+         "scene id 8 does not index the 8 annotation lines"),
+    ],
+    ids=["split-json", "split-missing-seen", "split-missing-class-names", "line-json", "line-not-object",
+         "line-missing-boxes", "boxes-n-by-3", "boxes-ragged", "boxes-outnumber-classes",
+         "class-id-too-large", "class-id-negative", "negative-scene-id", "scene-id-past-the-end"],
+)
+def test_malformed_metadata_names_file_and_fault(metadata, tmp_path, damage, where, match):
+    files = dict(metadata)
+    damage(files)
+    for name, text in files.items():
+        with open(tmp_path / name, "w") as f:
+            f.write(text)
+    with pytest.raises(DatasetError, match=match) as err:
+        Dataset(str(tmp_path))
+    assert str(err.value).startswith(os.path.join(str(tmp_path), where) + ": ")
+
+
+def corpus_digest(root: str) -> str:
+    """sha256 over every file under `root`: sorted relative paths, each with
+    its byte length and its bytes."""
+    h = hashlib.sha256()
+    paths = sorted(os.path.relpath(os.path.join(d, n), root) for d, _, ns in os.walk(root) for n in ns)
+    for rel in paths:
+        with open(os.path.join(root, rel), "rb") as f:
+            blob = f.read()
+        h.update(rel.encode() + b"\0" + len(blob).to_bytes(8, "little") + blob)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kw, want",
+    [
+        (dict(seed=3), "b1808060466e253fd985c09adec3ba5b2de94379fcea5eacfa5f829442c8e2f3"),
+        (dict(seed=13, mode="open", unseen=(10, 11)),
+         "239a3006ee8b6d3ae812cdaceeb12f6ff561b39b1ef4b5f6ecf782c63fc24583"),
+    ],
+    ids=["closed", "open"],
+)
+def test_corpus_bytes_are_pinned(tmp_path, kw, want):
+    # the recipe's every pixel, box and split entry: a change to the corpus
+    # must change these digests on purpose
+    cfg = DataConfig(n_train=6, n_val=2, sketches_per_class=3, val_sketches_per_class=1, **kw)
+    generate_dataset(cfg, str(tmp_path))
+    assert corpus_digest(str(tmp_path)) == want

@@ -1,4 +1,7 @@
+import json
+import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -108,6 +111,27 @@ class TestTrainConfig:
             "encoder_fusion = true\nrefinement = true\n"
         )
         assert TrainConfig.from_text(old) == TrainConfig()
+
+    def test_mode_key_of_older_files_is_skipped(self):
+        assert TrainConfig.from_text("mode = open\nd = 32\n") == TrainConfig(d=32)
+
+    @pytest.mark.parametrize(
+        "field, value, want",
+        [
+            ("beta1", 1.0, r"lie in \[0, 1\)"),
+            ("beta1", -0.1, r"lie in \[0, 1\)"),
+            ("beta2", 1.5, r"lie in \[0, 1\)"),
+            ("eps", -1.0, "be positive"),
+            ("eps", 0.0, "be positive"),
+            ("lr", math.nan, "be positive"),
+            ("lam_cls", -2.0, "not be negative"),
+            ("lam_l1", -1.0, "not be negative"),
+            ("lam_giou", math.nan, "not be negative"),
+        ],
+    )
+    def test_optimizer_and_loss_settings_are_checked(self, field, value, want):
+        with pytest.raises(ValueError, match=f"config field {field} must {want}"):
+            TrainConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("field", ["d", "heads", "num_tokens", "dec_layers"])
     def test_non_positive_model_field_is_named(self, field):
@@ -302,6 +326,18 @@ class TestTrainLoop:
         assert os.path.exists(ckpt)
         assert len(msgs) == cfg.epochs
         assert all("total" in m for m in msgs)
+
+    def test_empty_train_split_is_refused(self, train_corpus, tmp_path):
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(train_corpus, corpus)
+        split_path = os.path.join(corpus, "split.json")
+        with open(split_path) as f:
+            split = json.load(f)
+        with open(split_path, "w") as f:
+            json.dump({**split, "train_scenes": []}, f)
+        with pytest.raises(ValueError, match="the train split holds no scenes"):
+            train(tiny_train_config(corpus), str(tmp_path / "run"), log=lambda m: None)
+        assert not os.path.exists(tmp_path / "run")
 
     def test_identical_seeds_identical_checkpoints(self, train_corpus, tmp_path):
         cfg = tiny_train_config(train_corpus, epochs=2)
