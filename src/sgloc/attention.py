@@ -14,8 +14,9 @@ own and the adapter averages the G hidden pre-activations; with G = 1 the
 mean is the identity.
 
 Attention is packed: each projection is one d x d matrix whose column block h
-belongs to head h, and one call computes every head and every group with one
-batched softmax over (groups*heads, n_q, n_k).
+belongs to head h. One `tensor.attend` call is the one batched pass over every
+head and every group: scores, softmax over (groups*heads, n_q, n_k) and the
+weighted values, as a single tape node.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
-    bmm,
+    attend,
     layer_norm_rows,
     matmul,
     mean_groups,
     merge_heads,
     relu,
-    scale,
-    softmax_rows,
     split_heads,
 )
 
@@ -172,8 +171,7 @@ def cross_attention(
     qh = split_heads(matmul(q, params.wq), h)
     kh = split_heads(matmul(k, params.wk), h, groups)
     vh = split_heads(matmul(key_seq, params.wv), h, groups)
-    att = softmax_rows(scale(bmm(qh, kh, transpose_b=True), 1.0 / math.sqrt(params.key_width)))
-    return merge_heads(bmm(att, vh), h)
+    return merge_heads(attend(qh, kh, vh, 1.0 / math.sqrt(params.key_width)), h)
 
 
 def adapter_fuse(attended: Tensor, residual: Tensor, params: AdapterParams, groups: int = 1) -> Tensor:

@@ -582,6 +582,31 @@ def _annotation(rec: dict, n_classes: int, where: str) -> Annotation:
     return Annotation(boxes, classes)
 
 
+def _list_of(raw: dict, key: str, kind: type, where: str) -> list:
+    """raw[key], which must be a list of `kind` values (bools are not ints)."""
+    v = raw[key]
+    if not (isinstance(v, list) and all(type(x) is kind for x in v)):
+        raise DatasetError(f"{where}: {key!r} is not a list of {kind.__name__} values")
+    return v
+
+
+def _sketch_pools(raw: dict, key: str, n_classes: int, where: str) -> dict:
+    """raw[key] as {class id: [relative sketch paths]}; its JSON keys are the
+    class ids as decimal strings, each id at most once."""
+    v = raw[key]
+    if not isinstance(v, dict):
+        raise DatasetError(f"{where}: {key!r} is not an object mapping class ids to sketch paths")
+    pools = {}
+    for cls in v:
+        c = int(cls) if cls.isdecimal() else -1
+        if not 0 <= c < n_classes:
+            raise DatasetError(f"{where}: {key!r} has class key {cls!r}, not a class id in 0..{n_classes - 1}")
+        if c in pools:
+            raise DatasetError(f"{where}: {key!r} lists class {c} twice")
+        pools[c] = _list_of(v, cls, str, f"{where}: {key!r}")
+    return pools
+
+
 class Dataset:
     """Read access to a generated corpus directory, with raster caching."""
 
@@ -595,15 +620,16 @@ class Dataset:
         with open(split_path) as f:
             raw = _json_record(f.read(), split_path, ("seen", "unseen", "train_scenes", "val_scenes",
                                                       "train_sketches", "val_sketches", "class_names"))
+        self.class_names = _list_of(raw, "class_names", str, split_path)
+        n_classes = len(self.class_names)
         self.split = DatasetSplit(
-            seen=raw["seen"],
-            unseen=raw["unseen"],
-            train_scenes=raw["train_scenes"],
-            val_scenes=raw["val_scenes"],
-            train_sketches={int(k): v for k, v in raw["train_sketches"].items()},
-            val_sketches={int(k): v for k, v in raw["val_sketches"].items()},
+            seen=_list_of(raw, "seen", int, split_path),
+            unseen=_list_of(raw, "unseen", int, split_path),
+            train_scenes=_list_of(raw, "train_scenes", int, split_path),
+            val_scenes=_list_of(raw, "val_scenes", int, split_path),
+            train_sketches=_sketch_pools(raw, "train_sketches", n_classes, split_path),
+            val_sketches=_sketch_pools(raw, "val_sketches", n_classes, split_path),
         )
-        self.class_names = raw["class_names"]
         self.annotations = []
         ann_path = os.path.join(root, "annotations.jsonl")
         with open(ann_path) as f:
@@ -611,9 +637,9 @@ class Dataset:
                 if line.strip():
                     where = f"{ann_path} line {lineno}"
                     rec = _json_record(line, where, ("image", "boxes", "classes"))
-                    self.annotations.append((rec["image"], _annotation(rec, len(self.class_names), where)))
+                    self.annotations.append((rec["image"], _annotation(rec, n_classes, where)))
         for sid in self.split.train_scenes + self.split.val_scenes:
-            if not (type(sid) is int and 0 <= sid < len(self.annotations)):
+            if not 0 <= sid < len(self.annotations):
                 raise DatasetError(
                     f"{split_path}: scene id {sid!r} does not index the "
                     f"{len(self.annotations)} annotation lines"
@@ -639,7 +665,12 @@ class Dataset:
         return got
 
     def sketch_pool(self, cls: int, subset: str) -> list:
-        pools = self.split.train_sketches if subset == "train" else self.split.val_sketches
+        if subset == "train":
+            pools = self.split.train_sketches
+        elif subset == "val":
+            pools = self.split.val_sketches
+        else:
+            raise DatasetError(f"unknown subset {subset!r}")
         pool = pools.get(int(cls), [])
         if not pool:
             raise DatasetError(f"empty {subset} sketch pool for class {cls}")

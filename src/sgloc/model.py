@@ -29,7 +29,7 @@ from .encoder import (
     fuse_queries,
     sketch_guided_encode,
 )
-from .tensor import Param, ShapeError, Tensor, concat, global_max_pool
+from .tensor import Param, ShapeError, Tensor, concat, global_max_pool, no_grad
 
 
 @dataclass
@@ -202,13 +202,14 @@ class SketchLocalizer:
         return scores, boxes
 
     def localize(self, image: np.ndarray, sketches, threshold: float = 0.5) -> LocalizationResult:
-        """Full forward pass; keeps all detections scoring >= threshold, sorted
-        by descending score. No non-maximum suppression."""
+        """Full forward pass, without a tape; keeps all detections scoring >=
+        threshold, sorted by descending score. No non-maximum suppression."""
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
         if isinstance(sketches, np.ndarray) and sketches.ndim == 2:
             sketches = [sketches]
-        scores, boxes = self.forward(image, list(sketches))
+        with no_grad():
+            scores, boxes = self.forward(image, list(sketches))
         s = scores.data
         b = boxes.data
         order = np.argsort(-s, kind="stable")  # (-score, index) order

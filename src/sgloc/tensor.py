@@ -3,6 +3,13 @@
 A small tape-based engine over numpy arrays: every differentiable op returns
 a Tensor that remembers its parents and a closure computing parent gradients.
 `backward()` walks the tape once and returns a GradientMap for the leaves.
+Inside `no_grad()` ops record nothing, so each intermediate is freed as soon
+as its last reader is done with it.
+
+In-place buffer rule: an op may mutate only arrays it has just allocated
+itself, in its forward or in its backward. Input data and incoming gradients
+are shared (`add` hands one gradient array to both parents), so they are
+never written to.
 
 Layout convention used throughout the package: a feature map is an n x d
 matrix whose n rows are a square g x g grid, with row s = y*g + x.
@@ -52,6 +59,22 @@ def current_dtype() -> type:
     return _DTYPES[_precision]
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without a tape: ops keep no parents or backward closures
+    and their results do not require gradients. The previous mode is restored
+    on exit, also when the block raises."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 class Tensor:
     """A rank-<=4 dense array, optionally tracked on the gradient tape.
 
@@ -92,14 +115,16 @@ class Tensor:
 
 
 def _make(arr: np.ndarray, parents: tuple, bw: Callable) -> Tensor:
-    """Wrap an op result; drops the tape when no parent needs gradients."""
+    """Wrap an op result; drops the tape when no parent needs gradients or
+    inside `no_grad`."""
     t = Tensor.__new__(Tensor)
     t.data = arr
     rg = False
-    for p in parents:
-        if p.requires_grad:
-            rg = True
-            break
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                rg = True
+                break
     t.requires_grad = rg
     if rg:
         t._parents = parents
@@ -226,7 +251,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner extents differ for {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
     out = ad @ bd
-    return _make(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    ra, rb = a.requires_grad, b.requires_grad  # a constant operand gets no gradient
+    return _make(out, (a, b), lambda g: (g @ bd.T if ra else None, ad.T @ g if rb else None))
 
 
 def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
@@ -238,25 +264,69 @@ def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """
     if a.ndim != 3 or b.ndim != 3:
         raise ShapeError(f"bmm expects rank-3 operands, got {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-    bt = bd.transpose(0, 2, 1) if transpose_b else bd
-    if b.shape[0] % a.shape[0] or ad.shape[2] != bt.shape[1]:
+    ad = a.data
+    if b.shape[0] % a.shape[0] or ad.shape[2] != b.shape[2 if transpose_b else 1]:
         raise ShapeError(f"bmm: operands {a.shape} and {b.shape} do not chain")
-    ba, bb = a.shape[0], b.shape[0]
-    groups = bb // ba
-    bt4 = bt.reshape(groups, ba, *bt.shape[1:])
-    out = (ad @ bt4).reshape(bb, ad.shape[1], bt.shape[2])
+    bt4 = _grouped(b.data, a.shape[0], transpose_b)
+    return _make(_bmm(ad, bt4), (a, b), lambda g: _bmm_grads(g, ad, bt4, transpose_b))
+
+
+def _grouped(bd: np.ndarray, ba: int, transpose_b: bool) -> np.ndarray:
+    """The right operand of `bmm` as (G, ba, k, m) for a left operand of `ba`
+    batch entries."""
+    bt = bd.transpose(0, 2, 1) if transpose_b else bd
+    return bt.reshape(bd.shape[0] // ba, ba, *bt.shape[1:])
+
+
+def _bmm(ad: np.ndarray, bt4: np.ndarray) -> np.ndarray:
+    """`bmm`'s product, (G*ba, n, m), in a newly allocated array."""
+    groups, ba, _, m = bt4.shape
+    return (ad @ bt4).reshape(groups * ba, ad.shape[1], m)
+
+
+def _bmm_grads(g: np.ndarray, ad: np.ndarray, bt4: np.ndarray, transpose_b: bool) -> tuple:
+    """Gradients of `_bmm(ad, bt4)` for cotangent `g`: `a`'s summed over the
+    groups and `b`'s in b's own layout, both newly allocated."""
+    g4 = g.reshape(*bt4.shape[:2], *g.shape[1:])
+    ga = (g4 @ bt4.transpose(0, 1, 3, 2)).sum(axis=0)
+    if transpose_b:
+        gb = g4.transpose(0, 1, 3, 2) @ ad
+    else:
+        gb = ad.transpose(0, 2, 1) @ g4
+    return ga, gb.reshape(-1, *gb.shape[2:])
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
+    """softmax(s * q k^T) v with the softmax over each row, as one tape node:
+    (B/G, n, dk), (B, m, dk), (B, m, dv) -> (B, n, dv), with q shared by the
+    G groups of k and v as in `bmm`.
+
+    The arithmetic is that of bmm(q, k, transpose_b) -> scale -> softmax_rows
+    -> bmm(., v), in the same order, so results and gradients are the same
+    bits. One (B, n, m) buffer goes from scores to probabilities in place and
+    is the only one the tape keeps; the backward reuses its own (B, n, m)
+    gradient buffer the same way.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError(f"attend expects rank-3 operands, got {q.shape}, {k.shape} and {v.shape}")
+    if k.shape[0] % q.shape[0] or q.shape[2] != k.shape[2] or k.shape[:2] != v.shape[:2]:
+        raise ShapeError(f"attend: q {q.shape}, k {k.shape} and v {v.shape} do not chain")
+    s = float(s)
+    qd = q.data
+    kt4 = _grouped(k.data, q.shape[0], True)
+    v4 = _grouped(v.data, v.shape[0], False)
+    p = _bmm(qd, kt4)
+    p *= s
+    _softmax_(p)
 
     def bw(g):
-        g4 = g.reshape(groups, ba, *g.shape[1:])
-        ga = (g4 @ bt4.transpose(0, 1, 3, 2)).sum(axis=0)
-        if transpose_b:
-            gb = g4.transpose(0, 1, 3, 2) @ ad
-        else:
-            gb = ad.transpose(0, 2, 1) @ g4
-        return ga, gb.reshape(bd.shape)
+        gp, gv = _bmm_grads(g, p, v4, False)
+        _softmax_grad_(gp, p)
+        gp *= s
+        gq, gk = _bmm_grads(gp, qd, kt4, True)
+        return gq, gk, gv
 
-    return _make(out, (a, b), bw)
+    return _make(_bmm(p, v4), (q, k, v), bw)
 
 
 def split_heads(x: Tensor, heads: int, groups: int = 1) -> Tensor:
@@ -333,15 +403,23 @@ def softmax_rows(x: Tensor) -> Tensor:
     max subtraction."""
     if x.ndim not in (2, 3):
         raise ShapeError(f"softmax_rows expects rank 2 or 3, got {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_(x.data.copy(order="K"))
+    return _make(out, (x,), lambda g: (_softmax_grad_(g.copy(order="K"), out),))
 
-    def bw(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
 
-    return _make(out, (x,), bw)
+def _softmax_(buf: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max subtraction, written into `buf`."""
+    buf -= buf.max(axis=-1, keepdims=True)
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=-1, keepdims=True)
+    return buf
+
+
+def _softmax_grad_(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The softmax backward, out * (g - sum(g * out)), written into `g`."""
+    g -= (g * out).sum(axis=-1, keepdims=True)
+    g *= out
+    return g
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

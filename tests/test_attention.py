@@ -11,7 +11,7 @@ from sgloc.attention import (
     cross_attention,
     grid_pos,
 )
-from sgloc import attention
+from sgloc import attention, decoder, encoder
 from sgloc import tensor as T
 from sgloc.data import derive_seed
 from sgloc.tensor import (
@@ -264,7 +264,7 @@ class TestTapeSize:
     nodes; a change that means to must update these counts."""
 
     @pytest.mark.parametrize(
-        "n_sketches, ablate, nodes", [(1, False, 290), (5, False, 447), (1, True, 207), (5, True, 361)]
+        "n_sketches, ablate, nodes", [(1, False, 245), (5, False, 378), (1, True, 177), (5, True, 307)]
     )
     def test_default_config_tape_nodes(self, rng, n_sketches, ablate, nodes):
         cfg = ModelConfig(encoder_fusion=not ablate, refinement=not ablate)
@@ -273,6 +273,32 @@ class TestTapeSize:
         r2 = Tensor(rng.standard_normal(boxes.shape))
         loss = add(sum_all(mul(scores, r1)), sum_all(mul(boxes, r2)))
         assert len(T._topo(loss)) == nodes
+
+
+def _matmul_both(a, b):
+    """`matmul` with a backward that computes both operands' gradients."""
+    ad, bd = a.data, b.data
+    return T._make(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+@pytest.mark.parametrize("n_sketches", [1, 5])
+def test_skipping_constant_matmul_operands_changes_no_leaf_gradient(rng, monkeypatch, n_sketches):
+    # the pool matrices, patch matrices and the ones column of score_tokens
+    # are constant operands, whose gradients `matmul` does not compute
+    image, sketches = rand_image(rng), [rand_sketch(rng) for _ in range(n_sketches)]
+    r1, r2 = (Tensor(rng.standard_normal(shape)) for shape in ((100,), (100, 4)))
+    grads = []
+    for both in (False, True):
+        if both:
+            for module in (attention, encoder, decoder):
+                monkeypatch.setattr(module, "matmul", _matmul_both)
+        model = SketchLocalizer(ModelConfig())
+        scores, boxes = model.forward(image, sketches)
+        gm = backward(add(sum_all(mul(scores, r1)), sum_all(mul(boxes, r2))))
+        grads.append({p.name: gm.raw(p) for p in model.params})
+    assert grads[0].keys() == grads[1].keys()
+    for name, g in grads[0].items():
+        assert np.array_equal(g, grads[1][name]), name
 
 
 class TestBlock:

@@ -330,6 +330,13 @@ class TestDatasetDirectory:
         with pytest.raises(DatasetError):
             ds.sketch_pool(10, "train")
 
+    @pytest.mark.parametrize("subset", ["test", "Val", ""])
+    def test_unknown_subset_raises(self, small_open_dataset, subset):
+        ds, _, _ = small_open_dataset
+        for lookup in (lambda: ds.sketch_pool(0, subset), lambda: ds.scene_ids(subset)):
+            with pytest.raises(DatasetError, match=f"unknown subset {subset!r}"):
+                lookup()
+
 
 @pytest.fixture(scope="module")
 def metadata(tmp_path_factory):
@@ -389,10 +396,36 @@ def _without(key):
          "scene id -3 does not index the 8 annotation lines"),
         (_edit_split(lambda s: {**s, "train_scenes": s["train_scenes"] + [8]}), "split.json",
          "scene id 8 does not index the 8 annotation lines"),
+        (_edit_split(lambda s: {**s, "train_sketches": []}), "split.json",
+         "'train_sketches' is not an object mapping class ids to sketch paths"),
+        (_edit_split(lambda s: {**s, "val_sketches": {**s["val_sketches"], "x": []}}), "split.json",
+         "'val_sketches' has class key 'x', not a class id"),
+        (_edit_split(lambda s: {**s, "val_sketches": {**s["val_sketches"], "-1": []}}), "split.json",
+         r"'val_sketches' has class key '-1', not a class id in 0\.\.11"),
+        (_edit_split(lambda s: {**s, "val_sketches": {**s["val_sketches"], "12": []}}), "split.json",
+         r"'val_sketches' has class key '12', not a class id in 0\.\.11"),
+        (_edit_split(lambda s: {**s, "train_sketches": {**s["train_sketches"], "03": []}}), "split.json",
+         "'train_sketches' lists class 3 twice"),
+        (_edit_split(lambda s: {**s, "val_sketches": {"0": "sketches/circle/0002.pgm"}}), "split.json",
+         "'val_sketches': '0' is not a list of str values"),
+        (_edit_split(lambda s: {**s, "train_sketches": {"1": [3]}}), "split.json",
+         "'train_sketches': '1' is not a list of str values"),
+        (_edit_split(lambda s: {**s, "class_names": "circle"}), "split.json",
+         "'class_names' is not a list of str values"),
+        (_edit_split(lambda s: {**s, "seen": [0, "1"]}), "split.json", "'seen' is not a list of int values"),
+        (_edit_split(lambda s: {**s, "unseen": 3}), "split.json", "'unseen' is not a list of int values"),
+        (_edit_split(lambda s: {**s, "train_scenes": {"0": 1}}), "split.json",
+         "'train_scenes' is not a list of int values"),
+        (_edit_split(lambda s: {**s, "val_scenes": [True]}), "split.json",
+         "'val_scenes' is not a list of int values"),
     ],
     ids=["split-json", "split-missing-seen", "split-missing-class-names", "line-json", "line-not-object",
          "line-missing-boxes", "boxes-n-by-3", "boxes-ragged", "boxes-outnumber-classes",
-         "class-id-too-large", "class-id-negative", "negative-scene-id", "scene-id-past-the-end"],
+         "class-id-too-large", "class-id-negative", "negative-scene-id", "scene-id-past-the-end",
+         "train-pools-a-list", "pool-key-not-a-number", "pool-key-negative", "pool-key-past-the-end",
+         "pool-key-repeated", "pool-not-a-list",
+         "pool-path-not-a-string", "class-names-a-string", "seen-holds-a-string", "unseen-a-number",
+         "train-scenes-an-object", "val-scenes-holds-a-bool"],
 )
 def test_malformed_metadata_names_file_and_fault(metadata, tmp_path, damage, where, match):
     files = dict(metadata)

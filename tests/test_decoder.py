@@ -203,6 +203,27 @@ class TestLocalize:
         with pytest.raises(ValueError, match=r"pixel values must be finite and lie in \[0, 1\]"):
             m.localize(image, [sketch])
 
+    @pytest.mark.parametrize("n_sketches", [1, 3])
+    def test_keeps_no_tape_and_matches_a_taped_forward(self, rng, n_sketches):
+        m = tiny_model()
+        image, sketches = rand_image(rng), [rand_sketch(rng) for _ in range(n_sketches)]
+        forward, inside = m.forward, []
+
+        def spy(*args):
+            inside.append(forward(*args))
+            return inside[-1]
+
+        m.forward = spy
+        res = m.localize(image, sketches, threshold=0.0)
+        ((scores, boxes),) = inside
+        for t in (scores, boxes):
+            assert not t.requires_grad and t._parents == () and t._bw is None
+        s, b = forward(image, sketches)
+        assert s.requires_grad and s._parents  # the tape is on again
+        order = np.argsort(-s.data, kind="stable")
+        assert [score for _, score in res.detections] == s.data[order].tolist()
+        assert np.array_equal(np.array([box for box, _ in res.detections]), b.data[order])
+
     def test_single_raster_accepted(self, rng):
         m = tiny_model()
         res = m.localize(rand_image(rng), rand_sketch(rng), threshold=0.0)

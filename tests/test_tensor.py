@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgloc import gradcheck
 from sgloc import tensor as T
@@ -10,6 +12,7 @@ from sgloc.tensor import (
     Tensor,
     add,
     add_n,
+    attend,
     backward,
     bmm,
     concat,
@@ -178,6 +181,74 @@ class TestBatched:
     def test_mean_groups_rejects_uneven_split(self):
         with pytest.raises(ShapeError):
             mean_groups(Tensor(np.ones((5, 2))), 2)
+
+
+def attend_chain(q, k, v, s):
+    """The four ops `attend` fuses, in the order it computes them."""
+    return bmm(softmax_rows(scale(bmm(q, k, transpose_b=True), s)), v)
+
+
+class TestAttend:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prec=st.sampled_from(["f32", "f64"]),
+        ba=st.integers(1, 3), groups=st.integers(1, 3), n=st.integers(1, 5),
+        m=st.integers(1, 6), dk=st.integers(1, 4), dv=st.integers(1, 4),
+        s=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_unfused_chain_bit_for_bit(self, prec, ba, groups, n, m, dk, dv, s, seed):
+        rng = np.random.default_rng(seed)
+        with T.precision(prec):
+            q, k, v = (leaf(rng.standard_normal(shape) * 2.0)
+                       for shape in ((ba, n, dk), (groups * ba, m, dk), (groups * ba, m, dv)))
+            r = Tensor(rng.standard_normal((groups * ba, n, dv)))
+            outs = [op(q, k, v, s) for op in (attend, attend_chain)]
+            grads = [backward(sum_all(mul(out, r))) for out in outs]
+        assert outs[0].data.dtype == outs[1].data.dtype
+        assert np.array_equal(outs[0].data, outs[1].data)
+        for t in (q, k, v):
+            assert np.array_equal(grads[0].raw(t), grads[1].raw(t))
+
+    def test_one_tape_node_holds_one_score_sized_array(self, rng):
+        q = leaf(rng.standard_normal((2, 3, 4)))
+        k = leaf(rng.standard_normal((6, 5, 4)))
+        v = leaf(rng.standard_normal((6, 5, 2)))
+        out = attend(q, k, v, 0.5)
+        assert out._parents == (q, k, v)
+        held = [c.cell_contents for c in out._bw.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert [a.shape for a in held].count((6, 3, 5)) == 1
+
+    def test_shape_errors(self):
+        ones = lambda *shape: Tensor(np.ones(shape))
+        with pytest.raises(ShapeError):
+            attend(ones(2, 3, 4), ones(3, 5, 4), ones(3, 5, 2), 1.0)  # 3 key batches, 2 query batches
+        with pytest.raises(ShapeError):
+            attend(ones(2, 3, 4), ones(2, 5, 3), ones(2, 5, 2), 1.0)  # key widths differ
+        with pytest.raises(ShapeError):
+            attend(ones(2, 3, 4), ones(2, 5, 4), ones(2, 4, 2), 1.0)  # 5 keys, 4 values
+        with pytest.raises(ShapeError):
+            attend(ones(3, 4), ones(5, 4), ones(5, 2), 1.0)
+
+
+class TestNoGrad:
+    def test_records_no_tape(self, rng):
+        w = leaf(rng.standard_normal((3, 2)))
+        with T.no_grad():
+            y = relu(matmul(w, leaf(rng.standard_normal((2, 4)))))
+        assert not y.requires_grad and y._parents == () and y._bw is None
+        assert matmul(w, Tensor(np.ones((2, 1)))).requires_grad  # the tape is back
+
+    def test_restored_after_exception_and_when_nested(self, rng):
+        w = leaf(rng.standard_normal((2, 2)))
+        with pytest.raises(KeyError):
+            with T.no_grad():
+                raise KeyError("inside the block")
+        assert neg(w).requires_grad
+        with T.no_grad():
+            with T.no_grad():
+                assert not neg(w).requires_grad
+            assert not neg(w).requires_grad
+        assert neg(w).requires_grad
 
 
 class TestElementwise:
