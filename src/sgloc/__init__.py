@@ -1,9 +1,7 @@
 """Sketch-guided object localization on a synthetic shape corpus."""
 
 from .tensor import (
-    GradientMap,
     NonFiniteError,
-    Param,
     PrecisionError,
     ShapeError,
     Tensor,
@@ -13,9 +11,7 @@ from .tensor import (
 )
 
 __all__ = [
-    "GradientMap",
     "NonFiniteError",
-    "Param",
     "PrecisionError",
     "ShapeError",
     "Tensor",

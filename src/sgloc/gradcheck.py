@@ -10,7 +10,6 @@ from .attention import AdapterParams, AttentionParams, Block
 from .matching import build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
 from .tensor import (
-    Param,
     Tensor,
     absolute,
     add,
@@ -117,8 +116,8 @@ _OP_CASES = [
 def check_op_case(name, shapes, loss_fn, rng, eps: float = EPS) -> float:
     """Finite-difference check of one `_OP_CASES` entry on standard-normal
     inputs drawn from `rng`; returns the max relative error."""
-    params = [Param(f"{name}.p{i}", Tensor(rng.standard_normal(s))) for i, s in enumerate(shapes)]
-    return finite_difference_check(lambda: loss_fn(*[p.value for p in params]), params, eps=eps)
+    leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    return finite_difference_check(lambda: loss_fn(*leaves), leaves, eps=eps)
 
 
 def check_ops(eps: float = EPS) -> list:
@@ -130,11 +129,9 @@ def check_ops(eps: float = EPS) -> list:
     # two-sketch bundle runs it: 3 queries attend over each group's 5 keys,
     # and the adapter averages the two hidden pre-activations.
     d, heads, groups = 8, 2, 2
-    shapes = {
-        "attn.q": (d, d), "attn.k": (d, d), "attn.v": (d, d), "adapter.in": (d, 2 * d), "adapter.out": (2 * d, d),
-    }
-    bparams = [Param(name, Tensor(rng.standard_normal(s) * 0.4)) for name, s in shapes.items()]
-    wq, wk, wv, w_in, w_out = (p.value for p in bparams)
+    shapes = [(d, d), (d, d), (d, d), (d, 2 * d), (2 * d, d)]  # attn q, k, v; adapter in, out
+    bparams = [Tensor(rng.standard_normal(s) * 0.4, requires_grad=True) for s in shapes]
+    wq, wk, wv, w_in, w_out = bparams
     blk = Block(AttentionParams(wq, wk, wv, heads), AdapterParams(w_in, w_out))
     x = Tensor(rng.standard_normal((3, d)))
     kv = Tensor(rng.standard_normal((groups * 5, d)))
@@ -161,7 +158,7 @@ def check_end_to_end(max_coords: int = 500, seed: int = 0, eps: float = EPS) -> 
         s, b = model.forward(image, sketches)
         return total_loss(s, b, gt, assign).total_tensor
 
-    return finite_difference_check(loss, model.params, eps=eps, max_coords=max_coords, seed=seed)
+    return finite_difference_check(loss, model.params.values(), eps=eps, max_coords=max_coords, seed=seed)
 
 
 def run_all(max_coords: int = 500):

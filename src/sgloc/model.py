@@ -29,7 +29,7 @@ from .encoder import (
     fuse_queries,
     sketch_guided_encode,
 )
-from .tensor import Param, ShapeError, Tensor, concat, global_max_pool, no_grad
+from .tensor import ShapeError, Tensor, concat, global_max_pool, no_grad
 
 
 @dataclass
@@ -60,17 +60,17 @@ class ModelConfig:
 class SketchLocalizer:
     """Sketch-conditioned detector over 64x64 scenes.
 
-    Parameters are initialized per-name from the model seed, so two models
-    built with the same (config, seed) are identical regardless of
-    construction order.
+    `params` maps each parameter's dotted name to its leaf tensor, in
+    construction order. Parameters are initialized per-name from the model
+    seed, so two models built with the same (config, seed) are identical
+    regardless of construction order.
     """
 
     def __init__(self, config: ModelConfig | None = None, seed: int = 0):
         self.config = config or ModelConfig()
         self.config.validate()
         self.seed = seed
-        self.params: list[Param] = []
-        self._by_name: dict = {}
+        self.params: dict[str, Tensor] = {}
         c = self.config
 
         self.sketch_enc = SketchEncoderParams(
@@ -129,12 +129,10 @@ class SketchLocalizer:
         return data
 
     def _register(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._by_name:
+        if name in self.params:
             raise ValueError(f"duplicate parameter name {name}")
-        p = Param(name, Tensor(data, requires_grad=True))
-        self.params.append(p)
-        self._by_name[name] = p
-        return p.value
+        self.params[name] = Tensor(data, requires_grad=True)
+        return self.params[name]
 
     def _mlp(self, prefix: str, widths, last_bias: str = "zero") -> list:
         """(w, b) layers `prefix.w{i}`, `prefix.b{i}` from widths[i-1] to
@@ -168,12 +166,6 @@ class SketchLocalizer:
             w_out=self._mk(f"{prefix}.adapter.out", (c.d_hidden, c.d)),
         )
         return Block(attn, adapter)
-
-    def named_parameters(self) -> dict:
-        return {p.name: p for p in self.params}
-
-    def get_param(self, name: str) -> Param:
-        return self._by_name[name]
 
     # -- forward ------------------------------------------------------------
 

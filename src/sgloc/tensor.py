@@ -2,9 +2,11 @@
 
 A small tape-based engine over numpy arrays: every differentiable op returns
 a Tensor that remembers its parents and a closure computing parent gradients.
-`backward()` walks the tape once and returns a GradientMap for the leaves.
-Inside `no_grad()` ops record nothing, so each intermediate is freed as soon
-as its last reader is done with it.
+A parameter is a leaf `Tensor(data, requires_grad=True)`; a model names its
+parameters in one {name: Tensor} dict. `backward()` walks the tape once and
+returns a plain {leaf: gradient array} dict with an entry for each leaf the
+loss reaches. Inside `no_grad()` ops record nothing, so each intermediate is
+freed as soon as its last reader is done with it.
 
 In-place buffer rule: an op may mutate only arrays it has just allocated
 itself, in its forward or in its backward. Input data and incoming gradients
@@ -18,7 +20,6 @@ matrix whose n rows are a square g x g grid, with row s = y*g + x.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -517,41 +518,7 @@ def global_max_pool(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameters and backward pass
-
-
-@dataclass
-class Param:
-    """A named trainable leaf. Names are dotted paths, unique within a model."""
-
-    name: str
-    value: Tensor
-
-    def __post_init__(self):
-        self.value.requires_grad = True
-
-
-class GradientMap:
-    """Gradients keyed by parameter identity; absent entries read as zeros."""
-
-    def __init__(self, grads: dict):
-        self._grads = grads  # Tensor -> ndarray
-
-    def of(self, t) -> Tensor:
-        if isinstance(t, Param):
-            t = t.value
-        g = self._grads.get(t)
-        if g is None:
-            return Tensor(np.zeros_like(t.data))
-        return Tensor(g)
-
-    def raw(self, t) -> np.ndarray | None:
-        if isinstance(t, Param):
-            t = t.value
-        return self._grads.get(t)
-
-    def __len__(self) -> int:
-        return len(self._grads)
+# backward pass
 
 
 def _topo(root: Tensor) -> list:
@@ -574,14 +541,15 @@ def _topo(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor) -> GradientMap:
-    """Reverse-mode sweep from a scalar loss; returns gradients for all
-    reachable requires_grad leaves."""
+def backward(loss: Tensor) -> dict:
+    """Reverse-mode sweep from a scalar loss. Returns {leaf: gradient array}
+    for every requires_grad leaf the loss reaches; a leaf it does not reach
+    has no entry."""
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
     grads: dict = {loss: np.ones_like(loss.data)}
     if not loss.requires_grad:
-        return GradientMap({})
+        return {}
     for node in reversed(_topo(loss)):
         g = grads.pop(node, None)
         if g is None:
@@ -598,30 +566,30 @@ def backward(loss: Tensor) -> GradientMap:
                 grads[p] = pg
             else:
                 grads[p] = acc + pg
-    leaf_grads = {t: g for t, g in grads.items() if not t._parents and t.requires_grad}
-    return GradientMap(leaf_grads)
+    return {t: g for t, g in grads.items() if not t._parents and t.requires_grad}
 
 
 def finite_difference_check(
     f: Callable[[], Tensor],
-    params: Iterable,
+    tensors: Iterable[Tensor],
     eps: float = 1e-4,
     max_coords: int | None = None,
     seed: int = 0,
 ) -> float:
     """Central-difference gradient oracle.
 
-    `f` re-runs the forward pass on the current parameter values. Each sampled
-    coordinate is nudged by +/- eps; the numeric slope is compared against
-    backward()'s gradient. Returns the max relative error, with relative error
+    `f` re-runs the forward pass on the current values of the leaf `tensors`.
+    Each sampled coordinate is nudged by +/- eps; the numeric slope is
+    compared against backward()'s gradient, zero where the loss does not
+    reach the leaf. Returns the max relative error, with relative error
     |a - b| / max(1e-8, |a| + |b|). Requires 64-bit precision.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if _precision != "f64":
         raise PrecisionError("finite_difference_check requires f64 precision")
-    tensors = [p.value if isinstance(p, Param) else p for p in params]
-    gm = backward(f())
+    tensors = list(tensors)
+    grads = backward(f())
     coords = [(i, j) for i, t in enumerate(tensors) for j in range(t.size)]
     if max_coords is not None and len(coords) > max_coords:
         rng = np.random.default_rng(seed)
@@ -637,7 +605,8 @@ def finite_difference_check(
         down = f().item()
         data[j] = old
         numeric = (up - down) / (2.0 * eps)
-        analytic = float(gm.of(tensors[i]).data.reshape(-1)[j])
+        g = grads.get(tensors[i])
+        analytic = 0.0 if g is None else float(g.reshape(-1)[j])
         err = abs(numeric - analytic) / max(1e-8, abs(numeric) + abs(analytic))
         if err > worst:
             worst = err

@@ -10,6 +10,8 @@ Version 2 stores each attention projection packed, as one d x d matrix
 Version 1 stored one d x (d/heads) matrix per head (`*.attn.q0` ...) and is
 rejected. A file that ends inside a field, or goes on after the last one,
 raises ValueError naming the path and the offset.
+`load_model` is the one loader: it rebuilds the model from the echoed config
+and requires exactly its parameter names and shapes.
 
 The config echoed into a checkpoint is flat `key = value` text, one
 `TrainConfig` field per line. Key order is not significant: a file written
@@ -38,7 +40,7 @@ import numpy as np
 from .data import Dataset, derive_seed
 from .matching import LossWeights, build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
-from .tensor import GradientMap, NonFiniteError, add_n, backward, scale
+from .tensor import NonFiniteError, add_n, backward, scale
 
 CHECKPOINT_MAGIC = b"SGL1"
 CHECKPOINT_VERSION = 2
@@ -135,44 +137,47 @@ def _parse_value(val: str, typ):
 
 
 class OptimState:
-    """Per-parameter Adam moments plus the shared step counter."""
+    """Per-parameter Adam moments, keyed by parameter name, plus the shared
+    step counter."""
 
-    def __init__(self, params):
-        self.m = {p.name: np.zeros_like(p.value.data, dtype=np.float64) for p in params}
-        self.v = {p.name: np.zeros_like(p.value.data, dtype=np.float64) for p in params}
+    def __init__(self, params: dict):
+        self.m = {name: np.zeros_like(t.data, dtype=np.float64) for name, t in params.items()}
+        self.v = {name: np.zeros_like(t.data, dtype=np.float64) for name, t in params.items()}
         self.step = 0
 
 
 def adam_step(
-    params,
-    grads: GradientMap,
+    params: dict,
+    grads: dict,
     state: OptimState,
     lr: float,
     betas=(0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
-    """One standard Adam update with bias correction, in place."""
+    """One standard Adam update with bias correction, in place, of the
+    {name: leaf} `params` from the {leaf: array} `grads` of `backward`. A leaf
+    without a gradient gets a zero one."""
     b1, b2 = betas
     state.step += 1
     t = state.step
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    for p in params:
-        g = grads.raw(p)
+    for name, t in params.items():
+        g = grads.get(t)
         if g is None:
-            g = np.zeros_like(p.value.data, dtype=np.float64)
+            g = np.zeros_like(t.data, dtype=np.float64)
         elif not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {p.name}")
+            raise NonFiniteError(f"non-finite gradient for parameter {name}")
         else:
             g = g.astype(np.float64, copy=False)
-        m = state.m[p.name]
-        v = state.v[p.name]
+        m = state.m[name]
+        v = state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
         update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        p.value.data -= update.astype(p.value.data.dtype)
+        t.data -= update.astype(t.data.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +188,11 @@ def save_checkpoint(path: str, model: SketchLocalizer, config_text: str) -> None
     blob = config_text.encode()
     out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(blob)), blob]
     out.append(struct.pack("<I", len(model.params)))
-    for p in model.params:
-        name = p.name.encode()
-        data = np.ascontiguousarray(p.value.data, dtype="<f4")
-        out.append(struct.pack("<H", len(name)))
-        out.append(name)
+    for name, t in model.params.items():
+        raw = name.encode()
+        data = np.ascontiguousarray(t.data, dtype="<f4")
+        out.append(struct.pack("<H", len(raw)))
+        out.append(raw)
         out.append(struct.pack("<B", data.ndim))
         out.append(struct.pack(f"<{data.ndim}I", *data.shape))
         out.append(data.tobytes())
@@ -251,25 +256,18 @@ def read_checkpoint(path: str):
     return config_text, entries
 
 
-def load_checkpoint(path: str, model: SketchLocalizer) -> str:
-    """Load parameters into `model`; unknown names are rejected."""
-    config_text, entries = read_checkpoint(path)
-    _load_entries(path, entries, model)
-    return config_text
-
-
 def _load_entries(path: str, entries: dict, model: SketchLocalizer) -> None:
-    named = model.named_parameters()
+    """Set every parameter of `model` from `entries`; an unknown or missing
+    name, or a shape that differs, raises ValueError."""
+    params = model.params
     for name, data in entries.items():
-        if name not in named:
+        t = params.get(name)
+        if t is None:
             raise ValueError(f"{path}: unknown parameter {name!r} for this model")
-        p = named[name]
-        if tuple(data.shape) != tuple(p.value.shape):
-            raise ValueError(
-                f"{path}: shape {data.shape} for {name!r} does not match model {p.value.shape}"
-            )
-        p.value.data = data.astype(p.value.data.dtype)
-    missing = set(named) - set(entries)
+        if data.shape != t.shape:
+            raise ValueError(f"{path}: shape {data.shape} for {name!r} does not match model {t.shape}")
+        t.data = data.astype(t.data.dtype)
+    missing = params.keys() - entries.keys()
     if missing:
         raise ValueError(f"{path}: checkpoint missing parameters {sorted(missing)[:3]}...")
 

@@ -15,7 +15,6 @@ from sgloc import attention, decoder, encoder
 from sgloc import tensor as T
 from sgloc.data import derive_seed
 from sgloc.tensor import (
-    Param,
     ShapeError,
     Tensor,
     backward,
@@ -163,7 +162,7 @@ class TestCrossAttention:
     def test_gradcheck_projections(self, f64, rng):
         d, H = 8, 2
         p = make_attention(d, H, rng, requires_grad=True)
-        params = [Param(f"w{i}", t) for i, t in enumerate(p.tensors())]
+        params = p.tensors()
         q = Tensor(rng.standard_normal((3, d)))
         kv = Tensor(rng.standard_normal((4, d)))
         pos_q = rng.standard_normal((3, d)) * 0.2
@@ -217,7 +216,7 @@ class TestPackedMatchesPerHeadLoop:
     def test_gradcheck_groups(self, f64, rng):
         d, G = 8, 3
         p = make_attention(d, 2, rng, requires_grad=True)
-        params = [Param(f"w{i}", t) for i, t in enumerate(p.tensors())]
+        params = p.tensors()
         q = Tensor(rng.standard_normal((4, d)))
         kv = Tensor(rng.standard_normal((G * 2, d)))
         pos_q = rng.standard_normal((4, d)) * 0.2
@@ -239,7 +238,7 @@ class TestPackedModelParameters:
         d, heads = TINY.d, TINY.heads
         dk = d // heads
         limit = math.sqrt(6.0 / (d + dk))
-        packed = [n for n in m.named_parameters() if ".attn." in n]
+        packed = [n for n in m.params if ".attn." in n]
         assert packed and all(n[-2:] in (".q", ".k", ".v") for n in packed)
         for name in packed:
             cols = [
@@ -247,7 +246,7 @@ class TestPackedModelParameters:
                 for h in range(heads)
             ]
             want = Tensor(np.concatenate(cols, axis=1)).data
-            assert np.array_equal(m.get_param(name).value.data, want)
+            assert np.array_equal(m.params[name].data, want)
 
     def test_tape_size_does_not_grow_with_heads(self, rng):
         img, sks = rand_image(rng), [rand_sketch(rng) for _ in range(2)]
@@ -294,8 +293,8 @@ def test_skipping_constant_matmul_operands_changes_no_leaf_gradient(rng, monkeyp
                 monkeypatch.setattr(module, "matmul", _matmul_both)
         model = SketchLocalizer(ModelConfig())
         scores, boxes = model.forward(image, sketches)
-        gm = backward(add(sum_all(mul(scores, r1)), sum_all(mul(boxes, r2))))
-        grads.append({p.name: gm.raw(p) for p in model.params})
+        leaf_grads = backward(add(sum_all(mul(scores, r1)), sum_all(mul(boxes, r2))))
+        grads.append({name: leaf_grads.get(t) for name, t in model.params.items()})
     assert grads[0].keys() == grads[1].keys()
     for name, g in grads[0].items():
         assert np.array_equal(g, grads[1][name]), name
@@ -353,9 +352,9 @@ class TestAdapterFuse:
 
     def test_gradcheck(self, f64, rng):
         d, dh = 6, 10
-        w_in = Param("in", Tensor(rng.standard_normal((d, dh))))
-        w_out = Param("out", Tensor(rng.standard_normal((dh, d))))
-        p = AdapterParams(w_in.value, w_out.value)
+        w_in = Tensor(rng.standard_normal((d, dh)), requires_grad=True)
+        w_out = Tensor(rng.standard_normal((dh, d)), requires_grad=True)
+        p = AdapterParams(w_in, w_out)
         att = Tensor(rng.standard_normal((3, d)))
         res = Tensor(rng.standard_normal((3, d)))
         r = Tensor(rng.standard_normal((3, d)))

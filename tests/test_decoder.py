@@ -29,9 +29,9 @@ class TestDecode:
 
     def test_zero_weights_give_embedding_table(self, rng):
         m = tiny_model()
-        for p in m.params:
-            if p.name.startswith("decoder.layer"):
-                p.value.data[...] = 0.0
+        for name, t in m.params.items():
+            if name.startswith("decoder.layer"):
+                t.data[...] = 0.0
         out = decode(fake_features(rng, TINY.d), m.decoder)
         assert np.array_equal(out.data, m.decoder.det_embed.data)
 
@@ -49,16 +49,16 @@ class TestRefinement:
 
     def test_zero_adapter_identity_object(self, rng):
         m = tiny_model()
-        m.get_param("refine_obj.adapter.in").value.data[...] = 0.0
-        m.get_param("refine_obj.adapter.out").value.data[...] = 0.0
+        m.params["refine_obj.adapter.in"].data[...] = 0.0
+        m.params["refine_obj.adapter.out"].data[...] = 0.0
         det = Tensor(rng.standard_normal((TINY.num_tokens, TINY.d)))
         out = refine_object_tokens(det, self.sketch_map(rng), m.refine_obj)
         assert np.array_equal(out.data, det.data)
 
     def test_zero_adapter_identity_query(self, rng):
         m = tiny_model()
-        m.get_param("refine_query.adapter.in").value.data[...] = 0.0
-        m.get_param("refine_query.adapter.out").value.data[...] = 0.0
+        m.params["refine_query.adapter.in"].data[...] = 0.0
+        m.params["refine_query.adapter.out"].data[...] = 0.0
         sk = self.sketch_map(rng)
         det = Tensor(rng.standard_normal((TINY.num_tokens, TINY.d)))
         out = refine_query_tokens(sk, det, m.refine_query)
@@ -112,8 +112,8 @@ class TestHeads:
 
     def test_zero_final_layer_scores_half(self, rng):
         m = tiny_model()
-        m.get_param("head.score.w2").value.data[...] = 0.0
-        m.get_param("head.score.b2").value.data[...] = 0.0
+        m.params["head.score.w2"].data[...] = 0.0
+        m.params["head.score.b2"].data[...] = 0.0
         det = Tensor(rng.standard_normal((5, TINY.d)))
         vec = Tensor(rng.standard_normal(TINY.d))
         assert np.array_equal(score_tokens(det, vec, m.heads).data, np.full(5, 0.5))
@@ -154,15 +154,14 @@ class TestHeads:
 
     def test_zero_final_layer_centers_boxes(self, rng):
         m = tiny_model()
-        m.get_param("head.box.w3").value.data[...] = 0.0
-        m.get_param("head.box.b3").value.data[...] = 0.0
+        m.params["head.box.w3"].data[...] = 0.0
+        m.params["head.box.b3"].data[...] = 0.0
         det = Tensor(rng.standard_normal((5, TINY.d)))
         assert np.array_equal(predict_boxes(det, m.heads).data, np.full((5, 4), 0.5))
 
     def test_box_head_gradcheck(self, f64, rng):
         m = tiny_model()
-        names = [n for n in m.named_parameters() if n.startswith("head.box")]
-        params = [m.get_param(n) for n in names]
+        params = [t for n, t in m.params.items() if n.startswith("head.box")]
         det = Tensor(rng.standard_normal((4, TINY.d)))
         r = Tensor(rng.standard_normal((4, 4)))
 

@@ -13,7 +13,7 @@ from sgloc.encoder import (
     sketch_to_patches,
 )
 from sgloc.model import ModelConfig, SketchLocalizer
-from sgloc.tensor import Param, ShapeError, Tensor, finite_difference_check, mul, sum_all
+from sgloc.tensor import ShapeError, Tensor, finite_difference_check, mul, sum_all
 
 TINY = ModelConfig(
     d=8, heads=2, stages=2, dec_layers=1, num_tokens=4, d_hidden=16, sketch_layers=1
@@ -116,8 +116,7 @@ class TestImageBlock:
     def test_gradcheck_through_block(self, f64, rng):
         m = tiny_model()
         blk = m.image_enc.blocks[0]
-        names = [p.name for p in m.params if p.name.startswith("image.block0")]
-        params = [m.get_param(n) for n in names]
+        params = [t for n, t in m.params.items() if n.startswith("image.block0")]
         x = Tensor(rng.standard_normal((16, TINY.d)))
         r = Tensor(rng.standard_normal((4, TINY.d)))
 
@@ -140,9 +139,9 @@ class TestSketchGuidedEncode:
 
     def test_zero_fusion_reduces_to_query_agnostic(self, rng):
         full = tiny_model(seed=3)
-        for p in full.params:
-            if p.name.startswith("fusion"):
-                p.value.data[...] = 0.0
+        for name, t in full.params.items():
+            if name.startswith("fusion"):
+                t.data[...] = 0.0
         plain = tiny_model(seed=3, encoder_fusion=False)
         img = rand_image(rng)
         from sgloc.encoder import sketch_guided_encode
@@ -161,9 +160,9 @@ class TestSketchGuidedEncode:
 
     def test_zero_fusion_sketch_independent_bit_exact(self, rng):
         m = tiny_model(seed=5)
-        for p in m.params:
-            if p.name.startswith("fusion"):
-                p.value.data[...] = 0.0
+        for name, t in m.params.items():
+            if name.startswith("fusion"):
+                t.data[...] = 0.0
         from sgloc.encoder import sketch_guided_encode
 
         img = rand_image(rng)

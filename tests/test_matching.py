@@ -17,7 +17,7 @@ from sgloc.matching import (
     l1_loss_matched,
     total_loss,
 )
-from sgloc.tensor import Param, ShapeError, Tensor, backward, finite_difference_check, sum_all
+from sgloc.tensor import ShapeError, Tensor, backward, finite_difference_check, sum_all
 from test_boxes import giou_scalar
 
 
@@ -180,20 +180,18 @@ class TestGiou:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_giou_loss_gradcheck(self, f64, rng):
-        pred = Param(
-            "boxes",
-            Tensor(
-                np.column_stack(
-                    [rng.uniform(0.3, 0.7, 3), rng.uniform(0.3, 0.7, 3), rng.uniform(0.1, 0.3, 3), rng.uniform(0.1, 0.3, 3)]
-                )
+        pred = Tensor(
+            np.column_stack(
+                [rng.uniform(0.3, 0.7, 3), rng.uniform(0.3, 0.7, 3), rng.uniform(0.1, 0.3, 3), rng.uniform(0.1, 0.3, 3)]
             ),
+            requires_grad=True,
         )
         gt_c = cxcywh_to_corners(
             np.column_stack(
                 [rng.uniform(0.3, 0.7, 3), rng.uniform(0.3, 0.7, 3), rng.uniform(0.1, 0.3, 3), rng.uniform(0.1, 0.3, 3)]
             )
         )
-        err = finite_difference_check(lambda: giou_loss_matched(pred.value, gt_c), [pred], eps=1e-6)
+        err = finite_difference_check(lambda: giou_loss_matched(pred, gt_c), [pred], eps=1e-6)
         assert err < 1e-5
 
 
@@ -226,14 +224,13 @@ class TestBce:
         for y, s_lo, s_hi in [(1.0, 0.6, 0.99), (0.0, 0.01, 0.4)]:
             for s in (s_lo, s_hi):
                 t = Tensor(np.array([s]), requires_grad=True)
-                gm = backward(bce_score_loss(t, np.array([y])))
-                g = gm.of(t).data[0]
+                g = backward(bce_score_loss(t, np.array([y])))[t][0]
                 assert (g < 0) == (s < y)
 
     def test_gradcheck(self, f64, rng):
-        p = Param("s", Tensor(rng.uniform(0.1, 0.9, 10)))
+        p = Tensor(rng.uniform(0.1, 0.9, 10), requires_grad=True)
         y = (rng.random(10) < 0.5).astype(np.float64)
-        err = finite_difference_check(lambda: bce_score_loss(p.value, y), [p], eps=1e-6)
+        err = finite_difference_check(lambda: bce_score_loss(p, y), [p], eps=1e-6)
         assert err < 1e-5
 
 
@@ -337,20 +334,18 @@ class TestTotalLoss:
         )
 
     def test_gradcheck_full_loss(self, f64, rng):
-        scores_p = Param("scores", Tensor(rng.uniform(0.1, 0.9, 6)))
-        boxes_p = Param(
-            "boxes",
-            Tensor(
-                np.column_stack(
-                    [rng.uniform(0.3, 0.7, 6), rng.uniform(0.3, 0.7, 6), rng.uniform(0.1, 0.3, 6), rng.uniform(0.1, 0.3, 6)]
-                )
+        scores_p = Tensor(rng.uniform(0.1, 0.9, 6), requires_grad=True)
+        boxes_p = Tensor(
+            np.column_stack(
+                [rng.uniform(0.3, 0.7, 6), rng.uniform(0.3, 0.7, 6), rng.uniform(0.1, 0.3, 6), rng.uniform(0.1, 0.3, 6)]
             ),
+            requires_grad=True,
         )
         gt_c = cxcywh_to_corners(np.array([[0.4, 0.4, 0.25, 0.22], [0.7, 0.6, 0.2, 0.3]]))
-        a = hungarian_assign(build_cost_matrix(scores_p.value.data, boxes_p.value.data, gt_c))
+        a = hungarian_assign(build_cost_matrix(scores_p.data, boxes_p.data, gt_c))
 
         def loss():
-            return total_loss(scores_p.value, boxes_p.value, gt_c, a).total_tensor
+            return total_loss(scores_p, boxes_p, gt_c, a).total_tensor
 
         assert finite_difference_check(loss, [scores_p, boxes_p], eps=1e-6) < 1e-5
 
@@ -359,9 +354,8 @@ class TestTotalLoss:
         scores, boxes, gt_c = self._random_instance(rng, T=6, G=2)
         a = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_c))
         lb = total_loss(scores, boxes, gt_c, a)
-        gm = backward(lb.total_tensor)
-        g1 = gm.of(scores).data.copy()
+        g1 = backward(lb.total_tensor)[scores].copy()
         # same assignment fed from a perturbed cost path: identical gradients
         lb2 = total_loss(scores, boxes, gt_c, a)
-        g2 = backward(lb2.total_tensor).of(scores).data
+        g2 = backward(lb2.total_tensor)[scores]
         assert np.array_equal(g1, g2)

@@ -76,16 +76,16 @@ class TestEncoderFusionMulti:
         fp = m.image_enc.fusions[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sks = [leaf_map(rng, requires_grad=True) for _ in range(3)]
-        gm = backward(sum_all(encoder_fusion_multi(stage, bundle_of(sks), fp)))
+        grads = backward(sum_all(encoder_fusion_multi(stage, bundle_of(sks), fp)))
         for sk in sks:
-            assert np.max(np.abs(gm.of(sk).data)) > 0
+            assert np.max(np.abs(grads[sk])) > 0
 
 
 class TestFuseQueries:
     def test_zero_adapter_returns_average_bit_exact(self, rng):
         m = tiny_model()
-        m.get_param("query_fusion.adapter.in").value.data[...] = 0.0
-        m.get_param("query_fusion.adapter.out").value.data[...] = 0.0
+        m.params["query_fusion.adapter.in"].data[...] = 0.0
+        m.params["query_fusion.adapter.out"].data[...] = 0.0
         bundle = bundle_of([leaf_map(rng) for _ in range(3)])
         got = fuse_queries(bundle, m.query_fusion).data
         assert np.array_equal(got, mean_groups(bundle, 3).data)
@@ -128,9 +128,9 @@ class TestFuseQueries:
     def test_gradients_reach_every_sketch(self, f64, rng):
         m = tiny_model()
         maps = [leaf_map(rng, requires_grad=True) for _ in range(3)]
-        gm = backward(sum_all(fuse_queries(bundle_of(maps), m.query_fusion)))
+        grads = backward(sum_all(fuse_queries(bundle_of(maps), m.query_fusion)))
         for mp in maps:
-            assert np.max(np.abs(gm.of(mp).data)) > 0
+            assert np.max(np.abs(grads[mp])) > 0
 
 
 class TestPipelineInvariances:

@@ -11,65 +11,62 @@ from hypothesis import strategies as st
 from sgloc.data import DataConfig, Dataset, generate_dataset
 from sgloc.matching import build_cost_matrix, hungarian_assign, total_loss
 from sgloc.model import ModelConfig, SketchLocalizer
-from sgloc.tensor import NonFiniteError, Param, Tensor, backward
+from sgloc.tensor import NonFiniteError, Tensor, backward
 from sgloc.train import (
     OptimState,
     TrainConfig,
     adam_step,
-    load_checkpoint,
     load_model,
     read_checkpoint,
     save_checkpoint,
     train,
 )
-from sgloc.tensor import GradientMap
 from sgloc import train as train_module
 from test_encoder import TINY, tiny_model
 
 
-def grad_map_for(param, g):
-    return GradientMap({param.value: np.asarray(g, dtype=np.float64)})
+def leaf(*values):
+    return Tensor(np.array(values), requires_grad=True)
 
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        p = Param("w", Tensor(np.array([1.0, -2.0])))
-        state = OptimState([p])
-        adam_step([p], GradientMap({}), state, lr=0.1)
-        assert np.array_equal(p.value.data, [1.0, -2.0])
+        w = leaf(1.0, -2.0)
+        state = OptimState({"w": w})
+        adam_step({"w": w}, {}, state, lr=0.1)
+        assert np.array_equal(w.data, [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
-        p = Param("w", Tensor(np.array([1.0, 1.0])))
-        state = OptimState([p])
+        w = leaf(1.0, 1.0)
+        state = OptimState({"w": w})
         g = np.array([0.3, -0.8])
-        adam_step([p], grad_map_for(p, g), state, lr=0.01, eps=1e-8)
+        adam_step({"w": w}, {w: g}, state, lr=0.01, eps=1e-8)
         # after bias correction the first update is ~ -lr * sign(g)
         want = 1.0 - 0.01 * np.sign(g)
-        assert np.allclose(p.value.data, want, atol=1e-6)
+        assert np.allclose(w.data, want, atol=1e-6)
 
     def test_quadratic_convergence_oracle(self):
         # 100 steps on f(w) = w^2 from w = 1 at lr 0.1 reaches |w| < 0.1
-        p = Param("w", Tensor(np.array([1.0])))
-        state = OptimState([p])
+        w = leaf(1.0)
+        state = OptimState({"w": w})
         for _ in range(100):
-            g = 2.0 * p.value.data
-            adam_step([p], grad_map_for(p, g), state, lr=0.1)
-        assert abs(p.value.data[0]) < 0.1
+            adam_step({"w": w}, {w: 2.0 * w.data}, state, lr=0.1)
+        assert abs(w.data[0]) < 0.1
 
     def test_nan_gradient_aborts_with_name(self):
-        p = Param("encoder.block.weight", Tensor(np.array([1.0])))
-        state = OptimState([p])
+        w = leaf(1.0)
+        params = {"encoder.block.weight": w}
         with pytest.raises(NonFiniteError, match="encoder.block.weight"):
-            adam_step([p], grad_map_for(p, np.array([np.nan])), state, lr=0.1)
+            adam_step(params, {w: np.array([np.nan])}, OptimState(params), lr=0.1)
 
     def test_deterministic(self):
         outs = []
         for _ in range(2):
-            p = Param("w", Tensor(np.array([0.5, -0.5])))
-            state = OptimState([p])
+            w = leaf(0.5, -0.5)
+            state = OptimState({"w": w})
             for t in range(5):
-                adam_step([p], grad_map_for(p, p.value.data * 0.7), state, lr=0.05)
-            outs.append(p.value.data.copy())
+                adam_step({"w": w}, {w: w.data * 0.7}, state, lr=0.05)
+            outs.append(w.data.copy())
         assert np.array_equal(outs[0], outs[1])
 
 
@@ -148,36 +145,53 @@ class TestTrainConfig:
 
 
 class TestCheckpoint:
+    # The echoed config has seed 1, so `load_model` builds its model from
+    # other initial values than the seed-9 model whose weights are saved.
+    ECHO = dict(seed=1)
+
     def test_roundtrip_bytes_identical(self, tmp_path):
         m = tiny_model(seed=9)
         p1 = str(tmp_path / "a.sgl")
         p2 = str(tmp_path / "b.sgl")
-        cfg_text = TrainConfig().to_text()
+        cfg_text = tiny_train_config("", **self.ECHO).to_text()
         save_checkpoint(p1, m, cfg_text)
-        m2 = tiny_model(seed=1)  # different init, same architecture
-        load_checkpoint(p1, m2)
+        m2, _ = load_model(p1)
         save_checkpoint(p2, m2, cfg_text)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_values_restored_exactly(self, tmp_path):
         m = tiny_model(seed=9)
         path = str(tmp_path / "a.sgl")
-        save_checkpoint(path, m, "")
-        m2 = tiny_model(seed=1)
-        load_checkpoint(path, m2)
-        for p in m.params:
-            q = m2.get_param(p.name)
-            assert np.array_equal(
-                p.value.data.astype(np.float32), q.value.data.astype(np.float32)
-            ), p.name
+        save_checkpoint(path, m, tiny_train_config("", **self.ECHO).to_text())
+        m2, _ = load_model(path)
+        fresh = tiny_model(seed=1)
+        assert list(m2.params) == list(m.params)
+        assert any(not np.array_equal(t.data, fresh.params[n].data) for n, t in m.params.items())
+        for name, t in m.params.items():
+            assert np.array_equal(t.data, m2.params[name].data), name
 
     def test_unknown_name_rejected(self, tmp_path):
-        m = tiny_model()
         path = str(tmp_path / "a.sgl")
-        save_checkpoint(path, m, "")
-        smaller = tiny_model(sketch_layers=2)  # different architecture
-        with pytest.raises(ValueError):
-            load_checkpoint(path, smaller)
+        # entries of a two-layer sketch encoder under a one-layer config
+        save_checkpoint(path, tiny_model(sketch_layers=2), tiny_train_config("").to_text())
+        with pytest.raises(ValueError, match="unknown parameter 'sketch.block1.") as e:
+            load_model(path)
+        assert str(e.value).startswith(path + ": ")
+
+    @pytest.mark.parametrize(
+        "saved, echoed, match",
+        [
+            ({}, {"sketch_layers": 2}, "checkpoint missing parameters \\['sketch.block1."),
+            ({"d_hidden": 32}, {}, "shape \\(8, 32\\) for 'sketch.block0.adapter.in' does not match"),
+        ],
+        ids=["missing_name", "wrong_shape"],
+    )
+    def test_missing_name_or_wrong_shape_rejected(self, tmp_path, saved, echoed, match):
+        path = str(tmp_path / "a.sgl")
+        save_checkpoint(path, tiny_model(**saved), tiny_train_config("", **echoed).to_text())
+        with pytest.raises(ValueError, match=match) as e:
+            load_model(path)
+        assert str(e.value).startswith(path + ": ")
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "junk.sgl")
@@ -210,10 +224,10 @@ class TestMalformedCheckpoint:
 
     def first_param_offsets(self, m):
         """(name, shape, data) offsets of the first parameter record."""
-        p = m.params[0]
+        first, t = next(iter(m.params.items()))
         name = 4 + 4 + 4 + len(self.CONFIG) + 4 + 2
-        shape = name + len(p.name.encode()) + 1
-        return name, shape, shape + 4 * p.value.ndim
+        shape = name + len(first.encode()) + 1
+        return name, shape, shape + 4 * t.ndim
 
     def truncated(self, tmp_path, buf, n):
         path = str(tmp_path / f"cut{n}.sgl")
@@ -224,7 +238,7 @@ class TestMalformedCheckpoint:
     def test_truncation_names_path_and_offset(self, tmp_path):
         _, buf, m = self.saved(tmp_path)
         name, shape, data = self.first_param_offsets(m)
-        last_data = len(buf) - 4 * m.params[-1].value.size
+        last_data = len(buf) - 4 * list(m.params.values())[-1].size
         # (bytes kept, offset of the field the file ends in)
         cuts = [(0, 0), (4, 4), (12, 12), (name + 2, name), (shape + 2, shape),
                 (data + 5, data), (len(buf) - 1, last_data)]
