@@ -637,6 +637,8 @@ class Dataset:
                 if line.strip():
                     where = f"{ann_path} line {lineno}"
                     rec = _json_record(line, where, ("image", "boxes", "classes"))
+                    if not isinstance(rec["image"], str):
+                        raise DatasetError(f"{where}: 'image' {rec['image']!r} is not a path string")
                     self.annotations.append((rec["image"], _annotation(rec, n_classes, where)))
         for sid in self.split.train_scenes + self.split.val_scenes:
             if not 0 <= sid < len(self.annotations):

@@ -586,6 +586,8 @@ def finite_difference_check(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if max_coords is not None and max_coords < 1:
+        raise ValueError(f"max_coords must be at least 1, got {max_coords}")
     if _precision != "f64":
         raise PrecisionError("finite_difference_check requires f64 precision")
     tensors = list(tensors)

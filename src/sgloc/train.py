@@ -8,8 +8,8 @@ Checkpoint format, version 2 (all little-endian):
 Version 2 stores each attention projection packed, as one d x d matrix
 `*.attn.q`, `*.attn.k`, `*.attn.v` whose column blocks are the heads.
 Version 1 stored one d x (d/heads) matrix per head (`*.attn.q0` ...) and is
-rejected. A file that ends inside a field, or goes on after the last one,
-raises ValueError naming the path and the offset.
+rejected. A file that ends inside a field, goes on after the last one, or
+names a parameter twice raises ValueError naming the path and the offset.
 `load_model` is the one loader: it rebuilds the model from the echoed config
 and requires exactly its parameter names and shapes.
 
@@ -159,9 +159,8 @@ def adam_step(
     without a gradient gets a zero one."""
     b1, b2 = betas
     state.step += 1
-    t = state.step
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
     for name, t in params.items():
         g = grads.get(t)
         if g is None:
@@ -245,8 +244,11 @@ def read_checkpoint(path: str):
     (count,) = r.unpack("<I")
     entries = {}
     for _ in range(count):
+        off = r.off
         (nlen,) = r.unpack("<H")
         name = r.text(nlen)
+        if name in entries:
+            raise ValueError(f"{path}: parameter {name!r} repeated at offset {off}")
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
         n = math.prod(shape)

@@ -129,6 +129,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'split.json'}: missing key 'seen'\n"
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_gradcheck_without_coordinates_is_refused(self, capsys, n):
+        assert main(["gradcheck", "--max-coords", str(n)]) == 1
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert err == f"error: max_coords must be at least 1, got {n}\n"
+
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o")]) == 1
 

@@ -418,6 +418,7 @@ def _without(key):
          "'train_scenes' is not a list of int values"),
         (_edit_split(lambda s: {**s, "val_scenes": [True]}), "split.json",
          "'val_scenes' is not a list of int values"),
+        (_edit_record(2, lambda r: {**r, "image": 7}), "annotations.jsonl line 2", "'image' 7 is not a path string"),
     ],
     ids=["split-json", "split-missing-seen", "split-missing-class-names", "line-json", "line-not-object",
          "line-missing-boxes", "boxes-n-by-3", "boxes-ragged", "boxes-outnumber-classes",
@@ -425,7 +426,7 @@ def _without(key):
          "train-pools-a-list", "pool-key-not-a-number", "pool-key-negative", "pool-key-past-the-end",
          "pool-key-repeated", "pool-not-a-list",
          "pool-path-not-a-string", "class-names-a-string", "seen-holds-a-string", "unseen-a-number",
-         "train-scenes-an-object", "val-scenes-holds-a-bool"],
+         "train-scenes-an-object", "val-scenes-holds-a-bool", "image-not-a-string"],
 )
 def test_malformed_metadata_names_file_and_fault(metadata, tmp_path, damage, where, match):
     files = dict(metadata)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -286,6 +287,20 @@ class TestMalformedCheckpoint:
         except ValueError:
             return
         assert isinstance(model, SketchLocalizer) and model.config == cfg
+
+    def test_repeated_name_rejected(self, tmp_path):
+        path, buf, m = self.saved(tmp_path)
+        name, _, data = self.first_param_offsets(m)
+        first, t = next(iter(m.params.items()))
+        count, start, end = name - 6, name - 2, data + 4 * t.size
+        # the first record written twice, with the count raised to match
+        (n,) = struct.unpack("<I", buf[count:start])
+        with open(path, "wb") as f:
+            f.write(buf[:count] + struct.pack("<I", n + 1) + buf[start:end] + buf[start:])
+        for load in (read_checkpoint, load_model):
+            with pytest.raises(ValueError) as e:
+                load(path)
+            assert str(e.value) == f"{path}: parameter {first!r} repeated at offset {end}"
 
     def test_version_1_rejected(self, tmp_path):
         path, buf, _ = self.saved(tmp_path)
