@@ -9,7 +9,7 @@ from dataclasses import fields
 
 from .data import DataConfig, Dataset, generate_dataset, read_pgm, read_ppm
 from .metrics import evaluate_queries
-from .train import TrainConfig, load_model, train
+from .train import TrainConfig, load_model, parse_value, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -20,11 +20,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     dc = DataConfig()
     g.add_argument("--seed", type=int, default=dc.seed)
-    g.add_argument("--mode", choices=["closed", "open"], default=dc.mode)
     g.add_argument("--train", type=int, default=dc.n_train, dest="n_train")
     g.add_argument("--val", type=int, default=dc.n_val, dest="n_val")
     g.add_argument("--unseen", type=_parse_ids, default=dc.unseen,
-                   help="comma-separated class ids held out in open mode")
+                   help="comma-separated class ids held out of training; none: closed world")
     g.add_argument("--sketches-per-class", type=int, default=dc.sketches_per_class)
     g.add_argument("--val-sketches-per-class", type=int, default=dc.val_sketches_per_class,
                    help="defaults to a third of the pool, at least 2")
@@ -33,11 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="flat key = value config file")
     t.add_argument("--out", required=True)
     for f in fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
-            t.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
-        else:
-            t.add_argument(flag, type=type(f.default), default=None)
+        t.add_argument("--" + f.name.replace("_", "-"), type=_config_value(f.type), default=None,
+                       metavar=f.type.upper())
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("--ckpt", required=True)
@@ -58,12 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"not a boolean: {s!r}")
+def _config_value(typ: str):
+    """A flag parser for a TrainConfig field of type `typ`: the one that
+    config files use, with its error message kept."""
+    def parse(s: str):
+        try:
+            return parse_value(s, typ)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
 
 
 def _parse_ids(s: str) -> tuple:

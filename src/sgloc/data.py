@@ -18,7 +18,11 @@ On-disk layout:
     scenes/NNNNNN.ppm          binary P6
     sketches/CLASS/NNNN.pgm    binary P5
     annotations.jsonl          {"image": ..., "boxes": [[x0,y0,x1,y1],..], "classes": [..]}
-    split.json                 seen/unseen ids, train/val scene ids, sketch pools
+    split.json                 the DataConfig, as a JSON object of its six fields
+
+A corpus is a pure function of its `DataConfig`, so `split.json` stores only
+that: `Dataset` derives the seen/unseen classes, scene ids and sketch pools
+from it with `make_splits`, the same call `generate_dataset` makes.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -223,11 +227,10 @@ _PALETTE = np.array(
 
 @dataclass
 class DataConfig:
-    n_train: int = 400
-    n_val: int = 100
-    mode: str = "closed"  # or "open"
-    unseen: tuple = (10, 11)  # holdout ids in open mode
-    sketches_per_class: int = 24
+    n_train: int = 400  # train scenes, ids 0..n_train-1
+    n_val: int = 100  # val scenes, the ids after the train ones
+    unseen: tuple = ()  # class ids kept out of train scenes and sketches; empty: closed world
+    sketches_per_class: int = 24  # the last val_sketches_per_class of them are val sketches
     val_sketches_per_class: int | None = None  # None: a third of the pool, at least 2
     seed: int = 0
 
@@ -467,16 +470,11 @@ def make_splits(config: DataConfig) -> DatasetSplit:
         if getattr(config, name) <= 0:
             raise DatasetError(f"config field {name} must be positive, got {getattr(config, name)}")
     all_ids = list(range(len(CLASS_NAMES)))
-    if config.mode == "closed":
-        unseen: list = []
-    elif config.mode == "open":
-        unseen = sorted(int(u) for u in config.unseen)
-        if len(set(unseen)) != len(unseen) or any(u not in all_ids for u in unseen):
-            raise DatasetError(f"invalid unseen class ids {config.unseen}")
-        if len(unseen) >= len(CLASS_NAMES) / 2:
-            raise DatasetError("unseen classes must be fewer than half of all classes")
-    else:
-        raise DatasetError(f"unknown mode {config.mode!r}")
+    unseen = sorted(int(u) for u in config.unseen)
+    if len(set(unseen)) != len(unseen) or any(u not in all_ids for u in unseen):
+        raise DatasetError(f"invalid unseen class ids {config.unseen}")
+    if len(unseen) >= len(CLASS_NAMES) / 2:
+        raise DatasetError("unseen classes must be fewer than half of all classes")
     seen = [c for c in all_ids if c not in unseen]
 
     n_sk = config.sketches_per_class
@@ -509,7 +507,7 @@ def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
 
     lines = []
     for sid in split.train_scenes + split.val_scenes:
-        pool = split.seen if (config.mode == "open" and sid in set(split.train_scenes)) else None
+        pool = split.seen if sid < config.n_train else None
         sample = generate_scene(derive_seed(config.seed, "scene", sid), classes=pool)
         rel = f"scenes/{sid:06d}.ppm"
         write_ppm(os.path.join(out_dir, rel), sample.image)
@@ -531,22 +529,17 @@ def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
             write_pgm(os.path.join(out_dir, f"sketches/{CLASS_NAMES[c]}/{i:04d}.pgm"), img)
 
     with open(os.path.join(out_dir, "split.json"), "w") as f:
-        json.dump(
-            {
-                "seen": split.seen,
-                "unseen": split.unseen,
-                "train_scenes": split.train_scenes,
-                "val_scenes": split.val_scenes,
-                "train_sketches": {str(k): v for k, v in split.train_sketches.items()},
-                "val_sketches": {str(k): v for k, v in split.val_sketches.items()},
-                "class_names": CLASS_NAMES,
-                "mode": config.mode,
-                "seed": config.seed,
-            },
-            f,
-            indent=1,
-        )
+        json.dump(asdict(config), f, indent=1)
     return Dataset(out_dir)
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of `path`, or a DatasetError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
 
 
 def _json_record(text: str, where: str, keys: tuple) -> dict:
@@ -563,7 +556,7 @@ def _json_record(text: str, where: str, keys: tuple) -> dict:
     return rec
 
 
-def _annotation(rec: dict, n_classes: int, where: str) -> Annotation:
+def _annotation(rec: dict, where: str) -> Annotation:
     """The boxes and class ids of one annotation record, checked."""
     try:
         boxes = np.array(rec["boxes"], dtype=np.float64)
@@ -577,75 +570,65 @@ def _annotation(rec: dict, n_classes: int, where: str) -> Annotation:
     if not isinstance(classes, list) or len(classes) != len(boxes):
         raise DatasetError(f"{where}: {len(boxes)} boxes but classes {classes!r}")
     for c in classes:
-        if not (type(c) is int and 0 <= c < n_classes):
-            raise DatasetError(f"{where}: class id {c!r} is outside 0..{n_classes - 1}")
+        if not (type(c) is int and 0 <= c < len(CLASS_NAMES)):
+            raise DatasetError(f"{where}: class id {c!r} is outside 0..{len(CLASS_NAMES) - 1}")
     return Annotation(boxes, classes)
 
 
-def _list_of(raw: dict, key: str, kind: type, where: str) -> list:
-    """raw[key], which must be a list of `kind` values (bools are not ints)."""
-    v = raw[key]
-    if not (isinstance(v, list) and all(type(x) is kind for x in v)):
-        raise DatasetError(f"{where}: {key!r} is not a list of {kind.__name__} values")
-    return v
-
-
-def _sketch_pools(raw: dict, key: str, n_classes: int, where: str) -> dict:
-    """raw[key] as {class id: [relative sketch paths]}; its JSON keys are the
-    class ids as decimal strings, each id at most once."""
-    v = raw[key]
-    if not isinstance(v, dict):
-        raise DatasetError(f"{where}: {key!r} is not an object mapping class ids to sketch paths")
-    pools = {}
-    for cls in v:
-        c = int(cls) if cls.isdecimal() else -1
-        if not 0 <= c < n_classes:
-            raise DatasetError(f"{where}: {key!r} has class key {cls!r}, not a class id in 0..{n_classes - 1}")
-        if c in pools:
-            raise DatasetError(f"{where}: {key!r} lists class {c} twice")
-        pools[c] = _list_of(v, cls, str, f"{where}: {key!r}")
-    return pools
+def _data_config(text: str, where: str) -> DataConfig:
+    """The DataConfig that split.json text records: exactly its fields, each
+    an int (bools are not ints), `unseen` a list of them and
+    `val_sketches_per_class` possibly null."""
+    names = [f.name for f in fields(DataConfig)]
+    raw = _json_record(text, where, names)
+    for key, v in raw.items():
+        if key not in names:
+            raise DatasetError(f"{where}: unknown key {key!r}")
+        if key == "unseen":
+            if not (isinstance(v, list) and all(type(u) is int for u in v)):
+                raise DatasetError(f"{where}: 'unseen' {v!r} is not a list of class ids")
+        elif not (type(v) is int or (v is None and key == "val_sketches_per_class")):
+            raise DatasetError(f"{where}: {key!r} {v!r} is not an int")
+    return DataConfig(**{**raw, "unseen": tuple(raw["unseen"])})
 
 
 class Dataset:
     """Read access to a generated corpus directory, with raster caching."""
 
     image_size = IMAGE_SIZE
+    class_names = CLASS_NAMES
 
     def __init__(self, root: str):
         self.root = root
         split_path = os.path.join(root, "split.json")
         if not os.path.exists(split_path):
             raise DatasetError(f"no split.json under {root}")
-        with open(split_path) as f:
-            raw = _json_record(f.read(), split_path, ("seen", "unseen", "train_scenes", "val_scenes",
-                                                      "train_sketches", "val_sketches", "class_names"))
-        self.class_names = _list_of(raw, "class_names", str, split_path)
-        n_classes = len(self.class_names)
-        self.split = DatasetSplit(
-            seen=_list_of(raw, "seen", int, split_path),
-            unseen=_list_of(raw, "unseen", int, split_path),
-            train_scenes=_list_of(raw, "train_scenes", int, split_path),
-            val_scenes=_list_of(raw, "val_scenes", int, split_path),
-            train_sketches=_sketch_pools(raw, "train_sketches", n_classes, split_path),
-            val_sketches=_sketch_pools(raw, "val_sketches", n_classes, split_path),
-        )
+        self.config = _data_config(_read_text(split_path), split_path)
         self.annotations = []
         ann_path = os.path.join(root, "annotations.jsonl")
-        with open(ann_path) as f:
-            for lineno, line in enumerate(f, 1):
-                if line.strip():
-                    where = f"{ann_path} line {lineno}"
-                    rec = _json_record(line, where, ("image", "boxes", "classes"))
-                    if not isinstance(rec["image"], str):
-                        raise DatasetError(f"{where}: 'image' {rec['image']!r} is not a path string")
-                    self.annotations.append((rec["image"], _annotation(rec, n_classes, where)))
-        for sid in self.split.train_scenes + self.split.val_scenes:
-            if not 0 <= sid < len(self.annotations):
-                raise DatasetError(
-                    f"{split_path}: scene id {sid!r} does not index the "
-                    f"{len(self.annotations)} annotation lines"
-                )
+        for lineno, line in enumerate(_read_text(ann_path).split("\n"), 1):
+            if line.strip():
+                where = f"{ann_path} line {lineno}"
+                rec = _json_record(line, where, ("image", "boxes", "classes"))
+                if not isinstance(rec["image"], str):
+                    raise DatasetError(f"{where}: 'image' {rec['image']!r} is not a path string")
+                self.annotations.append((rec["image"], _annotation(rec, where)))
+        # both checks come before make_splits, which lists every scene id and
+        # sketch path the config names
+        n_scenes = self.config.n_train + self.config.n_val
+        if len(self.annotations) != n_scenes:
+            raise DatasetError(
+                f"{split_path}: n_train + n_val is {n_scenes}, but {ann_path} "
+                f"holds {len(self.annotations)} annotations"
+            )
+        n_sk = self.config.sketches_per_class
+        last = os.path.join(root, "sketches", CLASS_NAMES[0], f"{n_sk - 1:04d}.pgm")
+        if n_sk > 0 and not os.path.exists(last):
+            raise DatasetError(f"{split_path}: sketches_per_class is {n_sk}, but there is no {last}")
+        try:
+            self.split = make_splits(self.config)
+        except DatasetError as e:
+            raise DatasetError(f"{split_path}: {e}") from None
         self._scene_cache: dict = {}
         self._sketch_cache: dict = {}
 

@@ -164,15 +164,9 @@ def evaluate_queries(
     protocol: str = "1Q",
     subset: str = "val",
     seed: int = 0,
-    restrict_classes=None,
-    sketch_class_map=None,
 ) -> MetricsReport:
     """Query every (scene, present class) pair of a split and score detections
-    against the queried class only.
-
-    `sketch_class_map` substitutes the sketch class used for a queried class
-    (the shuffled-query control); ground truths stay those of the queried class.
-    """
+    against the queried class only."""
     protocol = protocol.upper()
     if protocol not in ("1Q", "5Q"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -188,11 +182,8 @@ def evaluate_queries(
         present = sorted(set(ann.classes))
         image = dataset.load_scene(sid)
         for cls in present:
-            if restrict_classes is not None and cls not in restrict_classes:
-                continue
-            query_cls = cls if sketch_class_map is None else sketch_class_map[cls]
             rng = np.random.default_rng(derive_seed(seed, "eval", sid, cls))
-            pool = dataset.sketch_pool(query_cls, subset)
+            pool = dataset.sketch_pool(cls, subset)
             pick = rng.choice(len(pool), size=n_query, replace=len(pool) < n_query)
             sketches = [dataset.load_sketch(pool[i]) for i in pick]
             result = model.localize(image, sketches, threshold=0.0)

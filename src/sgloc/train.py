@@ -75,6 +75,9 @@ class TrainConfig(ModelConfig):
         for name in ("lam_cls", "lam_l1", "lam_giou"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"config field {name} must not be negative")
+        for name in ("lr", "eps", "lam_cls", "lam_l1", "lam_giou"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"config field {name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.protocol_mix <= 1.0:
             raise ValueError("protocol_mix must lie in [0, 1]")
 
@@ -93,7 +96,7 @@ class TrainConfig(ModelConfig):
     @classmethod
     def from_text(cls, text: str) -> "TrainConfig":
         known = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
+        kwargs, first_line = {}, {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -105,8 +108,13 @@ class TrainConfig(ModelConfig):
                 continue
             if key not in known:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"config line {lineno}: key {key!r} repeated (first on line {first_line[key]})"
+                )
+            first_line[key] = lineno
             try:
-                kwargs[key] = _parse_value(val, known[key])
+                kwargs[key] = parse_value(val, known[key])
             except ValueError as e:
                 raise ValueError(f"config line {lineno}: bad value for {key}: {e}") from None
         return cls(**kwargs)
@@ -117,7 +125,9 @@ class TrainConfig(ModelConfig):
             return cls.from_text(f.read())
 
 
-def _parse_value(val: str, typ):
+def parse_value(val: str, typ):
+    """The value of a config field of type `typ` from its text: config files
+    and `sgloc train` flags both parse with this."""
     name = typ if isinstance(typ, str) else typ.__name__
     if name == "int":
         return int(val)
@@ -303,8 +313,6 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
         log = lambda msg: print(msg, file=sys.stderr)
     dataset = Dataset(config.dataset)
     train_ids = dataset.scene_ids("train")
-    if not train_ids:
-        raise ValueError(f"{config.dataset}: the train split holds no scenes")
     model = SketchLocalizer(config, seed=config.seed)
     state = OptimState(model.params)
     weights = config.loss_weights()

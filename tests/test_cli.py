@@ -14,7 +14,7 @@ def workspace(tmp_path_factory):
     data_dir = str(root / "corpus")
     code = main(
         [
-            "gen-data", "--out", data_dir, "--seed", "7", "--mode", "open",
+            "gen-data", "--out", data_dir, "--seed", "7", "--unseen", "10,11",
             "--train", "10", "--val", "4", "--sketches-per-class", "6",
         ]
     )
@@ -106,6 +106,18 @@ class TestErrors:
 
     def test_deleted_mode_flag_exits_2(self, tmp_path, capsys):
         assert main(["train", "--mode", "open", "--out", str(tmp_path / "o")]) == 2
+        assert main(["gen-data", "--mode", "open", "--out", str(tmp_path / "c")]) == 2
+        assert not os.path.exists(tmp_path / "c")
+
+    def test_unseen_ids_alone_hold_classes_out(self, tmp_path):
+        out = str(tmp_path / "c")
+        assert main(["gen-data", "--out", out, "--unseen", "3", "--train", "4", "--val", "2",
+                     "--sketches-per-class", "3"]) == 0
+        assert Dataset(out).split.unseen == [3]
+
+    def test_bad_boolean_flag_exits_2(self, tmp_path, capsys):
+        assert main(["train", "--refinement", "maybe", "--out", str(tmp_path / "o")]) == 2
+        assert "argument --refinement: not a boolean: 'maybe'" in capsys.readouterr().err
 
     def test_malformed_unseen_ids_exit_2(self, tmp_path, capsys):
         assert main(["gen-data", "--out", str(tmp_path / "c"), "--unseen", "10,x"]) == 2
@@ -122,12 +134,12 @@ class TestErrors:
         _, data_dir, ckpt = trained
         with open(os.path.join(data_dir, "split.json")) as f:
             split = json.load(f)
-        del split["seen"]
+        del split["n_train"]
         with open(tmp_path / "split.json", "w") as f:
             json.dump(split, f)
         assert main(["eval", "--ckpt", ckpt, "--dataset", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {tmp_path / 'split.json'}: missing key 'seen'\n"
+        assert err == f"error: {tmp_path / 'split.json'}: missing key 'n_train'\n"
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_gradcheck_without_coordinates_is_refused(self, capsys, n):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -135,13 +136,13 @@ class TestRenderSketch:
 
 class TestSplits:
     def test_closed_world_empty_unseen(self):
-        split = make_splits(DataConfig(mode="closed"))
+        split = make_splits(DataConfig())
         assert split.unseen == []
         assert len(split.seen) == 12
         assert all(split.train_sketches[c] for c in range(12))
 
     def test_open_world_pools(self):
-        split = make_splits(DataConfig(mode="open", unseen=(10, 11)))
+        split = make_splits(DataConfig(unseen=(10, 11)))
         assert split.unseen == [10, 11]
         assert split.train_sketches[10] == [] and split.train_sketches[11] == []
         assert len(split.val_sketches[10]) == 8
@@ -149,15 +150,16 @@ class TestSplits:
 
     def test_invalid_unseen_rejected(self):
         with pytest.raises(DatasetError):
-            make_splits(DataConfig(mode="open", unseen=(10, 10)))
+            make_splits(DataConfig(unseen=(10, 10)))
         with pytest.raises(DatasetError):
-            make_splits(DataConfig(mode="open", unseen=(99,)))
+            make_splits(DataConfig(unseen=(99,)))
         with pytest.raises(DatasetError):
-            make_splits(DataConfig(mode="open", unseen=(0, 1, 2, 3, 4, 5)))
+            make_splits(DataConfig(unseen=(0, 1, 2, 3, 4, 5)))
 
-    def test_unknown_mode(self):
-        with pytest.raises(DatasetError):
-            make_splits(DataConfig(mode="hybrid"))
+    def test_unseen_classes_alone_make_the_world_open(self):
+        split = make_splits(DataConfig(unseen=(3,)))
+        assert split.unseen == [3] and 3 not in split.seen
+        assert split.train_sketches[3] == [] and split.val_sketches[3]
 
     @pytest.mark.parametrize("field, value", [("n_train", 0), ("n_train", -3), ("n_val", 0), ("n_val", -1)])
     def test_non_positive_scene_count_is_named(self, field, value):
@@ -272,7 +274,7 @@ def pnm_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def small_open_dataset(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("corpus"))
-    cfg = DataConfig(n_train=24, n_val=8, mode="open", unseen=(10, 11), seed=13,
+    cfg = DataConfig(n_train=24, n_val=8, unseen=(10, 11), seed=13,
                      sketches_per_class=6, val_sketches_per_class=2)
     return generate_dataset(cfg, out), cfg, out
 
@@ -284,6 +286,12 @@ class TestDatasetDirectory:
         assert os.path.exists(os.path.join(out, "sketches/circle/0000.pgm"))
         assert os.path.exists(os.path.join(out, "annotations.jsonl"))
         assert os.path.exists(os.path.join(out, "split.json"))
+
+    def test_split_json_is_the_config(self, small_open_dataset):
+        ds, cfg, out = small_open_dataset
+        with open(os.path.join(out, "split.json")) as f:
+            assert json.load(f) == {**asdict(cfg), "unseen": [10, 11]}
+        assert ds.config == cfg and ds.split == make_splits(cfg)
 
     def test_annotation_schema(self, small_open_dataset):
         _, cfg, out = small_open_dataset
@@ -340,14 +348,24 @@ class TestDatasetDirectory:
 
 @pytest.fixture(scope="module")
 def metadata(tmp_path_factory):
-    """The split.json and annotations.jsonl texts of an 8-scene corpus."""
+    """The split.json and annotations.jsonl texts of an 8-scene corpus, and
+    the corpus directory, whose sketches the damaged copies link to."""
     out = tmp_path_factory.mktemp("metadata")
     generate_dataset(DataConfig(n_train=6, n_val=2, sketches_per_class=3, val_sketches_per_class=1), str(out))
     files = {}
     for name in ("split.json", "annotations.jsonl"):
         with open(out / name) as f:
             files[name] = f.read()
-    return files
+    return files, str(out)
+
+
+def _write_corpus(root: str, files: dict, source: str) -> None:
+    """`files` under `root`, next to a link to the sketches of `source`."""
+    for name, blob in files.items():
+        with open(os.path.join(root, name), "wb" if isinstance(blob, bytes) else "w") as f:
+            f.write(blob)
+    if not os.path.exists(os.path.join(root, "sketches")):
+        os.symlink(os.path.join(source, "sketches"), os.path.join(root, "sketches"))
 
 
 def _edit_line(n: int, edit):
@@ -373,12 +391,22 @@ def _without(key):
     return lambda rec: {k: v for k, v in rec.items() if k != key}
 
 
+# split.json as written before it held the DataConfig (n_train=6, n_val=2, 3 sketches, 1 for val)
+_EXPANDED_SPLIT = json.dumps({
+    "seen": list(range(12)), "unseen": [], "train_scenes": list(range(6)), "val_scenes": [6, 7],
+    "train_sketches": {str(c): [f"sketches/{n}/{i:04d}.pgm" for i in range(2)] for c, n in enumerate(CLASS_NAMES)},
+    "val_sketches": {str(c): [f"sketches/{n}/0002.pgm"] for c, n in enumerate(CLASS_NAMES)},
+    "class_names": CLASS_NAMES, "mode": "closed", "seed": 0,
+})
+
+
 @pytest.mark.parametrize(
     "damage, where, match",
     [
-        (lambda files: files.update({"split.json": '{"seen": [0, 1'}), "split.json", "not valid JSON"),
-        (_edit_split(_without("seen")), "split.json", "missing key 'seen'"),
-        (_edit_split(_without("class_names")), "split.json", "missing key 'class_names'"),
+        (lambda files: files.update({"split.json": '{"n_train": 6'}), "split.json", "not valid JSON"),
+        (_edit_split(_without("n_train")), "split.json", "missing key 'n_train'"),
+        (_edit_split(lambda s: {**s, "class_names": CLASS_NAMES}), "split.json", "unknown key 'class_names'"),
+        (lambda files: files.update({"split.json": _EXPANDED_SPLIT}), "split.json", "missing key 'n_train'"),
         (_edit_line(2, lambda line: line[:-3]), "annotations.jsonl line 2", "not valid JSON"),
         (_edit_line(2, lambda line: "[1, 2]"), "annotations.jsonl line 2", "expected a JSON object"),
         (_edit_record(3, _without("boxes")), "annotations.jsonl line 3", "missing key 'boxes'"),
@@ -392,51 +420,80 @@ def _without(key):
          "annotations.jsonl line 4", r"class id 12 is outside 0\.\.11"),
         (_edit_record(4, lambda r: {**r, "classes": [-1] * len(r["classes"])}),
          "annotations.jsonl line 4", r"class id -1 is outside 0\.\.11"),
-        (_edit_split(lambda s: {**s, "val_scenes": [-3, -2]}), "split.json",
-         "scene id -3 does not index the 8 annotation lines"),
-        (_edit_split(lambda s: {**s, "train_scenes": s["train_scenes"] + [8]}), "split.json",
-         "scene id 8 does not index the 8 annotation lines"),
-        (_edit_split(lambda s: {**s, "train_sketches": []}), "split.json",
-         "'train_sketches' is not an object mapping class ids to sketch paths"),
-        (_edit_split(lambda s: {**s, "val_sketches": {**s["val_sketches"], "x": []}}), "split.json",
-         "'val_sketches' has class key 'x', not a class id"),
-        (_edit_split(lambda s: {**s, "val_sketches": {**s["val_sketches"], "-1": []}}), "split.json",
-         r"'val_sketches' has class key '-1', not a class id in 0\.\.11"),
-        (_edit_split(lambda s: {**s, "val_sketches": {**s["val_sketches"], "12": []}}), "split.json",
-         r"'val_sketches' has class key '12', not a class id in 0\.\.11"),
-        (_edit_split(lambda s: {**s, "train_sketches": {**s["train_sketches"], "03": []}}), "split.json",
-         "'train_sketches' lists class 3 twice"),
-        (_edit_split(lambda s: {**s, "val_sketches": {"0": "sketches/circle/0002.pgm"}}), "split.json",
-         "'val_sketches': '0' is not a list of str values"),
-        (_edit_split(lambda s: {**s, "train_sketches": {"1": [3]}}), "split.json",
-         "'train_sketches': '1' is not a list of str values"),
-        (_edit_split(lambda s: {**s, "class_names": "circle"}), "split.json",
-         "'class_names' is not a list of str values"),
-        (_edit_split(lambda s: {**s, "seen": [0, "1"]}), "split.json", "'seen' is not a list of int values"),
-        (_edit_split(lambda s: {**s, "unseen": 3}), "split.json", "'unseen' is not a list of int values"),
-        (_edit_split(lambda s: {**s, "train_scenes": {"0": 1}}), "split.json",
-         "'train_scenes' is not a list of int values"),
-        (_edit_split(lambda s: {**s, "val_scenes": [True]}), "split.json",
-         "'val_scenes' is not a list of int values"),
+        (_edit_split(lambda s: {**s, "n_train": 0, "n_val": 8}), "split.json",
+         "config field n_train must be positive, got 0"),
+        (_edit_split(lambda s: {**s, "n_val": 3}), "split.json",
+         r"n_train \+ n_val is 9, but .*annotations\.jsonl holds 8 annotations"),
+        (_edit_line(8, lambda line: ""), "split.json",
+         r"n_train \+ n_val is 8, but .*annotations\.jsonl holds 7 annotations"),
+        (_edit_split(lambda s: {**s, "n_val": "2"}), "split.json", "'n_val' '2' is not an int"),
+        (_edit_split(lambda s: {**s, "n_train": True}), "split.json", "'n_train' True is not an int"),
+        (_edit_split(lambda s: {**s, "sketches_per_class": 3.0}), "split.json",
+         "'sketches_per_class' 3.0 is not an int"),
+        (_edit_split(lambda s: {**s, "val_sketches_per_class": 3}), "split.json",
+         "val sketch count must be positive and below the pool size"),
+        (_edit_split(lambda s: {**s, "sketches_per_class": 4}), "split.json",
+         r"sketches_per_class is 4, but there is no .*sketches/circle/0003\.pgm"),
+        (_edit_split(lambda s: {**s, "unseen": 3}), "split.json", "'unseen' 3 is not a list of class ids"),
+        (_edit_split(lambda s: {**s, "unseen": ["10"]}), "split.json",
+         r"'unseen' \['10'\] is not a list of class ids"),
+        (_edit_split(lambda s: {**s, "unseen": [12]}), "split.json", r"invalid unseen class ids \(12,\)"),
+        (_edit_split(lambda s: {**s, "unseen": [10, 10]}), "split.json", r"invalid unseen class ids \(10, 10\)"),
         (_edit_record(2, lambda r: {**r, "image": 7}), "annotations.jsonl line 2", "'image' 7 is not a path string"),
+        (lambda files: files.update({"split.json": files["split.json"].encode().replace(b"seed", b"s\xe9ed")}),
+         "split.json", r"not UTF-8 text \(byte \d+: invalid continuation byte\)"),
+        (lambda files: files.update({"annotations.jsonl": b"\xff" + files["annotations.jsonl"].encode()}),
+         "annotations.jsonl", r"not UTF-8 text \(byte 0: invalid start byte\)"),
     ],
-    ids=["split-json", "split-missing-seen", "split-missing-class-names", "line-json", "line-not-object",
-         "line-missing-boxes", "boxes-n-by-3", "boxes-ragged", "boxes-outnumber-classes",
-         "class-id-too-large", "class-id-negative", "negative-scene-id", "scene-id-past-the-end",
-         "train-pools-a-list", "pool-key-not-a-number", "pool-key-negative", "pool-key-past-the-end",
-         "pool-key-repeated", "pool-not-a-list",
-         "pool-path-not-a-string", "class-names-a-string", "seen-holds-a-string", "unseen-a-number",
-         "train-scenes-an-object", "val-scenes-holds-a-bool", "image-not-a-string"],
+    ids=["split-json", "split-missing-n-train", "split-unknown-key", "split-expanded-format", "line-json",
+         "line-not-object", "line-missing-boxes", "boxes-n-by-3", "boxes-ragged", "boxes-outnumber-classes",
+         "class-id-too-large", "class-id-negative", "n-train-zero", "annotation-count-mismatch",
+         "annotation-line-missing", "count-a-string", "count-a-bool", "count-a-float", "val-pool-too-large",
+         "sketch-pool-past-the-files", "unseen-a-number", "unseen-holds-a-string", "unseen-id-past-the-end",
+         "unseen-id-repeated", "image-not-a-string", "split-not-utf8", "annotations-not-utf8"],
 )
 def test_malformed_metadata_names_file_and_fault(metadata, tmp_path, damage, where, match):
-    files = dict(metadata)
+    files, source = metadata
+    files = dict(files)
     damage(files)
-    for name, text in files.items():
-        with open(tmp_path / name, "w") as f:
-            f.write(text)
+    _write_corpus(str(tmp_path), files, source)
     with pytest.raises(DatasetError, match=match) as err:
         Dataset(str(tmp_path))
     assert str(err.value).startswith(os.path.join(str(tmp_path), where) + ": ")
+
+
+def test_a_missing_val_pool_size_defaults(metadata, tmp_path):
+    files, source = metadata
+    files = dict(files)
+    _edit_split(lambda s: {**s, "val_sketches_per_class": None})(files)
+    _write_corpus(str(tmp_path), files, source)
+    ds = Dataset(str(tmp_path))
+    assert ds.config.val_sketches_per_class is None
+    assert ds.split == make_splits(DataConfig(n_train=6, n_val=2, sketches_per_class=3))
+
+
+@pytest.fixture(scope="module")
+def damaged_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("damaged"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["split.json", "annotations.jsonl"]), data=st.data())
+def test_damaged_metadata_loads_or_raises_dataset_error(metadata, damaged_dir, name, data):
+    files, source = metadata
+    blob = bytearray(files[name].encode())
+    if data.draw(st.booleans(), label="truncate"):
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="cut"):]
+    else:
+        blob[data.draw(st.integers(0, len(blob) - 1), label="at")] = data.draw(st.integers(0, 255), label="byte")
+    _write_corpus(damaged_dir, {**files, name: bytes(blob)}, source)
+    path = os.path.join(damaged_dir, name)
+    try:
+        ds = Dataset(damaged_dir)
+    except DatasetError as e:
+        assert path in str(e)
+    else:
+        assert len(ds.annotations) == ds.config.n_train + ds.config.n_val
 
 
 def corpus_digest(root: str) -> str:
@@ -454,14 +511,14 @@ def corpus_digest(root: str) -> str:
 @pytest.mark.parametrize(
     "kw, want",
     [
-        (dict(seed=3), "b1808060466e253fd985c09adec3ba5b2de94379fcea5eacfa5f829442c8e2f3"),
-        (dict(seed=13, mode="open", unseen=(10, 11)),
-         "239a3006ee8b6d3ae812cdaceeb12f6ff561b39b1ef4b5f6ecf782c63fc24583"),
+        (dict(seed=3), "fd2714f1160801951ae2d343c0ddc597c777ed8a3a9b9a30a7d51dc322b68188"),
+        (dict(seed=13, unseen=(10, 11)),
+         "7632ea5da63f4eb95d476790a880927f36ba480adf05a4497938bacd1efe42b9"),
     ],
     ids=["closed", "open"],
 )
 def test_corpus_bytes_are_pinned(tmp_path, kw, want):
-    # the recipe's every pixel, box and split entry: a change to the corpus
+    # the recipe's every pixel and box, and the recorded config: a change to the corpus
     # must change these digests on purpose
     cfg = DataConfig(n_train=6, n_val=2, sketches_per_class=3, val_sketches_per_class=1, **kw)
     generate_dataset(cfg, str(tmp_path))
