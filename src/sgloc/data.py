@@ -499,8 +499,12 @@ def make_splits(config: DataConfig) -> DatasetSplit:
 
 
 def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
-    """Generate and write a full corpus; returns the loaded Dataset."""
+    """Generate and write a full corpus into `out_dir`, which must be new or
+    empty, so that no file of an earlier corpus stays behind; returns the
+    loaded Dataset."""
     split = make_splits(config)
+    if os.path.exists(out_dir) and (not os.path.isdir(out_dir) or os.listdir(out_dir)):
+        raise DatasetError(f"{out_dir}: exists and is not an empty directory")
     os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
     for name in CLASS_NAMES:
         os.makedirs(os.path.join(out_dir, "sketches", name), exist_ok=True)

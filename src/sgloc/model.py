@@ -45,7 +45,9 @@ class ModelConfig:
     refinement: bool = True  # object/query refinement at the decoder output
 
     def validate(self) -> None:
-        for name in ("d", "heads", "stages", "dec_layers", "num_tokens", "d_hidden", "sketch_layers"):
+        sizes = ("d", "heads", "stages", "dec_layers", "num_tokens", "d_hidden", "sketch_layers")
+        self._require_integers(sizes)
+        for name in sizes:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
         if self.d % (4 * self.heads):
@@ -55,6 +57,14 @@ class ModelConfig:
             raise ShapeError(f"{self.stages} stages exhaust a {grid}x{grid} patch grid")
         if self.stages < 2:
             raise ShapeError("need at least 2 encoder stages")
+
+    def _require_integers(self, names) -> None:
+        """A ValueError naming the first field of `names` that is not an
+        integer; numpy integers count, bools do not."""
+        for name in names:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"config field {name} must be an integer, got {v!r}")
 
 
 class SketchLocalizer:

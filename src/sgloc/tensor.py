@@ -5,8 +5,9 @@ a Tensor that remembers its parents and a closure computing parent gradients.
 A parameter is a leaf `Tensor(data, requires_grad=True)`; a model names its
 parameters in one {name: Tensor} dict. `backward()` walks the tape once and
 returns a plain {leaf: gradient array} dict with an entry for each leaf the
-loss reaches. Inside `no_grad()` ops record nothing, so each intermediate is
-freed as soon as its last reader is done with it.
+loss reaches; passed such a dict as `into`, it adds onto those totals. Inside
+`no_grad()` ops record nothing, so each intermediate is freed as soon as its
+last reader is done with it.
 
 In-place buffer rule: an op may mutate only arrays it has just allocated
 itself, in its forward or in its backward. Input data and incoming gradients
@@ -541,32 +542,41 @@ def _topo(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor) -> dict:
+def backward(loss: Tensor, into: dict | None = None) -> dict:
     """Reverse-mode sweep from a scalar loss. Returns {leaf: gradient array}
     for every requires_grad leaf the loss reaches; a leaf it does not reach
-    has no entry."""
+    has no entry.
+
+    With `into`, a dict an earlier call returned, the sweep starts from a copy
+    of those totals and adds each new contribution as `total + new`, as one
+    sweep over both losses would. One sweep over a sum of losses with
+    disjoint tapes reaches the last term first, so chaining the terms' sweeps
+    from the last to the first gives the same bits while holding one term's
+    tape at a time. `into` itself is not changed.
+    """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads: dict = {loss: np.ones_like(loss.data)}
+    grads = dict(into) if into else {}
     if not loss.requires_grad:
-        return {}
+        return grads
+    seed = np.ones_like(loss.data)
+    if not loss._parents:  # the loss is a leaf itself
+        acc = grads.get(loss)
+        grads[loss] = seed if acc is None else acc + seed
+        return grads
+    grads[loss] = seed
+    # every non-leaf that gets a gradient is on the tape and popped here, so
+    # only leaf totals remain
     for node in reversed(_topo(loss)):
         g = grads.pop(node, None)
         if g is None:
             continue
-        if not node._parents:
-            grads[node] = g  # leaf: keep
-            continue
-        pgrads = node._bw(g)
-        for p, pg in zip(node._parents, pgrads):
+        for p, pg in zip(node._parents, node._bw(g)):
             if pg is None or not p.requires_grad:
                 continue
             acc = grads.get(p)
-            if acc is None:
-                grads[p] = pg
-            else:
-                grads[p] = acc + pg
-    return {t: g for t, g in grads.items() if not t._parents and t.requires_grad}
+            grads[p] = pg if acc is None else acc + pg
+    return grads
 
 
 def finite_difference_check(

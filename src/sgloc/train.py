@@ -24,6 +24,16 @@ config seed: data order, query sampling, and parameter init all derive from
 it. Identical configs therefore produce byte-identical checkpoints. The echoed
 config includes `dataset`, the corpus path, so two runs on copies of one
 corpus at different paths give the same parameters but different bytes.
+
+A step holds one sample's tape at a time. The batch's queries are drawn
+first, in batch order; then each sample runs forward, matching, loss and
+`backward(loss / n, into=grads)` before the next sample's forward. The
+samples run from the last to the first because one backward over the
+batch's summed loss would reach them in that order, so every float addition
+into a gradient, and with it every checkpoint byte, is what that one sweep
+gives. For the same reason, when several scenes of a batch have a
+non-finite loss, the NonFiniteError names the last of them in batch order.
+It is raised before the step's Adam update, so no parameter changes.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ import numpy as np
 from .data import Dataset, derive_seed
 from .matching import LossWeights, build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
-from .tensor import NonFiniteError, add_n, backward, scale
+from .tensor import NonFiniteError, backward, scale
 
 CHECKPOINT_MAGIC = b"SGL1"
 CHECKPOINT_VERSION = 2
@@ -65,6 +75,7 @@ class TrainConfig(ModelConfig):
 
     def validate(self) -> None:
         super().validate()
+        self._require_integers(("batch_size", "epochs", "seed"))
         # written as `not ...` so that a NaN fails each test too
         for name in ("lr", "eps", "batch_size", "epochs"):
             if not getattr(self, name) > 0:
@@ -306,6 +317,23 @@ def _sample_query(rng, dataset: Dataset, ann, n_sketch: int):
     return cls, sketches
 
 
+def _sample_step(model, dataset, sid, cls, sketches, weights, n, grads, epoch):
+    """Forward, matching, loss and backward of one sample of a batch of `n`.
+
+    Returns `grads` with this sample's share of the batch gradient added, its
+    f32 loss array and its (score, l1, giou) components. The sample's tape is
+    garbage once this returns."""
+    ann = dataset.annotation(sid)
+    scores, boxes = model.forward(dataset.load_scene(sid), sketches)
+    gt_corners = ann.boxes[[c == cls for c in ann.classes]] / float(dataset.image_size)
+    assign = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_corners, weights))
+    lb = total_loss(scores, boxes, gt_corners, assign, weights)
+    if not np.isfinite(lb.total):
+        raise NonFiniteError(f"non-finite loss at epoch {epoch} scene {sid} (class {cls})")
+    grads = backward(scale(lb.total_tensor, 1.0 / n), grads)
+    return grads, lb.total_tensor.data, (lb.score_loss, lb.l1_loss, lb.giou_loss)
+
+
 def train(config: TrainConfig, out_dir: str, log=None) -> str:
     """Run the full training loop; returns the path of the final checkpoint."""
     config.validate()
@@ -320,7 +348,6 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "last.sgl")
     config_text = config.to_text()
-    size = float(dataset.image_size)
     history = []
 
     for epoch in range(config.epochs):
@@ -329,29 +356,24 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = [train_ids[i] for i in order[start : start + config.batch_size]]
+            n = len(batch)
             n_sketch = 5 if rng.random() < config.protocol_mix else 1
-            losses = []
-            comps = np.zeros(3)
-            for sid in batch:
-                ann = dataset.annotation(sid)
-                cls, sketches = _sample_query(rng, dataset, ann, n_sketch)
-                image = dataset.load_scene(sid)
-                scores, boxes = model.forward(image, sketches)
-                mask = [c == cls for c in ann.classes]
-                gt_corners = ann.boxes[mask] / size
-                cost = build_cost_matrix(scores.data, boxes.data, gt_corners, weights)
-                assign = hungarian_assign(cost)
-                lb = total_loss(scores, boxes, gt_corners, assign, weights)
-                if not np.isfinite(lb.total):
-                    raise NonFiniteError(
-                        f"non-finite loss at epoch {epoch} scene {sid} (class {cls})"
-                    )
-                losses.append(lb.total_tensor)
-                comps += (lb.score_loss, lb.l1_loss, lb.giou_loss)
-            batch_loss = scale(add_n(losses), 1.0 / len(losses))
-            grads = backward(batch_loss)
+            queries = [_sample_query(rng, dataset, dataset.annotation(sid), n_sketch) for sid in batch]
+            grads, losses, parts = None, [None] * n, [None] * n
+            # last sample first: the order in which one sweep over the batch's summed loss runs
+            for i in reversed(range(n)):
+                grads, losses[i], parts[i] = _sample_step(
+                    model, dataset, batch[i], *queries[i], weights, n, grads, epoch
+                )
             adam_step(model.params, grads, state, config.lr, (config.beta1, config.beta2), config.eps)
-            sums += (*(comps / len(batch)), batch_loss.item())
+            # logged in batch order: a left-to-right sum, then times 1/n, as one summed loss gives
+            batch_loss = losses[0]
+            for loss in losses[1:]:
+                batch_loss = batch_loss + loss
+            comps = np.zeros(3)
+            for part in parts:
+                comps += part
+            sums += (*(comps / n), float(batch_loss * (1.0 / n)))
             n_batches += 1
         avg = sums / max(1, n_batches)
         history.append(

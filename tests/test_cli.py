@@ -130,6 +130,14 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: config field {field} must be positive, got -3\n"
         assert not os.path.exists(out)
 
+    def test_gen_data_into_a_non_empty_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert main(["gen-data", "--out", str(out), "--train", "4", "--val", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {out}: exists and is not an empty directory\n"
+        assert os.listdir(out) == ["notes.txt"]
+
     def test_eval_on_malformed_split_is_named(self, trained, tmp_path, capsys):
         _, data_dir, ckpt = trained
         with open(os.path.join(data_dir, "split.json")) as f:

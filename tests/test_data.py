@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -332,6 +333,19 @@ class TestDatasetDirectory:
         a = open(os.path.join(out, "scenes/000003.ppm"), "rb").read()
         b = open(os.path.join(out2, "scenes/000003.ppm"), "rb").read()
         assert a == b
+
+    def test_non_empty_directory_is_refused_and_left_as_it_was(self, small_open_dataset):
+        _, cfg, out = small_open_dataset
+        before = sorted(os.walk(out))
+        with pytest.raises(DatasetError, match=re.escape(f"{out}: exists and is not an empty directory")):
+            generate_dataset(DataConfig(n_train=3, n_val=1, sketches_per_class=3), out)
+        assert sorted(os.walk(out)) == before
+
+    def test_a_file_in_the_way_is_refused(self, tmp_path):
+        out = tmp_path / "corpus"
+        out.write_text("not a directory")
+        with pytest.raises(DatasetError, match="exists and is not an empty directory"):
+            generate_dataset(DataConfig(n_train=3, n_val=1, sketches_per_class=3), str(out))
 
     def test_empty_pool_raises(self, small_open_dataset):
         ds, _, _ = small_open_dataset

@@ -362,6 +362,63 @@ class TestBackward:
         assert np.array_equal(grads[w], [2.0])
 
 
+def random_loss(ws, terms):
+    """sum_all of a left-to-right sum of scale(mul(op(ws[i]), ws[j]), s) terms:
+    a leaf may appear in several terms and twice in one."""
+    ops = (lambda t: t, sigmoid, neg)
+    return sum_all(add_n([scale(mul(ops[o](ws[i]), ws[j]), s) for i, j, o, s in terms]))
+
+
+class TestBackwardInto:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prec=st.sampled_from(["f32", "f64"]),
+        shape=st.sampled_from([(1,), (3,), (2, 3)]),
+        n_leaves=st.integers(1, 4),
+        terms=st.lists(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2),
+                               st.floats(-3.0, 3.0, allow_nan=False)), min_size=1, max_size=5),
+            min_size=2, max_size=2,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chained_sweeps_equal_one_sweep_over_the_sum_bit_for_bit(self, prec, shape, n_leaves,
+                                                                     terms, seed):
+        rng = np.random.default_rng(seed)
+        terms = [[(i % n_leaves, j % n_leaves, o, s) for i, j, o, s in t] for t in terms]
+        with T.precision(prec):
+            ws = [leaf(rng.standard_normal(shape) * 2.0) for _ in range(n_leaves)]
+            l1, l2 = (random_loss(ws, t) for t in terms)
+            whole = backward(add(l1, l2))
+            # one sweep over add(l1, l2) reaches l2's tape first
+            first = backward(l2)
+            kept = {w: g.copy() for w, g in first.items()}
+            chained = backward(l1, into=first)
+        assert whole.keys() == chained.keys()
+        for w in whole:
+            assert whole[w].dtype == chained[w].dtype
+            assert np.array_equal(whole[w], chained[w])
+        assert first.keys() == kept.keys()
+        assert all(np.array_equal(first[w], kept[w]) for w in kept)
+
+    def test_loss_without_gradient_returns_a_copy_of_into(self):
+        w = leaf([1.0, 2.0])
+        into = {w: np.array([0.5, 0.25])}
+        out = backward(sum_all(Tensor([1.0, 2.0])), into=into)
+        assert out is not into and out.keys() == into.keys() and out[w] is into[w]
+
+    def test_leaf_loss_adds_one(self):
+        w = leaf(3.0)
+        into = {w: np.array(2.0)}
+        assert backward(w, into=into)[w] == 3.0 and into[w] == 2.0
+        assert backward(w)[w] == 1.0
+
+    def test_leaf_unreached_by_the_second_loss_keeps_its_total(self):
+        w, u = leaf([2.0]), leaf([5.0])
+        grads = backward(sum_all(mul(u, u)), into=backward(sum_all(mul(w, w))))
+        assert np.array_equal(grads[w], [4.0]) and np.array_equal(grads[u], [10.0])
+
+
 class TestFiniteDifference:
     def test_quadratic(self, f64):
         w = leaf([3.0])

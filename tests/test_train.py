@@ -1,16 +1,19 @@
+import hashlib
 import math
 import os
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgloc.data import DataConfig, Dataset, generate_dataset
-from sgloc.matching import build_cost_matrix, hungarian_assign, total_loss
+from sgloc.data import DataConfig, Dataset, derive_seed, generate_dataset
+from sgloc.matching import LossBreakdown, build_cost_matrix, hungarian_assign, total_loss
 from sgloc.model import ModelConfig, SketchLocalizer
-from sgloc.tensor import NonFiniteError, Tensor, backward
+from sgloc.tensor import NonFiniteError, Tensor, backward, scale
 from sgloc.train import (
     OptimState,
     TrainConfig,
@@ -144,6 +147,19 @@ class TestTrainConfig:
     def test_non_positive_model_field_is_named(self, field):
         with pytest.raises(ValueError, match=f"config field {field} must be positive"):
             ModelConfig(**{field: 0}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("d", 64.0), ("heads", 4.0), ("num_tokens", 2.5), ("sketch_layers", True),
+         ("batch_size", 2.5), ("batch_size", "8"), ("epochs", 1.0), ("epochs", False),
+         ("seed", 0.5), ("seed", None)],
+    )
+    def test_non_integer_size_is_named(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"config field {field} must be an integer, got {value!r}")):
+            TrainConfig(**{field: value}).validate()
+
+    def test_numpy_integers_are_integers(self):
+        TrainConfig(d=np.int64(32), heads=np.int32(2), batch_size=np.int64(4), seed=np.uint8(3)).validate()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -410,3 +426,97 @@ class TestTrainLoop:
             adam_step(model.params, backward(lb.total_tensor), state, lr=1e-3)
         assert losses[-1] < losses[0] * 0.9
         assert np.isfinite(losses).all()
+
+    def test_training_bytes_are_pinned(self, train_corpus, tmp_path):
+        # 12 scenes in batches of 5 (the last holds 2), 1Q and 5Q batches mixed: every
+        # parameter byte and the logged history, pinned so that a change to the step's
+        # arithmetic changes these digests on purpose
+        cfg = tiny_train_config(train_corpus, epochs=2, batch_size=5, protocol_mix=0.5)
+        ckpt = train(cfg, str(tmp_path / "run"), log=lambda m: None)
+        params = hashlib.sha256()
+        for name, data in read_checkpoint(ckpt)[1].items():
+            params.update(f"{name} {data.shape}".encode())
+            params.update(data.tobytes())
+        with open(tmp_path / "run" / "history.json", "rb") as f:
+            history = hashlib.sha256(f.read()).hexdigest()
+        assert (params.hexdigest(), history) == PINNED_TRAINING
+
+    def test_step_memory_is_one_sample_tape(self, train_corpus, tmp_path):
+        # a batch of 8 must not hold 8 tapes: its traced peak stays near a batch of 1's
+        peaks = {}
+        for batch_size in (1, 8):
+            cfg = tiny_train_config(train_corpus, batch_size=batch_size, protocol_mix=1.0)
+            tracemalloc.start()
+            try:
+                train(cfg, str(tmp_path / f"b{batch_size}"), log=lambda m: None)
+                peaks[batch_size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 2 * peaks[1], peaks
+
+
+PINNED_TRAINING = (
+    "df0f59a38acd76b5f5e56e3f2b0e4756ae2aed291a003bb1c0118f9fd5b3d794",
+    "3dbb7530883276b9cfaf28ca094ab04110f4ec9c66816a6a04ddfa4e4fda86ea",
+)
+
+
+class TestNonFiniteLoss:
+    """A NaN loss planted on chosen scenes of a one-batch epoch."""
+
+    def run(self, corpus, tmp_path, monkeypatch, poisoned, epochs=1, from_epoch=0):
+        cfg = tiny_train_config(corpus, epochs=epochs, batch_size=12)
+        models, scene, saved = [], [None], [0]
+
+        class Recorded(SketchLocalizer):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                models.append(self)
+
+        def load_scene(ds, sid):
+            scene[0] = sid
+            return original_load(ds, sid)
+
+        def poisoned_loss(*args):
+            lb = total_loss(*args)
+            if scene[0] in poisoned and saved[0] >= from_epoch:
+                return LossBreakdown(lb.score_loss, lb.l1_loss, lb.giou_loss, math.nan,
+                                     lb.weights, scale(lb.total_tensor, math.nan))
+            return lb
+
+        def counting_save(*args):
+            saved[0] += 1
+            save_checkpoint(*args)
+
+        original_load = Dataset.load_scene
+        monkeypatch.setattr(Dataset, "load_scene", load_scene)
+        monkeypatch.setattr(train_module, "SketchLocalizer", Recorded)
+        monkeypatch.setattr(train_module, "total_loss", poisoned_loss)
+        monkeypatch.setattr(train_module, "save_checkpoint", counting_save)
+        out = tmp_path / "run"
+        with pytest.raises(NonFiniteError) as e:
+            train(cfg, str(out), log=lambda m: None)
+        return cfg, models[0], out, str(e.value)
+
+    def test_names_the_last_poisoned_scene_in_batch_order(self, train_corpus, tmp_path, monkeypatch):
+        ids = Dataset(train_corpus).scene_ids("train")
+        rng = np.random.default_rng(derive_seed(5, "train"))
+        order = [ids[i] for i in rng.permutation(len(ids))]  # the epoch's one batch
+        a, b = order[3], order[8]
+        cfg, model, out, msg = self.run(train_corpus, tmp_path, monkeypatch, {a, b})
+        assert f"non-finite loss at epoch 0 scene {b} " in msg
+        fresh = SketchLocalizer(cfg, seed=cfg.seed)
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, fresh.params[name].data), name
+        assert not os.path.exists(out / "last.sgl")
+
+    def test_a_later_epoch_is_named_and_no_parameter_changes(self, train_corpus, tmp_path,
+                                                            monkeypatch):
+        ids = Dataset(train_corpus).scene_ids("train")
+        cfg, model, out, msg = self.run(train_corpus, tmp_path, monkeypatch, {ids[2]}, epochs=3,
+                                        from_epoch=1)
+        assert f"non-finite loss at epoch 1 scene {ids[2]} " in msg
+        # the checkpoint holds the parameters after epoch 0, and the failed step kept them
+        _, entries = read_checkpoint(str(out / "last.sgl"))
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, entries[name]), name
