@@ -77,6 +77,7 @@ class MetricsReport:
                     k: {m: round(v, 6) for m, v in d.items()}
                     for k, d in sorted(self.per_class.items())
                 },
+                "counts": self.counts,
             }
         )
 

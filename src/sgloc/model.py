@@ -46,7 +46,8 @@ class ModelConfig:
 
     def validate(self) -> None:
         sizes = ("d", "heads", "stages", "dec_layers", "num_tokens", "d_hidden", "sketch_layers")
-        self._require_integers(sizes)
+        self._require(sizes, (int, np.integer), "an integer")
+        self._require(("encoder_fusion", "refinement"), (bool,), "a bool")
         for name in sizes:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
@@ -58,13 +59,13 @@ class ModelConfig:
         if self.stages < 2:
             raise ShapeError("need at least 2 encoder stages")
 
-    def _require_integers(self, names) -> None:
-        """A ValueError naming the first field of `names` that is not an
-        integer; numpy integers count, bools do not."""
+    def _require(self, names, kinds: tuple, what: str) -> None:
+        """A ValueError naming the first field of `names` whose value is not
+        an instance of `kinds`; a bool passes only where `kinds` is bool."""
         for name in names:
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"config field {name} must be an integer, got {v!r}")
+            if not isinstance(v, kinds) or (isinstance(v, bool) and kinds != (bool,)):
+                raise ValueError(f"config field {name} must be {what}, got {v!r}")
 
 
 class SketchLocalizer:

@@ -5,7 +5,10 @@ a Tensor that remembers its parents and a closure computing parent gradients.
 A parameter is a leaf `Tensor(data, requires_grad=True)`; a model names its
 parameters in one {name: Tensor} dict. `backward()` walks the tape once and
 returns a plain {leaf: gradient array} dict with an entry for each leaf the
-loss reaches; passed such a dict as `into`, it adds onto those totals. Inside
+loss reaches; passed such a dict as `into`, it adds onto those totals.
+`leaf_contributions()` is the same sweep yielding the leaf gradients
+unsummed, in sweep order, and `accumulate()` adds such pairs onto totals,
+so the adds can happen in another process with the same bits. Inside
 `no_grad()` ops record nothing, so each intermediate is freed as soon as its
 last reader is done with it.
 
@@ -21,7 +24,7 @@ matrix whose n rows are a square g x g grid, with row s = y*g + x.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -542,31 +545,28 @@ def _topo(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor, into: dict | None = None) -> dict:
-    """Reverse-mode sweep from a scalar loss. Returns {leaf: gradient array}
-    for every requires_grad leaf the loss reaches; a leaf it does not reach
-    has no entry.
+def leaf_contributions(loss: Tensor) -> Iterator[tuple]:
+    """Reverse-mode sweep from a scalar loss. Yields a (leaf, gradient array)
+    pair each time the sweep reaches a requires_grad leaf, in the order it
+    reaches them; a leaf the loss does not reach has no pair, and a leaf
+    reached twice (a weight shared by two ops) has two.
 
-    With `into`, a dict an earlier call returned, the sweep starts from a copy
-    of those totals and adds each new contribution as `total + new`, as one
-    sweep over both losses would. One sweep over a sum of losses with
-    disjoint tapes reaches the last term first, so chaining the terms' sweeps
-    from the last to the first gives the same bits while holding one term's
-    tape at a time. `into` itself is not changed.
+    Gradients of the non-leaf nodes are summed within the sweep. The leaf
+    pairs are left unsummed, so that `accumulate` can add them onto totals
+    kept elsewhere, possibly in another process, with the same float
+    additions in the same order as if the sweep had started from those
+    totals. The sweep runs as the pairs are taken, so a caller that adds
+    each pair as it comes holds no more leaf gradients than their totals.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads = dict(into) if into else {}
     if not loss.requires_grad:
-        return grads
+        return
     seed = np.ones_like(loss.data)
     if not loss._parents:  # the loss is a leaf itself
-        acc = grads.get(loss)
-        grads[loss] = seed if acc is None else acc + seed
-        return grads
-    grads[loss] = seed
-    # every non-leaf that gets a gradient is on the tape and popped here, so
-    # only leaf totals remain
+        yield loss, seed
+        return
+    grads = {loss: seed}
     for node in reversed(_topo(loss)):
         g = grads.pop(node, None)
         if g is None:
@@ -574,9 +574,37 @@ def backward(loss: Tensor, into: dict | None = None) -> dict:
         for p, pg in zip(node._parents, node._bw(g)):
             if pg is None or not p.requires_grad:
                 continue
+            if not p._parents:
+                yield p, pg
+                continue
             acc = grads.get(p)
             grads[p] = pg if acc is None else acc + pg
+
+
+def accumulate(grads: dict, contributions) -> dict:
+    """Add each (leaf, array) pair onto `grads[leaf]` in order, as
+    `total + array`; a leaf without an entry starts from its first array.
+    Changes and returns `grads`."""
+    for leaf, g in contributions:
+        acc = grads.get(leaf)
+        grads[leaf] = g if acc is None else acc + g
     return grads
+
+
+def backward(loss: Tensor, into: dict | None = None) -> dict:
+    """Reverse-mode sweep from a scalar loss. Returns {leaf: gradient array}
+    for every requires_grad leaf the loss reaches; a leaf it does not reach
+    has no entry.
+
+    This is `leaf_contributions(loss)` folded by `accumulate` onto a copy of
+    `into`, a dict an earlier call returned, or onto an empty dict. Each new
+    contribution is added as `total + new`, as one sweep over both losses
+    would. One sweep over a sum of losses with disjoint tapes reaches the
+    last term first, so chaining the terms' sweeps from the last to the
+    first gives the same bits while holding one term's tape at a time.
+    `into` itself is not changed.
+    """
+    return accumulate(dict(into) if into else {}, leaf_contributions(loss))
 
 
 def finite_difference_check(

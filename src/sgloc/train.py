@@ -19,30 +19,68 @@ before the model fields came first still parses to the same config. The key
 `mode`, a field that nothing read, is skipped on read, so checkpoints and
 config files that still carry it parse.
 
-Training is single-threaded over batches and fully deterministic given the
-config seed: data order, query sampling, and parameter init all derive from
-it. Identical configs therefore produce byte-identical checkpoints. The echoed
+Training is fully deterministic given the config seed: data order, query
+sampling, and parameter init all derive from it. Identical configs therefore
+produce byte-identical checkpoints, whatever the number of CPUs. The echoed
 config includes `dataset`, the corpus path, so two runs on copies of one
 corpus at different paths give the same parameters but different bytes.
 
 A step holds one sample's tape at a time. The batch's queries are drawn
-first, in batch order; then each sample runs forward, matching, loss and
-`backward(loss / n, into=grads)` before the next sample's forward. The
-samples run from the last to the first because one backward over the
-batch's summed loss would reach them in that order, so every float addition
-into a gradient, and with it every checkpoint byte, is what that one sweep
-gives. For the same reason, when several scenes of a batch have a
-non-finite loss, the NonFiniteError names the last of them in batch order.
-It is raised before the step's Adam update, so no parameter changes.
+first, in batch order, by the parent process; then each sample runs forward,
+matching, loss and a backward sweep of `loss / n` before the next sample's
+forward. The samples run from the last to the first because one backward
+over the batch's summed loss would reach them in that order, so every float
+addition into a gradient, and with it every checkpoint byte, is what that one
+sweep gives.
+
+Each step is shared between processes, one per usable CPU and at most one
+per sample (`_process_count`). The order n-1 ... 0 is cut into consecutive
+runs. The parent takes the first and runs it as `backward(loss / n,
+into=grads)`, one sample after the other. Each forked worker takes the next
+run and keeps, per sample, the sweep's unsummed leaf gradients in sweep
+order (`tensor.leaf_contributions`). A per-sample sum would not do: a leaf
+reached twice in one sweep (the DET embedding, or each sketch-encoder weight
+once per sketch) would then get its additions in another order. After its
+own samples, the parent receives the workers' samples one at a time, in run
+order, and adds each pair onto its totals as `total + new`
+(`tensor.accumulate`). These are the float additions, in the same order,
+that the one-process loop makes, so logged losses, `history.json` and every
+checkpoint byte do not depend on the number of processes. Adam then runs in
+the parent alone.
+
+The parameters live in one shared anonymous mapping, so a worker reads the
+parent's in-place Adam updates with nothing sent per step. Workers are forked
+(the `fork` start method) at the start of each epoch and inherit the
+process's state as it then is; they are joined before the epoch's
+checkpoint is written. Forking per step would cost far more in copy-on-write
+faults. A worker sends nothing until its run is done, so it never waits on
+the parent mid-run.
+
+When samples raise, the exception of the first one in run order is raised,
+the one the one-process loop would have met first: the parent's own samples
+are checked first, then each worker's in fold order. So, when several scenes
+of a batch have a non-finite loss, the NonFiniteError names the last of them
+in batch order. A worker's exception is raised in the parent with its type
+and message, and the worker's traceback as its cause. Every exception is
+raised before the step's Adam update, so no parameter changes, and the
+workers are terminated and joined before it propagates: no worker outlives
+`train`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
+import multiprocessing
+import numbers
 import os
+import pickle
+import signal
 import struct
 import sys
+import traceback
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,7 +88,7 @@ import numpy as np
 from .data import Dataset, derive_seed
 from .matching import LossWeights, build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
-from .tensor import NonFiniteError, backward, scale
+from .tensor import NonFiniteError, accumulate, backward, leaf_contributions, scale
 
 CHECKPOINT_MAGIC = b"SGL1"
 CHECKPOINT_VERSION = 2
@@ -75,7 +113,13 @@ class TrainConfig(ModelConfig):
 
     def validate(self) -> None:
         super().validate()
-        self._require_integers(("batch_size", "epochs", "seed"))
+        self._require(("batch_size", "epochs", "seed"), (int, np.integer), "an integer")
+        self._require(
+            ("lr", "beta1", "beta2", "eps", "lam_cls", "lam_l1", "lam_giou", "protocol_mix"),
+            (numbers.Real,),
+            "a number",
+        )
+        self._require(("dataset",), (str,), "a string")
         # written as `not ...` so that a NaN fails each test too
         for name in ("lr", "eps", "batch_size", "epochs"):
             if not getattr(self, name) > 0:
@@ -317,12 +361,13 @@ def _sample_query(rng, dataset: Dataset, ann, n_sketch: int):
     return cls, sketches
 
 
-def _sample_step(model, dataset, sid, cls, sketches, weights, n, grads, epoch):
-    """Forward, matching, loss and backward of one sample of a batch of `n`.
+def _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, sweep):
+    """Forward, matching and loss of one sample of a batch of `n`, then
+    `sweep` of its loss scaled by 1/n.
 
-    Returns `grads` with this sample's share of the batch gradient added, its
-    f32 loss array and its (score, l1, giou) components. The sample's tape is
-    garbage once this returns."""
+    Returns what `sweep` returns, the sample's f32 loss array and its
+    (score, l1, giou) components. The sample's tape is garbage once this
+    returns."""
     ann = dataset.annotation(sid)
     scores, boxes = model.forward(dataset.load_scene(sid), sketches)
     gt_corners = ann.boxes[[c == cls for c in ann.classes]] / float(dataset.image_size)
@@ -330,8 +375,118 @@ def _sample_step(model, dataset, sid, cls, sketches, weights, n, grads, epoch):
     lb = total_loss(scores, boxes, gt_corners, assign, weights)
     if not np.isfinite(lb.total):
         raise NonFiniteError(f"non-finite loss at epoch {epoch} scene {sid} (class {cls})")
-    grads = backward(scale(lb.total_tensor, 1.0 / n), grads)
-    return grads, lb.total_tensor.data, (lb.score_loss, lb.l1_loss, lb.giou_loss)
+    swept = sweep(scale(lb.total_tensor, 1.0 / n))
+    return swept, lb.total_tensor.data, (lb.score_loss, lb.l1_loss, lb.giou_loss)
+
+
+def _process_count(n: int) -> int:
+    """Processes that share the steps of `n` samples: one per usable CPU, at
+    most `n`, and 1 where the `fork` start method is unavailable."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n))
+
+
+def _share_parameters(params: dict) -> None:
+    """Move every parameter's values into one shared anonymous mapping. A
+    process forked afterwards sees the parent's in-place Adam updates."""
+    align = 16  # as numpy aligns the buffers it allocates
+    offsets, size = [], 0
+    for t in params.values():
+        offsets.append(size)
+        size += -(-t.data.nbytes // align) * align
+    buf = mmap.mmap(-1, max(size, 1))
+    for t, off in zip(params.values(), offsets):
+        view = np.frombuffer(buf, t.data.dtype, t.data.size, off).reshape(t.shape)
+        view[...] = t.data
+        t.data = view
+
+
+def _worker(conn, model, dataset, weights) -> None:
+    """A forked worker's loop for one epoch.
+
+    Each job is (epoch, n, [(sid, cls, sketches), ...]), samples of one step
+    in the order to run them; None ends the loop. After the job's last
+    sample, or its first exception, the worker sends one message per sample:
+    (contributions, f32 loss array, components), with each contribution a
+    (position in `model.params`, array) pair in sweep order; an exception is
+    sent as (None, exception, traceback text) and ends the job. Nothing is
+    sent before the job is done, so the parent never stalls the worker."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it and stops this process
+    position = {t: k for k, t in enumerate(model.params.values())}
+
+    def contributions(loss):
+        return [(position[leaf], g) for leaf, g in leaf_contributions(loss)]
+
+    for epoch, n, samples in iter(conn.recv, None):
+        results = []
+        try:
+            for sid, cls, sketches in samples:
+                results.append(
+                    _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, contributions)
+                )
+        except Exception as e:  # reported to the parent, which raises it
+            results.append((None, *_portable(e)))
+        for msg in results:
+            conn.send(msg)
+
+
+def _portable(exc: Exception) -> tuple:
+    """(exception, its traceback text), with the exception replaced by a
+    RuntimeError naming it when it does not survive pickling."""
+    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc, tb
+
+
+def _receive(conn) -> tuple:
+    """A worker's message for its next sample; raises the worker's exception."""
+    try:
+        msg = conn.recv()
+    except EOFError:
+        raise RuntimeError("a training worker exited before sending its results") from None
+    if msg[0] is None:
+        _, exc, tb = msg
+        exc.__cause__ = RuntimeError("raised in a training worker:\n" + tb)
+        raise exc
+    return msg
+
+
+@contextlib.contextmanager
+def _workers(count: int, model, dataset, weights):
+    """`count` workers forked for one epoch, as the parent's ends of their
+    pipes. On a normal exit each is told to stop and joined; on an exception
+    each is terminated and joined before the exception propagates."""
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for _ in range(count):
+            conn, child = ctx.Pipe()
+            # daemon: stopped at interpreter exit even if this process dies past `finally`
+            proc = ctx.Process(target=_worker, args=(child, model, dataset, weights), daemon=True)
+            proc.start()
+            child.close()
+            conns.append(conn)
+            procs.append(proc)
+        yield conns
+        for conn in conns:
+            conn.send(None)
+        for proc in procs:
+            proc.join()
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def train(config: TrainConfig, out_dir: str, log=None) -> str:
@@ -342,6 +497,8 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     dataset = Dataset(config.dataset)
     train_ids = dataset.scene_ids("train")
     model = SketchLocalizer(config, seed=config.seed)
+    _share_parameters(model.params)
+    leaves = list(model.params.values())
     state = OptimState(model.params)
     weights = config.loss_weights()
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
@@ -349,32 +506,43 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     ckpt_path = os.path.join(out_dir, "last.sgl")
     config_text = config.to_text()
     history = []
+    procs = _process_count(config.batch_size)
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_ids))
         sums = np.zeros(4)
         n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_ids[i] for i in order[start : start + config.batch_size]]
-            n = len(batch)
-            n_sketch = 5 if rng.random() < config.protocol_mix else 1
-            queries = [_sample_query(rng, dataset, dataset.annotation(sid), n_sketch) for sid in batch]
-            grads, losses, parts = None, [None] * n, [None] * n
-            # last sample first: the order in which one sweep over the batch's summed loss runs
-            for i in reversed(range(n)):
-                grads, losses[i], parts[i] = _sample_step(
-                    model, dataset, batch[i], *queries[i], weights, n, grads, epoch
-                )
-            adam_step(model.params, grads, state, config.lr, (config.beta1, config.beta2), config.eps)
-            # logged in batch order: a left-to-right sum, then times 1/n, as one summed loss gives
-            batch_loss = losses[0]
-            for loss in losses[1:]:
-                batch_loss = batch_loss + loss
-            comps = np.zeros(3)
-            for part in parts:
-                comps += part
-            sums += (*(comps / n), float(batch_loss * (1.0 / n)))
-            n_batches += 1
+        with _workers(procs - 1, model, dataset, weights) as conns:
+            for start in range(0, len(order), config.batch_size):
+                batch = [train_ids[i] for i in order[start : start + config.batch_size]]
+                n = len(batch)
+                n_sketch = 5 if rng.random() < config.protocol_mix else 1
+                queries = [_sample_query(rng, dataset, dataset.annotation(sid), n_sketch) for sid in batch]
+                # last sample first, the order of one sweep over the batch's summed
+                # loss; the parent runs the first share of it, each worker the next
+                runs = np.array_split(np.arange(n)[::-1], procs)
+                for conn, run in zip(conns, runs[1:]):
+                    conn.send((epoch, n, [(batch[i], *queries[i]) for i in run]))
+                grads, losses, parts = {}, [None] * n, [None] * n
+                for i in runs[0]:
+                    grads, losses[i], parts[i] = _sample_step(
+                        model, dataset, batch[i], *queries[i], weights, n, epoch,
+                        lambda loss, into=grads: backward(loss, into),
+                    )
+                for conn, run in zip(conns, runs[1:]):
+                    for i in run:
+                        swept, losses[i], parts[i] = _receive(conn)
+                        accumulate(grads, [(leaves[k], g) for k, g in swept])
+                adam_step(model.params, grads, state, config.lr, (config.beta1, config.beta2), config.eps)
+                # logged in batch order: a left-to-right sum, then times 1/n, as one summed loss gives
+                batch_loss = losses[0]
+                for loss in losses[1:]:
+                    batch_loss = batch_loss + loss
+                comps = np.zeros(3)
+                for part in parts:
+                    comps += part
+                sums += (*(comps / n), float(batch_loss * (1.0 / n)))
+                n_batches += 1
         avg = sums / max(1, n_batches)
         history.append(
             {"epoch": epoch, "score": avg[0], "l1": avg[1], "giou": avg[2], "total": avg[3]}

@@ -1,7 +1,22 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from sgloc import tensor as T
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test after which a child process (a training worker) still
+    runs; the process is stopped first so that later tests start clean."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join(timeout=10)
+    if left:
+        pytest.fail(f"processes left running after the test: {left}")
 
 
 @pytest.fixture

@@ -59,7 +59,7 @@ class TestTrainEval:
         code = main(["eval", "--ckpt", ckpt, "--split", "val"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert set(out) == {"map", "ap50", "ap_large", "per_class"}
+        assert set(out) == {"map", "ap50", "ap_large", "per_class", "counts"}
         assert out["ap50"] >= out["map"]
 
     def test_eval_table(self, trained, capsys):

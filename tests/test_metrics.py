@@ -350,7 +350,8 @@ class TestEvaluateQueries:
 
         r = evaluate_queries(OracleModel(tiny_corpus), tiny_corpus, "1Q", "val")
         parsed = json.loads(r.to_json())
-        assert set(parsed) == {"map", "ap50", "ap_large", "per_class"}
+        assert set(parsed) == {"map", "ap50", "ap_large", "per_class", "counts"}
+        assert parsed["counts"] == r.counts and r.counts["queries"] > 0
 
     def test_table_alignment(self, tiny_corpus):
         r = evaluate_queries(OracleModel(tiny_corpus), tiny_corpus, "1Q", "val")

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from sgloc import tensor as T
 from sgloc.tensor import (
     ShapeError,
     Tensor,
+    accumulate,
     add,
     add_n,
     attend,
@@ -16,6 +19,7 @@ from sgloc.tensor import (
     concat,
     finite_difference_check,
     global_max_pool,
+    leaf_contributions,
     matmul,
     mean_groups,
     merge_heads,
@@ -417,6 +421,42 @@ class TestBackwardInto:
         w, u = leaf([2.0]), leaf([5.0])
         grads = backward(sum_all(mul(u, u)), into=backward(sum_all(mul(w, w))))
         assert np.array_equal(grads[w], [4.0]) and np.array_equal(grads[u], [10.0])
+
+
+class TestLeafContributions:
+    def test_a_leaf_gets_one_pair_per_use_in_sweep_order(self):
+        w, u = leaf([2.0]), leaf([3.0])
+        # sum(w*u + w*w): the sweep meets the second term first, w twice there
+        pairs = list(leaf_contributions(sum_all(add(mul(w, u), mul(w, w)))))
+        assert [p for p, _ in pairs] == [w, w, w, u]
+        assert [g.tolist() for _, g in pairs] == [[2.0], [2.0], [3.0], [2.0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_leaves=st.integers(1, 3),
+        terms=st.lists(
+            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+                               st.floats(-3.0, 3.0, allow_nan=False)), min_size=1, max_size=5),
+            min_size=2, max_size=2,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pairs_shipped_by_position_fold_to_the_chained_backward(self, n_leaves, terms, seed):
+        # what a training worker does: send one loss's pairs keyed by position,
+        # pickled; the receiver adds them onto the totals of the other loss
+        rng = np.random.default_rng(seed)
+        terms = [[(i % n_leaves, j % n_leaves, o, s) for i, j, o, s in t] for t in terms]
+        ws = [leaf(rng.standard_normal(3).astype(np.float32)) for _ in range(n_leaves)]
+        l1, l2 = (random_loss(ws, t) for t in terms)
+        want = backward(l1, into=backward(l2))
+        shipped = pickle.loads(pickle.dumps([(ws.index(w), g) for w, g in leaf_contributions(l1)]))
+        got = accumulate(backward(l2), [(ws[k], g) for k, g in shipped])
+        assert want.keys() == got.keys()
+        assert all(want[w].dtype == got[w].dtype and np.array_equal(want[w], got[w]) for w in want)
+
+    def test_non_scalar_loss_is_refused(self):
+        with pytest.raises(ShapeError, match="scalar loss"):
+            list(leaf_contributions(mul(leaf([1.0, 2.0]), leaf([3.0, 4.0]))))
 
 
 class TestFiniteDifference:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgloc.data import DataConfig, Dataset, derive_seed, generate_dataset
+from sgloc.data import DataConfig, Dataset, DatasetError, derive_seed, generate_dataset
 from sgloc.matching import LossBreakdown, build_cost_matrix, hungarian_assign, total_loss
 from sgloc.model import ModelConfig, SketchLocalizer
 from sgloc.tensor import NonFiniteError, Tensor, backward, scale
@@ -157,6 +157,21 @@ class TestTrainConfig:
     def test_non_integer_size_is_named(self, field, value):
         with pytest.raises(ValueError, match=re.escape(f"config field {field} must be an integer, got {value!r}")):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [("encoder_fusion", "false", "a bool"), ("refinement", "false", "a bool"),
+         ("refinement", 1, "a bool"), ("encoder_fusion", None, "a bool"),
+         ("lr", "0.1", "a number"), ("protocol_mix", "0.5", "a number"), ("beta1", None, "a number"),
+         ("beta2", True, "a number"), ("eps", "1e-8", "a number"), ("lam_cls", None, "a number"),
+         ("lam_giou", False, "a number"), ("dataset", None, "a string"), ("dataset", 3, "a string")],
+    )
+    def test_wrongly_typed_field_is_named(self, field, value, kind):
+        with pytest.raises(ValueError, match=re.escape(f"config field {field} must be {kind}, got {value!r}")):
+            TrainConfig(**{field: value}).validate()
+
+    def test_numpy_floats_and_ints_are_numbers(self):
+        TrainConfig(lr=np.float32(1e-3), beta1=np.float64(0.9), eps=1, protocol_mix=np.int64(1)).validate()
 
     def test_numpy_integers_are_integers(self):
         TrainConfig(d=np.int64(32), heads=np.int32(2), batch_size=np.int64(4), seed=np.uint8(3)).validate()
@@ -372,6 +387,18 @@ def tiny_train_config(dataset, **kw):
     return TrainConfig(**base)
 
 
+def training_digests(ckpt):
+    """sha256 over a checkpoint's (name, shape, bytes) entries and over the
+    run's history.json."""
+    params = hashlib.sha256()
+    for name, data in read_checkpoint(ckpt)[1].items():
+        params.update(f"{name} {data.shape}".encode())
+        params.update(data.tobytes())
+    with open(os.path.join(os.path.dirname(ckpt), "history.json"), "rb") as f:
+        history = hashlib.sha256(f.read()).hexdigest()
+    return params.hexdigest(), history
+
+
 class TestTrainLoop:
     def test_smoke_epoch_logs_finite_losses(self, train_corpus, tmp_path):
         msgs = []
@@ -433,13 +460,7 @@ class TestTrainLoop:
         # arithmetic changes these digests on purpose
         cfg = tiny_train_config(train_corpus, epochs=2, batch_size=5, protocol_mix=0.5)
         ckpt = train(cfg, str(tmp_path / "run"), log=lambda m: None)
-        params = hashlib.sha256()
-        for name, data in read_checkpoint(ckpt)[1].items():
-            params.update(f"{name} {data.shape}".encode())
-            params.update(data.tobytes())
-        with open(tmp_path / "run" / "history.json", "rb") as f:
-            history = hashlib.sha256(f.read()).hexdigest()
-        assert (params.hexdigest(), history) == PINNED_TRAINING
+        assert training_digests(ckpt) == PINNED_TRAINING
 
     def test_step_memory_is_one_sample_tape(self, train_corpus, tmp_path):
         # a batch of 8 must not hold 8 tapes: its traced peak stays near a batch of 1's
@@ -464,8 +485,10 @@ PINNED_TRAINING = (
 class TestNonFiniteLoss:
     """A NaN loss planted on chosen scenes of a one-batch epoch."""
 
-    def run(self, corpus, tmp_path, monkeypatch, poisoned, epochs=1, from_epoch=0):
+    def run(self, corpus, tmp_path, monkeypatch, poisoned, epochs=1, from_epoch=0, processes=None):
         cfg = tiny_train_config(corpus, epochs=epochs, batch_size=12)
+        if processes is not None:
+            monkeypatch.setattr(train_module, "_process_count", lambda n: processes)
         models, scene, saved = [], [None], [0]
 
         class Recorded(SketchLocalizer):
@@ -496,15 +519,15 @@ class TestNonFiniteLoss:
         out = tmp_path / "run"
         with pytest.raises(NonFiniteError) as e:
             train(cfg, str(out), log=lambda m: None)
-        return cfg, models[0], out, str(e.value)
+        return cfg, models[0], out, e.value
 
     def test_names_the_last_poisoned_scene_in_batch_order(self, train_corpus, tmp_path, monkeypatch):
         ids = Dataset(train_corpus).scene_ids("train")
         rng = np.random.default_rng(derive_seed(5, "train"))
         order = [ids[i] for i in rng.permutation(len(ids))]  # the epoch's one batch
         a, b = order[3], order[8]
-        cfg, model, out, msg = self.run(train_corpus, tmp_path, monkeypatch, {a, b})
-        assert f"non-finite loss at epoch 0 scene {b} " in msg
+        cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {a, b})
+        assert f"non-finite loss at epoch 0 scene {b} " in str(err)
         fresh = SketchLocalizer(cfg, seed=cfg.seed)
         for name, t in model.params.items():
             assert np.array_equal(t.data, fresh.params[name].data), name
@@ -513,10 +536,73 @@ class TestNonFiniteLoss:
     def test_a_later_epoch_is_named_and_no_parameter_changes(self, train_corpus, tmp_path,
                                                             monkeypatch):
         ids = Dataset(train_corpus).scene_ids("train")
-        cfg, model, out, msg = self.run(train_corpus, tmp_path, monkeypatch, {ids[2]}, epochs=3,
+        cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {ids[2]}, epochs=3,
                                         from_epoch=1)
-        assert f"non-finite loss at epoch 1 scene {ids[2]} " in msg
+        assert f"non-finite loss at epoch 1 scene {ids[2]} " in str(err)
         # the checkpoint holds the parameters after epoch 0, and the failed step kept them
         _, entries = read_checkpoint(str(out / "last.sgl"))
         for name, t in model.params.items():
             assert np.array_equal(t.data, entries[name]), name
+
+    def test_worker_scenes_are_named_in_batch_order(self, train_corpus, tmp_path, monkeypatch):
+        # with 2 processes the parent runs samples 11..6 of the batch and the worker 5..0;
+        # the worker meets order[4] first, which is also the last poisoned scene in batch order
+        ids = Dataset(train_corpus).scene_ids("train")
+        rng = np.random.default_rng(derive_seed(5, "train"))
+        order = [ids[i] for i in rng.permutation(len(ids))]
+        a, b = order[1], order[4]
+        cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {a, b}, processes=2)
+        assert f"non-finite loss at epoch 0 scene {b} " in str(err)
+        assert "raised in a training worker" in str(err.__cause__)
+        fresh = SketchLocalizer(cfg, seed=cfg.seed)
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, fresh.params[name].data), name
+        assert not os.path.exists(out / "last.sgl")
+
+
+class TestParallelStep:
+    """Each step's samples split between the parent and forked workers."""
+
+    def test_bytes_do_not_depend_on_the_process_count(self, train_corpus, tmp_path, monkeypatch):
+        # batches of 5/5/2; with 3 processes a step of 5 splits 2/2/1 and the last step
+        # leaves one worker without a sample. On a 2-CPU machine 3 processes also share CPUs.
+        cfg = tiny_train_config(train_corpus, epochs=2, batch_size=5, protocol_mix=0.5)
+        received = []
+
+        def counting_receive(conn):
+            received.append(1)
+            return original_receive(conn)
+
+        original_receive = train_module._receive
+        monkeypatch.setattr(train_module, "_receive", counting_receive)
+        files, shipped = {}, {}
+        for procs in (1, 2, 3):
+            monkeypatch.setattr(train_module, "_process_count", lambda n, p=procs: p)
+            received.clear()
+            ckpt = train(cfg, str(tmp_path / f"p{procs}"), log=lambda m: None)
+            with open(ckpt, "rb") as f, open(tmp_path / f"p{procs}" / "history.json", "rb") as h:
+                files[procs] = (f.read(), h.read())
+            shipped[procs] = len(received)
+            assert training_digests(ckpt) == PINNED_TRAINING, procs
+        assert files[1] == files[2] == files[3]
+        # samples that ran in a worker, over 2 epochs of steps of 5, 5 and 2
+        assert shipped == {1: 0, 2: 2 * (2 + 2 + 1), 3: 2 * (3 + 3 + 1)}
+
+    def test_dataset_error_in_a_worker_reaches_the_caller(self, train_corpus, tmp_path, monkeypatch):
+        ids = Dataset(train_corpus).scene_ids("train")
+        rng = np.random.default_rng(derive_seed(5, "train"))
+        broken = [ids[i] for i in rng.permutation(len(ids))][2]  # sample 2 of 12: a worker's
+        original_load = Dataset.load_scene
+
+        def load_scene(ds, sid):
+            if sid == broken:
+                raise DatasetError(f"scene {sid}: unreadable")
+            return original_load(ds, sid)
+
+        monkeypatch.setattr(Dataset, "load_scene", load_scene)
+        monkeypatch.setattr(train_module, "_process_count", lambda n: 2)
+        cfg = tiny_train_config(train_corpus, batch_size=12)
+        with pytest.raises(DatasetError) as e:
+            train(cfg, str(tmp_path / "run"), log=lambda m: None)
+        assert str(e.value) == f"scene {broken}: unreadable"
+        assert "raised in a training worker" in str(e.value.__cause__)
