@@ -33,20 +33,21 @@ over the batch's summed loss would reach them in that order, so every float
 addition into a gradient, and with it every checkpoint byte, is what that one
 sweep gives.
 
-Each step is shared between processes, one per usable CPU and at most one
-per sample (`_process_count`). The order n-1 ... 0 is cut into consecutive
-runs. The parent takes the first and runs it as `backward(loss / n,
-into=grads)`, one sample after the other. Each forked worker takes the next
-run and keeps, per sample, the sweep's unsummed leaf gradients in sweep
-order (`tensor.leaf_contributions`). A per-sample sum would not do: a leaf
-reached twice in one sweep (the DET embedding, or each sketch-encoder weight
-once per sketch) would then get its additions in another order. After its
-own samples, the parent receives the workers' samples one at a time, in run
-order, and adds each pair onto its totals as `total + new`
-(`tensor.accumulate`). These are the float additions, in the same order,
-that the one-process loop makes, so logged losses, `history.json` and every
-checkpoint byte do not depend on the number of processes. Adam then runs in
-the parent alone.
+Each step is shared between processes, one per usable CPU, at most two and
+at most one per sample, when BLAS is pinned to one thread
+(`_process_count`); otherwise one process runs it all. The order n-1 ... 0
+is cut into consecutive runs. The parent takes the first and runs it as
+`backward(loss / n, into=grads)`, one sample after the other. Each forked
+worker takes the next run and keeps, per sample, the sweep's unsummed leaf
+gradients in sweep order (`tensor.leaf_contributions`). A per-sample sum
+would not do: a leaf reached twice in one sweep (the DET embedding, or each
+sketch-encoder weight once per sketch) would then get its additions in
+another order. After its own samples, the parent receives the workers'
+samples one at a time, in run order, and adds each pair onto its totals as
+`total + new` (`tensor.accumulate`). These are the float additions, in the
+same order, that the one-process loop makes, so logged losses,
+`history.json` and every checkpoint byte do not depend on the number of
+processes. Adam then runs in the parent alone.
 
 The parameters live in one shared anonymous mapping, so a worker reads the
 parent's in-place Adam updates with nothing sent per step. Workers are forked
@@ -379,16 +380,34 @@ def _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, sweep):
     return swept, lb.total_tensor.data, (lb.score_loss, lb.l1_loss, lb.giou_loss)
 
 
+# More processes are untested for speed: the parent folds every worker's
+# contributions alone, and CPU quotas are not seen by the affinity mask.
+MAX_PROCESSES = 2
+
+# BLAS counts as single-threaded when each of these reads "1", as bench/run.py
+# sets them before numpy loads. Otherwise each process may start a BLAS thread
+# per CPU: `sgloc train` with two processes then ran 2.5-3x slower than with
+# one, while one BLAS thread is as fast as several in one process.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _process_count(n: int) -> int:
     """Processes that share the steps of `n` samples: one per usable CPU, at
-    most `n`, and 1 where the `fork` start method is unavailable."""
-    if "fork" not in multiprocessing.get_all_start_methods():
+    most `MAX_PROCESSES` and at most `n`. 1 unless BLAS is pinned to one
+    thread (`BLAS_THREAD_VARIABLES`), where the `fork` start method is
+    unavailable, and in a daemonic process (such as a `multiprocessing.Pool`
+    worker), which may not start children."""
+    if (
+        any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARIABLES)
+        or multiprocessing.current_process().daemon
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n))
+    return max(1, min(cpus, MAX_PROCESSES, n))
 
 
 def _share_parameters(params: dict) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import re
 import struct
@@ -560,6 +561,11 @@ class TestNonFiniteLoss:
         assert not os.path.exists(out / "last.sgl")
 
 
+def single_threaded_blas(monkeypatch):
+    for var in train_module.BLAS_THREAD_VARIABLES:
+        monkeypatch.setenv(var, "1")
+
+
 class TestParallelStep:
     """Each step's samples split between the parent and forked workers."""
 
@@ -606,3 +612,39 @@ class TestParallelStep:
             train(cfg, str(tmp_path / "run"), log=lambda m: None)
         assert str(e.value) == f"scene {broken}: unreadable"
         assert "raised in a training worker" in str(e.value.__cause__)
+
+    def test_process_count_is_capped_at_two(self, monkeypatch):
+        single_threaded_blas(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert [train_module._process_count(n) for n in (1, 2, 8)] == [1, 2, 2]
+
+    @pytest.mark.parametrize("var", train_module.BLAS_THREAD_VARIABLES)
+    @pytest.mark.parametrize("value", [None, "2", ""])
+    def test_one_process_unless_blas_runs_one_thread(self, monkeypatch, var, value):
+        # each process would start its own BLAS threads, and the CPUs would be oversubscribed
+        single_threaded_blas(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert train_module._process_count(8) == 2
+        if value is None:
+            monkeypatch.delenv(var)
+        else:
+            monkeypatch.setenv(var, value)
+        assert train_module._process_count(8) == 1
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_trains_in_a_pool_worker(self, train_corpus, tmp_path, monkeypatch):
+        # a Pool worker is daemonic and may not start children: train runs there in one
+        # process, with the same bytes, even where two CPUs would give it a worker
+        single_threaded_blas(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = tiny_train_config(train_corpus, epochs=2, batch_size=5, protocol_mix=0.5)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            ckpt = pool.apply(train, (cfg, str(tmp_path / "run")))
+        finally:
+            pool.terminate()
+            pool.join()
+        assert training_digests(ckpt) == PINNED_TRAINING
