@@ -5,17 +5,18 @@ a Tensor that remembers its parents and a closure computing parent gradients.
 A parameter is a leaf `Tensor(data, requires_grad=True)`; a model names its
 parameters in one {name: Tensor} dict. `backward()` walks the tape once and
 returns a plain {leaf: gradient array} dict with an entry for each leaf the
-loss reaches; passed such a dict as `into`, it adds onto those totals.
-`leaf_contributions()` is the same sweep yielding the leaf gradients
+loss reaches; passed such a dict as `into`, it adds onto those totals in
+place. `leaf_contributions()` is the same sweep yielding the leaf gradients
 unsummed, in sweep order, and `accumulate()` adds such pairs onto totals,
-so the adds can happen in another process with the same bits. Inside
-`no_grad()` ops record nothing, so each intermediate is freed as soon as its
-last reader is done with it.
+so the adds can happen later, or in another process, with the same bits.
+Inside `no_grad()` ops record nothing, so each intermediate is freed as soon
+as its last reader is done with it.
 
 In-place buffer rule: an op may mutate only arrays it has just allocated
 itself, in its forward or in its backward. Input data and incoming gradients
 are shared (`add` hands one gradient array to both parents), so they are
-never written to.
+never written to. Gradient totals are the one other thing written in place:
+each is a copy owned by the caller's dict, never an array a sweep handed out.
 
 Layout convention used throughout the package: a feature map is an n x d
 matrix whose n rows are a square g x g grid, with row s = y*g + x.
@@ -553,10 +554,12 @@ def leaf_contributions(loss: Tensor) -> Iterator[tuple]:
 
     Gradients of the non-leaf nodes are summed within the sweep. The leaf
     pairs are left unsummed, so that `accumulate` can add them onto totals
-    kept elsewhere, possibly in another process, with the same float
+    kept elsewhere, later or in another process, with the same float
     additions in the same order as if the sweep had started from those
     totals. The sweep runs as the pairs are taken, so a caller that adds
     each pair as it comes holds no more leaf gradients than their totals.
+    A yielded array may be shared with another pair or with the tape, so it
+    is read, never written to.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -582,12 +585,23 @@ def leaf_contributions(loss: Tensor) -> Iterator[tuple]:
 
 
 def accumulate(grads: dict, contributions) -> dict:
-    """Add each (leaf, array) pair onto `grads[leaf]` in order, as
-    `total + array`; a leaf without an entry starts from its first array.
-    Changes and returns `grads`."""
+    """Add each (leaf, array) pair onto `grads[leaf]` in order, in place, as
+    `np.add(total, array, out=total)`: the same bits as `total + array`.
+
+    A leaf without an entry gets a copy of its first array, never the array
+    itself: `add` hands one gradient array to both of its parents, so a
+    stored reference could later be added into twice. The totals are thus
+    owned by `grads`. An array whose dtype differs from its leaf's total
+    raises TypeError instead of being cast. Changes and returns `grads`.
+    """
     for leaf, g in contributions:
-        acc = grads.get(leaf)
-        grads[leaf] = g if acc is None else acc + g
+        total = grads.get(leaf)
+        if total is None:
+            grads[leaf] = np.array(g)  # a copy, also of a numpy scalar
+        elif total.dtype != g.dtype:
+            raise TypeError(f"a {g.dtype} gradient cannot be added onto a {total.dtype} total")
+        else:
+            np.add(total, g, out=total)
     return grads
 
 
@@ -596,15 +610,15 @@ def backward(loss: Tensor, into: dict | None = None) -> dict:
     for every requires_grad leaf the loss reaches; a leaf it does not reach
     has no entry.
 
-    This is `leaf_contributions(loss)` folded by `accumulate` onto a copy of
-    `into`, a dict an earlier call returned, or onto an empty dict. Each new
-    contribution is added as `total + new`, as one sweep over both losses
-    would. One sweep over a sum of losses with disjoint tapes reaches the
-    last term first, so chaining the terms' sweeps from the last to the
-    first gives the same bits while holding one term's tape at a time.
-    `into` itself is not changed.
+    This is `leaf_contributions(loss)` folded by `accumulate` onto `into`, a
+    dict an earlier call returned, or onto a new dict. `into` is changed in
+    place and returned. Each new contribution is added as `total + new`, as
+    one sweep over both losses would. One sweep over a sum of losses with
+    disjoint tapes reaches the last term first, so chaining the terms'
+    sweeps from the last to the first gives the same bits while holding one
+    term's tape at a time.
     """
-    return accumulate(dict(into) if into else {}, leaf_contributions(loss))
+    return accumulate({} if into is None else into, leaf_contributions(loss))
 
 
 def finite_difference_check(

@@ -42,20 +42,30 @@ worker takes the next run and keeps, per sample, the sweep's unsummed leaf
 gradients in sweep order (`tensor.leaf_contributions`). A per-sample sum
 would not do: a leaf reached twice in one sweep (the DET embedding, or each
 sketch-encoder weight once per sketch) would then get its additions in
-another order. After its own samples, the parent receives the workers'
-samples one at a time, in run order, and adds each pair onto its totals as
-`total + new` (`tensor.accumulate`). These are the float additions, in the
-same order, that the one-process loop makes, so logged losses,
-`history.json` and every checkpoint byte do not depend on the number of
-processes. Adam then runs in the parent alone.
+another order.
 
-The parameters live in one shared anonymous mapping, so a worker reads the
-parent's in-place Adam updates with nothing sent per step. Workers are forked
-(the `fork` start method) at the start of each epoch and inherit the
-process's state as it then is; they are joined before the epoch's
-checkpoint is written. Forking per step would cost far more in copy-on-write
-faults. A worker sends nothing until its run is done, so it never waits on
-the parent mid-run.
+The step's gradient totals live in the gradient slab, a shared anonymous
+mapping laid out like the parameter slab (`_slab`), where every process
+folds onto them in place. The parent's `grads` copies each leaf's first
+gradient into that leaf's slot; every later one is added onto the slot as
+`np.add(total, new, out=total)`, the same bits as `total + new`
+(`tensor.accumulate`). After its own samples the parent sends the first
+worker the fold signal: the positions in `model.params` of the leaves that
+hold a total. The worker adds its samples' contributions onto the same
+slots, in run order, and replies with the positions reached now and each
+sample's loss and components; the parent passes those positions on to the
+next worker. So the totals get the float additions, in the same order, that
+the one-process loop makes, and logged losses, `history.json` and every
+checkpoint byte do not depend on the number of processes. No gradient array
+is sent between processes. Adam then runs in the parent alone, reading the
+slab's views.
+
+The parameters live in a slab too, so a worker reads the parent's in-place
+Adam updates with nothing sent per step. Workers are forked (the `fork`
+start method) at the start of each epoch and inherit the process's state as
+it then is; they are joined before the epoch's checkpoint is written.
+Forking per step would cost far more in copy-on-write faults. A worker
+sends nothing until it has folded, so it never waits on the parent mid-run.
 
 When samples raise, the exception of the first one in run order is raised,
 the one the one-process loop would have met first: the parent's own samples
@@ -64,8 +74,8 @@ of a batch have a non-finite loss, the NonFiniteError names the last of them
 in batch order. A worker's exception is raised in the parent with its type
 and message, and the worker's traceback as its cause. Every exception is
 raised before the step's Adam update, so no parameter changes, and the
-workers are terminated and joined before it propagates: no worker outlives
-`train`.
+workers are terminated and joined before it propagates, also one still
+waiting for its fold signal: no worker outlives `train`.
 """
 
 from __future__ import annotations
@@ -222,7 +232,12 @@ def adam_step(
 ) -> None:
     """One standard Adam update with bias correction, in place, of the
     {name: leaf} `params` from the {leaf: array} `grads` of `backward`. A leaf
-    without a gradient gets a zero one."""
+    without a gradient gets a zero one. A non-finite gradient raises
+    NonFiniteError before the step counter or any array changes."""
+    for name, t in params.items():
+        g = grads.get(t)
+        if g is not None and not np.isfinite(g).all():
+            raise NonFiniteError(f"non-finite gradient for parameter {name}")
     b1, b2 = betas
     state.step += 1
     c1 = 1.0 - b1**state.step
@@ -231,8 +246,6 @@ def adam_step(
         g = grads.get(t)
         if g is None:
             g = np.zeros_like(t.data, dtype=np.float64)
-        elif not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {name}")
         else:
             g = g.astype(np.float64, copy=False)
         m = state.m[name]
@@ -410,48 +423,77 @@ def _process_count(n: int) -> int:
     return max(1, min(cpus, MAX_PROCESSES, n))
 
 
-def _share_parameters(params: dict) -> None:
-    """Move every parameter's values into one shared anonymous mapping. A
-    process forked afterwards sees the parent's in-place Adam updates."""
+def _slab(arrays: list) -> list:
+    """Zeroed arrays shaped and typed like `arrays`, as views of one new
+    shared anonymous mapping. A process forked afterwards shares their
+    memory with this one, so either sees what the other writes there."""
     align = 16  # as numpy aligns the buffers it allocates
     offsets, size = [], 0
-    for t in params.values():
+    for a in arrays:
         offsets.append(size)
-        size += -(-t.data.nbytes // align) * align
+        size += -(-a.nbytes // align) * align
     buf = mmap.mmap(-1, max(size, 1))
-    for t, off in zip(params.values(), offsets):
-        view = np.frombuffer(buf, t.data.dtype, t.data.size, off).reshape(t.shape)
-        view[...] = t.data
-        t.data = view
+    return [np.frombuffer(buf, a.dtype, a.size, off).reshape(a.shape) for a, off in zip(arrays, offsets)]
 
 
-def _worker(conn, model, dataset, weights) -> None:
+class _SlabTotals(dict):
+    """{leaf: gradient total} for `accumulate`, whose totals are views of the
+    gradient slab. `slots` maps each leaf, in `model.params` order, to its
+    slot, and a leaf's first array is copied into that slot. The dict starts
+    with the leaves at the positions `reached`, whose slots hold totals."""
+
+    def __init__(self, slots: dict, reached=()):
+        leaves = list(slots)
+        super().__init__((leaves[k], slots[leaves[k]]) for k in reached)
+        self.slots = slots
+
+    def __setitem__(self, leaf, g):
+        slot = self.slots[leaf]
+        np.copyto(slot, g, casting="no")
+        super().__setitem__(leaf, slot)
+
+    def reached(self) -> list:
+        """The positions of the leaves that hold a total."""
+        return [k for k, leaf in enumerate(self.slots) if leaf in self]
+
+
+def _worker(conn, model, dataset, weights, slots) -> None:
     """A forked worker's loop for one epoch.
 
     Each job is (epoch, n, [(sid, cls, sketches), ...]), samples of one step
-    in the order to run them; None ends the loop. After the job's last
-    sample, or its first exception, the worker sends one message per sample:
-    (contributions, f32 loss array, components), with each contribution a
-    (position in `model.params`, array) pair in sweep order; an exception is
-    sent as (None, exception, traceback text) and ends the job. Nothing is
-    sent before the job is done, so the parent never stalls the worker."""
+    in the order to run them; None ends the loop. The worker runs the job,
+    keeping each sample's leaf contributions in sweep order, then waits for
+    the fold signal: the positions in `model.params` of the leaves whose
+    slots of the gradient slab (`slots`) hold totals. It adds its samples'
+    contributions onto those slots in run order and replies with
+    (positions reached now, [(f32 loss array, components) per sample]). The
+    first exception, of a sample or of the fold, is replied instead as
+    (None, exception, traceback text). Nothing is sent before the fold
+    signal, so the parent never stalls the worker mid-run."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it and stops this process
-    position = {t: k for k, t in enumerate(model.params.values())}
 
     def contributions(loss):
-        return [(position[leaf], g) for leaf, g in leaf_contributions(loss)]
+        return list(leaf_contributions(loss))
 
     for epoch, n, samples in iter(conn.recv, None):
-        results = []
+        results, failure = [], None  # drops the last job's contributions before this job runs
         try:
             for sid, cls, sketches in samples:
                 results.append(
                     _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, contributions)
                 )
         except Exception as e:  # reported to the parent, which raises it
-            results.append((None, *_portable(e)))
-        for msg in results:
-            conn.send(msg)
+            failure = e
+        reached = conn.recv()  # the fold signal
+        if failure is None:
+            try:
+                grads = accumulate(
+                    _SlabTotals(slots, reached), (pair for swept, _, _ in results for pair in swept)
+                )
+                reached = grads.reached()
+            except Exception as e:
+                failure = e
+        conn.send((None, *_portable(failure)) if failure else (reached, [r[1:] for r in results]))
 
 
 def _portable(exc: Exception) -> tuple:
@@ -466,7 +508,8 @@ def _portable(exc: Exception) -> tuple:
 
 
 def _receive(conn) -> tuple:
-    """A worker's message for its next sample; raises the worker's exception."""
+    """A worker's reply to the fold signal, (positions reached, [(f32 loss
+    array, components) per sample]); raises the worker's exception."""
     try:
         msg = conn.recv()
     except EOFError:
@@ -479,7 +522,7 @@ def _receive(conn) -> tuple:
 
 
 @contextlib.contextmanager
-def _workers(count: int, model, dataset, weights):
+def _workers(count: int, model, dataset, weights, slots):
     """`count` workers forked for one epoch, as the parent's ends of their
     pipes. On a normal exit each is told to stop and joined; on an exception
     each is terminated and joined before the exception propagates."""
@@ -489,7 +532,8 @@ def _workers(count: int, model, dataset, weights):
         for _ in range(count):
             conn, child = ctx.Pipe()
             # daemon: stopped at interpreter exit even if this process dies past `finally`
-            proc = ctx.Process(target=_worker, args=(child, model, dataset, weights), daemon=True)
+            proc = ctx.Process(target=_worker, args=(child, model, dataset, weights, slots),
+                               daemon=True)
             proc.start()
             child.close()
             conns.append(conn)
@@ -516,8 +560,12 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     dataset = Dataset(config.dataset)
     train_ids = dataset.scene_ids("train")
     model = SketchLocalizer(config, seed=config.seed)
-    _share_parameters(model.params)
+    # the parameter slab, then the gradient slab laid out like it, one slot per leaf
     leaves = list(model.params.values())
+    for t, shared in zip(leaves, _slab([t.data for t in leaves])):
+        shared[...] = t.data
+        t.data = shared
+    slots = dict(zip(leaves, _slab([t.data for t in leaves])))
     state = OptimState(model.params)
     weights = config.loss_weights()
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
@@ -531,7 +579,7 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
         order = rng.permutation(len(train_ids))
         sums = np.zeros(4)
         n_batches = 0
-        with _workers(procs - 1, model, dataset, weights) as conns:
+        with _workers(procs - 1, model, dataset, weights, slots) as conns:
             for start in range(0, len(order), config.batch_size):
                 batch = [train_ids[i] for i in order[start : start + config.batch_size]]
                 n = len(batch)
@@ -542,16 +590,20 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
                 runs = np.array_split(np.arange(n)[::-1], procs)
                 for conn, run in zip(conns, runs[1:]):
                     conn.send((epoch, n, [(batch[i], *queries[i]) for i in run]))
-                grads, losses, parts = {}, [None] * n, [None] * n
+                grads, losses, parts = _SlabTotals(slots), [None] * n, [None] * n
                 for i in runs[0]:
-                    grads, losses[i], parts[i] = _sample_step(
+                    _, losses[i], parts[i] = _sample_step(
                         model, dataset, batch[i], *queries[i], weights, n, epoch,
                         lambda loss, into=grads: backward(loss, into),
                     )
-                for conn, run in zip(conns, runs[1:]):
-                    for i in run:
-                        swept, losses[i], parts[i] = _receive(conn)
-                        accumulate(grads, [(leaves[k], g) for k, g in swept])
+                if conns:
+                    reached = grads.reached()
+                    for conn, run in zip(conns, runs[1:]):
+                        conn.send(reached)  # the fold signal
+                        reached, results = _receive(conn)
+                        for i, (loss, part) in zip(run, results):
+                            losses[i], parts[i] = loss, part
+                    grads = _SlabTotals(slots, reached)
                 adam_step(model.params, grads, state, config.lr, (config.beta1, config.beta2), config.eps)
                 # logged in batch order: a left-to-right sum, then times 1/n, as one summed loss gives
                 batch_loss = losses[0]

@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -396,25 +394,32 @@ class TestBackwardInto:
             whole = backward(add(l1, l2))
             # one sweep over add(l1, l2) reaches l2's tape first
             first = backward(l2)
-            kept = {w: g.copy() for w, g in first.items()}
+            totals = dict(first)
             chained = backward(l1, into=first)
         assert whole.keys() == chained.keys()
         for w in whole:
             assert whole[w].dtype == chained[w].dtype
             assert np.array_equal(whole[w], chained[w])
-        assert first.keys() == kept.keys()
-        assert all(np.array_equal(first[w], kept[w]) for w in kept)
+        # `into` is the result, its totals changed in place: none is replaced by a new array
+        assert chained is first
+        assert all(chained[w] is total for w, total in totals.items())
+        assert not any(np.shares_memory(chained[a], chained[b]) for a in chained for b in chained
+                       if a is not b)
 
-    def test_loss_without_gradient_returns_a_copy_of_into(self):
+    def test_loss_without_gradient_leaves_into_as_it_is(self):
         w = leaf([1.0, 2.0])
-        into = {w: np.array([0.5, 0.25])}
+        total = np.array([0.5, 0.25], dtype=w.data.dtype)
+        into = {w: total}
         out = backward(sum_all(Tensor([1.0, 2.0])), into=into)
-        assert out is not into and out.keys() == into.keys() and out[w] is into[w]
+        assert out is into and out.keys() == {w} and out[w] is total
+        assert total.tolist() == [0.5, 0.25]
 
     def test_leaf_loss_adds_one(self):
         w = leaf(3.0)
-        into = {w: np.array(2.0)}
-        assert backward(w, into=into)[w] == 3.0 and into[w] == 2.0
+        total = np.array(2.0, dtype=w.data.dtype)
+        into = {w: total}
+        assert backward(w, into=into) is into
+        assert into[w] is total and total == 3.0 and total.dtype == w.data.dtype
         assert backward(w)[w] == 1.0
 
     def test_leaf_unreached_by_the_second_loss_keeps_its_total(self):
@@ -441,22 +446,73 @@ class TestLeafContributions:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_pairs_shipped_by_position_fold_to_the_chained_backward(self, n_leaves, terms, seed):
-        # what a training worker does: send one loss's pairs keyed by position,
-        # pickled; the receiver adds them onto the totals of the other loss
+    def test_pairs_kept_and_folded_later_give_the_chained_backward(self, n_leaves, terms, seed):
+        # what a training worker does: keep one loss's pairs, then, once the totals of
+        # the other loss are in, fold them onto those totals, found by position
         rng = np.random.default_rng(seed)
         terms = [[(i % n_leaves, j % n_leaves, o, s) for i, j, o, s in t] for t in terms]
         ws = [leaf(rng.standard_normal(3).astype(np.float32)) for _ in range(n_leaves)]
         l1, l2 = (random_loss(ws, t) for t in terms)
         want = backward(l1, into=backward(l2))
-        shipped = pickle.loads(pickle.dumps([(ws.index(w), g) for w, g in leaf_contributions(l1)]))
-        got = accumulate(backward(l2), [(ws[k], g) for k, g in shipped])
+        kept = list(leaf_contributions(l1))
+        totals = backward(l2)
+        reached = [k for k, w in enumerate(ws) if w in totals]
+        got = accumulate({ws[k]: totals[ws[k]] for k in reached}, kept)
         assert want.keys() == got.keys()
         assert all(want[w].dtype == got[w].dtype and np.array_equal(want[w], got[w]) for w in want)
 
     def test_non_scalar_loss_is_refused(self):
         with pytest.raises(ShapeError, match="scalar loss"):
             list(leaf_contributions(mul(leaf([1.0, 2.0]), leaf([3.0, 4.0]))))
+
+
+class TestAccumulate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prec=st.sampled_from(["f32", "f64"]),
+        shape=st.sampled_from([(), (1,), (4,), (2, 3)]),
+        picks=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_fold_equals_allocating_sums_bit_for_bit(self, prec, shape, picks, seed):
+        rng = np.random.default_rng(seed)
+        dtype = np.float32 if prec == "f32" else np.float64
+        ws = [leaf(0.0) for _ in range(3)]
+        pairs = [(ws[k], (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6)).astype(dtype))
+                 for k in picks]
+        oracle = {}
+        for w, g in pairs:  # the allocating fold: a new array per addition
+            oracle[w] = g if w not in oracle else oracle[w] + g
+        got = accumulate({}, pairs)
+        assert got.keys() == oracle.keys()
+        for w in got:
+            assert got[w].dtype == oracle[w].dtype == dtype
+            assert got[w].tobytes() == oracle[w].tobytes()
+
+    def test_first_array_is_copied(self):
+        g = np.array([1.0, 2.0])
+        w = leaf([0.0, 0.0])
+        got = accumulate({}, [(w, g)])
+        assert got[w] is not g and not np.shares_memory(got[w], g)
+        accumulate(got, [(w, g)])
+        assert g.tolist() == [1.0, 2.0] and got[w].tolist() == [2.0, 4.0]
+
+    def test_totals_of_operands_of_one_add_do_not_alias(self):
+        # add's backward hands one array to both parents
+        w, u = leaf([1.0, 2.0]), leaf([3.0, 4.0])
+        grads = backward(sum_all(add(w, u)))
+        assert not np.shares_memory(grads[w], grads[u])
+        accumulate(grads, [(w, np.ones(2, dtype=grads[w].dtype))])
+        assert grads[w].tolist() == [2.0, 2.0] and grads[u].tolist() == [1.0, 1.0]
+
+    def test_dtype_mismatch_raises(self):
+        w = leaf([1.0])
+        grads = {w: np.array([1.0], dtype=np.float32)}
+        with pytest.raises(TypeError, match="float64 gradient cannot be added onto a float32"):
+            accumulate(grads, [(w, np.array([1.0], dtype=np.float64))])
+        assert grads[w].dtype == np.float32 and grads[w].tolist() == [1.0]
+        with pytest.raises(TypeError):
+            backward(w, into={w: np.array(2.0).reshape(1)})  # an f64 total under f32
 
 
 class TestFiniteDifference:

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,25 @@ class TestAdam:
         params = {"encoder.block.weight": w}
         with pytest.raises(NonFiniteError, match="encoder.block.weight"):
             adam_step(params, {w: np.array([np.nan])}, OptimState(params), lr=0.1)
+
+    def test_non_finite_gradient_changes_nothing(self):
+        # the NaN is in the last parameter's gradient: a check made while updating would
+        # already have moved the others, their moments and the step counter
+        params = {"a": leaf(1.0, 2.0), "b": leaf(-1.0), "c": leaf(0.5, 0.25)}
+        state = OptimState(params)
+        grads = {t: np.full(t.shape, 0.3) for t in params.values()}
+        adam_step(params, grads, state, lr=0.1)  # moments and step are not their zeros
+        before = ({n: t.data.copy() for n, t in params.items()},
+                  {n: m.copy() for n, m in state.m.items()},
+                  {n: v.copy() for n, v in state.v.items()})
+        grads[params["c"]] = np.array([0.1, np.nan])
+        with pytest.raises(NonFiniteError, match="parameter c"):
+            adam_step(params, grads, state, lr=0.1)
+        assert state.step == 1
+        after = ({n: t.data for n, t in params.items()}, state.m, state.v)
+        for was, now in zip(before, after):
+            assert was.keys() == now.keys()
+            assert all(np.array_equal(was[n], now[n]) for n in was)
 
     def test_deterministic(self):
         outs = []
@@ -561,6 +581,51 @@ class TestNonFiniteLoss:
         assert not os.path.exists(out / "last.sgl")
 
 
+    def test_a_worker_waiting_to_fold_is_stopped_when_the_parent_raises(self, train_corpus,
+                                                                        tmp_path, monkeypatch):
+        # with 2 processes the parent runs samples 11..6 of the batch and the worker 5..0;
+        # only order[9], the parent's third sample, is poisoned, and the parent reaches it
+        # once the worker has run its samples and waits for the fold signal
+        ids = Dataset(train_corpus).scene_ids("train")
+        rng = np.random.default_rng(derive_seed(5, "train"))
+        poisoned = [ids[i] for i in rng.permutation(len(ids))][9]
+        parent = os.getpid()
+        receives = multiprocessing.get_context("fork").Value("i", 0)
+        original_worker, original_load = train_module._worker, Dataset.load_scene
+
+        class CountedConn:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def recv(self):
+                with receives.get_lock():
+                    receives.value += 1
+                return self.conn.recv()
+
+            def send(self, msg):
+                self.conn.send(msg)
+
+        def load_scene(ds, sid):
+            if sid == poisoned and os.getpid() == parent:
+                # the worker's first receive is its job, the second the fold signal
+                deadline = time.monotonic() + 60
+                while receives.value < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return original_load(ds, sid)
+
+        monkeypatch.setattr(train_module, "_worker", lambda conn, *a: original_worker(CountedConn(conn), *a))
+        monkeypatch.setattr(Dataset, "load_scene", load_scene)
+        cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {poisoned}, processes=2)
+        assert receives.value == 2
+        assert f"non-finite loss at epoch 0 scene {poisoned} " in str(err)
+        assert err.__cause__ is None  # the parent's own exception
+        fresh = SketchLocalizer(cfg, seed=cfg.seed)
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, fresh.params[name].data), name
+        assert not os.path.exists(out / "last.sgl")
+        # the fixture `no_process_left_running` fails the test if the worker still runs
+
+
 def single_threaded_blas(monkeypatch):
     for var in train_module.BLAS_THREAD_VARIABLES:
         monkeypatch.setenv(var, "1")
@@ -576,8 +641,12 @@ class TestParallelStep:
         received = []
 
         def counting_receive(conn):
-            received.append(1)
-            return original_receive(conn)
+            reached, results = original_receive(conn)
+            # no gradient array in a reply: leaf positions and per-sample scalars only
+            assert all(type(k) is int for k in reached)
+            assert all(np.ndim(loss) == 0 and len(part) == 3 for loss, part in results)
+            received.append(len(results))
+            return reached, results
 
         original_receive = train_module._receive
         monkeypatch.setattr(train_module, "_receive", counting_receive)
@@ -588,7 +657,7 @@ class TestParallelStep:
             ckpt = train(cfg, str(tmp_path / f"p{procs}"), log=lambda m: None)
             with open(ckpt, "rb") as f, open(tmp_path / f"p{procs}" / "history.json", "rb") as h:
                 files[procs] = (f.read(), h.read())
-            shipped[procs] = len(received)
+            shipped[procs] = sum(received)
             assert training_digests(ckpt) == PINNED_TRAINING, procs
         assert files[1] == files[2] == files[3]
         # samples that ran in a worker, over 2 epochs of steps of 5, 5 and 2
