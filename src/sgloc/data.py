@@ -14,6 +14,15 @@ only the corpus's size, split and seed. The scene recipe is `INSTANCES`,
 `render_sketch` read them when called. There are `len(CLASS_NAMES)` = 12
 classes.
 
+Both renderers work on whole arrays. A shape is filled by crossing parity
+per row: a pixel is inside when an odd number of its outline's edges cross
+its row of pixel centres strictly right of its centre. A stroke segment
+a -> b gives a pixel centre p the value clip(width / 2 + 0.5 - |p - q|, 0, 1),
+with q the point of the segment nearest p, within the segment's box grown by
+the width; overlapping strokes keep the maximum. Both are bit-identical to
+evaluating these per-pixel formulas edge by edge and segment by segment, as
+the first renderers did.
+
 On-disk layout:
     scenes/NNNNNN.ppm          binary P6
     sketches/CLASS/NNNN.pgm    binary P5
@@ -185,24 +194,29 @@ def _transform(loops, rot: float, scale_xy, center) -> list:
 
 
 def _rasterize(loops, w: int = IMAGE_SIZE, h: int = IMAGE_SIZE) -> np.ndarray:
-    """Even-odd fill of closed loops onto a pixel-center grid."""
+    """Even-odd fill of closed loops onto a pixel-center grid, by crossing
+    parity per row.
+
+    Every non-horizontal edge crosses the row of pixel centres at height y
+    when exactly one of its ends lies below y, at x = x1 + (y - y1)(x2 - x1) /
+    (y2 - y1). A pixel is inside when an odd number of its row's crossings
+    lie strictly right of its centre. All edges and rows are one (E, h)
+    array, so the mask is bit-identical to toggling, edge by edge, every
+    pixel whose centre lies left of that edge's crossing.
+    """
     xs = np.arange(w) + 0.5
     ys = np.arange(h) + 0.5
-    px = xs[None, :]
-    py = ys[:, None]
-    inside = np.zeros((h, w), dtype=bool)
-    for loop in loops:
-        x1 = loop[:, 0]
-        y1 = loop[:, 1]
-        x2 = np.roll(x1, -1)
-        y2 = np.roll(y1, -1)
-        for e in range(len(loop)):
-            if y1[e] == y2[e]:
-                continue
-            cond = (y1[e] > py) != (y2[e] > py)
-            xint = x1[e] + (py - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
-            inside ^= cond & (px < xint)
-    return inside
+    x1, y1 = np.concatenate(loops).T
+    x2, y2 = np.concatenate([np.roll(loop, -1, axis=0) for loop in loops]).T
+    slanted = y1 != y2
+    x1, y1, x2, y2 = (v[slanted, None] for v in (x1, y1, x2, y2))
+    crosses = (y1 > ys) != (y2 > ys)  # (E, h)
+    xint = x1 + (ys - y1) * (x2 - x1) / (y2 - y1)
+    rows = np.nonzero(crosses)[1]
+    left = np.searchsorted(xs, xint[crosses], side="left")  # centres left of each crossing
+    counts = np.bincount(rows * (w + 1) + left, minlength=h * (w + 1)).reshape(h, w + 1)
+    right = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # [i, j]: crossings right of centre j - 1
+    return (right[:, 1:] & 1).astype(bool)
 
 
 def _tight_box(mask: np.ndarray):
@@ -250,7 +264,16 @@ class Annotation:
 
 
 def generate_scene(seed: int, classes=None) -> SceneSample:
-    """Deterministic scene: cluttered background plus 1..4 textured shapes."""
+    """Deterministic scene: cluttered background plus 1..4 textured shapes,
+    each drawn from `classes` (default: every class) and filled with
+    `_rasterize`'s crossing-parity rule. Raises ValueError for an empty pool
+    or a class id outside 0..11."""
+    if classes is None:
+        pool = list(range(len(CLASS_NAMES)))
+    else:
+        pool = [_class_id(c) for c in classes]
+        if not pool:
+            raise ValueError("the class pool is empty")
     rng = np.random.default_rng(seed)
     size = IMAGE_SIZE
 
@@ -259,21 +282,21 @@ def generate_scene(seed: int, classes=None) -> SceneSample:
     gx, gy = rng.uniform(-1, 1, 2)
     ramp = (np.arange(size) / size - 0.5)
     img += 0.10 * (gx * ramp[None, :, None] + gy * ramp[:, None, None])
+    cells = np.arange(size)
     for _ in range(rng.integers(2, 5)):
         cx, cy = rng.uniform(0, size, 2)
         sig = rng.uniform(6, 18)
         amp = rng.uniform(-0.09, 0.09, 3)
-        yy, xx = np.mgrid[0:size, 0:size]
-        blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig * sig))
+        blob = np.exp(-((cells[None, :] - cx) ** 2 + (cells[:, None] - cy) ** 2) / (2 * sig * sig))
         img += blob[:, :, None] * amp
     img += rng.uniform(-0.05, 0.05, (size, size, 3))
 
-    pool = list(range(len(CLASS_NAMES))) if classes is None else list(classes)
     n_inst = int(rng.integers(INSTANCES[0], INSTANCES[1] + 1))
     boxes, cls_ids, masks = [], [], []
     for _ in range(n_inst):
         cls = int(rng.choice(pool))
         name = CLASS_NAMES[cls]
+        outline = _OUTLINES[name]()
         placed = False
         s = float(rng.uniform(*SIZE_RANGE))
         for attempt in range(80):
@@ -284,7 +307,7 @@ def generate_scene(seed: int, classes=None) -> SceneSample:
             cy = rng.uniform(half + 1, size - half - 1)
             rot = math.radians(rng.uniform(-ROT_DEG, ROT_DEG))
             stretch = rng.uniform(0.85, 1.15)
-            loops = _transform(_OUTLINES[name](), rot, (half, half * stretch), (cx, cy))
+            loops = _transform(outline, rot, (half, half * stretch), (cx, cy))
             mask = _rasterize(loops)
             box = _tight_box(mask)
             if box is None:
@@ -311,64 +334,95 @@ def generate_scene(seed: int, classes=None) -> SceneSample:
 # sketches
 
 
+def _class_id(cls) -> int:
+    """`cls` as an int class id, or a ValueError naming it."""
+    if not isinstance(cls, (int, np.integer)) or not 0 <= cls < len(CLASS_NAMES):
+        raise ValueError(f"class id {cls!r} is outside 0..{len(CLASS_NAMES) - 1}")
+    return int(cls)
+
+
 def render_sketch(cls: int, seed: int) -> np.ndarray:
-    """White-on-black jittered outline drawing of one shape class."""
+    """White-on-black jittered outline drawing of one shape class.
+
+    Each loop is subdivided, jittered, and cut into segments, some of which
+    are left out as gaps; `_draw_strokes` draws the rest in one pass. Raises
+    ValueError for a class id outside 0..11.
+    """
+    name = CLASS_NAMES[_class_id(cls)]
     rng = np.random.default_rng(seed)
     size = IMAGE_SIZE
     draw_size = float(rng.uniform(*SKETCH_SCALE_RANGE)) * size
     half = draw_size / 2.0
     center = size / 2.0 + rng.uniform(-SKETCH_OFFSET_PX, SKETCH_OFFSET_PX, 2)
     rot = math.radians(rng.uniform(-SKETCH_ROT_DEG, SKETCH_ROT_DEG))
-    loops = _transform(_OUTLINES[CLASS_NAMES[cls]](), rot, (half, half), center)
+    loops = _transform(_OUTLINES[name](), rot, (half, half), center)
 
-    img = np.zeros((size, size), dtype=np.float64)
     width = float(rng.uniform(*SKETCH_WIDTH_RANGE))
     sigma = SKETCH_JITTER * draw_size
+    starts, ends = [], []
     for loop in loops:
         pts = _subdivide(loop, max_step=5.0)
         pts = pts + rng.normal(0.0, sigma, pts.shape)
-        n = len(pts)
-        for i in range(n):
-            if rng.random() < SKETCH_GAP_PROB:
-                continue
-            _draw_segment(img, pts[i], pts[(i + 1) % n], width)
+        kept = rng.random(len(pts)) >= SKETCH_GAP_PROB  # segment i runs from point i to i + 1
+        starts.append(pts[kept])
+        ends.append(np.roll(pts, -1, axis=0)[kept])
+    img = _draw_strokes(np.concatenate(starts), np.concatenate(ends), width)
     return np.clip(img, 0.0, 1.0)
 
 
 def _subdivide(loop: np.ndarray, max_step: float) -> np.ndarray:
-    out = []
-    n = len(loop)
-    for i in range(n):
-        a, b = loop[i], loop[(i + 1) % n]
-        steps = max(1, int(math.ceil(np.linalg.norm(b - a) / max_step)))
-        for k in range(steps):
-            out.append(a + (b - a) * (k / steps))
-    return np.array(out)
+    """Split each edge of `loop` into ceil(|b - a| / max_step) equal steps,
+    at least one; the points are a + (b - a) * (k / steps)."""
+    ab = np.roll(loop, -1, axis=0) - loop
+    length = np.sqrt((ab[:, None, :] @ ab[:, :, None]).reshape(-1))  # np.linalg.norm's dot, per edge
+    steps = np.maximum(1, np.ceil(length / max_step).astype(np.int64))
+    edge = np.repeat(np.arange(len(loop)), steps)
+    k = np.arange(len(edge)) - np.repeat(np.cumsum(steps) - steps, steps)
+    return loop[edge] + ab[edge] * (k / steps[edge])[:, None]
 
 
-def _draw_segment(img: np.ndarray, a, b, width: float) -> None:
-    h, w = img.shape
-    x0 = max(0, int(math.floor(min(a[0], b[0]) - width)))
-    x1 = min(w, int(math.ceil(max(a[0], b[0]) + width)) + 1)
-    y0 = max(0, int(math.floor(min(a[1], b[1]) - width)))
-    y1 = min(h, int(math.ceil(max(a[1], b[1]) + width)) + 1)
-    if x0 >= x1 or y0 >= y1:
-        return
-    xs = np.arange(x0, x1) + 0.5
-    ys = np.arange(y0, y1) + 0.5
-    px, py = np.meshgrid(xs, ys)
+def _draw_strokes(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
+    """The raster of the strokes of segments a[k] -> b[k], drawn all at once.
+
+    A segment's stroke value at a pixel centre p is clip(width / 2 + 0.5 -
+    |p - q|, 0, 1), with q the point of the segment nearest p (q = a when
+    a = b). It is computed only inside the segment's box, grown by `width`
+    and clipped to the raster, and folded in with a maximum. The boxes are
+    padded to the largest one, so every segment is a window of one
+    (K, Wy, Wx) field; the values are bit-identical to drawing the segments
+    one by one.
+    """
+    size = IMAGE_SIZE
+    img = np.zeros(size * size)
+    lo = np.floor(np.minimum(a, b) - width).astype(np.int64)
+    hi = np.ceil(np.maximum(a, b) + width).astype(np.int64) + 1
+    x0, y0 = np.maximum(lo, 0).T
+    x1, y1 = np.minimum(hi, size).T
+    on_raster = (x0 < x1) & (y0 < y1)
+    if not on_raster.any():
+        return img.reshape(size, size)
+    a, b, x0, y0, x1, y1 = (v[on_raster] for v in (a, b, x0, y0, x1, y1))
+    ix = np.arange((x1 - x0).max())
+    iy = np.arange((y1 - y0).max())
+    cols = (x0[:, None] + ix)[:, None, :]  # (K, 1, Wx)
+    rows = (y0[:, None] + iy)[:, :, None]  # (K, Wy, 1)
+    px = cols + 0.5
+    py = rows + 0.5
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0:
-        t = np.zeros_like(px)
-    else:
-        t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
-    dx = px - (a[0] + t * ab[0])
-    dy = py - (a[1] + t * ab[1])
+    # ab @ ab per segment, the BLAS dot; ab0 * ab0 + ab1 * ab1 can differ in the last bit
+    denom = (ab[:, None, :] @ ab[:, :, None]).reshape(-1, 1, 1)
+    a0, a1 = a[:, 0, None, None], a[:, 1, None, None]
+    ab0, ab1 = ab[:, 0, None, None], ab[:, 1, None, None]
+    # a point segment (ab = 0) divides 0 by 1 instead, so its t is 0
+    t = np.clip(((px - a0) * ab0 + (py - a1) * ab1) / np.where(denom == 0, 1.0, denom), 0.0, 1.0)
+    dx = px - (a0 + t * ab0)
+    dy = py - (a1 + t * ab1)
     dist = np.sqrt(dx * dx + dy * dy)
     val = np.clip(width / 2.0 + 0.5 - dist, 0.0, 1.0)
-    region = img[y0:y1, x0:x1]
-    np.maximum(region, val, out=region)
+    window = (cols < x1[:, None, None]) & (rows < y1[:, None, None])
+    flat = np.broadcast_to(rows * size + cols, val.shape)[window]
+    np.maximum.at(img, flat, val[window])
+    return img.reshape(size, size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sgloc
 from sgloc.cli import main
 from sgloc.data import Dataset, write_pgm, write_ppm
 
@@ -169,3 +172,10 @@ def test_gradcheck_cli(capsys):
     assert code == 0, out
     assert "end_to_end_loss" in out and "PASS" in out
     assert not [line for line in out.splitlines() if line.endswith("FAIL")], out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(sgloc.__file__)))}
+    done = subprocess.run([sys.executable, "-m", "sgloc", "--help"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: sgloc") and "gen-data" in done.stdout

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import os
 import re
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -27,6 +29,95 @@ from sgloc.data import (
     write_pgm,
     write_ppm,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracles: the renderers as first written, one polygon edge and one stroke
+# segment at a time. The pinned corpus digests see only the 8-bit bytes after
+# rounding, so a 1-ulp drift would pass them; these compare the floats.
+
+
+def rasterize_loop(loops, w=64, h=64):
+    """Oracle: toggle, edge by edge, every pixel whose centre lies left of the
+    edge's crossing with its row."""
+    xs = np.arange(w) + 0.5
+    ys = np.arange(h) + 0.5
+    px = xs[None, :]
+    py = ys[:, None]
+    inside = np.zeros((h, w), dtype=bool)
+    for loop in loops:
+        x1 = loop[:, 0]
+        y1 = loop[:, 1]
+        x2 = np.roll(x1, -1)
+        y2 = np.roll(y1, -1)
+        for e in range(len(loop)):
+            if y1[e] == y2[e]:
+                continue
+            cond = (y1[e] > py) != (y2[e] > py)
+            xint = x1[e] + (py - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+            inside ^= cond & (px < xint)
+    return inside
+
+
+def draw_segment_loop(img, a, b, width):
+    """Oracle: raise `img` to one segment's stroke inside its clipped box."""
+    h, w = img.shape
+    x0 = max(0, int(math.floor(min(a[0], b[0]) - width)))
+    x1 = min(w, int(math.ceil(max(a[0], b[0]) + width)) + 1)
+    y0 = max(0, int(math.floor(min(a[1], b[1]) - width)))
+    y1 = min(h, int(math.ceil(max(a[1], b[1]) + width)) + 1)
+    if x0 >= x1 or y0 >= y1:
+        return
+    xs = np.arange(x0, x1) + 0.5
+    ys = np.arange(y0, y1) + 0.5
+    px, py = np.meshgrid(xs, ys)
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0:
+        t = np.zeros_like(px)
+    else:
+        t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
+    dx = px - (a[0] + t * ab[0])
+    dy = py - (a[1] + t * ab[1])
+    dist = np.sqrt(dx * dx + dy * dy)
+    val = np.clip(width / 2.0 + 0.5 - dist, 0.0, 1.0)
+    region = img[y0:y1, x0:x1]
+    np.maximum(region, val, out=region)
+
+
+def subdivide_loop(loop, max_step):
+    """Oracle: split each edge into equal steps, one edge and one step at a time."""
+    out = []
+    n = len(loop)
+    for i in range(n):
+        a, b = loop[i], loop[(i + 1) % n]
+        steps = max(1, int(math.ceil(np.linalg.norm(b - a) / max_step)))
+        for k in range(steps):
+            out.append(a + (b - a) * (k / steps))
+    return np.array(out)
+
+
+def render_sketch_loop(cls, seed):
+    """Oracle: `render_sketch` drawing each segment right after its gap draw."""
+    rng = np.random.default_rng(seed)
+    size = data.IMAGE_SIZE
+    draw_size = float(rng.uniform(*data.SKETCH_SCALE_RANGE)) * size
+    half = draw_size / 2.0
+    center = size / 2.0 + rng.uniform(-data.SKETCH_OFFSET_PX, data.SKETCH_OFFSET_PX, 2)
+    rot = math.radians(rng.uniform(-data.SKETCH_ROT_DEG, data.SKETCH_ROT_DEG))
+    loops = data._transform(data._OUTLINES[CLASS_NAMES[cls]](), rot, (half, half), center)
+    img = np.zeros((size, size), dtype=np.float64)
+    width = float(rng.uniform(*data.SKETCH_WIDTH_RANGE))
+    sigma = data.SKETCH_JITTER * draw_size
+    for loop in loops:
+        pts = subdivide_loop(loop, max_step=5.0)
+        pts = pts + rng.normal(0.0, sigma, pts.shape)
+        n = len(pts)
+        for i in range(n):
+            if rng.random() < data.SKETCH_GAP_PROB:
+                continue
+            draw_segment_loop(img, pts[i], pts[(i + 1) % n], width)
+    return np.clip(img, 0.0, 1.0)
 
 
 class TestSeeds:
@@ -133,6 +224,126 @@ class TestRenderSketch:
         d = ((test_x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         acc = (d.argmin(axis=1) == test_y).mean()
         assert acc > 0.8, f"nearest-centroid accuracy {acc:.3f}"
+
+
+def _strokes(segments, width):
+    """(`_draw_strokes` raster, oracle raster) of a list of (a, b) segments."""
+    a = np.array([seg[0] for seg in segments], dtype=np.float64).reshape(-1, 2)
+    b = np.array([seg[1] for seg in segments], dtype=np.float64).reshape(-1, 2)
+    got, want = data._draw_strokes(a, b, width), np.zeros((64, 64))
+    for p, q in zip(a, b):
+        draw_segment_loop(want, p, q, width)
+    return got, want
+
+
+# coordinates off the raster, on pixel centres, on pixel edges, and between
+_coord = st.one_of(
+    st.floats(-12.0, 76.0),
+    st.integers(-12, 76).map(lambda v: v + 0.5),
+    st.integers(-12, 76).map(float),
+)
+_loop = st.lists(st.tuples(_coord, _coord), min_size=3, max_size=10).map(np.array)
+
+
+class TestRenderersMatchTheirOracles:
+    def test_scenes(self, monkeypatch):
+        cases = [(derive_seed(21, "scene", i), [2, 5, 9] if i % 3 == 0 else None) for i in range(240)]
+        got = [generate_scene(seed, pool) for seed, pool in cases]
+        monkeypatch.setattr(data, "_rasterize", rasterize_loop)
+        for (seed, pool), g in zip(cases, got):
+            want = generate_scene(seed, pool)
+            assert g.classes == want.classes, seed
+            assert np.array_equal(g.image, want.image), seed
+            assert np.array_equal(g.boxes, want.boxes), seed
+            assert len(g.masks) == len(want.masks)
+            assert all(np.array_equal(m, n) for m, n in zip(g.masks, want.masks)), seed
+
+    def test_sketches(self):
+        for cls in range(len(CLASS_NAMES)):
+            for i in range(8):
+                seed = derive_seed(21, "sketch", cls, i)
+                assert np.array_equal(render_sketch(cls, seed), render_sketch_loop(cls, seed)), (cls, i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(loops=st.lists(_loop, min_size=1, max_size=3))
+    def test_fill_of_any_loops(self, loops):
+        assert np.array_equal(data._rasterize(loops), rasterize_loop(loops))
+
+    @settings(max_examples=100, deadline=None)
+    @given(loop=_loop, max_step=st.sampled_from([0.5, 5.0]))
+    def test_subdivision_of_any_loop(self, loop, max_step):
+        assert np.array_equal(data._subdivide(loop, max_step), subdivide_loop(loop, max_step))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        segments=st.lists(st.tuples(st.tuples(_coord, _coord), st.tuples(_coord, _coord)), max_size=6),
+        width=st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.floats(0.1, 4.0)),
+    )
+    def test_strokes_of_any_segments(self, segments, width):
+        got, want = _strokes(segments, width)
+        assert np.array_equal(got, want)
+
+    def test_zero_length_stroke_is_a_dot(self):
+        got, want = _strokes([((20.3, 30.7), (20.3, 30.7))], 1.5)
+        assert np.array_equal(got, want)
+        assert got[30, 20] > 0.9 and np.count_nonzero(got) < 25
+
+    def test_stroke_off_the_raster_draws_nothing(self):
+        got, want = _strokes([((-10.0, -10.0), (-7.5, -9.0)), ((70.0, 5.0), (90.0, 40.0))], 1.0)
+        assert np.array_equal(got, want) and not got.any()
+
+    def test_stroke_clipped_at_the_border(self):
+        got, want = _strokes([((-2.0, 10.0), (5.0, 62.5)), ((40.0, 63.8), (70.0, 63.8))], 2.0)
+        assert np.array_equal(got, want)
+        assert got[:, 0].any() and got[63, 40:].any()
+
+    def test_every_segment_a_gap_leaves_a_blank_raster(self, monkeypatch):
+        monkeypatch.setattr(data, "SKETCH_GAP_PROB", 1.0)
+        img = render_sketch(3, 5)
+        assert img.shape == (64, 64) and not img.any()
+        assert np.array_equal(img, render_sketch_loop(3, 5))
+
+    def test_horizontal_loop_fills_nothing_without_warnings(self):
+        loop = np.array([(3.0, 10.5), (40.0, 10.5), (20.0, 10.5)])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            mask = data._rasterize([loop])
+        assert mask.shape == (64, 64) and not mask.any()
+
+    def test_vertices_on_pixel_centre_rows(self):
+        square = np.array([(10.2, 10.5), (30.7, 10.5), (30.7, 30.5), (10.2, 30.5)])
+        kite = np.array([(40.0, 20.5), (50.5, 30.5), (40.0, 40.5), (35.0, 30.5)])
+        for loop in (square, kite):
+            assert np.array_equal(data._rasterize([loop]), rasterize_loop([loop]))
+        mask = data._rasterize([square])
+        assert mask[10:30, 10:31].all() and mask.sum() == 20 * 21
+
+    def test_ring_has_a_hole(self):
+        loops = data._transform(data._OUTLINES["ring"](), 0.3, (20.0, 18.0), (32.0, 31.0))
+        mask = data._rasterize(loops)
+        assert np.array_equal(mask, rasterize_loop(loops))
+        assert not mask[31, 32] and mask[31, 32 + 15]
+
+
+class TestClassIds:
+    @pytest.mark.parametrize("bad", [-1, len(CLASS_NAMES)])
+    def test_sketch_of_an_unknown_class(self, bad):
+        with pytest.raises(ValueError, match=rf"class id {bad} is outside 0\.\.11"):
+            render_sketch(bad, 1)
+
+    @pytest.mark.parametrize("pool", [[-1], [0, 3, len(CLASS_NAMES)]])
+    def test_scene_pool_with_an_unknown_class(self, pool):
+        with pytest.raises(ValueError, match=rf"class id {pool[-1]} is outside"):
+            generate_scene(1, classes=pool)
+
+    def test_empty_scene_pool(self):
+        with pytest.raises(ValueError, match="class pool is empty"):
+            generate_scene(1, classes=[])
+
+    def test_numpy_ids_are_class_ids(self):
+        s = generate_scene(4, classes=np.array([6, 7]))
+        assert set(s.classes) <= {6, 7}
+        assert np.array_equal(render_sketch(np.int64(6), 2), render_sketch(6, 2))
 
 
 class TestSplits:
