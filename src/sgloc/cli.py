@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import fields
 
 from .data import DataConfig, Dataset, generate_dataset, read_pgm, read_ppm
@@ -95,11 +96,16 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model, cfg = load_model(args.ckpt)
     dataset = Dataset(args.dataset or cfg.dataset)
+    t0 = time.perf_counter()
     report = evaluate_queries(model, dataset, protocol=args.protocol.upper(), subset=args.split, seed=args.seed)
+    wall = time.perf_counter() - t0
     if args.table:
         print(report.to_table())
     else:
         print(report.to_json())
+    n = report.counts["queries"]
+    print(f"{n} queries of {report.counts['scenes']} scenes in {wall:.2f} s ({n / wall:.1f} queries/s)",
+          file=sys.stderr)
     return 0
 
 

@@ -1,7 +1,10 @@
 """DET-token decoder, object/query refinement, and the scoring and box heads.
 
 Each decoder layer is two `attention.Block` calls on the DET tokens: one over
-themselves, one over the multi-scale encoder memory. After decoding, one block
+themselves, one over the multi-scale encoder memory. Layer 0's first block
+reads only the learned DET embedding, so `det_queries` runs it apart from
+`decode`, which takes its result; the ops and their order are those of one
+pass through all layers, so the split is exact. After decoding, one block
 pulls sketch features into the object tokens and a mirrored block pulls object
 features into the sketch tokens. Scores come from a small MLP over each
 refined token concatenated with the max-pooled global sketch embedding, boxes
@@ -52,20 +55,29 @@ class LocalizationResult:
     detections: list  # [(np.ndarray(4), float score)]
 
 
-def decode(features: list, params: DecoderParams) -> Tensor:
-    """Refine the DET tokens against the concatenated multi-scale memory.
-
-    `features` holds one token matrix per encoder stage. Each layer:
-    a pre-normed block among the tokens, then one over all stage tokens (each
-    stage keeping its own grid's position encoding).
-    """
+def det_queries(params: DecoderParams) -> Tensor:
+    """The DET tokens after layer 0's pre-normed block among themselves. No
+    scene or sketch reaches them; `decode` continues from them."""
     if not params.layers:
         raise ValueError("decoder needs at least one layer")
+    return params.layers[0].self_block(params.det_embed, norm=True)
+
+
+def decode(features: list, params: DecoderParams, det0: Tensor) -> Tensor:
+    """Refine the DET tokens against the concatenated multi-scale memory.
+
+    `features` holds one token matrix per encoder stage, and `det0` is
+    `det_queries(params)`. Each layer: a pre-normed block among the tokens
+    (layer 0's result is `det0`, which reads no input, so it may be computed
+    once for many calls), then one over all stage tokens (each stage keeping
+    its own grid's position encoding).
+    """
     memory = layer_norm_rows(concat(features, axis=0))
     k_pos = np.concatenate([grid_pos(*f.shape) for f in features], axis=0)
-    x = params.det_embed
-    for layer in params.layers:
-        x = layer.self_block(x, norm=True)
+    x = det0
+    for n, layer in enumerate(params.layers):
+        if n > 0:
+            x = layer.self_block(x, norm=True)
         x = layer.cross_block(x, memory, norm=True, k_pos=k_pos)
     return x
 

@@ -11,6 +11,12 @@ side. After every stage the sketch bundle is fused into the stage output (image
 tokens as queries, sketch tokens as keys/values); the fused outputs of all
 stages form the multi-scale memory handed to the decoder.
 
+The path is split where the first sketch enters. `encode_stage0` runs the
+patch embedding and stage 0's block and pool, which read the scene alone;
+`sketch_guided_encode` starts at fusion 0. The split moves no operation and
+reorders none within the image path, so it is exact: a scene queried with
+many bundles can be taken through `encode_stage0` once.
+
 A bundle of L query sketches is their encoded maps stacked sketch by sketch:
 one (L*SKETCH_TOKENS, d) matrix. Two fusion points use it. In the encoder it
 is L key/value groups of one block call. At the decoder output, `fuse_queries`
@@ -71,7 +77,10 @@ def sketch_to_patches(raster: np.ndarray) -> np.ndarray:
 
 
 def _check_pixels(pixels: np.ndarray, what: str) -> None:
-    """A scene or sketch must hold finite values in [0, 1]; NaN fails too."""
+    """A scene or sketch must be an array of finite values in [0, 1]; NaN
+    fails too."""
+    if not isinstance(pixels, np.ndarray):
+        raise ValueError(f"{what} must be a numpy array, got {type(pixels).__name__}")
     if not (0.0 <= pixels.min() and pixels.max() <= 1.0):
         raise ValueError(f"{what} pixel values must be finite and lie in [0, 1]")
 
@@ -154,8 +163,15 @@ def fuse_queries(bundle: Tensor, params: Block) -> Tensor:
     return params(avg, bundle, q_pos=pos, k_pos=np.tile(pos, (n, 1)))
 
 
-def sketch_guided_encode(image: np.ndarray, bundle: Tensor | None, params: ImageEncoderParams) -> list:
-    """Run all encoder stages, fusing the sketch bundle after each block.
+def encode_stage0(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureStage:
+    """Patch-embed a scene and run stage 0's block and pool: the part of the
+    image path that no sketch reaches. Its result starts `sketch_guided_encode`."""
+    return image_block(embed_image(image, params), params.blocks[0])
+
+
+def sketch_guided_encode(stage0: ImageFeatureStage, bundle: Tensor | None, params: ImageEncoderParams) -> list:
+    """Fuse the sketch bundle into stage 0's pooled tokens (`encode_stage0`),
+    then run every later stage, fusing the bundle after each block.
 
     With a query-agnostic encoder (params.fusions None) the bundle is ignored
     and may be None. Returns the fused token matrix of every stage.
@@ -164,10 +180,11 @@ def sketch_guided_encode(image: np.ndarray, bundle: Tensor | None, params: Image
         raise ShapeError("encoder needs at least 2 stages")
     if bundle is None and params.fusions is not None:
         raise ValueError("a query-conditioned encoder needs a sketch bundle")
-    stage = embed_image(image, params)
+    stage = stage0
     out = []
     for n, blk in enumerate(params.blocks):
-        stage = image_block(stage, blk)
+        if n > 0:  # stage 0's block ran in encode_stage0
+            stage = image_block(stage, blk)
         if params.fusions is not None:
             fused = encoder_fusion_multi(stage.tokens, bundle, params.fusions[n])
             stage = ImageFeatureStage(stage.index, fused)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .boxes import area, cxcywh_to_corners, iou
 from .data import derive_seed
+from .tensor import no_grad
 
 IOU_SWEEP = tuple(np.round(np.arange(0.5, 1.0, 0.05), 2))
 LARGE_AREA = 400.0  # px^2; the COCO 32^2 threshold mapped onto 64x64 scenes
@@ -167,10 +168,17 @@ def evaluate_queries(
     seed: int = 0,
 ) -> MetricsReport:
     """Query every (scene, present class) pair of a split and score detections
-    against the queried class only."""
-    protocol = protocol.upper()
-    if protocol not in ("1Q", "5Q"):
+    against the queried class only.
+
+    Scenes are visited in `scene_ids` order and each scene's classes in
+    ascending order, one `model.localize` call per query. Each scene is first
+    encoded once, under `no_grad`, by `model.encode_scene`, and that encoding
+    answers all of its queries: no sketch reaches it, so each answer is
+    bit-identical to `localize` on the raw scene.
+    """
+    if not isinstance(protocol, str) or protocol.upper() not in ("1Q", "5Q"):
         raise ValueError(f"unknown protocol {protocol!r}")
+    protocol = protocol.upper()
     n_query = 5 if protocol == "5Q" else 1
     scene_ids = dataset.scene_ids(subset)
 
@@ -181,13 +189,14 @@ def evaluate_queries(
     for sid in scene_ids:
         ann = dataset.annotation(sid)
         present = sorted(set(ann.classes))
-        image = dataset.load_scene(sid)
+        with no_grad():
+            scene = model.encode_scene(dataset.load_scene(sid))
         for cls in present:
             rng = np.random.default_rng(derive_seed(seed, "eval", sid, cls))
             pool = dataset.sketch_pool(cls, subset)
             pick = rng.choice(len(pool), size=n_query, replace=len(pool) < n_query)
             sketches = [dataset.load_sketch(pool[i]) for i in pick]
-            result = model.localize(image, sketches, threshold=0.0)
+            result = model.localize(scene, sketches, threshold=0.0)
             n_queries += 1
             corners = cxcywh_to_corners(np.reshape([b for b, _ in result.detections], (-1, 4))) * size
             scores = np.array([score for _, score in result.detections], dtype=np.float64)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ from .decoder import (
     HeadParams,
     LocalizationResult,
     decode,
+    det_queries,
     predict_boxes,
     refine_object_tokens,
     refine_query_tokens,
@@ -24,8 +26,10 @@ from .encoder import (
     IMAGE_PATCH,
     SKETCH_PATCH,
     ImageEncoderParams,
+    ImageFeatureStage,
     SketchEncoderParams,
     encode_sketch,
+    encode_stage0,
     fuse_queries,
     sketch_guided_encode,
 )
@@ -66,6 +70,21 @@ class ModelConfig:
             v = getattr(self, name)
             if not isinstance(v, kinds) or (isinstance(v, bool) and kinds != (bool,)):
                 raise ValueError(f"config field {name} must be {what}, got {v!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedScene:
+    """What `SketchLocalizer.forward` computes for a scene before any sketch
+    enters: stage 0's pooled tokens, before fusion 0, and the DET tokens after
+    decoder layer 0's self-attention block.
+
+    Valid only for `model`, the model that made it, and only until that
+    model's parameters change: the values are not recomputed when they do.
+    """
+
+    model: "SketchLocalizer"
+    stage0: ImageFeatureStage
+    det0: Tensor
 
 
 class SketchLocalizer:
@@ -186,14 +205,28 @@ class SketchLocalizer:
             raise ValueError("need at least one query sketch")
         return concat([encode_sketch(s, self.sketch_enc) for s in sketches], axis=0)
 
-    def forward(self, image: np.ndarray, sketches) -> tuple:
+    def encode_scene(self, image: np.ndarray) -> EncodedScene:
+        """The sketch-free prefix of `forward` for one (64, 64, 3) scene.
+
+        `forward(image, s)` is `forward(encode_scene(image), s)`: the same ops
+        in the same order, so the results are bit-identical. Made under
+        `no_grad`, one EncodedScene can answer every query of its scene.
+        """
+        return EncodedScene(self, encode_stage0(image, self.image_enc), det_queries(self.decoder))
+
+    def forward(self, image, sketches) -> tuple:
         """Score and box every DET token for one scene and 1..L query sketches.
 
-        Returns (scores (T,), boxes (T,4)) as tape tensors.
+        `image` is a (64, 64, 3) scene or this model's `EncodedScene` of one;
+        a raw scene is encoded first, so training and inference run the same
+        ops. Returns (scores (T,), boxes (T,4)) as tape tensors.
         """
+        scene = image if isinstance(image, EncodedScene) else self.encode_scene(image)
+        if scene.model is not self:
+            raise ValueError("an EncodedScene is valid only for the model that made it")
         bundle = self.encode_sketches(sketches)
-        features = sketch_guided_encode(image, bundle, self.image_enc)
-        det = decode(features, self.decoder)
+        features = sketch_guided_encode(scene.stage0, bundle, self.image_enc)
+        det = decode(features, self.decoder, scene.det0)
         query = fuse_queries(bundle, self.query_fusion)
         if self.config.refinement:
             det_r = refine_object_tokens(det, query, self.refine_obj)
@@ -204,9 +237,15 @@ class SketchLocalizer:
         boxes = predict_boxes(det_r, self.heads)
         return scores, boxes
 
-    def localize(self, image: np.ndarray, sketches, threshold: float = 0.5) -> LocalizationResult:
+    def localize(self, image, sketches, threshold: float = 0.5) -> LocalizationResult:
         """Full forward pass, without a tape; keeps all detections scoring >=
-        threshold, sorted by descending score. No non-maximum suppression."""
+        threshold, sorted by descending score. No non-maximum suppression.
+
+        `image` is a scene or an `EncodedScene`, as for `forward`; a caller
+        with several queries of one scene encodes it once under `no_grad`.
+        """
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+            raise ValueError(f"threshold must be a real number, got {threshold!r}")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
         if isinstance(sketches, np.ndarray) and sketches.ndim == 2:

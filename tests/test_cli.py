@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -64,6 +65,21 @@ class TestTrainEval:
         out = json.loads(capsys.readouterr().out)
         assert set(out) == {"map", "ap50", "ap_large", "per_class", "counts"}
         assert out["ap50"] >= out["map"]
+
+    def test_eval_reports_its_speed_on_stderr_only(self, trained, capsys):
+        _, data_dir, ckpt = trained
+        outs = []
+        for _ in range(2):
+            assert main(["eval", "--ckpt", ckpt, "--split", "val"]) == 0
+            captured = capsys.readouterr()
+            outs.append(captured.out)
+            counts = json.loads(captured.out)["counts"]
+            assert re.fullmatch(
+                rf"{counts['queries']} queries of {counts['scenes']} scenes in \d+\.\d\d s "
+                r"\(\d+\.\d queries/s\)\n",
+                captured.err,
+            )
+        assert outs[0] == outs[1]
 
     def test_eval_table(self, trained, capsys):
         _, data_dir, ckpt = trained

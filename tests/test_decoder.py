@@ -7,12 +7,22 @@ import pytest
 from sgloc.attention import cross_attention, grid_pos
 from sgloc.decoder import (
     decode,
+    det_queries,
     predict_boxes,
     refine_object_tokens,
     refine_query_tokens,
     score_tokens,
 )
-from sgloc.tensor import Tensor, finite_difference_check, global_max_pool, mul, sum_all
+from sgloc.tensor import (
+    Tensor,
+    add,
+    backward,
+    finite_difference_check,
+    global_max_pool,
+    mul,
+    no_grad,
+    sum_all,
+)
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 
@@ -24,7 +34,7 @@ def fake_features(rng, d):
 class TestDecode:
     def test_output_shape(self, rng):
         m = tiny_model()
-        out = decode(fake_features(rng, TINY.d), m.decoder)
+        out = decode(fake_features(rng, TINY.d), m.decoder, det_queries(m.decoder))
         assert out.shape == (TINY.num_tokens, TINY.d)
 
     def test_zero_weights_give_embedding_table(self, rng):
@@ -32,14 +42,14 @@ class TestDecode:
         for name, t in m.params.items():
             if name.startswith("decoder.layer"):
                 t.data[...] = 0.0
-        out = decode(fake_features(rng, TINY.d), m.decoder)
+        out = decode(fake_features(rng, TINY.d), m.decoder, det_queries(m.decoder))
         assert np.array_equal(out.data, m.decoder.det_embed.data)
 
     def test_stage_permutation_invariance(self, rng):
         m = tiny_model()
         feats = fake_features(rng, TINY.d)
-        a = decode(feats, m.decoder).data
-        b = decode(list(reversed(feats)), m.decoder).data
+        a = decode(feats, m.decoder, det_queries(m.decoder)).data
+        b = decode(list(reversed(feats)), m.decoder, det_queries(m.decoder)).data
         assert np.max(np.abs(a - b)) < 1e-5
 
 
@@ -189,6 +199,30 @@ class TestLocalize:
         with pytest.raises(ValueError):
             m.localize(rand_image(rng), [rand_sketch(rng)], threshold=1.5)
 
+    @pytest.mark.parametrize("threshold", [True, False, "0.5", None, np.True_])
+    def test_threshold_must_be_a_real_number(self, rng, threshold):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="threshold must be a real number"):
+            m.localize(rand_image(rng), [rand_sketch(rng)], threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [np.float32(0.0), np.float64(0.0), 0])
+    def test_numpy_and_integer_thresholds_pass(self, rng, threshold):
+        m = tiny_model()
+        res = m.localize(rand_image(rng), [rand_sketch(rng)], threshold=threshold)
+        assert len(res.detections) == TINY.num_tokens
+
+    def test_scene_as_list_is_named(self, rng):
+        with pytest.raises(ValueError, match="scene must be a numpy array, got list"):
+            tiny_model().localize(rand_image(rng).tolist(), [rand_sketch(rng)])
+
+    def test_scene_as_path_is_named(self, rng):
+        with pytest.raises(ValueError, match="scene must be a numpy array, got str"):
+            tiny_model().localize("scene.ppm", [rand_sketch(rng)])
+
+    def test_sketch_as_list_is_named(self, rng):
+        with pytest.raises(ValueError, match="sketch must be a numpy array, got list"):
+            tiny_model().localize(rand_image(rng), [rand_sketch(rng).tolist()])
+
     @pytest.mark.parametrize("fault", ["scene_0_255", "nan_scene", "nan_sketch"])
     def test_rejects_pixels_outside_unit_range(self, rng, fault):
         m = tiny_model()
@@ -241,3 +275,45 @@ class TestLocalize:
         for (box, score), (want_box, want_score) in zip(res.detections, want):
             assert box.dtype == np.float64 and np.array_equal(box, want_box)
             assert type(score) is float and score == want_score
+
+
+class TestEncodeScene:
+    """`forward(encode_scene(image), s)` is `forward(image, s)`, bit for bit."""
+
+    @staticmethod
+    def same(a, b) -> bool:
+        return [s for _, s in a.detections] == [s for _, s in b.detections] and all(
+            np.array_equal(x, y) for (x, _), (y, _) in zip(a.detections, b.detections)
+        )
+
+    @pytest.mark.parametrize("n_sketches", [1, 5])
+    @pytest.mark.parametrize("config", [{}, {"encoder_fusion": False}, {"refinement": False}])
+    def test_localize_equals_raw_scene(self, rng, n_sketches, config):
+        m = tiny_model(seed=2, **config)
+        image = rand_image(rng)
+        with no_grad():
+            scene = m.encode_scene(image)
+        for _ in range(3):  # one encoding answers several queries
+            sketches = [rand_sketch(rng) for _ in range(n_sketches)]
+            got = m.localize(scene, sketches, threshold=0.0)
+            assert self.same(got, m.localize(image, sketches, threshold=0.0))
+
+    @pytest.mark.parametrize("n_sketches", [1, 5])
+    def test_taped_gradients_equal_raw_scene(self, rng, n_sketches):
+        m = tiny_model(seed=4)
+        image, sketches = rand_image(rng), [rand_sketch(rng) for _ in range(n_sketches)]
+        r = rng.standard_normal((TINY.num_tokens, 4))
+        grads = []
+        for scene in (image, m.encode_scene(image)):
+            scores, boxes = m.forward(scene, sketches)
+            grads.append(backward(add(sum_all(scores), sum_all(mul(boxes, Tensor(r))))))
+        want, got = grads
+        assert len(want) == len(m.params) and list(want) == list(got)
+        assert all(np.array_equal(want[p], got[p]) for p in want)
+
+    def test_scene_of_another_model_rejected(self, rng):
+        a, b = tiny_model(seed=0), tiny_model(seed=0)
+        with no_grad():
+            scene = a.encode_scene(rand_image(rng))
+        with pytest.raises(ValueError, match="only for the model that made it"):
+            b.localize(scene, [rand_sketch(rng)])

@@ -8,8 +8,10 @@ from sgloc.encoder import (
     SKETCH_TOKENS,
     ImageFeatureStage,
     bundle_size,
+    encode_stage0,
     image_block,
     image_to_patches,
+    sketch_guided_encode,
     sketch_to_patches,
 )
 from sgloc.model import ModelConfig, SketchLocalizer
@@ -23,6 +25,11 @@ TINY = ModelConfig(
 def tiny_model(seed=0, **kw):
     cfg = ModelConfig(**{**TINY.__dict__, **kw})
     return SketchLocalizer(cfg, seed=seed)
+
+
+def encode_image(model, image, bundle):
+    """Every fused stage of the image encoder, from the raw scene."""
+    return sketch_guided_encode(encode_stage0(image, model.image_enc), bundle, model.image_enc)
 
 
 def rand_sketch(rng):
@@ -132,9 +139,7 @@ class TestSketchGuidedEncode:
         m = tiny_model(d=32, heads=2, stages=3)
         img = rand_image(rng)
         bundle = m.encode_sketches([rand_sketch(rng)])
-        from sgloc.encoder import sketch_guided_encode
-
-        feats = sketch_guided_encode(img, bundle, m.image_enc)
+        feats = encode_image(m, img, bundle)
         assert [f.shape[0] for f in feats] == [64, 16, 4]
 
     def test_zero_fusion_reduces_to_query_agnostic(self, rng):
@@ -144,53 +149,43 @@ class TestSketchGuidedEncode:
                 t.data[...] = 0.0
         plain = tiny_model(seed=3, encoder_fusion=False)
         img = rand_image(rng)
-        from sgloc.encoder import sketch_guided_encode
-
         bundle = full.encode_sketches([rand_sketch(rng)])
-        fused = sketch_guided_encode(img, bundle, full.image_enc)
-        bare = sketch_guided_encode(img, None, plain.image_enc)
+        fused = encode_image(full, img, bundle)
+        bare = encode_image(plain, img, None)
         for a, b in zip(fused, bare):
             assert np.array_equal(a.data, b.data)
 
     def test_conditioned_encoder_rejects_missing_bundle(self, rng):
-        from sgloc.encoder import sketch_guided_encode
-
         with pytest.raises(ValueError, match="needs a sketch bundle"):
-            sketch_guided_encode(rand_image(rng), None, tiny_model().image_enc)
+            encode_image(tiny_model(), rand_image(rng), None)
 
     def test_zero_fusion_sketch_independent_bit_exact(self, rng):
         m = tiny_model(seed=5)
         for name, t in m.params.items():
             if name.startswith("fusion"):
                 t.data[...] = 0.0
-        from sgloc.encoder import sketch_guided_encode
-
         img = rand_image(rng)
-        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
-        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
+        f1 = encode_image(m, img, m.encode_sketches([rand_sketch(rng)]))
+        f2 = encode_image(m, img, m.encode_sketches([rand_sketch(rng)]))
         for a, b in zip(f1, f2):
             assert np.array_equal(a.data, b.data)
 
     def test_different_sketches_give_different_features(self, rng):
         m = tiny_model(seed=7)
-        from sgloc.encoder import sketch_guided_encode
-
         img = rand_image(rng)
-        f1 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
-        f2 = sketch_guided_encode(img, m.encode_sketches([rand_sketch(rng)]), m.image_enc)
+        f1 = encode_image(m, img, m.encode_sketches([rand_sketch(rng)]))
+        f2 = encode_image(m, img, m.encode_sketches([rand_sketch(rng)]))
         assert any(np.max(np.abs(a.data - b.data)) > 1e-6 for a, b in zip(f1, f2))
 
     def test_query_conditioning_gradient_nonzero(self, f64, rng):
         # finite differences through the full encoder w.r.t. one sketch pixel
         m = tiny_model(seed=1)
-        from sgloc.encoder import sketch_guided_encode
-
         img = rand_image(rng)
         sketch = rand_sketch(rng)
         r = None
 
         def out_sum(s):
-            feats = sketch_guided_encode(img, m.encode_sketches([s]), m.image_enc)
+            feats = encode_image(m, img, m.encode_sketches([s]))
             total = 0.0
             for f in feats:
                 total += float(f.data.sum())

@@ -18,6 +18,7 @@ from sgloc.metrics import (
     average_precision,
     evaluate_queries,
 )
+from test_encoder import tiny_model
 
 
 def iou(a, b) -> float:
@@ -256,6 +257,9 @@ class OracleModel:
             for rel in dataset.split.val_sketches[c]:
                 self._cls_by_bytes[dataset.load_sketch(rel).tobytes()] = c
 
+    def encode_scene(self, image):
+        return image
+
     def localize(self, image, sketches, threshold=0.0):
         sid = self._scene_by_bytes[image.tobytes()]
         cls = self._cls_by_bytes[sketches[0].tobytes()]
@@ -276,6 +280,9 @@ class OracleModel:
 class RandomModel:
     def __init__(self, seed=0):
         self.rng = np.random.default_rng(seed)
+
+    def encode_scene(self, image):
+        return image
 
     def localize(self, image, sketches, threshold=0.0):
         dets = []
@@ -362,3 +369,82 @@ class TestEvaluateQueries:
     def test_unknown_protocol(self, tiny_corpus):
         with pytest.raises(ValueError):
             evaluate_queries(RandomModel(), tiny_corpus, "3Q", "val")
+
+    @pytest.mark.parametrize("protocol", [5, None])
+    def test_protocol_that_is_not_a_string_is_named(self, tiny_corpus, protocol):
+        with pytest.raises(ValueError, match=f"unknown protocol {protocol!r}"):
+            evaluate_queries(RandomModel(), tiny_corpus, protocol, "val")
+
+
+class RecordingModel(OracleModel):
+    """The oracle, logging each call with the scene and class it concerns."""
+
+    def __init__(self, dataset):
+        super().__init__(dataset)
+        self.calls = []
+
+    def encode_scene(self, image):
+        self.calls.append(("encode_scene", self._scene_by_bytes[image.tobytes()]))
+        return image
+
+    def localize(self, image, sketches, threshold=0.0):
+        cls = self._cls_by_bytes[sketches[0].tobytes()]
+        self.calls.append(("localize", self._scene_by_bytes[image.tobytes()], cls))
+        return super().localize(image, sketches, threshold)
+
+
+class Recorded:
+    """A model whose encoded scenes and `localize` results are kept, in call
+    order."""
+
+    def __init__(self, model):
+        self.model = model
+        self.scenes = []
+        self.results = []
+
+    def encode_scene(self, image):
+        self.scenes.append(self.model.encode_scene(image))
+        return self.scenes[-1]
+
+    def localize(self, scene, sketches, threshold=0.0):
+        self.results.append(self.model.localize(scene, sketches, threshold=threshold))
+        return self.results[-1]
+
+
+class RawScene(Recorded):
+    """Answers every query from the raw scene, so that each `localize` runs
+    the whole forward pass."""
+
+    def encode_scene(self, image):
+        return image
+
+
+class TestEncodeSceneOnce:
+    def test_one_encoding_per_scene_then_its_queries_in_order(self, tiny_corpus):
+        model = RecordingModel(tiny_corpus)
+        report = evaluate_queries(model, tiny_corpus, "1Q", "val")
+        want = []
+        for sid in tiny_corpus.scene_ids("val"):
+            want.append(("encode_scene", sid))
+            for cls in sorted(set(tiny_corpus.annotation(sid).classes)):
+                want.append(("localize", sid, cls))
+        assert model.calls == want
+        assert report.counts["queries"] == len(want) - len(tiny_corpus.scene_ids("val"))
+
+    @pytest.mark.parametrize("protocol", ["1Q", "5Q"])
+    def test_report_and_detections_equal_raw_scenes(self, tiny_corpus, protocol):
+        encoded, raw = Recorded(tiny_model(seed=6)), RawScene(tiny_model(seed=6))
+        got = evaluate_queries(encoded, tiny_corpus, protocol, "val", seed=3)
+        want = evaluate_queries(raw, tiny_corpus, protocol, "val", seed=3)
+        assert got.to_json() == want.to_json()
+        assert len(encoded.results) == len(raw.results) == got.counts["queries"]
+        for a, b in zip(encoded.results, raw.results):
+            assert [s for _, s in a.detections] == [s for _, s in b.detections]
+            assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(a.detections, b.detections))
+
+    def test_scenes_are_encoded_without_a_tape(self, tiny_corpus):
+        model = Recorded(tiny_model())
+        evaluate_queries(model, tiny_corpus, "1Q", "val")
+        assert len(model.scenes) == len(tiny_corpus.scene_ids("val"))
+        for scene in model.scenes:
+            assert not scene.stage0.tokens.requires_grad and not scene.det0.requires_grad
