@@ -6,17 +6,15 @@ A parameter is a leaf `Tensor(data, requires_grad=True)`; a model names its
 parameters in one {name: Tensor} dict. `backward()` walks the tape once and
 returns a plain {leaf: gradient array} dict with an entry for each leaf the
 loss reaches; passed such a dict as `into`, it adds onto those totals in
-place. `leaf_contributions()` is the same sweep yielding the leaf gradients
-unsummed, in sweep order, and `accumulate()` adds such pairs onto totals,
-so the adds can happen later, or in another process, with the same bits.
-Inside `no_grad()` ops record nothing, so each intermediate is freed as soon
-as its last reader is done with it.
+place. Inside `no_grad()` ops record nothing, so each intermediate is freed
+as soon as its last reader is done with it.
 
 In-place buffer rule: an op may mutate only arrays it has just allocated
 itself, in its forward or in its backward. Input data and incoming gradients
 are shared (`add` hands one gradient array to both parents), so they are
 never written to. Gradient totals are the one other thing written in place:
-each is a copy owned by the caller's dict, never an array a sweep handed out.
+each is owned by the caller's dict, a copy or an array the caller allocated,
+never an array a sweep handed out.
 
 Layout convention used throughout the package: a feature map is an n x d
 matrix whose n rows are a square g x g grid, with row s = y*g + x.
@@ -25,7 +23,7 @@ matrix whose n rows are a square g x g grid, with row s = y*g + x.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -546,63 +544,23 @@ def _topo(root: Tensor) -> list:
     return order
 
 
-def leaf_contributions(loss: Tensor) -> Iterator[tuple]:
-    """Reverse-mode sweep from a scalar loss. Yields a (leaf, gradient array)
-    pair each time the sweep reaches a requires_grad leaf, in the order it
-    reaches them; a leaf the loss does not reach has no pair, and a leaf
-    reached twice (a weight shared by two ops) has two.
+def accumulate(grads: dict, leaf: Tensor, g: np.ndarray) -> None:
+    """Add the gradient array `g` onto `grads[leaf]` in place, as
+    `np.add(total, g, out=total)`: the same bits as `total + g`.
 
-    Gradients of the non-leaf nodes are summed within the sweep. The leaf
-    pairs are left unsummed, so that `accumulate` can add them onto totals
-    kept elsewhere, later or in another process, with the same float
-    additions in the same order as if the sweep had started from those
-    totals. The sweep runs as the pairs are taken, so a caller that adds
-    each pair as it comes holds no more leaf gradients than their totals.
-    A yielded array may be shared with another pair or with the tape, so it
-    is read, never written to.
+    A leaf without an entry gets a copy of `g`, never the array itself: `add`
+    hands one gradient array to both of its parents, so a stored reference
+    could later be added into twice. The totals are thus owned by `grads`. An
+    array whose dtype differs from its leaf's total raises TypeError instead
+    of being cast.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-    seed = np.ones_like(loss.data)
-    if not loss._parents:  # the loss is a leaf itself
-        yield loss, seed
-        return
-    grads = {loss: seed}
-    for node in reversed(_topo(loss)):
-        g = grads.pop(node, None)
-        if g is None:
-            continue
-        for p, pg in zip(node._parents, node._bw(g)):
-            if pg is None or not p.requires_grad:
-                continue
-            if not p._parents:
-                yield p, pg
-                continue
-            acc = grads.get(p)
-            grads[p] = pg if acc is None else acc + pg
-
-
-def accumulate(grads: dict, contributions) -> dict:
-    """Add each (leaf, array) pair onto `grads[leaf]` in order, in place, as
-    `np.add(total, array, out=total)`: the same bits as `total + array`.
-
-    A leaf without an entry gets a copy of its first array, never the array
-    itself: `add` hands one gradient array to both of its parents, so a
-    stored reference could later be added into twice. The totals are thus
-    owned by `grads`. An array whose dtype differs from its leaf's total
-    raises TypeError instead of being cast. Changes and returns `grads`.
-    """
-    for leaf, g in contributions:
-        total = grads.get(leaf)
-        if total is None:
-            grads[leaf] = np.array(g)  # a copy, also of a numpy scalar
-        elif total.dtype != g.dtype:
-            raise TypeError(f"a {g.dtype} gradient cannot be added onto a {total.dtype} total")
-        else:
-            np.add(total, g, out=total)
-    return grads
+    total = grads.get(leaf)
+    if total is None:
+        grads[leaf] = np.array(g)  # a copy, also of a numpy scalar
+    elif total.dtype != g.dtype:
+        raise TypeError(f"a {g.dtype} gradient cannot be added onto a {total.dtype} total")
+    else:
+        np.add(total, g, out=total)
 
 
 def backward(loss: Tensor, into: dict | None = None) -> dict:
@@ -610,15 +568,38 @@ def backward(loss: Tensor, into: dict | None = None) -> dict:
     for every requires_grad leaf the loss reaches; a leaf it does not reach
     has no entry.
 
-    This is `leaf_contributions(loss)` folded by `accumulate` onto `into`, a
-    dict an earlier call returned, or onto a new dict. `into` is changed in
-    place and returned. Each new contribution is added as `total + new`, as
-    one sweep over both losses would. One sweep over a sum of losses with
-    disjoint tapes reaches the last term first, so chaining the terms'
-    sweeps from the last to the first gives the same bits while holding one
-    term's tape at a time.
+    Gradients of the non-leaf nodes are summed within the sweep. Each time
+    the sweep reaches a leaf, its gradient is added by `accumulate` onto
+    `into`, a dict an earlier call returned (or one of preallocated totals),
+    or onto a new dict; a leaf reached twice (a weight shared by two ops) gets
+    both additions, in the order the sweep reaches them. `into` is changed in
+    place and returned. One sweep over a sum of losses with disjoint tapes
+    reaches the last term first, so chaining the terms' sweeps from the last
+    to the first gives the same bits while holding one term's tape at a time.
     """
-    return accumulate({} if into is None else into, leaf_contributions(loss))
+    if loss.data.size != 1:
+        raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+    grads = {} if into is None else into
+    if not loss.requires_grad:
+        return grads
+    seed = np.ones_like(loss.data)
+    if not loss._parents:  # the loss is a leaf itself
+        accumulate(grads, loss, seed)
+        return grads
+    pending = {loss: seed}
+    for node in reversed(_topo(loss)):
+        g = pending.pop(node, None)
+        if g is None:
+            continue
+        for p, pg in zip(node._parents, node._bw(g)):
+            if pg is None or not p.requires_grad:
+                continue
+            if not p._parents:
+                accumulate(grads, p, pg)
+                continue
+            acc = pending.get(p)
+            pending[p] = pg if acc is None else acc + pg
+    return grads
 
 
 def finite_difference_check(

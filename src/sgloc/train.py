@@ -26,56 +26,40 @@ config includes `dataset`, the corpus path, so two runs on copies of one
 corpus at different paths give the same parameters but different bytes.
 
 A step holds one sample's tape at a time. The batch's queries are drawn
-first, in batch order, by the parent process; then each sample runs forward,
-matching, loss and a backward sweep of `loss / n` before the next sample's
-forward. The samples run from the last to the first because one backward
-over the batch's summed loss would reach them in that order, so every float
-addition into a gradient, and with it every checkpoint byte, is what that one
-sweep gives.
+first, in batch order, by the parent process. The samples then run from the
+last to the first, the order in which one backward sweep over the batch's
+summed loss would reach them, and each runs forward, matching, loss and a
+backward sweep of `loss / n` before the next sample's forward.
 
-Each step is shared between processes, one per usable CPU, at most two and
-at most one per sample, when BLAS is pinned to one thread
-(`_process_count`); otherwise one process runs it all. The order n-1 ... 0
-is cut into consecutive runs. The parent takes the first and runs it as
-`backward(loss / n, into=grads)`, one sample after the other. Each forked
-worker takes the next run and keeps, per sample, the sweep's unsummed leaf
-gradients in sweep order (`tensor.leaf_contributions`). A per-sample sum
-would not do: a leaf reached twice in one sweep (the DET embedding, or each
-sketch-encoder weight once per sketch) would then get its additions in
-another order.
+A step's gradient is the sum of two half-batch totals. The order n-1 ... 0 is
+cut into two consecutive runs (`np.array_split`). Each run sweeps its samples
+into its own gradient slab, zeroed before the run; then the second slab is
+added onto the first elementwise, and Adam reads the first. A slab is a
+shared anonymous mapping laid out like the parameters (`_slab`). When BLAS is
+pinned to one thread and two CPUs are usable (`_forks_worker`), a worker
+forked at the start of each epoch runs the second half into the second slab
+while the parent runs the first; otherwise the parent runs both, one after
+the other. The float additions are the same either way, so logged losses,
+`history.json` and every checkpoint byte do not depend on whether the worker
+runs. No gradient array is sent between processes: the worker replies with
+each sample's loss and components only.
 
-The step's gradient totals live in the gradient slab, a shared anonymous
-mapping laid out like the parameter slab (`_slab`), where every process
-folds onto them in place. The parent's `grads` copies each leaf's first
-gradient into that leaf's slot; every later one is added onto the slot as
-`np.add(total, new, out=total)`, the same bits as `total + new`
-(`tensor.accumulate`). After its own samples the parent sends the first
-worker the fold signal: the positions in `model.params` of the leaves that
-hold a total. The worker adds its samples' contributions onto the same
-slots, in run order, and replies with the positions reached now and each
-sample's loss and components; the parent passes those positions on to the
-next worker. So the totals get the float additions, in the same order, that
-the one-process loop makes, and logged losses, `history.json` and every
-checkpoint byte do not depend on the number of processes. No gradient array
-is sent between processes. Adam then runs in the parent alone, reading the
-slab's views.
+The parameters live in a slab too, so the worker reads the parent's in-place
+Adam updates with nothing sent per step. The worker inherits the process's
+state as it is at the start of the epoch, and it is joined before the
+epoch's checkpoint is written. Forking per step would cost far more in
+copy-on-write faults.
 
-The parameters live in a slab too, so a worker reads the parent's in-place
-Adam updates with nothing sent per step. Workers are forked (the `fork`
-start method) at the start of each epoch and inherit the process's state as
-it then is; they are joined before the epoch's checkpoint is written.
-Forking per step would cost far more in copy-on-write faults. A worker
-sends nothing until it has folded, so it never waits on the parent mid-run.
-
-When samples raise, the exception of the first one in run order is raised,
-the one the one-process loop would have met first: the parent's own samples
-are checked first, then each worker's in fold order. So, when several scenes
-of a batch have a non-finite loss, the NonFiniteError names the last of them
-in batch order. A worker's exception is raised in the parent with its type
-and message, and the worker's traceback as its cause. Every exception is
-raised before the step's Adam update, so no parameter changes, and the
-workers are terminated and joined before it propagates, also one still
-waiting for its fold signal: no worker outlives `train`.
+A non-finite forward output or loss raises NonFiniteError naming the epoch,
+the scene and the class. When samples raise, the exception of the first one
+in run order is raised, the one the one-process loop would have met first:
+the parent's half is checked before the worker's. So, when several scenes of
+a batch are non-finite, the error names the last of them in batch order. A
+worker's exception is raised in the parent with its type and message, and
+the worker's traceback as its cause. Every exception is raised before the
+step's Adam update, so no parameter changes, and the worker is terminated
+and joined before it propagates, also while it still runs its half: no
+worker outlives `train`.
 """
 
 from __future__ import annotations
@@ -99,7 +83,7 @@ import numpy as np
 from .data import Dataset, derive_seed
 from .matching import LossWeights, build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
-from .tensor import NonFiniteError, accumulate, backward, leaf_contributions, scale
+from .tensor import NonFiniteError, backward, scale
 
 CHECKPOINT_MAGIC = b"SGL1"
 CHECKPOINT_VERSION = 2
@@ -375,27 +359,34 @@ def _sample_query(rng, dataset: Dataset, ann, n_sketch: int):
     return cls, sketches
 
 
-def _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, sweep):
-    """Forward, matching and loss of one sample of a batch of `n`, then
-    `sweep` of its loss scaled by 1/n.
+def _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, grads):
+    """Forward, matching and loss of one sample of a batch of `n`, then a
+    backward sweep of its loss scaled by 1/n onto the totals `grads`.
 
-    Returns what `sweep` returns, the sample's f32 loss array and its
-    (score, l1, giou) components. The sample's tape is garbage once this
-    returns."""
+    Returns the sample's f32 loss array and its (score, l1, giou)
+    components. The sample's tape is garbage once this returns."""
     ann = dataset.annotation(sid)
     scores, boxes = model.forward(dataset.load_scene(sid), sketches)
+    where = f"at epoch {epoch} scene {sid} (class {cls})"
+    if not (np.isfinite(scores.data).all() and np.isfinite(boxes.data).all()):
+        raise NonFiniteError(f"non-finite forward output {where}")
     gt_corners = ann.boxes[[c == cls for c in ann.classes]] / float(dataset.image_size)
     assign = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_corners, weights))
     lb = total_loss(scores, boxes, gt_corners, assign, weights)
     if not np.isfinite(lb.total):
-        raise NonFiniteError(f"non-finite loss at epoch {epoch} scene {sid} (class {cls})")
-    swept = sweep(scale(lb.total_tensor, 1.0 / n))
-    return swept, lb.total_tensor.data, (lb.score_loss, lb.l1_loss, lb.giou_loss)
+        raise NonFiniteError(f"non-finite loss {where}")
+    backward(scale(lb.total_tensor, 1.0 / n), grads)
+    return lb.total_tensor.data, (lb.score_loss, lb.l1_loss, lb.giou_loss)
 
 
-# More processes are untested for speed: the parent folds every worker's
-# contributions alone, and CPU quotas are not seen by the affinity mask.
-MAX_PROCESSES = 2
+def _run_half(model, dataset, weights, grads, epoch, n, samples) -> list:
+    """Zero the gradient slab `grads`, then run `samples`, [(sid, cls,
+    sketches)] of one step of `n`, into it one after the other. Returns
+    [(f32 loss array, components)] per sample."""
+    for g in grads.values():
+        g.fill(0)
+    return [_sample_step(model, dataset, *s, weights, n, epoch, grads) for s in samples]
+
 
 # BLAS counts as single-threaded when each of these reads "1", as bench/run.py
 # sets them before numpy loads. Otherwise each process may start a BLAS thread
@@ -404,23 +395,22 @@ MAX_PROCESSES = 2
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _process_count(n: int) -> int:
-    """Processes that share the steps of `n` samples: one per usable CPU, at
-    most `MAX_PROCESSES` and at most `n`. 1 unless BLAS is pinned to one
-    thread (`BLAS_THREAD_VARIABLES`), where the `fork` start method is
-    unavailable, and in a daemonic process (such as a `multiprocessing.Pool`
-    worker), which may not start children."""
+def _forks_worker(n: int) -> bool:
+    """Whether a forked worker runs the second half of each step of `n`
+    samples: when `n` is at least 2, two CPUs are usable and BLAS is pinned to
+    one thread (`BLAS_THREAD_VARIABLES`). Never where the `fork` start method
+    is unavailable, nor in a daemonic process (such as a
+    `multiprocessing.Pool` worker), which may not start children."""
     if (
-        any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARIABLES)
+        n < 2
+        or any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARIABLES)
         or multiprocessing.current_process().daemon
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        return 1
+        return False
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, MAX_PROCESSES, n))
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
 
 
 def _slab(arrays: list) -> list:
@@ -436,64 +426,20 @@ def _slab(arrays: list) -> list:
     return [np.frombuffer(buf, a.dtype, a.size, off).reshape(a.shape) for a, off in zip(arrays, offsets)]
 
 
-class _SlabTotals(dict):
-    """{leaf: gradient total} for `accumulate`, whose totals are views of the
-    gradient slab. `slots` maps each leaf, in `model.params` order, to its
-    slot, and a leaf's first array is copied into that slot. The dict starts
-    with the leaves at the positions `reached`, whose slots hold totals."""
-
-    def __init__(self, slots: dict, reached=()):
-        leaves = list(slots)
-        super().__init__((leaves[k], slots[leaves[k]]) for k in reached)
-        self.slots = slots
-
-    def __setitem__(self, leaf, g):
-        slot = self.slots[leaf]
-        np.copyto(slot, g, casting="no")
-        super().__setitem__(leaf, slot)
-
-    def reached(self) -> list:
-        """The positions of the leaves that hold a total."""
-        return [k for k, leaf in enumerate(self.slots) if leaf in self]
-
-
-def _worker(conn, model, dataset, weights, slots) -> None:
+def _worker(conn, model, dataset, weights, grads) -> None:
     """A forked worker's loop for one epoch.
 
-    Each job is (epoch, n, [(sid, cls, sketches), ...]), samples of one step
-    in the order to run them; None ends the loop. The worker runs the job,
-    keeping each sample's leaf contributions in sweep order, then waits for
-    the fold signal: the positions in `model.params` of the leaves whose
-    slots of the gradient slab (`slots`) hold totals. It adds its samples'
-    contributions onto those slots in run order and replies with
-    (positions reached now, [(f32 loss array, components) per sample]). The
-    first exception, of a sample or of the fold, is replied instead as
-    (None, exception, traceback text). Nothing is sent before the fold
-    signal, so the parent never stalls the worker mid-run."""
+    Each job is (epoch, n, [(sid, cls, sketches), ...]), the second half of
+    one step. The worker runs it into its gradient slab `grads` and replies
+    with [(f32 loss array, components) per sample], or, when a sample raises,
+    with (exception, traceback text). None ends the loop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it and stops this process
-
-    def contributions(loss):
-        return list(leaf_contributions(loss))
-
-    for epoch, n, samples in iter(conn.recv, None):
-        results, failure = [], None  # drops the last job's contributions before this job runs
+    for job in iter(conn.recv, None):
         try:
-            for sid, cls, sketches in samples:
-                results.append(
-                    _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, contributions)
-                )
+            reply = _run_half(model, dataset, weights, grads, *job)
         except Exception as e:  # reported to the parent, which raises it
-            failure = e
-        reached = conn.recv()  # the fold signal
-        if failure is None:
-            try:
-                grads = accumulate(
-                    _SlabTotals(slots, reached), (pair for swept, _, _ in results for pair in swept)
-                )
-                reached = grads.reached()
-            except Exception as e:
-                failure = e
-        conn.send((None, *_portable(failure)) if failure else (reached, [r[1:] for r in results]))
+            reply = _portable(e)
+        conn.send(reply)
 
 
 def _portable(exc: Exception) -> tuple:
@@ -507,49 +453,40 @@ def _portable(exc: Exception) -> tuple:
     return exc, tb
 
 
-def _receive(conn) -> tuple:
-    """A worker's reply to the fold signal, (positions reached, [(f32 loss
-    array, components) per sample]); raises the worker's exception."""
+def _receive(conn) -> list:
+    """The worker's reply to a job, [(f32 loss array, components) per
+    sample]; raises the worker's exception."""
     try:
         msg = conn.recv()
     except EOFError:
         raise RuntimeError("a training worker exited before sending its results") from None
-    if msg[0] is None:
-        _, exc, tb = msg
+    if isinstance(msg, tuple):
+        exc, tb = msg
         exc.__cause__ = RuntimeError("raised in a training worker:\n" + tb)
         raise exc
     return msg
 
 
 @contextlib.contextmanager
-def _workers(count: int, model, dataset, weights, slots):
-    """`count` workers forked for one epoch, as the parent's ends of their
-    pipes. On a normal exit each is told to stop and joined; on an exception
-    each is terminated and joined before the exception propagates."""
+def _forked_worker(model, dataset, weights, grads):
+    """A worker forked for one epoch, as the parent's end of its pipe. On a
+    normal exit it is told to stop and joined; on an exception it is
+    terminated and joined before the exception propagates."""
     ctx = multiprocessing.get_context("fork")
-    conns, procs = [], []
+    conn, child = ctx.Pipe()
+    # daemon: stopped at interpreter exit even if this process dies past `finally`
+    proc = ctx.Process(target=_worker, args=(child, model, dataset, weights, grads), daemon=True)
+    proc.start()
+    child.close()
     try:
-        for _ in range(count):
-            conn, child = ctx.Pipe()
-            # daemon: stopped at interpreter exit even if this process dies past `finally`
-            proc = ctx.Process(target=_worker, args=(child, model, dataset, weights, slots),
-                               daemon=True)
-            proc.start()
-            child.close()
-            conns.append(conn)
-            procs.append(proc)
-        yield conns
-        for conn in conns:
-            conn.send(None)
-        for proc in procs:
-            proc.join()
+        yield conn
+        conn.send(None)
+        proc.join()
     finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-        for conn in conns:
-            conn.close()
+        if proc.is_alive():
+            proc.terminate()
+        proc.join()
+        conn.close()
 
 
 def train(config: TrainConfig, out_dir: str, log=None) -> str:
@@ -560,12 +497,12 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     dataset = Dataset(config.dataset)
     train_ids = dataset.scene_ids("train")
     model = SketchLocalizer(config, seed=config.seed)
-    # the parameter slab, then the gradient slab laid out like it, one slot per leaf
+    # the parameter slab, then gradient slabs A and B laid out like it
     leaves = list(model.params.values())
     for t, shared in zip(leaves, _slab([t.data for t in leaves])):
         shared[...] = t.data
         t.data = shared
-    slots = dict(zip(leaves, _slab([t.data for t in leaves])))
+    grads_a, grads_b = (dict(zip(leaves, _slab([t.data for t in leaves]))) for _ in range(2))
     state = OptimState(model.params)
     weights = config.loss_weights()
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
@@ -573,39 +510,35 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     ckpt_path = os.path.join(out_dir, "last.sgl")
     config_text = config.to_text()
     history = []
-    procs = _process_count(config.batch_size)
+    fork = _forks_worker(config.batch_size)
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_ids))
         sums = np.zeros(4)
         n_batches = 0
-        with _workers(procs - 1, model, dataset, weights, slots) as conns:
+        worker = _forked_worker(model, dataset, weights, grads_b) if fork else contextlib.nullcontext()
+        with worker as conn:
             for start in range(0, len(order), config.batch_size):
                 batch = [train_ids[i] for i in order[start : start + config.batch_size]]
                 n = len(batch)
                 n_sketch = 5 if rng.random() < config.protocol_mix else 1
                 queries = [_sample_query(rng, dataset, dataset.annotation(sid), n_sketch) for sid in batch]
-                # last sample first, the order of one sweep over the batch's summed
-                # loss; the parent runs the first share of it, each worker the next
-                runs = np.array_split(np.arange(n)[::-1], procs)
-                for conn, run in zip(conns, runs[1:]):
-                    conn.send((epoch, n, [(batch[i], *queries[i]) for i in run]))
-                grads, losses, parts = _SlabTotals(slots), [None] * n, [None] * n
-                for i in runs[0]:
-                    _, losses[i], parts[i] = _sample_step(
-                        model, dataset, batch[i], *queries[i], weights, n, epoch,
-                        lambda loss, into=grads: backward(loss, into),
-                    )
-                if conns:
-                    reached = grads.reached()
-                    for conn, run in zip(conns, runs[1:]):
-                        conn.send(reached)  # the fold signal
-                        reached, results = _receive(conn)
-                        for i, (loss, part) in zip(run, results):
-                            losses[i], parts[i] = loss, part
-                    grads = _SlabTotals(slots, reached)
-                adam_step(model.params, grads, state, config.lr, (config.beta1, config.beta2), config.eps)
+                # last sample first, the order of one sweep over the batch's summed loss,
+                # cut into the halves that go into slabs A and B
+                half_a, half_b = ([(batch[i], *queries[i]) for i in run]
+                                  for run in np.array_split(np.arange(n)[::-1], 2))
+                if conn:
+                    conn.send((epoch, n, half_b))
+                results = _run_half(model, dataset, weights, grads_a, epoch, n, half_a)
+                if conn:
+                    results += _receive(conn)
+                else:
+                    results += _run_half(model, dataset, weights, grads_b, epoch, n, half_b)
+                for a, b in zip(grads_a.values(), grads_b.values()):
+                    np.add(a, b, out=a)
+                adam_step(model.params, grads_a, state, config.lr, (config.beta1, config.beta2), config.eps)
                 # logged in batch order: a left-to-right sum, then times 1/n, as one summed loss gives
+                losses, parts = zip(*results[::-1])
                 batch_loss = losses[0]
                 for loss in losses[1:]:
                     batch_loss = batch_loss + loss

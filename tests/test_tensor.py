@@ -17,7 +17,6 @@ from sgloc.tensor import (
     concat,
     finite_difference_check,
     global_max_pool,
-    leaf_contributions,
     matmul,
     mean_groups,
     merge_heads,
@@ -427,43 +426,21 @@ class TestBackwardInto:
         grads = backward(sum_all(mul(u, u)), into=backward(sum_all(mul(w, w))))
         assert np.array_equal(grads[w], [4.0]) and np.array_equal(grads[u], [10.0])
 
+    def test_a_leaf_used_twice_gets_both_contributions_in_sweep_order(self, monkeypatch):
+        added = []
 
-class TestLeafContributions:
-    def test_a_leaf_gets_one_pair_per_use_in_sweep_order(self):
+        def recording(grads, p, g):
+            added.append((p, g.tolist()))
+            real_accumulate(grads, p, g)
+
+        real_accumulate = T.accumulate
+        monkeypatch.setattr(T, "accumulate", recording)
         w, u = leaf([2.0]), leaf([3.0])
+        into = {w: np.array([1.0], dtype=w.data.dtype)}
         # sum(w*u + w*w): the sweep meets the second term first, w twice there
-        pairs = list(leaf_contributions(sum_all(add(mul(w, u), mul(w, w)))))
-        assert [p for p, _ in pairs] == [w, w, w, u]
-        assert [g.tolist() for _, g in pairs] == [[2.0], [2.0], [3.0], [2.0]]
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n_leaves=st.integers(1, 3),
-        terms=st.lists(
-            st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
-                               st.floats(-3.0, 3.0, allow_nan=False)), min_size=1, max_size=5),
-            min_size=2, max_size=2,
-        ),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_pairs_kept_and_folded_later_give_the_chained_backward(self, n_leaves, terms, seed):
-        # what a training worker does: keep one loss's pairs, then, once the totals of
-        # the other loss are in, fold them onto those totals, found by position
-        rng = np.random.default_rng(seed)
-        terms = [[(i % n_leaves, j % n_leaves, o, s) for i, j, o, s in t] for t in terms]
-        ws = [leaf(rng.standard_normal(3).astype(np.float32)) for _ in range(n_leaves)]
-        l1, l2 = (random_loss(ws, t) for t in terms)
-        want = backward(l1, into=backward(l2))
-        kept = list(leaf_contributions(l1))
-        totals = backward(l2)
-        reached = [k for k, w in enumerate(ws) if w in totals]
-        got = accumulate({ws[k]: totals[ws[k]] for k in reached}, kept)
-        assert want.keys() == got.keys()
-        assert all(want[w].dtype == got[w].dtype and np.array_equal(want[w], got[w]) for w in want)
-
-    def test_non_scalar_loss_is_refused(self):
-        with pytest.raises(ShapeError, match="scalar loss"):
-            list(leaf_contributions(mul(leaf([1.0, 2.0]), leaf([3.0, 4.0]))))
+        assert backward(sum_all(add(mul(w, u), mul(w, w))), into=into) is into
+        assert added == [(w, [2.0]), (w, [2.0]), (w, [3.0]), (u, [2.0])]
+        assert into[w].tolist() == [8.0] and into[u].tolist() == [2.0]
 
 
 class TestAccumulate:
@@ -483,7 +460,9 @@ class TestAccumulate:
         oracle = {}
         for w, g in pairs:  # the allocating fold: a new array per addition
             oracle[w] = g if w not in oracle else oracle[w] + g
-        got = accumulate({}, pairs)
+        got = {}
+        for w, g in pairs:
+            accumulate(got, w, g)
         assert got.keys() == oracle.keys()
         for w in got:
             assert got[w].dtype == oracle[w].dtype == dtype
@@ -492,9 +471,10 @@ class TestAccumulate:
     def test_first_array_is_copied(self):
         g = np.array([1.0, 2.0])
         w = leaf([0.0, 0.0])
-        got = accumulate({}, [(w, g)])
+        got = {}
+        accumulate(got, w, g)
         assert got[w] is not g and not np.shares_memory(got[w], g)
-        accumulate(got, [(w, g)])
+        accumulate(got, w, g)
         assert g.tolist() == [1.0, 2.0] and got[w].tolist() == [2.0, 4.0]
 
     def test_totals_of_operands_of_one_add_do_not_alias(self):
@@ -502,14 +482,14 @@ class TestAccumulate:
         w, u = leaf([1.0, 2.0]), leaf([3.0, 4.0])
         grads = backward(sum_all(add(w, u)))
         assert not np.shares_memory(grads[w], grads[u])
-        accumulate(grads, [(w, np.ones(2, dtype=grads[w].dtype))])
+        accumulate(grads, w, np.ones(2, dtype=grads[w].dtype))
         assert grads[w].tolist() == [2.0, 2.0] and grads[u].tolist() == [1.0, 1.0]
 
     def test_dtype_mismatch_raises(self):
         w = leaf([1.0])
         grads = {w: np.array([1.0], dtype=np.float32)}
         with pytest.raises(TypeError, match="float64 gradient cannot be added onto a float32"):
-            accumulate(grads, [(w, np.array([1.0], dtype=np.float64))])
+            accumulate(grads, w, np.array([1.0], dtype=np.float64))
         assert grads[w].dtype == np.float32 and grads[w].tolist() == [1.0]
         with pytest.raises(TypeError):
             backward(w, into={w: np.array(2.0).reshape(1)})  # an f64 total under f32
