@@ -17,6 +17,10 @@ Attention is packed: each projection is one d x d matrix whose column block h
 belongs to head h. One `tensor.attend` call is the one batched pass over every
 head and every group: scores, softmax over (groups*heads, n_q, n_k) and the
 weighted values, as a single tape node.
+
+A block holds its own weights: the three projections, the two adapter
+matrices and the head count. `cross_attention` reads the projections and
+`adapter_fuse` the adapter matrices of the block it is given.
 """
 
 from __future__ import annotations
@@ -41,46 +45,21 @@ from .tensor import (
 
 
 @dataclass
-class AttentionParams:
-    """Packed projection matrices, each d x d.
+class Block:
+    """Attention, then the adapter MLP on its output (see the module docstring).
 
-    Head h projects queries, keys and values with the column block
-    h*dk:(h+1)*dk of `wq`, `wk` and `wv`, where dk = `key_width` = d / heads.
+    `wq`, `wk` and `wv` are the packed d x d projections: head h projects
+    queries, keys and values with column block h*dk:(h+1)*dk, dk = d / heads.
     Head outputs concatenate back to width d, with no extra output projection
-    and no bias terms.
+    and no bias terms. `w_in` (d x d_h) and `w_out` (d_h x d) are the adapter.
     """
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
+    w_in: Tensor
+    w_out: Tensor
     heads: int
-
-    @property
-    def width(self) -> int:
-        return self.wq.shape[0]
-
-    @property
-    def key_width(self) -> int:
-        return self.width // self.heads
-
-    def tensors(self) -> list:
-        return [self.wq, self.wk, self.wv]
-
-
-@dataclass
-class AdapterParams:
-    """Two-layer position-wise MLP applied on top of an attention output."""
-
-    w_in: Tensor  # d x d_h
-    w_out: Tensor  # d_h x d
-
-
-@dataclass
-class Block:
-    """Attention, then the adapter MLP on its output (see the module docstring)."""
-
-    attn: AttentionParams
-    adapter: AdapterParams
 
     def __call__(self, x: Tensor, kv: Tensor | None = None, *, norm: bool = False,
                  q_pos=None, k_pos=None, groups: int = 1) -> Tensor:
@@ -88,8 +67,8 @@ class Block:
         when `norm` is set; `kv` (default: the queries) stacks `groups` groups
         of keys/values. `q_pos`/`k_pos` are as in `cross_attention`."""
         q = layer_norm_rows(x) if norm else x
-        attended = cross_attention(q, q if kv is None else kv, self.attn, q_pos, k_pos, groups)
-        return adapter_fuse(attended, x, self.adapter, groups)
+        attended = cross_attention(q, q if kv is None else kv, self, q_pos, k_pos, groups)
+        return adapter_fuse(attended, x, self, groups)
 
 
 _pos_cache: dict = {}
@@ -140,7 +119,7 @@ def _add_pos(seq: Tensor, table: np.ndarray | None, groups: int) -> Tensor:
 def cross_attention(
     query_seq: Tensor,
     key_seq: Tensor,
-    params: AttentionParams,
+    block: Block,
     q_pos=None,
     k_pos=None,
     groups: int = 1,
@@ -153,9 +132,9 @@ def cross_attention(
     queries attend to each group on its own, with a softmax over that group's
     keys only; the result is (G*n_q) x d, group-major. `q_pos` is an n_q x d
     table added to the queries, and `k_pos` an n_k x d table added to every
-    group's keys, never to the values.
+    group's keys, never to the values. Only `block`'s projections are read.
     """
-    d = params.width
+    d = block.wq.shape[0]
     if (
         query_seq.shape[1] != d
         or key_seq.shape[1] != d
@@ -163,21 +142,22 @@ def cross_attention(
     ):
         raise ShapeError(
             f"attention shapes mismatch: q {query_seq.shape}, kv {key_seq.shape}, "
-            f"params width {d}, {groups} groups"
+            f"block width {d}, {groups} groups"
         )
-    h = params.heads
+    h = block.heads
     q = _add_pos(query_seq, q_pos, 1)
     k = _add_pos(key_seq, k_pos, groups)
-    qh = split_heads(matmul(q, params.wq), h)
-    kh = split_heads(matmul(k, params.wk), h, groups)
-    vh = split_heads(matmul(key_seq, params.wv), h, groups)
-    return merge_heads(attend(qh, kh, vh, 1.0 / math.sqrt(params.key_width)), h)
+    qh = split_heads(matmul(q, block.wq), h)
+    kh = split_heads(matmul(k, block.wk), h, groups)
+    vh = split_heads(matmul(key_seq, block.wv), h, groups)
+    return merge_heads(attend(qh, kh, vh, 1.0 / math.sqrt(d // h)), h)
 
 
-def adapter_fuse(attended: Tensor, residual: Tensor, params: AdapterParams, groups: int = 1) -> Tensor:
+def adapter_fuse(attended: Tensor, residual: Tensor, block: Block, groups: int = 1) -> Tensor:
     """residual + W_out(relu(mean_G(W_in(attended)))), position-wise per row;
-    `attended` stacks G row blocks of `residual`'s shape, group-major."""
+    `attended` stacks G row blocks of `residual`'s shape, group-major. Only
+    `block`'s adapter weights are read."""
     n, d = residual.shape
     if attended.shape != (groups * n, d):
         raise ShapeError(f"adapter_fuse: {attended.shape} is not {groups} groups of {residual.shape}")
-    return add(residual, matmul(relu(mean_groups(matmul(attended, params.w_in), groups)), params.w_out))
+    return add(residual, matmul(relu(mean_groups(matmul(attended, block.w_in), groups)), block.w_out))

@@ -46,6 +46,8 @@ import numpy as np
 from .boxes import iou
 
 IMAGE_SIZE = 64
+SCENE_SHAPE = (IMAGE_SIZE, IMAGE_SIZE, 3)
+SKETCH_SHAPE = (IMAGE_SIZE, IMAGE_SIZE)
 
 # scene recipe
 INSTANCES = (1, 4)  # inclusive range of shapes per scene
@@ -600,6 +602,15 @@ def _read_text(path: str) -> str:
         raise DatasetError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
 
 
+def _corpus_raster(read, path: str, shape: tuple) -> np.ndarray:
+    """`read(path)`, or a DatasetError naming `path` when the raster's shape
+    is not `shape`."""
+    got = read(path)
+    if got.shape != shape:
+        raise DatasetError(f"{path}: raster shape {got.shape}, the corpus needs {shape}")
+    return got
+
+
 def _json_record(text: str, where: str, keys: tuple) -> dict:
     """A JSON object holding at least `keys`, or a DatasetError naming `where`."""
     try:
@@ -703,7 +714,7 @@ class Dataset:
     def load_scene(self, sid: int) -> np.ndarray:
         got = self._scene_cache.get(sid)
         if got is None:
-            got = read_ppm(os.path.join(self.root, self.annotations[sid][0]))
+            got = _corpus_raster(read_ppm, os.path.join(self.root, self.annotations[sid][0]), SCENE_SHAPE)
             self._scene_cache[sid] = got
         return got
 
@@ -722,6 +733,6 @@ class Dataset:
     def load_sketch(self, rel_path: str) -> np.ndarray:
         got = self._sketch_cache.get(rel_path)
         if got is None:
-            got = read_pgm(os.path.join(self.root, rel_path))
+            got = _corpus_raster(read_pgm, os.path.join(self.root, rel_path), SKETCH_SHAPE)
             self._sketch_cache[rel_path] = got
         return got

@@ -1,14 +1,14 @@
 """DET-token decoder, object/query refinement, and the scoring and box heads.
 
-Each decoder layer is two `attention.Block` calls on the DET tokens: one over
-themselves, one over the multi-scale encoder memory. Layer 0's first block
-reads only the learned DET embedding, so `det_queries` runs it apart from
-`decode`, which takes its result; the ops and their order are those of one
-pass through all layers, so the split is exact. After decoding, one block
+Each decoder layer is a (self, cross) pair of `attention.Block`s on the DET
+tokens: one over themselves, one over the multi-scale encoder memory. Layer
+0's first block reads only the learned DET embedding, so `det_queries` runs it
+apart from `decode`, which takes its result; the ops and their order are those
+of one pass through all layers, so the split is exact. After decoding, one block
 pulls sketch features into the object tokens and a mirrored block pulls object
 features into the sketch tokens. Scores come from a small MLP over each
 refined token concatenated with the max-pooled global sketch embedding, boxes
-from another; `mlp` applies both.
+from another; each MLP is a list of (w, b) layers, and `mlp` applies both.
 """
 
 from __future__ import annotations
@@ -31,65 +31,47 @@ from .tensor import (
 
 
 @dataclass
-class DecoderLayerParams:
-    self_block: Block  # among the DET tokens
-    cross_block: Block  # DET tokens over the encoder memory
-
-
-@dataclass
-class DecoderParams:
-    det_embed: Tensor  # token count x d
-    layers: list
-
-
-@dataclass
-class HeadParams:
-    score: list  # (w, b) layers: 2d -> d_h -> 1
-    box: list  # (w, b) layers: d -> d -> d -> 4
-
-
-@dataclass
 class LocalizationResult:
     """Scored boxes in normalized center-size form, sorted by descending score."""
 
     detections: list  # [(np.ndarray(4), float score)]
 
 
-def det_queries(params: DecoderParams) -> Tensor:
-    """The DET tokens after layer 0's pre-normed block among themselves. No
-    scene or sketch reaches them; `decode` continues from them."""
-    if not params.layers:
-        raise ValueError("decoder needs at least one layer")
-    return params.layers[0].self_block(params.det_embed, norm=True)
+def det_queries(det_embed: Tensor, self_block: Block) -> Tensor:
+    """The learned T x d `det_embed` after layer 0's pre-normed `self_block`
+    among the tokens. No scene or sketch reaches them; `decode` continues
+    from them."""
+    return self_block(det_embed, norm=True)
 
 
-def decode(features: list, params: DecoderParams, det0: Tensor) -> Tensor:
+def decode(features: list, layers: list, det0: Tensor) -> Tensor:
     """Refine the DET tokens against the concatenated multi-scale memory.
 
-    `features` holds one token matrix per encoder stage, and `det0` is
-    `det_queries(params)`. Each layer: a pre-normed block among the tokens
-    (layer 0's result is `det0`, which reads no input, so it may be computed
-    once for many calls), then one over all stage tokens (each stage keeping
-    its own grid's position encoding).
+    `features` holds one token matrix per encoder stage, `layers` one
+    (self, cross) block pair per decoder layer, and `det0` is
+    `det_queries(det_embed, layers[0][0])`. Each layer: a pre-normed block
+    among the tokens (layer 0's result is `det0`, which reads no input, so it
+    may be computed once for many calls), then one over all stage tokens
+    (each stage keeping its own grid's position encoding).
     """
     memory = layer_norm_rows(concat(features, axis=0))
     k_pos = np.concatenate([grid_pos(*f.shape) for f in features], axis=0)
     x = det0
-    for n, layer in enumerate(params.layers):
+    for n, (self_block, cross_block) in enumerate(layers):
         if n > 0:
-            x = layer.self_block(x, norm=True)
-        x = layer.cross_block(x, memory, norm=True, k_pos=k_pos)
+            x = self_block(x, norm=True)
+        x = cross_block(x, memory, norm=True, k_pos=k_pos)
     return x
 
 
-def refine_object_tokens(det: Tensor, sketch: Tensor, params: Block) -> Tensor:
+def refine_object_tokens(det: Tensor, sketch: Tensor, block: Block) -> Tensor:
     """Pull sketch features into the object tokens (queries = DET tokens)."""
-    return params(det, sketch, k_pos=grid_pos(*sketch.shape))
+    return block(det, sketch, k_pos=grid_pos(*sketch.shape))
 
 
-def refine_query_tokens(sketch: Tensor, det: Tensor, params: Block) -> Tensor:
+def refine_query_tokens(sketch: Tensor, det: Tensor, block: Block) -> Tensor:
     """Mirror refinement with roles swapped: sketch tokens query the DET tokens."""
-    return params(sketch, det, q_pos=grid_pos(*sketch.shape))
+    return block(sketch, det, q_pos=grid_pos(*sketch.shape))
 
 
 def mlp(x: Tensor, layers: list) -> Tensor:
@@ -100,14 +82,15 @@ def mlp(x: Tensor, layers: list) -> Tensor:
     return add_rowvec(matmul(x, w_last), b_last)
 
 
-def score_tokens(det: Tensor, sketch_vec: Tensor, params: HeadParams) -> Tensor:
-    """Per-token sigmoid score of [token ; global sketch embedding]."""
+def score_tokens(det: Tensor, sketch_vec: Tensor, layers: list) -> Tensor:
+    """Per-token sigmoid score of [token ; global sketch embedding], by the
+    (w, b) `layers` from 2d to one logit."""
     n, d = det.shape
     tiled = matmul(Tensor(np.ones((n, 1), dtype=det.data.dtype)), reshape(sketch_vec, (1, d)))
-    logits = mlp(concat([det, tiled], axis=1), params.score)
+    logits = mlp(concat([det, tiled], axis=1), layers)
     return sigmoid(reshape(logits, (n,)))
 
 
-def predict_boxes(det: Tensor, params: HeadParams) -> Tensor:
-    """Three-layer MLP to (cx, cy, w, h), squashed into (0, 1)^4."""
-    return sigmoid(mlp(det, params.box))
+def predict_boxes(det: Tensor, layers: list) -> Tensor:
+    """The (w, b) MLP `layers` to (cx, cy, w, h), squashed into (0, 1)^4."""
+    return sigmoid(mlp(det, layers))

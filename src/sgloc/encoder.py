@@ -9,7 +9,9 @@ The image path is a plain patch-embedding transformer: each stage runs a
 self-attention block over the tokens, then a 2x2 average pool halves the grid
 side. After every stage the sketch bundle is fused into the stage output (image
 tokens as queries, sketch tokens as keys/values); the fused outputs of all
-stages form the multi-scale memory handed to the decoder.
+stages form the multi-scale memory handed to the decoder. The functions take
+the weights they read as arguments: a patch-embedding matrix, one block, or a
+list of blocks per stage.
 
 The path is split where the first sketch enters. `encode_stage0` runs the
 patch embedding and stage 0's block and pool, which read the scene alone;
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import Block, grid_pos
-from .data import IMAGE_SIZE
+from .data import IMAGE_SIZE, SCENE_SHAPE, SKETCH_SHAPE
 from .tensor import ShapeError, Tensor, add, matmul, mean_groups
 
 IMAGE_PATCH = 4  # scene patch side: a 16x16 token grid
@@ -47,31 +49,18 @@ class ImageFeatureStage:
     tokens: Tensor  # n x d over a square grid
 
 
-@dataclass
-class SketchEncoderParams:
-    patch_embed: Tensor  # (patch*patch) x d
-    blocks: list  # Block
-
-
-@dataclass
-class ImageEncoderParams:
-    patch_embed: Tensor  # (patch*patch*3) x d
-    blocks: list  # Block, one per stage
-    fusions: list | None  # Block per stage, or None for a query-agnostic encoder
-
-
 def image_to_patches(image: np.ndarray) -> np.ndarray:
     """Non-overlapping IMAGE_PATCH-sided patches of a scene, row-major token order."""
-    if image.shape != (IMAGE_SIZE, IMAGE_SIZE, 3):
-        raise ShapeError(f"expected an RGB scene of shape {(IMAGE_SIZE, IMAGE_SIZE, 3)}, got {image.shape}")
+    if image.shape != SCENE_SHAPE:
+        raise ShapeError(f"expected an RGB scene of shape {SCENE_SHAPE}, got {image.shape}")
     p, g = IMAGE_PATCH, IMAGE_SIZE // IMAGE_PATCH
     return image.reshape(g, p, g, p, 3).transpose(0, 2, 1, 3, 4).reshape(g * g, p * p * 3)
 
 
 def sketch_to_patches(raster: np.ndarray) -> np.ndarray:
     """Non-overlapping SKETCH_PATCH-sided patches of a sketch, row-major token order."""
-    if raster.shape != (IMAGE_SIZE, IMAGE_SIZE):
-        raise ShapeError(f"expected a grayscale sketch of shape {(IMAGE_SIZE, IMAGE_SIZE)}, got {raster.shape}")
+    if raster.shape != SKETCH_SHAPE:
+        raise ShapeError(f"expected a grayscale sketch of shape {SKETCH_SHAPE}, got {raster.shape}")
     p, g = SKETCH_PATCH, IMAGE_SIZE // SKETCH_PATCH
     return raster.reshape(g, p, g, p).transpose(0, 2, 1, 3).reshape(g * g, p * p)
 
@@ -104,35 +93,38 @@ def _pool_matrix(g: int, dtype) -> np.ndarray:
     return got
 
 
-def encode_sketch(raster: np.ndarray, params: SketchEncoderParams) -> Tensor:
-    """Patch-embed a 64x64 grayscale sketch and run the self-attention stack;
-    returns its SKETCH_TOKENS x d map."""
+def encode_sketch(raster: np.ndarray, patch_embed: Tensor, blocks: list) -> Tensor:
+    """Patch-embed a 64x64 grayscale sketch with the (SKETCH_PATCH**2) x d
+    `patch_embed` and run the self-attention `blocks`; returns its
+    SKETCH_TOKENS x d map."""
     _check_pixels(raster, "sketch")
-    pos = grid_pos(SKETCH_TOKENS, params.patch_embed.shape[1])
+    pos = grid_pos(SKETCH_TOKENS, patch_embed.shape[1])
     patches = Tensor(sketch_to_patches(raster))
-    x = add(matmul(patches, params.patch_embed), Tensor(pos))
-    for blk in params.blocks:  # pre-norm, as in the Swin blocks this stands in for
+    x = add(matmul(patches, patch_embed), Tensor(pos))
+    for blk in blocks:  # pre-norm, as in the Swin blocks this stands in for
         x = blk(x, norm=True, q_pos=pos, k_pos=pos)
     return x
 
 
-def image_block(stage: ImageFeatureStage, params: Block) -> ImageFeatureStage:
+def image_block(stage: ImageFeatureStage, block: Block) -> ImageFeatureStage:
     """A self-attention block over the stage tokens, then a 2x2 average pool."""
     n, d = stage.tokens.shape
     pos = grid_pos(n, d)
     g = math.isqrt(n)
     if g % 2:
         raise ShapeError(f"a stage grid must have an even side to pool, got {g}x{g}")
-    x = params(stage.tokens, norm=True, q_pos=pos, k_pos=pos)
+    x = block(stage.tokens, norm=True, q_pos=pos, k_pos=pos)
     pooled = matmul(Tensor(_pool_matrix(g, x.data.dtype)), x)
     return ImageFeatureStage(stage.index + 1, pooled)
 
 
-def embed_image(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureStage:
+def embed_image(image: np.ndarray, patch_embed: Tensor) -> ImageFeatureStage:
+    """Stage 0's input: the scene's patches times the (IMAGE_PATCH**2*3) x d
+    `patch_embed`, plus positions."""
     _check_pixels(image, "scene")
     patches = Tensor(image_to_patches(image))
-    pos = grid_pos(patches.shape[0], params.patch_embed.shape[1])
-    return ImageFeatureStage(0, add(matmul(patches, params.patch_embed), Tensor(pos)))
+    pos = grid_pos(patches.shape[0], patch_embed.shape[1])
+    return ImageFeatureStage(0, add(matmul(patches, patch_embed), Tensor(pos)))
 
 
 def bundle_size(bundle: Tensor) -> int:
@@ -143,50 +135,52 @@ def bundle_size(bundle: Tensor) -> int:
     return rows // SKETCH_TOKENS
 
 
-def encoder_fusion_multi(stage_tokens: Tensor, bundle: Tensor, params: Block) -> Tensor:
+def encoder_fusion_multi(stage_tokens: Tensor, bundle: Tensor, block: Block) -> Tensor:
     """Fuse L sketches into one stage: the stage tokens attend over each
     sketch as its own key/value group, and the adapter averages the L hidden
     pre-activations."""
     d = stage_tokens.shape[1]
-    return params(
+    return block(
         stage_tokens, bundle, q_pos=grid_pos(stage_tokens.shape[0], d),
         k_pos=grid_pos(SKETCH_TOKENS, d), groups=bundle_size(bundle),
     )
 
 
-def fuse_queries(bundle: Tensor, params: Block) -> Tensor:
+def fuse_queries(bundle: Tensor, block: Block) -> Tensor:
     """Attention-based query fusion: the average map's tokens attend over all
     stacked sketch tokens; returns the fused SKETCH_TOKENS x d map."""
     n = bundle_size(bundle)
     pos = grid_pos(SKETCH_TOKENS, bundle.shape[1])
     avg = mean_groups(bundle, n)
-    return params(avg, bundle, q_pos=pos, k_pos=np.tile(pos, (n, 1)))
+    return block(avg, bundle, q_pos=pos, k_pos=np.tile(pos, (n, 1)))
 
 
-def encode_stage0(image: np.ndarray, params: ImageEncoderParams) -> ImageFeatureStage:
-    """Patch-embed a scene and run stage 0's block and pool: the part of the
+def encode_stage0(image: np.ndarray, patch_embed: Tensor, block: Block) -> ImageFeatureStage:
+    """Patch-embed a scene and run stage 0's `block` and pool: the part of the
     image path that no sketch reaches. Its result starts `sketch_guided_encode`."""
-    return image_block(embed_image(image, params), params.blocks[0])
+    return image_block(embed_image(image, patch_embed), block)
 
 
-def sketch_guided_encode(stage0: ImageFeatureStage, bundle: Tensor | None, params: ImageEncoderParams) -> list:
+def sketch_guided_encode(stage0: ImageFeatureStage, bundle: Tensor | None, blocks: list, fusions: list | None) -> list:
     """Fuse the sketch bundle into stage 0's pooled tokens (`encode_stage0`),
     then run every later stage, fusing the bundle after each block.
 
-    With a query-agnostic encoder (params.fusions None) the bundle is ignored
-    and may be None. Returns the fused token matrix of every stage.
+    `blocks` and `fusions` hold one block per stage; `blocks[0]` ran in
+    `encode_stage0`. With a query-agnostic encoder (`fusions` None) the
+    bundle is ignored and may be None. Returns the fused token matrix of
+    every stage.
     """
-    if len(params.blocks) < 2:
+    if len(blocks) < 2:
         raise ShapeError("encoder needs at least 2 stages")
-    if bundle is None and params.fusions is not None:
+    if bundle is None and fusions is not None:
         raise ValueError("a query-conditioned encoder needs a sketch bundle")
     stage = stage0
     out = []
-    for n, blk in enumerate(params.blocks):
+    for n, blk in enumerate(blocks):
         if n > 0:  # stage 0's block ran in encode_stage0
             stage = image_block(stage, blk)
-        if params.fusions is not None:
-            fused = encoder_fusion_multi(stage.tokens, bundle, params.fusions[n])
+        if fusions is not None:
+            fused = encoder_fusion_multi(stage.tokens, bundle, fusions[n])
             stage = ImageFeatureStage(stage.index, fused)
         out.append(stage.tokens)
     return out

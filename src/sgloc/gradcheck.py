@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import AdapterParams, AttentionParams, Block
+from .attention import Block
 from .matching import build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
 from .tensor import (
@@ -132,7 +132,7 @@ def check_ops(eps: float = EPS) -> list:
     shapes = [(d, d), (d, d), (d, d), (d, 2 * d), (2 * d, d)]  # attn q, k, v; adapter in, out
     bparams = [Tensor(rng.standard_normal(s) * 0.4, requires_grad=True) for s in shapes]
     wq, wk, wv, w_in, w_out = bparams
-    blk = Block(AttentionParams(wq, wk, wv, heads), AdapterParams(w_in, w_out))
+    blk = Block(wq, wk, wv, w_in, w_out, heads)
     x = Tensor(rng.standard_normal((3, d)))
     kv = Tensor(rng.standard_normal((groups * 5, d)))
     r = Tensor(rng.standard_normal((3, d)))

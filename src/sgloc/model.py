@@ -8,12 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AdapterParams, AttentionParams, Block
+from .attention import Block
 from .data import IMAGE_SIZE, derive_seed
 from .decoder import (
-    DecoderLayerParams,
-    DecoderParams,
-    HeadParams,
     LocalizationResult,
     decode,
     det_queries,
@@ -25,9 +22,7 @@ from .decoder import (
 from .encoder import (
     IMAGE_PATCH,
     SKETCH_PATCH,
-    ImageEncoderParams,
     ImageFeatureStage,
-    SketchEncoderParams,
     encode_sketch,
     encode_stage0,
     fuse_queries,
@@ -93,7 +88,24 @@ class SketchLocalizer:
     `params` maps each parameter's dotted name to its leaf tensor, in
     construction order. Parameters are initialized per-name from the model
     seed, so two models built with the same (config, seed) are identical
-    regardless of construction order.
+    regardless of construction order. The forward pass reads the same leaves
+    through these attributes, each owning one name prefix:
+
+        sketch_embed              sketch.embed
+        sketch_blocks[i]          sketch.block{i}.*
+        image_embed               image.embed
+        image_blocks[n]           image.block{n}.*
+        fusion_blocks[n]          fusion{n}.*    (None without encoder_fusion)
+        det_embed                 decoder.embed
+        decoder_layers[i][0]      decoder.layer{i}.self.*
+        decoder_layers[i][1]      decoder.layer{i}.cross.*
+        refine_obj                refine_obj.*   (None without refinement)
+        refine_query              refine_query.* (None without refinement)
+        query_fusion              query_fusion.*
+        score_mlp[i-1]            (head.score.w{i}, head.score.b{i})
+        box_mlp[i-1]              (head.box.w{i}, head.box.b{i})
+
+    A block's leaves are `<prefix>.attn.{q,k,v}` and `<prefix>.adapter.{in,out}`.
     """
 
     def __init__(self, config: ModelConfig | None = None, seed: int = 0):
@@ -103,38 +115,26 @@ class SketchLocalizer:
         self.params: dict[str, Tensor] = {}
         c = self.config
 
-        self.sketch_enc = SketchEncoderParams(
-            patch_embed=self._mk("sketch.embed", (SKETCH_PATCH**2, c.d)),
-            blocks=[self._block(f"sketch.block{i}") for i in range(c.sketch_layers)],
-        )
-        fusions = None
+        self.sketch_embed = self._mk("sketch.embed", (SKETCH_PATCH**2, c.d))
+        self.sketch_blocks = [self._block(f"sketch.block{i}") for i in range(c.sketch_layers)]
+        self.fusion_blocks = None
         if c.encoder_fusion:
-            fusions = [self._block(f"fusion{n}") for n in range(c.stages)]
-        self.image_enc = ImageEncoderParams(
-            patch_embed=self._mk("image.embed", (IMAGE_PATCH**2 * 3, c.d)),
-            blocks=[self._block(f"image.block{n}") for n in range(c.stages)],
-            fusions=fusions,
-        )
-        self.decoder = DecoderParams(
-            det_embed=self._mk("decoder.embed", (c.num_tokens, c.d), kind="embed"),
-            layers=[
-                DecoderLayerParams(
-                    self_block=self._block(f"decoder.layer{i}.self"),
-                    cross_block=self._block(f"decoder.layer{i}.cross"),
-                )
-                for i in range(c.dec_layers)
-            ],
-        )
+            self.fusion_blocks = [self._block(f"fusion{n}") for n in range(c.stages)]
+        self.image_embed = self._mk("image.embed", (IMAGE_PATCH**2 * 3, c.d))
+        self.image_blocks = [self._block(f"image.block{n}") for n in range(c.stages)]
+        self.det_embed = self._mk("decoder.embed", (c.num_tokens, c.d), kind="embed")
+        self.decoder_layers = [
+            (self._block(f"decoder.layer{i}.self"), self._block(f"decoder.layer{i}.cross"))
+            for i in range(c.dec_layers)
+        ]
         self.refine_obj = None
         self.refine_query = None
         if c.refinement:
             self.refine_obj = self._block("refine_obj")
             self.refine_query = self._block("refine_query")
         self.query_fusion = self._block("query_fusion")
-        self.heads = HeadParams(
-            score=self._mlp("head.score", (2 * c.d, c.d_hidden, 1), last_bias="score_bias"),
-            box=self._mlp("head.box", (c.d, c.d, c.d, 4)),
-        )
+        self.score_mlp = self._mlp("head.score", (2 * c.d, c.d_hidden, 1), last_bias="score_bias")
+        self.box_mlp = self._mlp("head.box", (c.d, c.d, c.d, 4))
 
     # -- parameter construction -------------------------------------------
 
@@ -190,12 +190,12 @@ class SketchLocalizer:
             cols = [self._draw(f"{name}{h}", (c.d, dk), "xavier") for h in range(c.heads)]
             return self._register(name, np.concatenate(cols, axis=1))
 
-        attn = AttentionParams(wq=packed("q"), wk=packed("k"), wv=packed("v"), heads=c.heads)
-        adapter = AdapterParams(
+        return Block(
+            wq=packed("q"), wk=packed("k"), wv=packed("v"),
             w_in=self._mk(f"{prefix}.adapter.in", (c.d, c.d_hidden)),
             w_out=self._mk(f"{prefix}.adapter.out", (c.d_hidden, c.d)),
+            heads=c.heads,
         )
-        return Block(attn, adapter)
 
     # -- forward ------------------------------------------------------------
 
@@ -203,7 +203,7 @@ class SketchLocalizer:
         """The bundle: each sketch's SKETCH_TOKENS x d map, stacked in order."""
         if not sketches:
             raise ValueError("need at least one query sketch")
-        return concat([encode_sketch(s, self.sketch_enc) for s in sketches], axis=0)
+        return concat([encode_sketch(s, self.sketch_embed, self.sketch_blocks) for s in sketches], axis=0)
 
     def encode_scene(self, image: np.ndarray) -> EncodedScene:
         """The sketch-free prefix of `forward` for one (64, 64, 3) scene.
@@ -212,7 +212,8 @@ class SketchLocalizer:
         in the same order, so the results are bit-identical. Made under
         `no_grad`, one EncodedScene can answer every query of its scene.
         """
-        return EncodedScene(self, encode_stage0(image, self.image_enc), det_queries(self.decoder))
+        stage0 = encode_stage0(image, self.image_embed, self.image_blocks[0])
+        return EncodedScene(self, stage0, det_queries(self.det_embed, self.decoder_layers[0][0]))
 
     def forward(self, image, sketches) -> tuple:
         """Score and box every DET token for one scene and 1..L query sketches.
@@ -225,16 +226,16 @@ class SketchLocalizer:
         if scene.model is not self:
             raise ValueError("an EncodedScene is valid only for the model that made it")
         bundle = self.encode_sketches(sketches)
-        features = sketch_guided_encode(scene.stage0, bundle, self.image_enc)
-        det = decode(features, self.decoder, scene.det0)
+        features = sketch_guided_encode(scene.stage0, bundle, self.image_blocks, self.fusion_blocks)
+        det = decode(features, self.decoder_layers, scene.det0)
         query = fuse_queries(bundle, self.query_fusion)
         if self.config.refinement:
             det_r = refine_object_tokens(det, query, self.refine_obj)
             query_r = refine_query_tokens(query, det, self.refine_query)
         else:
             det_r, query_r = det, query
-        scores = score_tokens(det_r, global_max_pool(query_r), self.heads)
-        boxes = predict_boxes(det_r, self.heads)
+        scores = score_tokens(det_r, global_max_pool(query_r), self.score_mlp)
+        boxes = predict_boxes(det_r, self.box_mlp)
         return scores, boxes
 
     def localize(self, image, sketches, threshold: float = 0.5) -> LocalizationResult:

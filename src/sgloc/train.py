@@ -171,8 +171,16 @@ class TrainConfig(ModelConfig):
 
     @classmethod
     def from_file(cls, path: str) -> "TrainConfig":
-        with open(path) as f:
-            return cls.from_text(f.read())
+        """`from_text` of a UTF-8 file; every error names `path`."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+        try:
+            return cls.from_text(text)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def parse_value(val: str, typ):
@@ -291,7 +299,7 @@ class _Reader:
 
 
 def read_checkpoint(path: str):
-    """Returns (config_text, {name: float32 array})."""
+    """Returns (config_text, {name: float32 array}); every value is finite."""
     with open(path, "rb") as f:
         r = _Reader(path, f.read())
     if r.take(4) != CHECKPOINT_MAGIC:
@@ -315,7 +323,10 @@ def read_checkpoint(path: str):
         (rank,) = r.unpack("<B")
         shape = r.unpack(f"<{rank}I")
         n = math.prod(shape)
-        entries[name] = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape).copy()
+        data = np.frombuffer(r.take(4 * n), dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
+        entries[name] = data
     if r.off != len(r.buf):
         raise ValueError(f"{path}: {len(r.buf) - r.off} trailing bytes at offset {r.off}")
     return config_text, entries

@@ -1,11 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sgloc.attention import (
-    AdapterParams,
-    AttentionParams,
     Block,
     adapter_fuse,
     cross_attention,
@@ -28,14 +27,28 @@ from sgloc.model import ModelConfig, SketchLocalizer
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 
+def attention_block(wq, wk, wv, heads):
+    """A block with projections only; `cross_attention` reads no adapter weight."""
+    return Block(wq=wq, wk=wk, wv=wv, w_in=None, w_out=None, heads=heads)
+
+
+def adapter_block(w_in, w_out):
+    """A block with adapter weights only; `adapter_fuse` reads no projection."""
+    return Block(wq=None, wk=None, wv=None, w_in=w_in, w_out=w_out, heads=1)
+
+
 def make_attention(d, heads, rng, requires_grad=False):
     mk = lambda shape: Tensor(rng.standard_normal(shape) * 0.3, requires_grad=requires_grad)
-    return AttentionParams(wq=mk((d, d)), wk=mk((d, d)), wv=mk((d, d)), heads=heads)
+    return attention_block(wq=mk((d, d)), wk=mk((d, d)), wv=mk((d, d)), heads=heads)
+
+
+def key_width(p):
+    return p.wq.shape[0] // p.heads
 
 
 def head_cols(w, p, h):
     """Head h's d x dk projection: column block h of a packed matrix."""
-    dk = p.key_width
+    dk = key_width(p)
     return w.data[:, h * dk : (h + 1) * dk]
 
 
@@ -44,7 +57,7 @@ def per_head_oracle(q, k, v, p):
     projections (positions already added to q and k)."""
     heads = []
     for h in range(p.heads):
-        logits = (q @ head_cols(p.wq, p, h)) @ (k @ head_cols(p.wk, p, h)).T / math.sqrt(p.key_width)
+        logits = (q @ head_cols(p.wq, p, h)) @ (k @ head_cols(p.wk, p, h)).T / math.sqrt(key_width(p))
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         heads.append((e / e.sum(axis=1, keepdims=True)) @ (v @ head_cols(p.wv, p, h)))
     return np.concatenate(heads, axis=1)
@@ -121,7 +134,7 @@ class TestCrossAttention:
         wq = rng.standard_normal((d, d))
         wk = rng.standard_normal((d, d))
         wv = rng.standard_normal((d, d))
-        p = AttentionParams(Tensor(wq), Tensor(wk), Tensor(wv), 1)
+        p = attention_block(Tensor(wq), Tensor(wk), Tensor(wv), 1)
         q = rng.standard_normal((2, d))
         k = rng.standard_normal((2, d))
         got = cross_attention(Tensor(q), Tensor(k), p).data
@@ -162,7 +175,7 @@ class TestCrossAttention:
     def test_gradcheck_projections(self, f64, rng):
         d, H = 8, 2
         p = make_attention(d, H, rng, requires_grad=True)
-        params = p.tensors()
+        params = [p.wq, p.wk, p.wv]
         q = Tensor(rng.standard_normal((3, d)))
         kv = Tensor(rng.standard_normal((4, d)))
         pos_q = rng.standard_normal((3, d)) * 0.2
@@ -216,7 +229,7 @@ class TestPackedMatchesPerHeadLoop:
     def test_gradcheck_groups(self, f64, rng):
         d, G = 8, 3
         p = make_attention(d, 2, rng, requires_grad=True)
-        params = p.tensors()
+        params = [p.wq, p.wk, p.wv]
         q = Tensor(rng.standard_normal((4, d)))
         kv = Tensor(rng.standard_normal((G * 2, d)))
         pos_q = rng.standard_normal((4, d)) * 0.2
@@ -303,7 +316,7 @@ def test_skipping_constant_matmul_operands_changes_no_leaf_gradient(rng, monkeyp
 class TestBlock:
     def test_self_attention_attends_over_the_normed_queries(self, rng):
         mk = lambda shape: Tensor(rng.standard_normal(shape) * 0.3)
-        blk = Block(make_attention(8, 2, rng), AdapterParams(mk((8, 12)), mk((12, 8))))
+        blk = replace(make_attention(8, 2, rng), w_in=mk((8, 12)), w_out=mk((12, 8)))
         x = Tensor(rng.standard_normal((6, 8)))
         assert np.array_equal(blk(x, norm=True).data, blk(x, layer_norm_rows(x), norm=True).data)
         assert np.array_equal(blk(x).data, blk(x, x).data)
@@ -311,19 +324,19 @@ class TestBlock:
 
 class TestAdapterFuse:
     def test_rows_must_match_groups(self):
-        p = AdapterParams(Tensor(np.ones((4, 6))), Tensor(np.ones((6, 4))))
+        p = adapter_block(Tensor(np.ones((4, 6))), Tensor(np.ones((6, 4))))
         with pytest.raises(ShapeError):
             adapter_fuse(Tensor(np.ones((6, 4))), Tensor(np.ones((2, 4))), p, groups=2)
     def test_zero_weights_identity(self, rng):
         d, dh = 6, 12
-        p = AdapterParams(Tensor(np.zeros((d, dh))), Tensor(np.zeros((dh, d))))
+        p = adapter_block(Tensor(np.zeros((d, dh))), Tensor(np.zeros((dh, d))))
         res = Tensor(rng.standard_normal((4, d)))
         att = Tensor(rng.standard_normal((4, d)))
         assert np.array_equal(adapter_fuse(att, res, p).data, res.data)
 
     def test_zero_out_projection_identity_bit_exact(self, rng):
         d, dh = 6, 12
-        p = AdapterParams(
+        p = adapter_block(
             Tensor(rng.standard_normal((d, dh))), Tensor(np.zeros((dh, d)))
         )
         res = Tensor(rng.standard_normal((4, d)))
@@ -332,7 +345,7 @@ class TestAdapterFuse:
 
     def test_zero_attended_gives_residual(self, rng):
         d, dh = 6, 12
-        p = AdapterParams(
+        p = adapter_block(
             Tensor(rng.standard_normal((d, dh))), Tensor(rng.standard_normal((dh, d)))
         )
         res = Tensor(rng.standard_normal((4, d)))
@@ -343,7 +356,7 @@ class TestAdapterFuse:
         d, dh = 8, 16
         w_in = rng.standard_normal((d, dh))
         w_out = rng.standard_normal((dh, d))
-        p = AdapterParams(Tensor(w_in), Tensor(w_out))
+        p = adapter_block(Tensor(w_in), Tensor(w_out))
         att = rng.standard_normal((3, d))
         res = rng.standard_normal((3, d))
         got = adapter_fuse(Tensor(att), Tensor(res), p).data
@@ -354,7 +367,7 @@ class TestAdapterFuse:
         d, dh = 6, 10
         w_in = Tensor(rng.standard_normal((d, dh)), requires_grad=True)
         w_out = Tensor(rng.standard_normal((dh, d)), requires_grad=True)
-        p = AdapterParams(w_in, w_out)
+        p = adapter_block(w_in, w_out)
         att = Tensor(rng.standard_normal((3, d)))
         res = Tensor(rng.standard_normal((3, d)))
         r = Tensor(rng.standard_normal((3, d)))

@@ -10,6 +10,7 @@ import pytest
 import sgloc
 from sgloc.cli import main
 from sgloc.data import Dataset, write_pgm, write_ppm
+from sgloc.train import load_model, read_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,34 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and expected in err
+
+    def test_localize_refuses_a_non_finite_checkpoint(self, trained, tmp_path, capsys):
+        _, data_dir, ckpt = trained
+        model, _ = load_model(ckpt)
+        model.params["head.box.b3"].data[0] = np.nan
+        bad = str(tmp_path / "nan.sgl")
+        save_checkpoint(bad, model, read_checkpoint(ckpt)[0])
+        scene = os.path.join(data_dir, "scenes", "000000.ppm")
+        sketch = os.path.join(data_dir, "sketches", "circle", "0000.pgm")
+        assert main(["localize", "--ckpt", bad, "--scene", scene, "--sketch", sketch, "--threshold", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bad}: parameter 'head.box.b3' holds a non-finite value\n"
+
+    @pytest.mark.parametrize(
+        "blob, fault",
+        [
+            (b"d = 8\nbogus = 1\n", "config line 2: unknown key 'bogus'"),
+            (b"d = 8\n\xff\n", "not UTF-8 text (byte 6: invalid start byte)"),
+        ],
+        ids=["unknown-key", "not-utf8"],
+    )
+    def test_config_file_errors_name_the_file(self, tmp_path, capsys, blob, fault):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(blob)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {fault}\n"
+        assert not os.path.exists(tmp_path / "o")
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["train", "--no-such-flag", "x", "--out", "y"]) == 2

@@ -571,6 +571,23 @@ class TestDatasetDirectory:
                 lookup()
 
 
+@pytest.mark.parametrize("kind", ["scene", "sketch"])
+def test_a_wrongly_sized_raster_is_named_when_read(tmp_path, kind):
+    ds = generate_dataset(DataConfig(n_train=3, n_val=1, sketches_per_class=3), str(tmp_path))
+    if kind == "scene":
+        path, want = os.path.join(str(tmp_path), ds.annotations[0][0]), (64, 64, 3)
+        write_ppm(path, np.zeros((32, 32, 3)))
+        load = lambda: ds.load_scene(0)
+    else:
+        path, want = os.path.join(str(tmp_path), "sketches", "circle", "0001.pgm"), (64, 64)
+        write_pgm(path, np.zeros((32, 32)))
+        load = lambda: ds.load_sketch(os.path.join("sketches", "circle", "0001.pgm"))
+    with pytest.raises(DatasetError) as err:
+        load()
+    got = (32, 32, 3) if kind == "scene" else (32, 32)
+    assert str(err.value) == f"{path}: raster shape {got}, the corpus needs {want}"
+
+
 @pytest.fixture(scope="module")
 def metadata(tmp_path_factory):
     """The split.json and annotations.jsonl texts of an 8-scene corpus, and

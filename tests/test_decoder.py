@@ -31,10 +31,15 @@ def fake_features(rng, d):
     return [Tensor(rng.standard_normal((n, d))) for n in (4, 1)]
 
 
+def first_det(m):
+    """The DET tokens after decoder layer 0's self-attention block."""
+    return det_queries(m.det_embed, m.decoder_layers[0][0])
+
+
 class TestDecode:
     def test_output_shape(self, rng):
         m = tiny_model()
-        out = decode(fake_features(rng, TINY.d), m.decoder, det_queries(m.decoder))
+        out = decode(fake_features(rng, TINY.d), m.decoder_layers, first_det(m))
         assert out.shape == (TINY.num_tokens, TINY.d)
 
     def test_zero_weights_give_embedding_table(self, rng):
@@ -42,14 +47,14 @@ class TestDecode:
         for name, t in m.params.items():
             if name.startswith("decoder.layer"):
                 t.data[...] = 0.0
-        out = decode(fake_features(rng, TINY.d), m.decoder, det_queries(m.decoder))
-        assert np.array_equal(out.data, m.decoder.det_embed.data)
+        out = decode(fake_features(rng, TINY.d), m.decoder_layers, first_det(m))
+        assert np.array_equal(out.data, m.det_embed.data)
 
     def test_stage_permutation_invariance(self, rng):
         m = tiny_model()
         feats = fake_features(rng, TINY.d)
-        a = decode(feats, m.decoder, det_queries(m.decoder)).data
-        b = decode(list(reversed(feats)), m.decoder, det_queries(m.decoder)).data
+        a = decode(feats, m.decoder_layers, first_det(m)).data
+        b = decode(list(reversed(feats)), m.decoder_layers, first_det(m)).data
         assert np.max(np.abs(a - b)) < 1e-5
 
 
@@ -79,7 +84,7 @@ class TestRefinement:
         m = tiny_model()
         sk = Tensor(rng.standard_normal((1, TINY.d)))  # a 1x1 grid
         det = Tensor(rng.standard_normal((TINY.num_tokens, TINY.d)))
-        att = cross_attention(det, sk, m.refine_obj.attn, k_pos=grid_pos(1, TINY.d)).data
+        att = cross_attention(det, sk, m.refine_obj, k_pos=grid_pos(1, TINY.d)).data
         assert np.allclose(att, att[0], atol=1e-6)
 
     def test_matches_direct_formula(self, f64, rng):
@@ -93,18 +98,18 @@ class TestRefinement:
         pos = grid_pos(4, TINY.d)
         k = sk.data + pos
         heads = []
-        dk = p.attn.key_width
-        for h in range(p.attn.heads):
+        dk = p.wq.shape[0] // p.heads
+        for h in range(p.heads):
             cols = slice(h * dk, (h + 1) * dk)  # head h's column block
-            q = det.data @ p.attn.wq.data[:, cols]
-            kk = k @ p.attn.wk.data[:, cols]
-            vv = sk.data @ p.attn.wv.data[:, cols]
+            q = det.data @ p.wq.data[:, cols]
+            kk = k @ p.wk.data[:, cols]
+            vv = sk.data @ p.wv.data[:, cols]
             logits = q @ kk.T / math.sqrt(dk)
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             att = e / e.sum(axis=1, keepdims=True)
             heads.append(att @ vv)
         att_out = np.concatenate(heads, axis=1)
-        want = det.data + np.maximum(att_out @ p.adapter.w_in.data, 0) @ p.adapter.w_out.data
+        want = det.data + np.maximum(att_out @ p.w_in.data, 0) @ p.w_out.data
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_refined_query_differs_from_input(self, rng):
@@ -126,22 +131,22 @@ class TestHeads:
         m.params["head.score.b2"].data[...] = 0.0
         det = Tensor(rng.standard_normal((5, TINY.d)))
         vec = Tensor(rng.standard_normal(TINY.d))
-        assert np.array_equal(score_tokens(det, vec, m.heads).data, np.full(5, 0.5))
+        assert np.array_equal(score_tokens(det, vec, m.score_mlp).data, np.full(5, 0.5))
 
     def test_scores_strictly_inside_unit_interval(self, rng):
         m = tiny_model()
         det = Tensor(rng.standard_normal((7, TINY.d)) * 10)
         vec = Tensor(rng.standard_normal(TINY.d))
-        s = score_tokens(det, vec, m.heads).data
+        s = score_tokens(det, vec, m.score_mlp).data
         assert np.all(s > 0) and np.all(s < 1)
 
     def test_score_matches_direct_evaluation(self, f64, rng):
         m = tiny_model(seed=2)
         det = rng.standard_normal((3, TINY.d))
         vec = rng.standard_normal(TINY.d)
-        got = score_tokens(Tensor(det), Tensor(vec), m.heads).data
+        got = score_tokens(Tensor(det), Tensor(vec), m.score_mlp).data
         z = np.concatenate([det, np.tile(vec, (3, 1))], axis=1)
-        (w1, b1), (w2, b2) = m.heads.score
+        (w1, b1), (w2, b2) = m.score_mlp
         h = np.maximum(z @ w1.data + b1.data, 0)
         logits = (h @ w2.data + b2.data).reshape(-1)
         want = 1 / (1 + np.exp(-logits))
@@ -152,14 +157,14 @@ class TestHeads:
         det = rng.standard_normal((6, TINY.d))
         vec = Tensor(rng.standard_normal(TINY.d))
         perm = rng.permutation(6)
-        s1 = score_tokens(Tensor(det), vec, m.heads).data
-        s2 = score_tokens(Tensor(det[perm]), vec, m.heads).data
+        s1 = score_tokens(Tensor(det), vec, m.score_mlp).data
+        s2 = score_tokens(Tensor(det[perm]), vec, m.score_mlp).data
         assert np.allclose(s1[perm], s2, atol=1e-7)
 
     def test_boxes_in_unit_interval(self, rng):
         m = tiny_model()
         det = Tensor(rng.standard_normal((5, TINY.d)) * 10)
-        b = predict_boxes(det, m.heads).data
+        b = predict_boxes(det, m.box_mlp).data
         assert np.all(b > 0) and np.all(b < 1)
 
     def test_zero_final_layer_centers_boxes(self, rng):
@@ -167,7 +172,7 @@ class TestHeads:
         m.params["head.box.w3"].data[...] = 0.0
         m.params["head.box.b3"].data[...] = 0.0
         det = Tensor(rng.standard_normal((5, TINY.d)))
-        assert np.array_equal(predict_boxes(det, m.heads).data, np.full((5, 4), 0.5))
+        assert np.array_equal(predict_boxes(det, m.box_mlp).data, np.full((5, 4), 0.5))
 
     def test_box_head_gradcheck(self, f64, rng):
         m = tiny_model()
@@ -176,7 +181,7 @@ class TestHeads:
         r = Tensor(rng.standard_normal((4, 4)))
 
         def loss():
-            return sum_all(mul(predict_boxes(det, m.heads), r))
+            return sum_all(mul(predict_boxes(det, m.box_mlp), r))
 
         assert finite_difference_check(loss, params, eps=1e-5, max_coords=150) < 1e-5
 
@@ -299,8 +304,10 @@ class TestEncodeScene:
             assert self.same(got, m.localize(image, sketches, threshold=0.0))
 
     @pytest.mark.parametrize("n_sketches", [1, 5])
-    def test_taped_gradients_equal_raw_scene(self, rng, n_sketches):
-        m = tiny_model(seed=4)
+    @pytest.mark.parametrize("config", [{}, {"encoder_fusion": False}, {"refinement": False}])
+    def test_taped_gradients_equal_raw_scene(self, rng, n_sketches, config):
+        # every registered leaf, and no other, gets a gradient
+        m = tiny_model(seed=4, **config)
         image, sketches = rand_image(rng), [rand_sketch(rng) for _ in range(n_sketches)]
         r = rng.standard_normal((TINY.num_tokens, 4))
         grads = []

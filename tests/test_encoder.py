@@ -29,7 +29,8 @@ def tiny_model(seed=0, **kw):
 
 def encode_image(model, image, bundle):
     """Every fused stage of the image encoder, from the raw scene."""
-    return sketch_guided_encode(encode_stage0(image, model.image_enc), bundle, model.image_enc)
+    stage0 = encode_stage0(image, model.image_embed, model.image_blocks[0])
+    return sketch_guided_encode(stage0, bundle, model.image_blocks, model.fusion_blocks)
 
 
 def rand_sketch(rng):
@@ -98,14 +99,14 @@ class TestImageBlock:
     def test_halves_extents(self, rng):
         m = tiny_model()
         stage = ImageFeatureStage(0, Tensor(rng.standard_normal((64, TINY.d))))
-        out = image_block(stage, m.image_enc.blocks[0])
+        out = image_block(stage, m.image_blocks[0])
         assert out.index == 1
         assert out.tokens.shape == (16, TINY.d)  # 8x8 -> 4x4
 
     def test_constant_preserved_under_zero_weights(self):
         m = tiny_model()
-        blk = m.image_enc.blocks[0]
-        for t in blk.attn.tensors() + [blk.adapter.w_in, blk.adapter.w_out]:
+        blk = m.image_blocks[0]
+        for t in [blk.wq, blk.wk, blk.wv, blk.w_in, blk.w_out]:
             t.data[...] = 0.0
         stage = ImageFeatureStage(0, Tensor(np.full((16, TINY.d), 0.7)))
         out = image_block(stage, blk)
@@ -115,14 +116,14 @@ class TestImageBlock:
         m = tiny_model()
         stage = ImageFeatureStage(0, Tensor(rng.standard_normal((9, TINY.d))))  # 3x3
         with pytest.raises(ShapeError, match="even side"):
-            image_block(stage, m.image_enc.blocks[0])
+            image_block(stage, m.image_blocks[0])
         stage = ImageFeatureStage(0, Tensor(rng.standard_normal((8, TINY.d))))  # no square grid
         with pytest.raises(ShapeError, match="square grid"):
-            image_block(stage, m.image_enc.blocks[0])
+            image_block(stage, m.image_blocks[0])
 
     def test_gradcheck_through_block(self, f64, rng):
         m = tiny_model()
-        blk = m.image_enc.blocks[0]
+        blk = m.image_blocks[0]
         params = [t for n, t in m.params.items() if n.startswith("image.block0")]
         x = Tensor(rng.standard_normal((16, TINY.d)))
         r = Tensor(rng.standard_normal((4, TINY.d)))

@@ -20,19 +20,19 @@ def bundle_of(maps):
 class TestEncoderFusionMulti:
     def test_single_matches_plain_fusion_bit_exact(self, rng):
         m = tiny_model()
-        fp = m.image_enc.fusions[0]
+        fp = m.fusion_blocks[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sk = leaf_map(rng)
         q_pos = grid_pos(16, TINY.d)
         k_pos = grid_pos(SKETCH_TOKENS, TINY.d)
         got = encoder_fusion_multi(stage, bundle_of([sk]), fp).data
-        att = cross_attention(stage, sk, fp.attn, q_pos=q_pos, k_pos=k_pos)
-        want = adapter_fuse(att, stage, fp.adapter).data
+        att = cross_attention(stage, sk, fp, q_pos=q_pos, k_pos=k_pos)
+        want = adapter_fuse(att, stage, fp).data
         assert np.array_equal(got, want)
 
     def test_identical_copies_match_single(self, rng):
         m = tiny_model()
-        fp = m.image_enc.fusions[0]
+        fp = m.fusion_blocks[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sk = leaf_map(rng)
         one = encoder_fusion_multi(stage, bundle_of([sk]), fp).data
@@ -41,7 +41,7 @@ class TestEncoderFusionMulti:
 
     def test_order_invariance(self, rng):
         m = tiny_model()
-        fp = m.image_enc.fusions[0]
+        fp = m.fusion_blocks[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sks = [leaf_map(rng) for _ in range(4)]
         a = encoder_fusion_multi(stage, bundle_of(sks), fp).data
@@ -51,17 +51,17 @@ class TestEncoderFusionMulti:
     def test_matches_per_sketch_loop(self, f64, rng):
         # one attention per sketch, then the adapter on the mean pre-activation
         m = tiny_model()
-        fp = m.image_enc.fusions[0]
+        fp = m.fusion_blocks[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sks = [leaf_map(rng) for _ in range(3)]
         q_pos = grid_pos(16, TINY.d)
         k_pos = grid_pos(SKETCH_TOKENS, TINY.d)
         got = encoder_fusion_multi(stage, bundle_of(sks), fp).data
         pre = [
-            cross_attention(stage, sk, fp.attn, q_pos=q_pos, k_pos=k_pos).data @ fp.adapter.w_in.data
+            cross_attention(stage, sk, fp, q_pos=q_pos, k_pos=k_pos).data @ fp.w_in.data
             for sk in sks
         ]
-        want = stage.data + np.maximum(sum(pre) / 3, 0.0) @ fp.adapter.w_out.data
+        want = stage.data + np.maximum(sum(pre) / 3, 0.0) @ fp.w_out.data
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_empty_bundle_rejected(self, rng):
@@ -73,7 +73,7 @@ class TestEncoderFusionMulti:
 
     def test_gradients_reach_every_sketch(self, f64, rng):
         m = tiny_model()
-        fp = m.image_enc.fusions[0]
+        fp = m.fusion_blocks[0]
         stage = Tensor(rng.standard_normal((16, TINY.d)))
         sks = [leaf_map(rng, requires_grad=True) for _ in range(3)]
         grads = backward(sum_all(encoder_fusion_multi(stage, bundle_of(sks), fp)))
@@ -114,7 +114,7 @@ class TestFuseQueries:
         with pytest.raises(ValueError, match="80 bundle rows"):
             fuse_queries(mixed, m.query_fusion)
         with pytest.raises(ValueError, match="80 bundle rows"):
-            encoder_fusion_multi(stage, mixed, m.image_enc.fusions[0])
+            encoder_fusion_multi(stage, mixed, m.fusion_blocks[0])
         with pytest.raises(ValueError, match="20 bundle rows"):  # less than one map
             fuse_queries(Tensor(rng.standard_normal((20, TINY.d))), m.query_fusion)
 

@@ -380,6 +380,16 @@ class TestMalformedCheckpoint:
         with pytest.raises(ValueError, match=f"offset {name}"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_path_and_parameter(self, tmp_path, value):
+        path = str(tmp_path / "a.sgl")
+        m = tiny_model()
+        m.params["head.box.b3"].data[2] = value
+        save_checkpoint(path, m, self.CONFIG)
+        with pytest.raises(ValueError) as e:
+            read_checkpoint(path)
+        assert str(e.value) == f"{path}: parameter 'head.box.b3' holds a non-finite value"
+
 
 @pytest.fixture(scope="module")
 def train_corpus(tmp_path_factory):
