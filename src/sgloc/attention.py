@@ -14,9 +14,9 @@ own and the adapter averages the G hidden pre-activations; with G = 1 the
 mean is the identity.
 
 Attention is packed: each projection is one d x d matrix whose column block h
-belongs to head h. One `tensor.attend` call is the one batched pass over every
-head and every group: scores, softmax over (groups*heads, n_q, n_k) and the
-weighted values, as a single tape node.
+belongs to head h. One `tensor.attend` call on the three projected token
+matrices is the single tape node for every head and every group: it splits
+the heads, takes a softmax over (groups*heads, n_q, n_k) and merges them back.
 
 A block holds its own weights: the three projections, the two adapter
 matrices and the head count. `cross_attention` reads the projections and
@@ -38,9 +38,7 @@ from .tensor import (
     layer_norm_rows,
     matmul,
     mean_groups,
-    merge_heads,
     relu,
-    split_heads,
 )
 
 
@@ -49,9 +47,10 @@ class Block:
     """Attention, then the adapter MLP on its output (see the module docstring).
 
     `wq`, `wk` and `wv` are the packed d x d projections: head h projects
-    queries, keys and values with column block h*dk:(h+1)*dk, dk = d / heads.
-    Head outputs concatenate back to width d, with no extra output projection
-    and no bias terms. `w_in` (d x d_h) and `w_out` (d_h x d) are the adapter.
+    queries, keys and values with column block h*dk:(h+1)*dk, dk = d / heads,
+    and its output fills that column block of the attended rows, with no
+    output projection and no bias terms. `w_in` (d x d_h) and `w_out`
+    (d_h x d) are the adapter.
     """
 
     wq: Tensor
@@ -132,7 +131,8 @@ def cross_attention(
     queries attend to each group on its own, with a softmax over that group's
     keys only; the result is (G*n_q) x d, group-major. `q_pos` is an n_q x d
     table added to the queries, and `k_pos` an n_k x d table added to every
-    group's keys, never to the values. Only `block`'s projections are read.
+    group's keys, never to the values. Only `block`'s projections are read;
+    the projected token matrices go to one `tensor.attend` call.
     """
     d = block.wq.shape[0]
     if (
@@ -144,13 +144,10 @@ def cross_attention(
             f"attention shapes mismatch: q {query_seq.shape}, kv {key_seq.shape}, "
             f"block width {d}, {groups} groups"
         )
-    h = block.heads
-    q = _add_pos(query_seq, q_pos, 1)
-    k = _add_pos(key_seq, k_pos, groups)
-    qh = split_heads(matmul(q, block.wq), h)
-    kh = split_heads(matmul(k, block.wk), h, groups)
-    vh = split_heads(matmul(key_seq, block.wv), h, groups)
-    return merge_heads(attend(qh, kh, vh, 1.0 / math.sqrt(d // h)), h)
+    q = matmul(_add_pos(query_seq, q_pos, 1), block.wq)
+    k = matmul(_add_pos(key_seq, k_pos, groups), block.wk)
+    v = matmul(key_seq, block.wv)
+    return attend(q, k, v, 1.0 / math.sqrt(d // block.heads), block.heads, groups)
 
 
 def adapter_fuse(attended: Tensor, residual: Tensor, block: Block, groups: int = 1) -> Tensor:

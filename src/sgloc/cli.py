@@ -8,7 +8,8 @@ import sys
 import time
 from dataclasses import fields
 
-from .data import DataConfig, Dataset, generate_dataset, read_pgm, read_ppm
+from .data import SCENE_SHAPE, SKETCH_SHAPE, DataConfig, Dataset, generate_dataset
+from .data import read_pgm, read_ppm, read_raster
 from .metrics import evaluate_queries
 from .train import TrainConfig, load_model, parse_value, train
 
@@ -111,8 +112,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_localize(args) -> int:
     model, _ = load_model(args.ckpt)
-    scene = read_ppm(args.scene)
-    sketches = [read_pgm(s) for s in args.sketch]
+    scene = read_raster(read_ppm, args.scene, SCENE_SHAPE, "the model")
+    sketches = [read_raster(read_pgm, s, SKETCH_SHAPE, "the model") for s in args.sketch]
     result = model.localize(scene, sketches, threshold=args.threshold)
     out = [{"box": [round(float(v), 6) for v in box], "score": round(score, 6)}
            for box, score in result.detections]

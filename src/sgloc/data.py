@@ -602,12 +602,12 @@ def _read_text(path: str) -> str:
         raise DatasetError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
 
 
-def _corpus_raster(read, path: str, shape: tuple) -> np.ndarray:
+def read_raster(read, path: str, shape: tuple, needs: str = "the corpus") -> np.ndarray:
     """`read(path)`, or a DatasetError naming `path` when the raster's shape
-    is not `shape`."""
+    is not `shape`, the one that `needs` takes."""
     got = read(path)
     if got.shape != shape:
-        raise DatasetError(f"{path}: raster shape {got.shape}, the corpus needs {shape}")
+        raise DatasetError(f"{path}: raster shape {got.shape}, {needs} needs {shape}")
     return got
 
 
@@ -714,7 +714,7 @@ class Dataset:
     def load_scene(self, sid: int) -> np.ndarray:
         got = self._scene_cache.get(sid)
         if got is None:
-            got = _corpus_raster(read_ppm, os.path.join(self.root, self.annotations[sid][0]), SCENE_SHAPE)
+            got = read_raster(read_ppm, os.path.join(self.root, self.annotations[sid][0]), SCENE_SHAPE)
             self._scene_cache[sid] = got
         return got
 
@@ -733,6 +733,6 @@ class Dataset:
     def load_sketch(self, rel_path: str) -> np.ndarray:
         got = self._sketch_cache.get(rel_path)
         if got is None:
-            got = _corpus_raster(read_pgm, os.path.join(self.root, rel_path), SKETCH_SHAPE)
+            got = read_raster(read_pgm, os.path.join(self.root, rel_path), SKETCH_SHAPE)
             self._sketch_cache[rel_path] = got
         return got

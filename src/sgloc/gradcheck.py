@@ -26,7 +26,6 @@ from .tensor import (
     matmul,
     maximum,
     mean_groups,
-    merge_heads,
     minimum,
     mul,
     neg,
@@ -36,7 +35,6 @@ from .tensor import (
     sigmoid,
     slice_cols,
     softmax_rows,
-    split_heads,
     sub,
     sum_all,
 )
@@ -88,10 +86,8 @@ _OP_CASES = [
     ("bmm", [(2, 3, 4), (2, 4, 5)], _projected(bmm)),
     ("bmm_transpose_b", [(2, 3, 4), (2, 5, 4)], _projected(lambda a, b: bmm(a, b, transpose_b=True))),
     ("bmm_shared_a", [(2, 3, 4), (6, 5, 4)], _projected(lambda a, b: bmm(a, b, transpose_b=True))),
-    ("attend", [(2, 3, 4), (2, 5, 4), (2, 5, 3)], _projected(lambda q, k, v: attend(q, k, v, 0.7))),
-    ("attend_shared_q", [(2, 3, 4), (6, 5, 4), (6, 5, 3)], _projected(lambda q, k, v: attend(q, k, v, 0.7))),
-    ("split_heads", [(6, 4)], _projected(lambda a: split_heads(a, 2, groups=3))),
-    ("merge_heads", [(6, 3, 2)], _projected(lambda a: merge_heads(a, 2))),
+    ("attend", [(3, 8), (5, 8), (5, 6)], _projected(lambda q, k, v: attend(q, k, v, 0.7, 2))),
+    ("attend_shared_q", [(3, 8), (15, 8), (15, 6)], _projected(lambda q, k, v: attend(q, k, v, 0.7, 2, 3))),
     ("mean_groups", [(6, 4)], _projected(lambda a: mean_groups(a, 3))),
     ("reshape", [(3, 4)], _projected(lambda a: reshape(a, (2, 6)))),
     ("relu", [(4, 4)], _projected(relu)),

@@ -300,63 +300,54 @@ def _bmm_grads(g: np.ndarray, ad: np.ndarray, bt4: np.ndarray, transpose_b: bool
     return ga, gb.reshape(-1, *gb.shape[2:])
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
-    """softmax(s * q k^T) v with the softmax over each row, as one tape node:
-    (B/G, n, dk), (B, m, dk), (B, m, dv) -> (B, n, dv), with q shared by the
-    G groups of k and v as in `bmm`.
+def attend(q: Tensor, k: Tensor, v: Tensor, s: float, heads: int, groups: int = 1) -> Tensor:
+    """Multi-head softmax(s * q_h k_{g,h}^T) v_{g,h}, softmax over each row,
+    as one tape node on token matrices: q (n, H*dk), k (G*m, H*dk), v (G*m,
+    H*dv) -> (G*n, H*dv). Column block h is head h; row block g of k and v
+    is group g, and row block g of the result is the queries over group g.
 
-    The arithmetic is that of bmm(q, k, transpose_b) -> scale -> softmax_rows
-    -> bmm(., v), in the same order, so results and gradients are the same
-    bits. One (B, n, m) buffer goes from scores to probabilities in place and
-    is the only one the tape keeps; the backward reuses its own (B, n, m)
+    The heads are split (`_split`) and merged (`_merge`) inside the node.
+    Between them the arithmetic is that of bmm(q, k, transpose_b) -> scale
+    -> softmax_rows -> bmm(., v) on the heads, q shared by the groups as in
+    `bmm`, in the same order, so results and gradients are the same bits.
+    One (G*H, n, m) buffer goes from scores to probabilities in place and is
+    the only one the tape keeps; the backward reuses its own (G*H, n, m)
     gradient buffer the same way.
     """
-    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
-        raise ShapeError(f"attend expects rank-3 operands, got {q.shape}, {k.shape} and {v.shape}")
-    if k.shape[0] % q.shape[0] or q.shape[2] != k.shape[2] or k.shape[:2] != v.shape[:2]:
-        raise ShapeError(f"attend: q {q.shape}, k {k.shape} and v {v.shape} do not chain")
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ShapeError(f"attend expects rank-2 operands, got {q.shape}, {k.shape} and {v.shape}")
+    if (q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or k.shape[0] % groups
+            or q.shape[1] % heads or v.shape[1] % heads):
+        raise ShapeError(f"attend: q {q.shape}, k {k.shape} and v {v.shape} do not chain "
+                         f"as {groups} groups of {heads} heads")
     s = float(s)
-    qd = q.data
-    kt4 = _grouped(k.data, q.shape[0], True)
-    v4 = _grouped(v.data, v.shape[0], False)
+    qd = _split(q.data, heads, 1)
+    kt4 = _grouped(_split(k.data, heads, groups), heads, True)
+    v4 = _grouped(_split(v.data, heads, groups), groups * heads, False)
     p = _bmm(qd, kt4)
     p *= s
     _softmax_(p)
 
     def bw(g):
-        gp, gv = _bmm_grads(g, p, v4, False)
+        gp, gv = _bmm_grads(_split(g, heads, groups), p, v4, False)
         _softmax_grad_(gp, p)
         gp *= s
         gq, gk = _bmm_grads(gp, qd, kt4, True)
-        return gq, gk, gv
+        return _merge(gq, heads), _merge(gk, heads), _merge(gv, heads)
 
-    return _make(_bmm(p, v4), (q, k, v), bw)
-
-
-def split_heads(x: Tensor, heads: int, groups: int = 1) -> Tensor:
-    """(G*n, H*dk) -> (G*H, n, dk): row block g, column block h becomes batch
-    entry g*H + h."""
-    if x.ndim != 2 or x.shape[0] % groups or x.shape[1] % heads:
-        raise ShapeError(f"split_heads: shape {x.shape} does not split into {groups} x {heads}")
-    return _make(_split(x.data, heads, groups), (x,), lambda g: (_merge(g, heads),))
-
-
-def merge_heads(x: Tensor, heads: int) -> Tensor:
-    """Inverse of `split_heads`: (G*H, n, dk) -> (G*n, H*dk)."""
-    if x.ndim != 3 or x.shape[0] % heads:
-        raise ShapeError(f"merge_heads: shape {x.shape} does not hold {heads} heads")
-    groups = x.shape[0] // heads
-    out = _merge(x.data, heads)
-    return _make(out, (x,), lambda g: (_split(g, heads, groups),))
+    return _make(_merge(_bmm(p, v4), heads), (q, k, v), bw)
 
 
 def _merge(arr: np.ndarray, heads: int) -> np.ndarray:
+    """Inverse of `_split`: (G*H, n, dk) -> (G*n, H*dk)."""
     b, n, dk = arr.shape
     groups = b // heads
     return arr.reshape(groups, heads, n, dk).transpose(0, 2, 1, 3).reshape(groups * n, heads * dk)
 
 
 def _split(arr: np.ndarray, heads: int, groups: int) -> np.ndarray:
+    """(G*n, H*dk) -> (G*H, n, dk): row block g, column block h becomes batch
+    entry g*H + h."""
     rows, d = arr.shape
     n, dk = rows // groups, d // heads
     return arr.reshape(groups, n, heads, dk).transpose(0, 2, 1, 3).reshape(groups * heads, n, dk)

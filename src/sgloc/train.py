@@ -27,9 +27,9 @@ corpus at different paths give the same parameters but different bytes.
 
 A step holds one sample's tape at a time. The batch's queries are drawn
 first, in batch order, by the parent process. The samples then run from the
-last to the first, the order in which one backward sweep over the batch's
-summed loss would reach them, and each runs forward, matching, loss and a
-backward sweep of `loss / n` before the next sample's forward.
+last to the first, and each runs forward, matching, loss and a backward sweep
+of `loss / n` before the next sample's forward. Any order gives the same
+sums up to rounding; this one is kept for the checkpoint bytes the tests pin.
 
 A step's gradient is the sum of two half-batch totals. The order n-1 ... 0 is
 cut into two consecutive runs (`np.array_split`). Each run sweeps its samples
@@ -115,6 +115,11 @@ class TrainConfig(ModelConfig):
             "a number",
         )
         self._require(("dataset",), (str,), "a string")
+        # `from_text` splits lines, cuts them at '#' and strips them: the path must survive that
+        ds = self.dataset
+        if "#" in ds or ds != ds.strip() or len(ds.splitlines()) > 1:
+            raise ValueError(f"config field dataset must hold no '#', no line break and no leading or "
+                             f"trailing whitespace, got {ds!r}")
         # written as `not ...` so that a NaN fails each test too
         for name in ("lr", "eps", "batch_size", "epochs"):
             if not getattr(self, name) > 0:
@@ -351,8 +356,11 @@ def _load_entries(path: str, entries: dict, model: SketchLocalizer) -> None:
 def load_model(path: str) -> tuple:
     """Rebuild the model a checkpoint was trained with and load its weights."""
     config_text, entries = read_checkpoint(path)
-    cfg = TrainConfig.from_text(config_text)
-    model = SketchLocalizer(cfg, seed=cfg.seed)
+    try:
+        cfg = TrainConfig.from_text(config_text)
+        model = SketchLocalizer(cfg, seed=cfg.seed)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     _load_entries(path, entries, model)
     return model, cfg
 
@@ -534,7 +542,7 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
                 n = len(batch)
                 n_sketch = 5 if rng.random() < config.protocol_mix else 1
                 queries = [_sample_query(rng, dataset, dataset.annotation(sid), n_sketch) for sid in batch]
-                # last sample first, the order of one sweep over the batch's summed loss,
+                # last sample first, the order that keeps the pinned checkpoint bytes,
                 # cut into the halves that go into slabs A and B
                 half_a, half_b = ([(batch[i], *queries[i]) for i in run]
                                   for run in np.array_split(np.arange(n)[::-1], 2))

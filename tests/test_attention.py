@@ -276,7 +276,7 @@ class TestTapeSize:
     nodes; a change that means to must update these counts."""
 
     @pytest.mark.parametrize(
-        "n_sketches, ablate, nodes", [(1, False, 245), (5, False, 378), (1, True, 177), (5, True, 307)]
+        "n_sketches, ablate, nodes", [(1, False, 185), (5, False, 286), (1, True, 137), (5, True, 235)]
     )
     def test_default_config_tape_nodes(self, rng, n_sketches, ablate, nodes):
         cfg = ModelConfig(encoder_fusion=not ablate, refinement=not ablate)

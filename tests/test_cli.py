@@ -112,14 +112,17 @@ class TestErrors:
     def test_localize_rejects_wrong_size_raster(
         self, trained, tmp_path, capsys, scene_side, sketch_side, expected
     ):
+        # the first sketch is well sized; the second is the one under test
         _, _, ckpt = trained
-        scene, sketch = str(tmp_path / "scene.ppm"), str(tmp_path / "sketch.pgm")
+        scene, good, sketch = (str(tmp_path / name) for name in ("scene.ppm", "good.pgm", "sketch.pgm"))
         write_ppm(scene, np.full((scene_side, scene_side, 3), 0.5))
+        write_pgm(good, np.zeros((64, 64)))
         write_pgm(sketch, np.zeros((sketch_side, sketch_side)))
-        code = main(["localize", "--ckpt", ckpt, "--scene", scene, "--sketch", sketch])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ") and expected in err
+        code = main(["localize", "--ckpt", ckpt, "--scene", scene, "--sketch", good, "--sketch", sketch])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        bad, got = (scene, (scene_side, scene_side, 3)) if scene_side != 64 else (sketch, (sketch_side, sketch_side))
+        assert err == f"error: {bad}: raster shape {got}, the model needs {expected}\n"
 
     def test_localize_refuses_a_non_finite_checkpoint(self, trained, tmp_path, capsys):
         _, data_dir, ckpt = trained
@@ -147,6 +150,16 @@ class TestErrors:
         cfg.write_bytes(blob)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: {fault}\n"
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_train_refuses_a_dataset_path_the_checkpoint_cannot_echo(self, workspace, tmp_path, capsys):
+        _, data_dir = workspace
+        dataset = data_dir + "#1"
+        assert main(["train", "--dataset", dataset, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config field dataset must hold no '#', no line break and no leading or "
+            f"trailing whitespace, got {dataset!r}\n"
+        )
         assert not os.path.exists(tmp_path / "o")
 
     def test_unknown_flag_exits_2(self, capsys):

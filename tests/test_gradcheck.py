@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,24 @@ def test_projection_flags_layer_norm_without_mean_term(f64, seed):
 def test_op_case_passes_on_any_inputs(f64, case, seed):
     err = gradcheck.check_op_case(*case, np.random.default_rng(seed))
     assert err < gradcheck.TOLERANCE, f"{case[0]} at input seed {seed}: rel error {err:.3e}"
+
+
+def _taped_ops() -> set:
+    """The public functions of `tensor` that record a tape node themselves."""
+    return {name for name, fn in vars(T).items()
+            if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
+            and re.search(r"\b_make\(", inspect.getsource(fn))}
+
+
+def test_every_taped_op_has_a_gradcheck_case():
+    ops = _taped_ops()
+    assert {"attend", "matmul", "softmax_rows"} <= ops
+    assert sorted(ops - {name for name, _, _ in gradcheck._OP_CASES}) == []
+
+
+def test_every_gradcheck_case_names_a_taped_op():
+    # a case is named after its op, or after its op and a variant ("bmm_transpose_b")
+    ops = _taped_ops()
+    stray = [name for name, _, _ in gradcheck._OP_CASES
+             if not any(name == op or name.startswith(op + "_") for op in ops)]
+    assert stray == []

@@ -19,14 +19,12 @@ from sgloc.tensor import (
     global_max_pool,
     matmul,
     mean_groups,
-    merge_heads,
     mul,
     neg,
     relu,
     scale,
     sigmoid,
     softmax_rows,
-    split_heads,
     sum_all,
 )
 
@@ -145,29 +143,6 @@ class TestBatched:
         with pytest.raises(ShapeError):
             bmm(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))))
 
-    def test_split_heads_layout(self, rng):
-        # entry g*H + h holds rows of group g and column block h
-        x = rng.standard_normal((2 * 3, 4 * 2))
-        got = split_heads(Tensor(x), heads=4, groups=2).data
-        assert got.shape == (8, 3, 2)
-        for g in range(2):
-            for h in range(4):
-                assert np.array_equal(got[g * 4 + h], x[g * 3 : (g + 1) * 3, h * 2 : (h + 1) * 2].astype(got.dtype))
-
-    def test_merge_inverts_split(self, rng):
-        x = Tensor(rng.standard_normal((6, 8)))
-        assert np.array_equal(merge_heads(split_heads(x, 4, groups=3), 4).data, x.data)
-        y = Tensor(rng.standard_normal((6, 2, 3)))
-        assert np.array_equal(split_heads(merge_heads(y, 2), 2, groups=3).data, y.data)
-
-    def test_split_merge_shape_errors(self):
-        with pytest.raises(ShapeError):
-            split_heads(Tensor(np.ones((6, 8))), 3)
-        with pytest.raises(ShapeError):
-            split_heads(Tensor(np.ones((6, 8))), 2, groups=4)
-        with pytest.raises(ShapeError):
-            merge_heads(Tensor(np.ones((5, 2, 2))), 2)
-
     def test_mean_groups_matches_add_n_then_scale_bit_exact(self, rng):
         blocks = [Tensor(rng.standard_normal((3, 4))) for _ in range(5)]
         got = mean_groups(concat(blocks, axis=0), 5).data
@@ -183,36 +158,63 @@ class TestBatched:
 
 
 def attend_chain(q, k, v, s):
-    """The four ops `attend` fuses, in the order it computes them."""
+    """The four ops `attend` fuses, in the order it computes them, on heads
+    already split off with `T._split`."""
     return bmm(softmax_rows(scale(bmm(q, k, transpose_b=True), s)), v)
+
+
+def merged(x, heads, groups):
+    """`x`'s heads merged with `T._merge` as a tape node whose backward splits
+    the cotangent with `T._split`, so `attend_chain` meets it in the layout
+    that `attend` gives it."""
+    return T._make(T._merge(x.data, heads), (x,), lambda g: (T._split(g, heads, groups),))
 
 
 class TestAttend:
     @settings(max_examples=60, deadline=None)
     @given(
         prec=st.sampled_from(["f32", "f64"]),
-        ba=st.integers(1, 3), groups=st.integers(1, 3), n=st.integers(1, 5),
+        heads=st.integers(1, 3), groups=st.integers(1, 3), n=st.integers(1, 5),
         m=st.integers(1, 6), dk=st.integers(1, 4), dv=st.integers(1, 4),
         s=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1),
     )
-    def test_equals_the_unfused_chain_bit_for_bit(self, prec, ba, groups, n, m, dk, dv, s, seed):
+    def test_equals_the_unfused_chain_bit_for_bit(self, prec, heads, groups, n, m, dk, dv, s, seed):
         rng = np.random.default_rng(seed)
         with T.precision(prec):
             q, k, v = (leaf(rng.standard_normal(shape) * 2.0)
-                       for shape in ((ba, n, dk), (groups * ba, m, dk), (groups * ba, m, dv)))
-            r = Tensor(rng.standard_normal((groups * ba, n, dv)))
-            outs = [op(q, k, v, s) for op in (attend, attend_chain)]
-            grads = [backward(sum_all(mul(out, r))) for out in outs]
-        assert outs[0].data.dtype == outs[1].data.dtype
-        assert np.array_equal(outs[0].data, outs[1].data)
-        for t in (q, k, v):
-            assert np.array_equal(grads[0][t], grads[1][t])
+                       for shape in ((n, heads * dk), (groups * m, heads * dk), (groups * m, heads * dv)))
+            r = Tensor(rng.standard_normal((groups * n, heads * dv)))
+            out = attend(q, k, v, s, heads, groups)
+            grads = backward(sum_all(mul(out, r)))
+            qh, kh, vh = (leaf(T._split(t.data, heads, g)) for t, g in ((q, 1), (k, groups), (v, groups)))
+            chain = merged(attend_chain(qh, kh, vh, s), heads, groups)
+            chain_grads = backward(sum_all(mul(chain, r)))
+        assert out.data.dtype == chain.data.dtype
+        assert np.array_equal(out.data, chain.data)
+        for t, th in ((q, qh), (k, kh), (v, vh)):
+            assert np.array_equal(grads[t], T._merge(chain_grads[th], heads))
+
+    def test_head_blocks_match_a_per_head_oracle(self, f64, rng):
+        # output block (g, h) is softmax(s * q_h k_{g,h}^T) v_{g,h}
+        heads, groups, n, m, dk, dv, s = 3, 2, 4, 5, 2, 3, 0.6
+        q = rng.standard_normal((n, heads * dk))
+        k = rng.standard_normal((groups * m, heads * dk))
+        v = rng.standard_normal((groups * m, heads * dv))
+        got = attend(Tensor(q), Tensor(k), Tensor(v), s, heads, groups).data
+        assert got.shape == (groups * n, heads * dv)
+        for g in range(groups):
+            for h in range(heads):
+                rows, qc, vc = slice(g * m, (g + 1) * m), slice(h * dk, (h + 1) * dk), slice(h * dv, (h + 1) * dv)
+                scores = s * q[:, qc] @ k[rows, qc].T
+                w = np.exp(scores - scores.max(axis=1, keepdims=True))
+                want = (w / w.sum(axis=1, keepdims=True)) @ v[rows, vc]
+                assert np.max(np.abs(got[g * n : (g + 1) * n, vc] - want)) < 1e-12
 
     def test_one_tape_node_holds_one_score_sized_array(self, rng):
-        q = leaf(rng.standard_normal((2, 3, 4)))
-        k = leaf(rng.standard_normal((6, 5, 4)))
-        v = leaf(rng.standard_normal((6, 5, 2)))
-        out = attend(q, k, v, 0.5)
+        q = leaf(rng.standard_normal((3, 8)))
+        k = leaf(rng.standard_normal((15, 8)))
+        v = leaf(rng.standard_normal((15, 4)))
+        out = attend(q, k, v, 0.5, heads=2, groups=3)
         assert out._parents == (q, k, v)
         held = [c.cell_contents for c in out._bw.__closure__ if isinstance(c.cell_contents, np.ndarray)]
         assert [a.shape for a in held].count((6, 3, 5)) == 1
@@ -220,13 +222,17 @@ class TestAttend:
     def test_shape_errors(self):
         ones = lambda *shape: Tensor(np.ones(shape))
         with pytest.raises(ShapeError):
-            attend(ones(2, 3, 4), ones(3, 5, 4), ones(3, 5, 2), 1.0)  # 3 key batches, 2 query batches
+            attend(ones(2, 3, 4), ones(2, 5, 4), ones(2, 5, 2), 1.0, 1)  # rank 3
         with pytest.raises(ShapeError):
-            attend(ones(2, 3, 4), ones(2, 5, 3), ones(2, 5, 2), 1.0)  # key widths differ
+            attend(ones(3, 4), ones(5, 6), ones(5, 2), 1.0, 2)  # key widths differ
         with pytest.raises(ShapeError):
-            attend(ones(2, 3, 4), ones(2, 5, 4), ones(2, 4, 2), 1.0)  # 5 keys, 4 values
+            attend(ones(3, 4), ones(5, 4), ones(4, 2), 1.0, 2)  # 5 keys, 4 values
         with pytest.raises(ShapeError):
-            attend(ones(3, 4), ones(5, 4), ones(5, 2), 1.0)
+            attend(ones(3, 4), ones(5, 4), ones(5, 2), 1.0, 2, groups=2)  # 5 rows, 2 groups
+        with pytest.raises(ShapeError):
+            attend(ones(3, 6), ones(5, 6), ones(5, 6), 1.0, 4)  # 6 columns, 4 heads
+        with pytest.raises(ShapeError):
+            attend(ones(3, 4), ones(5, 4), ones(5, 3), 1.0, 2)  # 3 value columns, 2 heads
 
 
 class TestNoGrad:

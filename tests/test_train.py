@@ -192,6 +192,22 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=re.escape(f"config field {field} must be {kind}, got {value!r}")):
             TrainConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize(
+        "dataset", ["/tmp/run#1", "/tmp/run ", " /tmp/run", "/tmp/run\t", "/tmp/a\nb", "/tmp/a\rb", "/tmp/a\u2028b"],
+        ids=["hash", "trailing-space", "leading-space", "trailing-tab", "newline", "return", "line-separator"],
+    )
+    def test_dataset_that_would_not_round_trip_is_refused(self, dataset):
+        want = f"config field dataset must hold no '#', no line break and no leading or trailing whitespace, got {dataset!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            TrainConfig(dataset=dataset).validate()
+
+    @pytest.mark.parametrize("dataset", ["", "/tmp/run 1", "/data/a=b", "corpus"],
+                             ids=["empty", "inner-space", "equals-sign", "relative"])
+    def test_accepted_dataset_round_trips(self, dataset):
+        cfg = TrainConfig(dataset=dataset)
+        cfg.validate()
+        assert TrainConfig.from_text(cfg.to_text()).dataset == dataset
+
     def test_numpy_floats_and_ints_are_numbers(self):
         TrainConfig(lr=np.float32(1e-3), beta1=np.float64(0.9), eps=1, protocol_mix=np.int64(1)).validate()
 
@@ -255,6 +271,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=match) as e:
             load_model(path)
         assert str(e.value).startswith(path + ": ")
+
+    @pytest.mark.parametrize(
+        "echoed, fault",
+        [("heads = 0", "config field heads must be positive"),
+         ("heads = two", "config line 2: bad value for heads: invalid literal for int() with base 10: 'two'")],
+        ids=["invalid", "unparsable"],
+    )
+    def test_config_errors_name_the_checkpoint(self, tmp_path, echoed, fault):
+        path = str(tmp_path / "a.sgl")
+        save_checkpoint(path, tiny_model(), f"seed = 1\n{echoed}\n")
+        with pytest.raises(ValueError) as e:
+            load_model(path)
+        assert str(e.value) == f"{path}: {fault}"
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "junk.sgl")
