@@ -730,6 +730,12 @@ class Dataset:
             raise DatasetError(f"empty {subset} sketch pool for class {cls}")
         return pool
 
+    def draw_sketches(self, rng, cls: int, subset: str, n: int) -> list:
+        """`n` paths drawn by `rng` from the `subset` sketch pool of class
+        `cls`, without replacement unless the pool holds fewer than `n`."""
+        pool = self.sketch_pool(cls, subset)
+        return [pool[i] for i in rng.choice(len(pool), size=n, replace=len(pool) < n)]
+
     def load_sketch(self, rel_path: str) -> np.ndarray:
         got = self._sketch_cache.get(rel_path)
         if got is None:

@@ -193,9 +193,7 @@ def evaluate_queries(
             scene = model.encode_scene(dataset.load_scene(sid))
         for cls in present:
             rng = np.random.default_rng(derive_seed(seed, "eval", sid, cls))
-            pool = dataset.sketch_pool(cls, subset)
-            pick = rng.choice(len(pool), size=n_query, replace=len(pool) < n_query)
-            sketches = [dataset.load_sketch(pool[i]) for i in pick]
+            sketches = [dataset.load_sketch(p) for p in dataset.draw_sketches(rng, cls, subset, n_query)]
             result = model.localize(scene, sketches, threshold=0.0)
             n_queries += 1
             corners = cxcywh_to_corners(np.reshape([b for b, _ in result.detections], (-1, 4))) * size

@@ -564,9 +564,8 @@ def backward(loss: Tensor, into: dict | None = None) -> dict:
     `into`, a dict an earlier call returned (or one of preallocated totals),
     or onto a new dict; a leaf reached twice (a weight shared by two ops) gets
     both additions, in the order the sweep reaches them. `into` is changed in
-    place and returned. One sweep over a sum of losses with disjoint tapes
-    reaches the last term first, so chaining the terms' sweeps from the last
-    to the first gives the same bits while holding one term's tape at a time.
+    place and returned, so one sweep per term of a sum of losses totals its
+    gradient while holding one term's tape at a time.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")

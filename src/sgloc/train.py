@@ -25,24 +25,23 @@ produce byte-identical checkpoints, whatever the number of CPUs. The echoed
 config includes `dataset`, the corpus path, so two runs on copies of one
 corpus at different paths give the same parameters but different bytes.
 
-A step holds one sample's tape at a time. The batch's queries are drawn
-first, in batch order, by the parent process. The samples then run from the
-last to the first, and each runs forward, matching, loss and a backward sweep
-of `loss / n` before the next sample's forward. Any order gives the same
-sums up to rounding; this one is kept for the checkpoint bytes the tests pin.
+A step holds one sample's tape at a time. The parent draws the batch's
+queries first, in batch order: each is a class and the paths of its
+sketches. Each sample then runs forward, matching, loss and a backward sweep
+of `loss / n` before the next sample's forward, and yields one (score, l1,
+giou, total) record of floats. An epoch logs the plain mean of its records.
 
-A step's gradient is the sum of two half-batch totals. The order n-1 ... 0 is
-cut into two consecutive runs (`np.array_split`). Each run sweeps its samples
-into its own gradient slab, zeroed before the run; then the second slab is
-added onto the first elementwise, and Adam reads the first. A slab is a
-shared anonymous mapping laid out like the parameters (`_slab`). When BLAS is
-pinned to one thread and two CPUs are usable (`_forks_worker`), a worker
-forked at the start of each epoch runs the second half into the second slab
-while the parent runs the first; otherwise the parent runs both, one after
-the other. The float additions are the same either way, so logged losses,
-`history.json` and every checkpoint byte do not depend on whether the worker
-runs. No gradient array is sent between processes: the worker replies with
-each sample's loss and components only.
+A step's gradient is the sum of two half-batch totals. The first ceil(n/2)
+samples sweep into gradient slab A and the rest into slab B, each slab zeroed
+before its half; then B is added onto A elementwise, and Adam reads A. A slab
+is a shared anonymous mapping laid out like the parameters (`_slab`). When
+BLAS is pinned to one thread and two CPUs are usable (`_forks_worker`), a
+worker forked at the start of each epoch runs the second half while the
+parent runs the first; otherwise the parent runs both, in batch order. The
+float additions are the same either way, so logged losses, `history.json`
+and every checkpoint byte do not depend on whether the worker runs. Only
+ints, strings and floats cross the pipe: a job names its samples' scenes,
+classes and sketch paths, and a reply holds their records.
 
 The parameters live in a slab too, so the worker reads the parent's in-place
 Adam updates with nothing sent per step. The worker inherits the process's
@@ -51,15 +50,13 @@ epoch's checkpoint is written. Forking per step would cost far more in
 copy-on-write faults.
 
 A non-finite forward output or loss raises NonFiniteError naming the epoch,
-the scene and the class. When samples raise, the exception of the first one
-in run order is raised, the one the one-process loop would have met first:
-the parent's half is checked before the worker's. So, when several scenes of
-a batch are non-finite, the error names the last of them in batch order. A
-worker's exception is raised in the parent with its type and message, and
-the worker's traceback as its cause. Every exception is raised before the
-step's Adam update, so no parameter changes, and the worker is terminated
-and joined before it propagates, also while it still runs its half: no
-worker outlives `train`.
+the scene and the class of the first such sample in batch order, with or
+without the worker: the parent's half comes first, and the worker's reply is
+read only when the parent's half succeeded. A worker's exception is raised in
+the parent with its type and message, and the worker's traceback as its
+cause. Every exception is raised before the step's Adam update, so no
+parameter changes, and the worker is terminated and joined before it
+propagates, also while it still runs its half: no worker outlives `train`.
 """
 
 from __future__ import annotations
@@ -76,6 +73,7 @@ import signal
 import struct
 import sys
 import traceback
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -370,21 +368,20 @@ def load_model(path: str) -> tuple:
 
 
 def _sample_query(rng, dataset: Dataset, ann, n_sketch: int):
+    """(class, sketch paths) of one training query on a scene of `ann`."""
     present = sorted(set(ann.classes))
     cls = int(present[rng.integers(len(present))])
-    pool = dataset.sketch_pool(cls, "train")
-    pick = rng.choice(len(pool), size=n_sketch, replace=len(pool) < n_sketch)
-    sketches = [dataset.load_sketch(pool[i]) for i in pick]
-    return cls, sketches
+    return cls, dataset.draw_sketches(rng, cls, "train", n_sketch)
 
 
-def _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, grads):
+def _sample_step(model, dataset, sid, cls, paths, weights, n, epoch, grads):
     """Forward, matching and loss of one sample of a batch of `n`, then a
     backward sweep of its loss scaled by 1/n onto the totals `grads`.
 
-    Returns the sample's f32 loss array and its (score, l1, giou)
-    components. The sample's tape is garbage once this returns."""
+    Returns the sample's (score, l1, giou, total) loss record, as floats. The
+    sample's tape is garbage once this returns."""
     ann = dataset.annotation(sid)
+    sketches = [dataset.load_sketch(p) for p in paths]
     scores, boxes = model.forward(dataset.load_scene(sid), sketches)
     where = f"at epoch {epoch} scene {sid} (class {cls})"
     if not (np.isfinite(scores.data).all() and np.isfinite(boxes.data).all()):
@@ -395,13 +392,13 @@ def _sample_step(model, dataset, sid, cls, sketches, weights, n, epoch, grads):
     if not np.isfinite(lb.total):
         raise NonFiniteError(f"non-finite loss {where}")
     backward(scale(lb.total_tensor, 1.0 / n), grads)
-    return lb.total_tensor.data, (lb.score_loss, lb.l1_loss, lb.giou_loss)
+    return lb.score_loss, lb.l1_loss, lb.giou_loss, lb.total
 
 
 def _run_half(model, dataset, weights, grads, epoch, n, samples) -> list:
     """Zero the gradient slab `grads`, then run `samples`, [(sid, cls,
-    sketches)] of one step of `n`, into it one after the other. Returns
-    [(f32 loss array, components)] per sample."""
+    sketch paths)] of one step of `n`, into it one after the other. Returns
+    one loss record per sample."""
     for g in grads.values():
         g.fill(0)
     return [_sample_step(model, dataset, *s, weights, n, epoch, grads) for s in samples]
@@ -448,10 +445,10 @@ def _slab(arrays: list) -> list:
 def _worker(conn, model, dataset, weights, grads) -> None:
     """A forked worker's loop for one epoch.
 
-    Each job is (epoch, n, [(sid, cls, sketches), ...]), the second half of
-    one step. The worker runs it into its gradient slab `grads` and replies
-    with [(f32 loss array, components) per sample], or, when a sample raises,
-    with (exception, traceback text). None ends the loop."""
+    Each job is (epoch, n, [(sid, cls, sketch paths), ...]), the second half
+    of one step. The worker runs it into its gradient slab `grads` and
+    replies with one loss record per sample, or, when a sample raises, with
+    (exception, traceback text). None ends the loop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it and stops this process
     for job in iter(conn.recv, None):
         try:
@@ -473,8 +470,8 @@ def _portable(exc: Exception) -> tuple:
 
 
 def _receive(conn) -> list:
-    """The worker's reply to a job, [(f32 loss array, components) per
-    sample]; raises the worker's exception."""
+    """The worker's reply to a job, one loss record per sample; raises the
+    worker's exception."""
     try:
         msg = conn.recv()
     except EOFError:
@@ -509,12 +506,21 @@ def _forked_worker(model, dataset, weights, grads):
 
 
 def train(config: TrainConfig, out_dir: str, log=None) -> str:
-    """Run the full training loop; returns the path of the final checkpoint."""
+    """Run the full training loop; returns the path of the final checkpoint.
+
+    A `num_tokens` below the most objects of one class in a train scene
+    raises ValueError before `out_dir` is made: such a query has more
+    ground truths than the matching can assign tokens to."""
     config.validate()
     if log is None:
         log = lambda msg: print(msg, file=sys.stderr)
     dataset = Dataset(config.dataset)
     train_ids = dataset.scene_ids("train")
+    crowd = {sid: max(Counter(dataset.annotation(sid).classes).values(), default=0) for sid in train_ids}
+    worst = max(crowd, key=crowd.get)
+    if crowd[worst] > config.num_tokens:
+        raise ValueError(f"num_tokens {config.num_tokens} is below the {crowd[worst]} objects of one "
+                         f"class in train scene {worst}")
     model = SketchLocalizer(config, seed=config.seed)
     # the parameter slab, then gradient slabs A and B laid out like it
     leaves = list(model.params.values())
@@ -533,40 +539,27 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_ids))
-        sums = np.zeros(4)
-        n_batches = 0
+        records = []
         worker = _forked_worker(model, dataset, weights, grads_b) if fork else contextlib.nullcontext()
         with worker as conn:
             for start in range(0, len(order), config.batch_size):
                 batch = [train_ids[i] for i in order[start : start + config.batch_size]]
                 n = len(batch)
                 n_sketch = 5 if rng.random() < config.protocol_mix else 1
-                queries = [_sample_query(rng, dataset, dataset.annotation(sid), n_sketch) for sid in batch]
-                # last sample first, the order that keeps the pinned checkpoint bytes,
-                # cut into the halves that go into slabs A and B
-                half_a, half_b = ([(batch[i], *queries[i]) for i in run]
-                                  for run in np.array_split(np.arange(n)[::-1], 2))
+                samples = [(sid, *_sample_query(rng, dataset, dataset.annotation(sid), n_sketch))
+                           for sid in batch]
+                half = -(-n // 2)  # slab A takes the first ceil(n/2) samples, slab B the rest
                 if conn:
-                    conn.send((epoch, n, half_b))
-                results = _run_half(model, dataset, weights, grads_a, epoch, n, half_a)
+                    conn.send((epoch, n, samples[half:]))
+                records += _run_half(model, dataset, weights, grads_a, epoch, n, samples[:half])
                 if conn:
-                    results += _receive(conn)
+                    records += _receive(conn)
                 else:
-                    results += _run_half(model, dataset, weights, grads_b, epoch, n, half_b)
+                    records += _run_half(model, dataset, weights, grads_b, epoch, n, samples[half:])
                 for a, b in zip(grads_a.values(), grads_b.values()):
                     np.add(a, b, out=a)
                 adam_step(model.params, grads_a, state, config.lr, (config.beta1, config.beta2), config.eps)
-                # logged in batch order: a left-to-right sum, then times 1/n, as one summed loss gives
-                losses, parts = zip(*results[::-1])
-                batch_loss = losses[0]
-                for loss in losses[1:]:
-                    batch_loss = batch_loss + loss
-                comps = np.zeros(3)
-                for part in parts:
-                    comps += part
-                sums += (*(comps / n), float(batch_loss * (1.0 / n)))
-                n_batches += 1
-        avg = sums / max(1, n_batches)
+        avg = np.mean(records, axis=0).tolist()
         history.append(
             {"epoch": epoch, "score": avg[0], "l1": avg[1], "giou": avg[2], "total": avg[3]}
         )

@@ -162,6 +162,20 @@ class TestErrors:
         )
         assert not os.path.exists(tmp_path / "o")
 
+    def test_train_refuses_fewer_tokens_than_objects_of_one_class(self, workspace, tmp_path, capsys):
+        _, data_dir = workspace
+        ds = Dataset(data_dir)
+        ids = ds.scene_ids("train")
+        crowd = [max(map(ds.annotation(sid).classes.count, ds.annotation(sid).classes)) for sid in ids]
+        assert max(crowd) >= 2
+        out = tmp_path / "o"
+        assert main(["train", "--dataset", data_dir, "--num-tokens", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: num_tokens 1 is below the {max(crowd)} objects of one class in train scene "
+            f"{ids[crowd.index(max(crowd))]}\n"
+        )
+        assert not os.path.exists(out)
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["train", "--no-such-flag", "x", "--out", "y"]) == 2
 

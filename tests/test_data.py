@@ -563,6 +563,19 @@ class TestDatasetDirectory:
         with pytest.raises(DatasetError):
             ds.sketch_pool(10, "train")
 
+    @pytest.mark.parametrize("subset, n", [("train", 1), ("train", 4), ("val", 5)])
+    def test_draw_sketches_repeats_a_path_only_when_the_pool_runs_out(self, small_open_dataset,
+                                                                       subset, n):
+        ds, _, _ = small_open_dataset
+        pool = ds.sketch_pool(2, subset)  # 4 train sketches, 2 val ones
+        got = ds.draw_sketches(np.random.default_rng(9), 2, subset, n)
+        assert len(got) == n and set(got) <= set(pool)
+        if n <= len(pool):
+            assert len(set(got)) == n
+        # the rng calls that `sgloc eval` and training made before the rule had one home
+        rng = np.random.default_rng(9)
+        assert got == [pool[i] for i in rng.choice(len(pool), size=n, replace=len(pool) < n)]
+
     @pytest.mark.parametrize("subset", ["test", "Val", ""])
     def test_unknown_subset_raises(self, small_open_dataset, subset):
         ds, _, _ = small_open_dataset

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import multiprocessing
@@ -494,6 +495,22 @@ class TestTrainLoop:
         load_model(ckpt)
         assert calls == [ckpt]
 
+    def test_fewer_tokens_than_objects_of_one_class_are_refused_before_the_run(self, train_corpus,
+                                                                               tmp_path):
+        # such a query has more ground truths than the matching can give tokens to
+        ds = Dataset(train_corpus)
+        ids = ds.scene_ids("train")
+        crowd = [max(map(ds.annotation(sid).classes.count, ds.annotation(sid).classes)) for sid in ids]
+        most = max(crowd)
+        assert most >= 2
+        with pytest.raises(ValueError) as e:
+            train(tiny_train_config(train_corpus, num_tokens=most - 1), str(tmp_path / "run"))
+        assert str(e.value) == (f"num_tokens {most - 1} is below the {most} objects of one class "
+                                f"in train scene {ids[crowd.index(most)]}")
+        assert not os.path.exists(tmp_path / "run")
+        assert os.path.exists(train(tiny_train_config(train_corpus, num_tokens=most),
+                                    str(tmp_path / "enough"), log=lambda m: None))
+
     def test_fixed_batch_overfit_decreases_loss(self, train_corpus):
         ds = Dataset(train_corpus)
         model = tiny_model(seed=2)
@@ -538,8 +555,8 @@ class TestTrainLoop:
 
 
 PINNED_TRAINING = (
-    "c0ea9b2ed2161582d35de02096e9bc7d5032340215ccb142020b55b61272a81e",
-    "54460fe8925eaff8c44885466acf0710eb885150cf286b9e7d5f3baa1ac8e54b",
+    "f4ec26a4365447192576a20b3bdfe46d6bce9387182d7fab40ba2cc61a0f3302",
+    "f9068ee1d14c54a766502b2382bd3ce2865d30044313b9bde282fede968d3dbb",
 )
 
 
@@ -590,13 +607,13 @@ class TestNonFiniteLoss:
             train(cfg, str(out), log=lambda m: None)
         return cfg, models[0], out, e.value
 
-    def test_names_the_last_poisoned_scene_in_batch_order(self, train_corpus, tmp_path, monkeypatch):
+    def test_names_the_first_poisoned_scene_in_batch_order(self, train_corpus, tmp_path, monkeypatch):
         ids = Dataset(train_corpus).scene_ids("train")
         rng = np.random.default_rng(derive_seed(5, "train"))
         order = [ids[i] for i in rng.permutation(len(ids))]  # the epoch's one batch
         a, b = order[3], order[8]
         cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {a, b})
-        assert f"non-finite loss at epoch 0 scene {b} " in str(err)
+        assert f"non-finite loss at epoch 0 scene {a} " in str(err)
         fresh = SketchLocalizer(cfg, seed=cfg.seed)
         for name, t in model.params.items():
             assert np.array_equal(t.data, fresh.params[name].data), name
@@ -614,14 +631,14 @@ class TestNonFiniteLoss:
             assert np.array_equal(t.data, entries[name]), name
 
     def test_worker_scenes_are_named_in_batch_order(self, train_corpus, tmp_path, monkeypatch):
-        # with 2 processes the parent runs samples 11..6 of the batch and the worker 5..0;
-        # the worker meets order[4] first, which is also the last poisoned scene in batch order
+        # with 2 processes the parent runs samples 0..5 of the batch and the worker 6..11;
+        # the worker meets order[7] first, the first poisoned scene in batch order
         ids = Dataset(train_corpus).scene_ids("train")
         rng = np.random.default_rng(derive_seed(5, "train"))
         order = [ids[i] for i in rng.permutation(len(ids))]
-        a, b = order[1], order[4]
+        a, b = order[7], order[10]
         cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {a, b}, processes=2)
-        assert f"non-finite loss at epoch 0 scene {b} " in str(err)
+        assert f"non-finite loss at epoch 0 scene {a} " in str(err)
         assert "raised in a training worker" in str(err.__cause__)
         fresh = SketchLocalizer(cfg, seed=cfg.seed)
         for name, t in model.params.items():
@@ -632,14 +649,14 @@ class TestNonFiniteLoss:
     @pytest.mark.parametrize("processes", [1, 2])
     def test_a_non_finite_forward_output_is_named_before_matching(self, train_corpus, tmp_path,
                                                                   monkeypatch, processes, output):
-        # the worker, when there is one, runs samples 5..0 and meets order[4] first; the
+        # the worker, when there is one, runs samples 6..11 and meets order[7] first; the
         # matching would otherwise refuse the cost matrix with a bare ValueError
         ids = Dataset(train_corpus).scene_ids("train")
         rng = np.random.default_rng(derive_seed(5, "train"))
         order = [ids[i] for i in rng.permutation(len(ids))]
-        cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {order[1], order[4]},
+        cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {order[7], order[10]},
                                         processes=processes, output=output)
-        assert f"non-finite forward output at epoch 0 scene {order[4]} (class " in str(err)
+        assert f"non-finite forward output at epoch 0 scene {order[7]} (class " in str(err)
         assert ("raised in a training worker" in str(err.__cause__)) == (processes == 2)
         fresh = SketchLocalizer(cfg, seed=cfg.seed)
         for name, t in model.params.items():
@@ -649,12 +666,12 @@ class TestNonFiniteLoss:
     def test_a_worker_still_running_its_half_is_stopped_when_the_parent_raises(
         self, train_corpus, tmp_path, monkeypatch
     ):
-        # with 2 processes the parent runs samples 11..6 of the batch and the worker 5..0;
-        # only order[9], the parent's third sample, is poisoned, and the parent reaches it
+        # with 2 processes the parent runs samples 0..5 of the batch and the worker 6..11;
+        # only order[2], the parent's third sample, is poisoned, and the parent reaches it
         # while the worker is held in its first sample
         ids = Dataset(train_corpus).scene_ids("train")
         rng = np.random.default_rng(derive_seed(5, "train"))
-        poisoned = [ids[i] for i in rng.permutation(len(ids))][9]
+        poisoned = [ids[i] for i in rng.permutation(len(ids))][2]
         parent = os.getpid()
         started = multiprocessing.get_context("fork").Value("i", 0)
         original_load = Dataset.load_scene
@@ -681,6 +698,15 @@ class TestNonFiniteLoss:
         for name, t in model.params.items():
             assert np.array_equal(t.data, fresh.params[name].data), name
         assert not os.path.exists(out / "last.sgl")
+
+
+def leaves(x):
+    """The non-sequence values inside nested lists and tuples."""
+    if isinstance(x, (list, tuple)):
+        for item in x:
+            yield from leaves(item)
+    else:
+        yield x
 
 
 def single_threaded_blas(monkeypatch):
@@ -724,8 +750,8 @@ class TestParallelStep:
             losses = []
             for sid in batch:
                 ann = ds.annotation(sid)
-                cls, sketches = train_module._sample_query(rng, ds, ann, n_sketch)
-                scores, boxes = model.forward(ds.load_scene(sid), sketches)
+                cls, paths = train_module._sample_query(rng, ds, ann, n_sketch)
+                scores, boxes = model.forward(ds.load_scene(sid), [ds.load_sketch(p) for p in paths])
                 gt = ann.boxes[[c == cls for c in ann.classes]] / float(ds.image_size)
                 assign = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt, weights))
                 losses.append(total_loss(scores, boxes, gt, assign, weights).total_tensor)
@@ -737,28 +763,46 @@ class TestParallelStep:
             np.testing.assert_allclose(got[name], w, rtol=1e-12, atol=0, err_msg=name)
 
     def test_bytes_do_not_depend_on_the_process_count(self, train_corpus, tmp_path, monkeypatch):
-        # batches of 5/5/2: the worker runs 2, 2 and 1 samples of them
+        # batches of 5/5/2: the worker runs the last 2, 2 and 1 samples of them
         cfg = tiny_train_config(train_corpus, epochs=2, batch_size=5, protocol_mix=0.5)
-        received = []
+        jobs, replies = [], []
 
-        def counting_receive(conn):
-            results = original_receive(conn)
-            # no gradient array in a reply: per-sample scalars only
-            assert all(np.ndim(loss) == 0 and len(part) == 3 for loss, part in results)
-            assert all(np.ndim(x) == 0 for _, part in results for x in part)
-            received.append(len(results))
-            return results
+        class Recorded:
+            """The parent's end of the pipe, keeping every job and reply."""
 
-        original_receive = train_module._receive
-        monkeypatch.setattr(train_module, "_receive", counting_receive)
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, job):
+                jobs.append(job)
+                self.conn.send(job)
+
+            def recv(self):
+                replies.append(self.conn.recv())
+                return replies[-1]
+
+        @contextlib.contextmanager
+        def recorded_worker(*args):
+            with original_worker(*args) as conn:
+                yield Recorded(conn)
+
+        original_worker = train_module._forked_worker
+        monkeypatch.setattr(train_module, "_forked_worker", recorded_worker)
         files, shipped = {}, {}
         for procs in (1, 2):
             monkeypatch.setattr(train_module, "_forks_worker", lambda n, p=procs: p == 2)
-            received.clear()
+            jobs.clear()
+            replies.clear()
             ckpt = train(cfg, str(tmp_path / f"p{procs}"), log=lambda m: None)
             with open(ckpt, "rb") as f, open(tmp_path / f"p{procs}" / "history.json", "rb") as h:
                 files[procs] = (f.read(), h.read())
-            shipped[procs] = sum(received)
+            shipped[procs] = sum(len(samples) for _, _, samples in jobs)
+            # no array either way: a job names scenes, classes and sketch paths, and a reply
+            # holds one (score, l1, giou, total) record of floats per sample
+            assert all(type(x) in (int, str) for x in leaves(jobs))
+            assert all(len(record) == 4 for reply in replies for record in reply)
+            assert all(type(x) is float for x in leaves(replies))
+            assert [len(reply) for reply in replies] == [len(samples) for _, _, samples in jobs]
             assert training_digests(ckpt) == PINNED_TRAINING, procs
         assert files[1] == files[2]
         # samples that ran in the worker, over 2 epochs of steps of 5, 5 and 2
@@ -767,7 +811,7 @@ class TestParallelStep:
     def test_dataset_error_in_a_worker_reaches_the_caller(self, train_corpus, tmp_path, monkeypatch):
         ids = Dataset(train_corpus).scene_ids("train")
         rng = np.random.default_rng(derive_seed(5, "train"))
-        broken = [ids[i] for i in rng.permutation(len(ids))][2]  # sample 2 of 12: the worker's
+        broken = [ids[i] for i in rng.permutation(len(ids))][8]  # sample 8 of 12: the worker's
         original_load = Dataset.load_scene
 
         def load_scene(ds, sid):
