@@ -11,7 +11,7 @@ from dataclasses import fields
 from .data import SCENE_SHAPE, SKETCH_SHAPE, DataConfig, Dataset, generate_dataset
 from .data import read_pgm, read_ppm, read_raster
 from .metrics import evaluate_queries
-from .train import TrainConfig, load_model, parse_value, train
+from .train import BLAS_THREAD_VARIABLES, TrainConfig, load_model, parse_value, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,7 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--val-sketches-per-class", type=int, default=dc.val_sketches_per_class,
                    help="defaults to a third of the pool, at least 2")
 
-    t = sub.add_parser("train", help="train a model")
+    t = sub.add_parser(
+        "train", help="train a model",
+        description="Train a model. Each step runs the second half of its batch in a forked worker on a "
+                    "second CPU only when each of " + ", ".join(BLAS_THREAD_VARIABLES) + " is set to 1; "
+                    "otherwise one process runs both halves. The checkpoint bytes are the same either way.",
+    )
     t.add_argument("--config", help="flat key = value config file")
     t.add_argument("--out", required=True)
     for f in fields(TrainConfig):

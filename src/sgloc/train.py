@@ -41,20 +41,23 @@ parent runs the first; otherwise the parent runs both, in batch order. The
 float additions are the same either way, so logged losses, `history.json`
 and every checkpoint byte do not depend on whether the worker runs. Only
 ints, strings and floats cross the pipe: a job names its samples' scenes,
-classes and sketch paths, and a reply holds their records.
+classes and sketch paths, and a reply holds their records or is None.
 
 The parameters live in a slab too, so the worker reads the parent's in-place
 Adam updates with nothing sent per step. The worker inherits the process's
-state as it is at the start of the epoch, and it is joined before the
-epoch's checkpoint is written. Forking per step would cost far more in
-copy-on-write faults.
+state as it is at the start of the epoch, and it is terminated and joined
+before the epoch's checkpoint is written. Forking per step would cost far
+more in copy-on-write faults.
 
-A non-finite forward output or loss raises NonFiniteError naming the epoch,
-the scene and the class of the first such sample in batch order, with or
-without the worker: the parent's half comes first, and the worker's reply is
-read only when the parent's half succeeded. A worker's exception is raised in
-the parent with its type and message, and the worker's traceback as its
-cause. Every exception is raised before the step's Adam update, so no
+The worker only ever makes a run faster. When a sample raises in it, or it
+dies, the parent runs that half itself, and every later half of the epoch;
+the next epoch forks a fresh worker. Every half is deterministic, so a
+failure that the parent meets too is raised by the parent, with its own
+traceback, and one that it does not meet (the worker is killed, or runs out
+of memory alone) changes no byte. A non-finite forward output or loss thus
+raises NonFiniteError naming the epoch, the scene and the class of the first
+such sample in batch order, with or without the worker: the parent runs its
+half first. Every exception is raised before the step's Adam update, so no
 parameter changes, and the worker is terminated and joined before it
 propagates, also while it still runs its half: no worker outlives `train`.
 """
@@ -68,11 +71,9 @@ import mmap
 import multiprocessing
 import numbers
 import os
-import pickle
 import signal
 import struct
 import sys
-import traceback
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -443,51 +444,36 @@ def _slab(arrays: list) -> list:
 
 
 def _worker(conn, model, dataset, weights, grads) -> None:
-    """A forked worker's loop for one epoch.
+    """A forked worker's loop for one epoch, until the parent terminates it.
 
     Each job is (epoch, n, [(sid, cls, sketch paths), ...]), the second half
     of one step. The worker runs it into its gradient slab `grads` and
-    replies with one loss record per sample, or, when a sample raises, with
-    (exception, traceback text). None ends the loop."""
+    replies with one loss record per sample, or with None when a sample
+    raises: the parent then runs the half itself."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it and stops this process
-    for job in iter(conn.recv, None):
+    while True:
+        job = conn.recv()
         try:
             reply = _run_half(model, dataset, weights, grads, *job)
-        except Exception as e:  # reported to the parent, which raises it
-            reply = _portable(e)
+        except Exception:  # the parent reruns the half, and meets the exception if it recurs
+            reply = None
         conn.send(reply)
 
 
-def _portable(exc: Exception) -> tuple:
-    """(exception, its traceback text), with the exception replaced by a
-    RuntimeError naming it when it does not survive pickling."""
-    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+def _receive(conn):
+    """The worker's reply to a job: one loss record per sample, or None when
+    a sample raised in the worker or the worker is gone."""
     try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc, tb
-
-
-def _receive(conn) -> list:
-    """The worker's reply to a job, one loss record per sample; raises the
-    worker's exception."""
-    try:
-        msg = conn.recv()
-    except EOFError:
-        raise RuntimeError("a training worker exited before sending its results") from None
-    if isinstance(msg, tuple):
-        exc, tb = msg
-        exc.__cause__ = RuntimeError("raised in a training worker:\n" + tb)
-        raise exc
-    return msg
+        return conn.recv()
+    except (EOFError, OSError):  # a reset, when the worker died with the job unread
+        return None
 
 
 @contextlib.contextmanager
 def _forked_worker(model, dataset, weights, grads):
-    """A worker forked for one epoch, as the parent's end of its pipe. On a
-    normal exit it is told to stop and joined; on an exception it is
-    terminated and joined before the exception propagates."""
+    """A worker forked for one epoch, as the parent's end of its pipe. On
+    every exit it is terminated and joined: it is idle then, unless the
+    parent raised while it ran a half."""
     ctx = multiprocessing.get_context("fork")
     conn, child = ctx.Pipe()
     # daemon: stopped at interpreter exit even if this process dies past `finally`
@@ -496,11 +482,8 @@ def _forked_worker(model, dataset, weights, grads):
     child.close()
     try:
         yield conn
-        conn.send(None)
-        proc.join()
     finally:
-        if proc.is_alive():
-            proc.terminate()
+        proc.terminate()
         proc.join()
         conn.close()
 
@@ -508,8 +491,9 @@ def _forked_worker(model, dataset, weights, grads):
 def train(config: TrainConfig, out_dir: str, log=None) -> str:
     """Run the full training loop; returns the path of the final checkpoint.
 
-    A `num_tokens` below the most objects of one class in a train scene
-    raises ValueError before `out_dir` is made: such a query has more
+    A train scene without objects, or a `num_tokens` below the most objects
+    of one class in a train scene, raises ValueError before `out_dir` is
+    made: such a scene has no class to query, and such a query has more
     ground truths than the matching can assign tokens to."""
     config.validate()
     if log is None:
@@ -517,7 +501,9 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     dataset = Dataset(config.dataset)
     train_ids = dataset.scene_ids("train")
     crowd = {sid: max(Counter(dataset.annotation(sid).classes).values(), default=0) for sid in train_ids}
-    worst = max(crowd, key=crowd.get)
+    bare, worst = min(crowd, key=crowd.get), max(crowd, key=crowd.get)
+    if crowd[bare] == 0:
+        raise ValueError(f"train scene {bare} holds no object to query")
     if crowd[worst] > config.num_tokens:
         raise ValueError(f"num_tokens {config.num_tokens} is below the {crowd[worst]} objects of one "
                          f"class in train scene {worst}")
@@ -550,12 +536,14 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
                            for sid in batch]
                 half = -(-n // 2)  # slab A takes the first ceil(n/2) samples, slab B the rest
                 if conn:
-                    conn.send((epoch, n, samples[half:]))
+                    with contextlib.suppress(OSError):  # a dead worker: `_receive` gives None
+                        conn.send((epoch, n, samples[half:]))
                 records += _run_half(model, dataset, weights, grads_a, epoch, n, samples[:half])
-                if conn:
-                    records += _receive(conn)
-                else:
-                    records += _run_half(model, dataset, weights, grads_b, epoch, n, samples[half:])
+                reply = _receive(conn) if conn else None
+                if reply is None:  # no worker, or it failed: the parent runs this half and the rest
+                    conn = None
+                    reply = _run_half(model, dataset, weights, grads_b, epoch, n, samples[half:])
+                records += reply
                 for a, b in zip(grads_a.values(), grads_b.values()):
                     np.add(a, b, out=a)
                 adam_step(model.params, grads_a, state, config.lr, (config.beta1, config.beta2), config.eps)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 import sgloc
 from sgloc.cli import main
 from sgloc.data import Dataset, write_pgm, write_ppm
-from sgloc.train import load_model, read_checkpoint, save_checkpoint
+from sgloc.train import BLAS_THREAD_VARIABLES, load_model, read_checkpoint, save_checkpoint
+from test_train import empty_scenes
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +178,17 @@ class TestErrors:
         )
         assert not os.path.exists(out)
 
+    def test_train_refuses_a_train_scene_without_objects(self, workspace, tmp_path, capsys):
+        _, data_dir = workspace
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(data_dir, corpus)
+        sid = Dataset(corpus).scene_ids("train")[2]
+        empty_scenes(corpus, [sid])
+        out = tmp_path / "o"
+        assert main(["train", "--dataset", corpus, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: train scene {sid} holds no object to query\n"
+        assert not os.path.exists(out)
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["train", "--no-such-flag", "x", "--out", "y"]) == 2
 
@@ -236,6 +249,13 @@ class TestErrors:
 
     def test_bad_checkpoint_path(self, tmp_path):
         assert main(["eval", "--ckpt", str(tmp_path / "none.sgl")]) == 1
+
+
+def test_train_help_names_the_blas_variables_that_allow_a_worker(capsys):
+    assert main(["train", "--help"]) == 0
+    out = capsys.readouterr().out
+    for var in BLAS_THREAD_VARIABLES:
+        assert var in out, var
 
 
 def test_gradcheck_cli(capsys):

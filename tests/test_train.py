@@ -1,9 +1,12 @@
 import contextlib
 import hashlib
+import json
 import math
 import multiprocessing
 import os
 import re
+import shutil
+import signal
 import struct
 import time
 import tracemalloc
@@ -449,6 +452,19 @@ def tiny_train_config(dataset, **kw):
     return TrainConfig(**base)
 
 
+def empty_scenes(corpus, sids):
+    """Rewrite the annotations of scenes `sids` of `corpus` to hold no object."""
+    path = os.path.join(corpus, "annotations.jsonl")
+    with open(path) as f:
+        lines = f.read().splitlines()
+    for sid in sids:
+        rec = json.loads(lines[sid])
+        rec["boxes"], rec["classes"] = [], []
+        lines[sid] = json.dumps(rec)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def training_digests(ckpt):
     """sha256 over a checkpoint's (name, shape, bytes) entries and over the
     run's history.json."""
@@ -510,6 +526,17 @@ class TestTrainLoop:
         assert not os.path.exists(tmp_path / "run")
         assert os.path.exists(train(tiny_train_config(train_corpus, num_tokens=most),
                                     str(tmp_path / "enough"), log=lambda m: None))
+
+    def test_a_train_scene_without_objects_is_refused_before_the_run(self, train_corpus, tmp_path):
+        # it has no class to query; the first such scene is named
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(train_corpus, corpus)
+        ids = Dataset(corpus).scene_ids("train")
+        empty_scenes(corpus, [ids[5], ids[2]])
+        with pytest.raises(ValueError) as e:
+            train(tiny_train_config(corpus), str(tmp_path / "run"))
+        assert str(e.value) == f"train scene {ids[2]} holds no object to query"
+        assert not os.path.exists(tmp_path / "run")
 
     def test_fixed_batch_overfit_decreases_loss(self, train_corpus):
         ds = Dataset(train_corpus)
@@ -639,7 +666,7 @@ class TestNonFiniteLoss:
         a, b = order[7], order[10]
         cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {a, b}, processes=2)
         assert f"non-finite loss at epoch 0 scene {a} " in str(err)
-        assert "raised in a training worker" in str(err.__cause__)
+        assert err.__cause__ is None  # the parent reran the worker's half and raised itself
         fresh = SketchLocalizer(cfg, seed=cfg.seed)
         for name, t in model.params.items():
             assert np.array_equal(t.data, fresh.params[name].data), name
@@ -657,7 +684,7 @@ class TestNonFiniteLoss:
         cfg, model, out, err = self.run(train_corpus, tmp_path, monkeypatch, {order[7], order[10]},
                                         processes=processes, output=output)
         assert f"non-finite forward output at epoch 0 scene {order[7]} (class " in str(err)
-        assert ("raised in a training worker" in str(err.__cause__)) == (processes == 2)
+        assert err.__cause__ is None
         fresh = SketchLocalizer(cfg, seed=cfg.seed)
         for name, t in model.params.items():
             assert np.array_equal(t.data, fresh.params[name].data), name
@@ -804,6 +831,7 @@ class TestParallelStep:
             assert all(type(x) is float for x in leaves(replies))
             assert [len(reply) for reply in replies] == [len(samples) for _, _, samples in jobs]
             assert training_digests(ckpt) == PINNED_TRAINING, procs
+            assert not multiprocessing.active_children()  # terminated at the end of every epoch
         assert files[1] == files[2]
         # samples that ran in the worker, over 2 epochs of steps of 5, 5 and 2
         assert shipped == {1: 0, 2: 2 * (2 + 2 + 1)}
@@ -825,7 +853,79 @@ class TestParallelStep:
         with pytest.raises(DatasetError) as e:
             train(cfg, str(tmp_path / "run"), log=lambda m: None)
         assert str(e.value) == f"scene {broken}: unreadable"
-        assert "raised in a training worker" in str(e.value.__cause__)
+        assert e.value.__cause__ is None  # the parent reran the worker's half and raised itself
+
+    def run_with_worker(self, corpus, tmp_path, monkeypatch):
+        """The digests of a pinned 2-process run: batches of 5/5/2 over 2 epochs."""
+        monkeypatch.setattr(train_module, "_forks_worker", lambda n: True)
+        cfg = tiny_train_config(corpus, epochs=2, batch_size=5, protocol_mix=0.5)
+        ckpt = train(cfg, str(tmp_path / "run"), log=lambda m: None)
+        assert not multiprocessing.active_children()
+        return training_digests(ckpt)
+
+    def test_a_worker_that_dies_changes_no_byte(self, train_corpus, tmp_path, monkeypatch):
+        # each epoch's worker exits in its first sample: the parent runs that half and the rest
+        parent, original_load = os.getpid(), Dataset.load_scene
+
+        def load_scene(ds, sid):
+            if os.getpid() != parent:
+                os._exit(1)
+            return original_load(ds, sid)
+
+        monkeypatch.setattr(Dataset, "load_scene", load_scene)
+        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == PINNED_TRAINING
+
+    def test_an_exception_in_the_worker_alone_changes_no_byte(self, train_corpus, tmp_path,
+                                                               monkeypatch):
+        parent, original_load = os.getpid(), Dataset.load_scene
+
+        def load_scene(ds, sid):
+            if os.getpid() != parent:
+                raise MemoryError("only in the worker")
+            return original_load(ds, sid)
+
+        monkeypatch.setattr(Dataset, "load_scene", load_scene)
+        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == PINNED_TRAINING
+
+    @pytest.mark.parametrize("unread_job", [False, True])
+    def test_a_killed_worker_changes_no_byte(self, train_corpus, tmp_path, monkeypatch, unread_job):
+        # killed while idle, the worker leaves the parent's next job a closed pipe; killed
+        # with its job unread, it leaves the parent's receive a reset connection
+        killed = []
+
+        def kill_worker():
+            for proc in multiprocessing.active_children():
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(10)
+                killed.append(proc.exitcode)
+
+        class Killing:
+            """The parent's end of the pipe, killing the worker around its epoch's first job."""
+
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, job):
+                if not unread_job:
+                    kill_worker()
+                self.conn.send(job)
+                if unread_job:
+                    kill_worker()
+
+            def recv(self):
+                return self.conn.recv()
+
+        @contextlib.contextmanager
+        def killing_worker(*args):
+            with original_worker(*args) as conn:
+                yield Killing(conn)
+
+        original_worker = train_module._forked_worker
+        monkeypatch.setattr(train_module, "_forked_worker", killing_worker)
+        if unread_job:
+            monkeypatch.setattr(train_module, "_worker", lambda *args: time.sleep(60))
+        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == PINNED_TRAINING
+        assert killed == [-signal.SIGKILL] * 2  # one worker an epoch
 
     def test_a_worker_needs_two_samples_and_two_cpus(self, monkeypatch):
         single_threaded_blas(monkeypatch)
