@@ -28,7 +28,6 @@ from .tensor import (
     mean_groups,
     minimum,
     mul,
-    neg,
     relu,
     reshape,
     scale,
@@ -78,7 +77,6 @@ def _projected(op):
 _OP_CASES = [
     ("add", [(3, 4), (3, 4)], _projected(add)),
     ("sub", [(3, 4), (3, 4)], _projected(sub)),
-    ("neg", [(5,)], _projected(neg)),
     ("mul", [(3, 3), (3, 3)], _projected(mul)),
     ("div", [(4,), (4,)], lambda a, b: sum_all(div(a, add(mul(b, b), Tensor(np.ones(4)))))),
     ("scale", [(3, 2)], _projected(lambda a: scale(a, 1.7))),

@@ -25,7 +25,6 @@ from .tensor import (
     maximum,
     minimum,
     mul,
-    neg,
     scale,
     slice_cols,
     sub,
@@ -206,7 +205,7 @@ def bce_score_loss(scores: Tensor, labels) -> Tensor:
     one = Tensor(np.ones_like(y))
     pos = mul(y_t, log(s))
     negt = mul(ny_t, log(sub(one, s)))
-    return scale(neg(sum_all(add(pos, negt))), 1.0 / y.shape[0])
+    return scale(sum_all(add(pos, negt)), -1.0 / y.shape[0])
 
 
 def _col(x: Tensor, j: int) -> Tensor:

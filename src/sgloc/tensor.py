@@ -163,10 +163,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), lambda g: (g, -g))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of equal-shape tensors."""
     if a.shape != b.shape:

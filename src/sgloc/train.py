@@ -15,9 +15,10 @@ and requires exactly its parameter names and shapes.
 
 The config echoed into a checkpoint is flat `key = value` text, one
 `TrainConfig` field per line. Key order is not significant: a file written
-before the model fields came first still parses to the same config. The key
-`mode`, a field that nothing read, is skipped on read, so checkpoints and
-config files that still carry it parse.
+before the model fields came first still parses to the same config. Keys of
+deleted fields (`RETIRED_KEYS`) are skipped, so older checkpoints and config
+files parse: `mode` whatever its value, Adam's `beta1`, `beta2` and `eps`
+only at the value now fixed. Any other value of these raises ValueError.
 
 Training is fully deterministic given the config seed: data order, query
 sampling, and parameter init all derive from it. Identical configs therefore
@@ -50,16 +51,18 @@ before the epoch's checkpoint is written. Forking per step would cost far
 more in copy-on-write faults.
 
 The worker only ever makes a run faster. When a sample raises in it, or it
-dies, the parent runs that half itself, and every later half of the epoch;
-the next epoch forks a fresh worker. Every half is deterministic, so a
-failure that the parent meets too is raised by the parent, with its own
-traceback, and one that it does not meet (the worker is killed, or runs out
-of memory alone) changes no byte. A non-finite forward output or loss thus
-raises NonFiniteError naming the epoch, the scene and the class of the first
-such sample in batch order, with or without the worker: the parent runs its
-half first. Every exception is raised before the step's Adam update, so no
+dies, the parent runs that half itself, and every later half of the epoch,
+and logs one line saying so; the next epoch forks a fresh worker. Every half
+is deterministic, so a failure that the parent meets too is raised by the
+parent, with its own traceback, and one that it does not meet (the worker is
+killed, or runs out of memory alone) changes no byte of the checkpoint or
+`history.json`. A non-finite forward output or loss thus raises
+NonFiniteError naming the epoch, the scene and the class of the first such
+sample in batch order, with or without the worker: the parent runs its half
+first. Every exception is raised before the step's Adam update, so no
 parameter changes, and the worker is terminated and joined before it
 propagates, also while it still runs its half: no worker outlives `train`.
+If the parent itself is killed, the worker exits when its pipe closes.
 """
 
 from __future__ import annotations
@@ -87,15 +90,19 @@ from .tensor import NonFiniteError, backward, scale
 CHECKPOINT_MAGIC = b"SGL1"
 CHECKPOINT_VERSION = 2
 
+# Adam's constants: the defaults its authors recommend (Kingma & Ba, 2014)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+# keys of deleted config fields, each with the one value it may hold; None: any
+RETIRED_KEYS = {"mode": None, "beta1": ADAM_BETAS[0], "beta2": ADAM_BETAS[1], "eps": ADAM_EPS}
+
 
 @dataclass
 class TrainConfig(ModelConfig):
     """The model's fields (see `ModelConfig`) plus those of the run."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 8
     epochs: int = 40
     lam_cls: float = LossWeights.lam_cls
@@ -108,11 +115,7 @@ class TrainConfig(ModelConfig):
     def validate(self) -> None:
         super().validate()
         self._require(("batch_size", "epochs", "seed"), (int, np.integer), "an integer")
-        self._require(
-            ("lr", "beta1", "beta2", "eps", "lam_cls", "lam_l1", "lam_giou", "protocol_mix"),
-            (numbers.Real,),
-            "a number",
-        )
+        self._require(("lr", "lam_cls", "lam_l1", "lam_giou", "protocol_mix"), (numbers.Real,), "a number")
         self._require(("dataset",), (str,), "a string")
         # `from_text` splits lines, cuts them at '#' and strips them: the path must survive that
         ds = self.dataset
@@ -120,16 +123,13 @@ class TrainConfig(ModelConfig):
             raise ValueError(f"config field dataset must hold no '#', no line break and no leading or "
                              f"trailing whitespace, got {ds!r}")
         # written as `not ...` so that a NaN fails each test too
-        for name in ("lr", "eps", "batch_size", "epochs"):
+        for name in ("lr", "batch_size", "epochs"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"config field {name} must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"config field {name} must lie in [0, 1)")
         for name in ("lam_cls", "lam_l1", "lam_giou"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"config field {name} must not be negative")
-        for name in ("lr", "eps", "lam_cls", "lam_l1", "lam_giou"):
+        for name in ("lr", "lam_cls", "lam_l1", "lam_giou"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"config field {name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.protocol_mix <= 1.0:
@@ -158,7 +158,14 @@ class TrainConfig(ModelConfig):
             if "=" not in line:
                 raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key == "mode":  # a deleted field that older files still carry
+            if key in RETIRED_KEYS:
+                fixed = RETIRED_KEYS[key]
+                try:
+                    kept = fixed is None or float(val) == fixed
+                except ValueError:
+                    kept = False
+                if not kept:
+                    raise ValueError(f"config line {lineno}: {key} is fixed at {fixed}, got {val!r}")
                 continue
             if key not in known:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
@@ -218,14 +225,7 @@ class OptimState:
         self.step = 0
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: OptimState,
-    lr: float,
-    betas=(0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: dict, grads: dict, state: OptimState, lr: float) -> None:
     """One standard Adam update with bias correction, in place, of the
     {name: leaf} `params` from the {leaf: array} `grads` of `backward`. A leaf
     without a gradient gets a zero one. A non-finite gradient raises
@@ -234,7 +234,7 @@ def adam_step(
         g = grads.get(t)
         if g is not None and not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name}")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
@@ -250,7 +250,7 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        update = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         t.data -= update.astype(t.data.dtype)
 
 
@@ -443,21 +443,25 @@ def _slab(arrays: list) -> list:
     return [np.frombuffer(buf, a.dtype, a.size, off).reshape(a.shape) for a, off in zip(arrays, offsets)]
 
 
-def _worker(conn, model, dataset, weights, grads) -> None:
-    """A forked worker's loop for one epoch, until the parent terminates it.
+def _worker(conn, parent_end, model, dataset, weights, grads) -> None:
+    """A forked worker's loop for one epoch, until the parent terminates it
+    or its end of the pipe closes.
 
     Each job is (epoch, n, [(sid, cls, sketch paths), ...]), the second half
     of one step. The worker runs it into its gradient slab `grads` and
     replies with one loss record per sample, or with None when a sample
-    raises: the parent then runs the half itself."""
+    raises: the parent then runs the half itself. The fork's copy of the
+    parent's end, `parent_end`, is closed so that the pipe can read EOF."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it and stops this process
-    while True:
-        job = conn.recv()
-        try:
-            reply = _run_half(model, dataset, weights, grads, *job)
-        except Exception:  # the parent reruns the half, and meets the exception if it recurs
-            reply = None
-        conn.send(reply)
+    parent_end.close()
+    with contextlib.suppress(EOFError, BrokenPipeError):  # the parent is gone: exit quietly
+        while True:
+            job = conn.recv()
+            try:
+                reply = _run_half(model, dataset, weights, grads, *job)
+            except Exception:  # the parent reruns the half, and meets the exception if it recurs
+                reply = None
+            conn.send(reply)
 
 
 def _receive(conn):
@@ -477,7 +481,7 @@ def _forked_worker(model, dataset, weights, grads):
     ctx = multiprocessing.get_context("fork")
     conn, child = ctx.Pipe()
     # daemon: stopped at interpreter exit even if this process dies past `finally`
-    proc = ctx.Process(target=_worker, args=(child, model, dataset, weights, grads), daemon=True)
+    proc = ctx.Process(target=_worker, args=(child, conn, model, dataset, weights, grads), daemon=True)
     proc.start()
     child.close()
     try:
@@ -541,12 +545,14 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
                 records += _run_half(model, dataset, weights, grads_a, epoch, n, samples[:half])
                 reply = _receive(conn) if conn else None
                 if reply is None:  # no worker, or it failed: the parent runs this half and the rest
+                    if conn:
+                        log(f"epoch {epoch + 1}/{config.epochs}: the worker failed; this process runs the rest")
                     conn = None
                     reply = _run_half(model, dataset, weights, grads_b, epoch, n, samples[half:])
                 records += reply
                 for a, b in zip(grads_a.values(), grads_b.values()):
                     np.add(a, b, out=a)
-                adam_step(model.params, grads_a, state, config.lr, (config.beta1, config.beta2), config.eps)
+                adam_step(model.params, grads_a, state, config.lr)
         avg = np.mean(records, axis=0).tolist()
         history.append(
             {"epoch": epoch, "score": avg[0], "l1": avg[1], "giou": avg[2], "total": avg[3]}

@@ -144,8 +144,9 @@ class TestErrors:
         [
             (b"d = 8\nbogus = 1\n", "config line 2: unknown key 'bogus'"),
             (b"d = 8\n\xff\n", "not UTF-8 text (byte 6: invalid start byte)"),
+            (b"d = 8\nbeta1 = 0.5\n", "config line 2: beta1 is fixed at 0.9, got '0.5'"),
         ],
-        ids=["unknown-key", "not-utf8"],
+        ids=["unknown-key", "not-utf8", "retired-key"],
     )
     def test_config_file_errors_name_the_file(self, tmp_path, capsys, blob, fault):
         cfg = tmp_path / "bad.cfg"
@@ -196,6 +197,13 @@ class TestErrors:
         assert main(["train", "--mode", "open", "--out", str(tmp_path / "o")]) == 2
         assert main(["gen-data", "--mode", "open", "--out", str(tmp_path / "c")]) == 2
         assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("flag, value", [("--beta1", "0.9"), ("--beta2", "0.999"), ("--eps", "1e-8")])
+    def test_deleted_adam_flag_exits_2(self, tmp_path, capsys, flag, value):
+        # Adam's betas and eps are constants of `sgloc.train`, not settings
+        assert main(["train", flag, value, "--out", str(tmp_path / "o")]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_unseen_ids_alone_hold_classes_out(self, tmp_path):
         out = str(tmp_path / "c")

@@ -20,7 +20,6 @@ from sgloc.tensor import (
     matmul,
     mean_groups,
     mul,
-    neg,
     relu,
     scale,
     sigmoid,
@@ -248,12 +247,12 @@ class TestNoGrad:
         with pytest.raises(KeyError):
             with T.no_grad():
                 raise KeyError("inside the block")
-        assert neg(w).requires_grad
+        assert scale(w, -1.0).requires_grad
         with T.no_grad():
             with T.no_grad():
-                assert not neg(w).requires_grad
-            assert not neg(w).requires_grad
-        assert neg(w).requires_grad
+                assert not scale(w, -1.0).requires_grad
+            assert not scale(w, -1.0).requires_grad
+        assert scale(w, -1.0).requires_grad
 
 
 class TestElementwise:
@@ -265,7 +264,7 @@ class TestElementwise:
 
     def test_add_negate(self, rng):
         x = Tensor(rng.standard_normal((3, 3)))
-        assert np.array_equal(add(x, neg(x)).data, np.zeros((3, 3)))
+        assert np.array_equal(add(x, scale(x, -1.0)).data, np.zeros((3, 3)))
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -372,7 +371,7 @@ class TestBackward:
 def random_loss(ws, terms):
     """sum_all of a left-to-right sum of scale(mul(op(ws[i]), ws[j]), s) terms:
     a leaf may appear in several terms and twice in one."""
-    ops = (lambda t: t, sigmoid, neg)
+    ops = (lambda t: t, sigmoid, lambda t: scale(t, -1.0))
     return sum_all(add_n([scale(mul(ops[o](ws[i]), ws[j]), s) for i, j, o, s in terms]))
 
 

@@ -49,7 +49,7 @@ class TestAdam:
         w = leaf(1.0, 1.0)
         state = OptimState({"w": w})
         g = np.array([0.3, -0.8])
-        adam_step({"w": w}, {w: g}, state, lr=0.01, eps=1e-8)
+        adam_step({"w": w}, {w: g}, state, lr=0.01)
         # after bias correction the first update is ~ -lr * sign(g)
         want = 1.0 - 0.01 * np.sign(g)
         assert np.allclose(w.data, want, atol=1e-6)
@@ -137,17 +137,39 @@ class TestTrainConfig:
         )
         assert TrainConfig.from_text(old) == TrainConfig()
 
+    def test_text_written_while_adam_had_config_fields_parses_to_default(self):
+        # `TrainConfig().to_text()` as written while beta1, beta2 and eps were fields
+        old = (
+            "d = 64\nheads = 4\nstages = 3\ndec_layers = 2\nnum_tokens = 100\nd_hidden = 128\n"
+            "sketch_layers = 2\nencoder_fusion = true\nrefinement = true\nlr = 0.001\nbeta1 = 0.9\n"
+            "beta2 = 0.999\neps = 1e-08\nbatch_size = 8\nepochs = 40\nlam_cls = 2.0\nlam_l1 = 5.0\n"
+            "lam_giou = 2.0\nseed = 0\ndataset = \nprotocol_mix = 0.5\n"
+        )
+        assert TrainConfig.from_text(old) == TrainConfig()
+        assert TrainConfig().to_text() == old.replace("beta1 = 0.9\nbeta2 = 0.999\neps = 1e-08\n", "")
+
     def test_mode_key_of_older_files_is_skipped(self):
         assert TrainConfig.from_text("mode = open\nd = 32\n") == TrainConfig(d=32)
+
+    @pytest.mark.parametrize("line", ["beta1 = 0.9", "beta2 = 0.999", "eps = 1e-08", "eps = 1e-8", "eps = 0.00000001"],
+                             ids=["beta1", "beta2", "eps", "eps-short", "eps-decimal"])
+    def test_a_retired_adam_key_at_its_fixed_value_is_skipped(self, line):
+        assert TrainConfig.from_text(f"d = 32\n{line}\n") == TrainConfig(d=32)
+
+    @pytest.mark.parametrize(
+        "key, value, fixed",
+        [("beta1", "1.0", 0.9), ("beta1", "-0.1", 0.9), ("beta2", "1.5", 0.999), ("eps", "-1.0", 1e-08),
+         ("eps", "0.0", 1e-08), ("eps", "inf", 1e-08), ("eps", "nan", 1e-08), ("beta1", "fast", 0.9)],
+    )
+    def test_a_retired_adam_key_at_another_value_is_refused(self, key, value, fixed):
+        # the setting would otherwise be dropped without a word
+        with pytest.raises(ValueError) as e:
+            TrainConfig.from_text(f"# run\n{key} = {value}\n")
+        assert str(e.value) == f"config line 2: {key} is fixed at {fixed}, got {value!r}"
 
     @pytest.mark.parametrize(
         "field, value, want",
         [
-            ("beta1", 1.0, r"lie in \[0, 1\)"),
-            ("beta1", -0.1, r"lie in \[0, 1\)"),
-            ("beta2", 1.5, r"lie in \[0, 1\)"),
-            ("eps", -1.0, "be positive"),
-            ("eps", 0.0, "be positive"),
             ("lr", math.nan, "be positive"),
             ("lam_cls", -2.0, "not be negative"),
             ("lam_l1", -1.0, "not be negative"),
@@ -158,9 +180,8 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"config field {field} must {want}"):
             TrainConfig(**{field: value}).validate()
 
-    @pytest.mark.parametrize("field", ["lr", "eps", "lam_cls", "lam_l1", "lam_giou"])
+    @pytest.mark.parametrize("field", ["lr", "lam_cls", "lam_l1", "lam_giou"])
     def test_infinite_optimizer_and_loss_settings_are_refused(self, field):
-        # eps = inf makes every Adam update 0, so a run would learn nothing
         for cfg in (TrainConfig(**{field: math.inf}), TrainConfig.from_text(f"{field} = inf\n")):
             with pytest.raises(ValueError, match=f"config field {field} must be finite, got inf"):
                 cfg.validate()
@@ -188,8 +209,7 @@ class TestTrainConfig:
         "field, value, kind",
         [("encoder_fusion", "false", "a bool"), ("refinement", "false", "a bool"),
          ("refinement", 1, "a bool"), ("encoder_fusion", None, "a bool"),
-         ("lr", "0.1", "a number"), ("protocol_mix", "0.5", "a number"), ("beta1", None, "a number"),
-         ("beta2", True, "a number"), ("eps", "1e-8", "a number"), ("lam_cls", None, "a number"),
+         ("lr", "0.1", "a number"), ("protocol_mix", "0.5", "a number"), ("lam_cls", None, "a number"),
          ("lam_giou", False, "a number"), ("dataset", None, "a string"), ("dataset", 3, "a string")],
     )
     def test_wrongly_typed_field_is_named(self, field, value, kind):
@@ -213,7 +233,7 @@ class TestTrainConfig:
         assert TrainConfig.from_text(cfg.to_text()).dataset == dataset
 
     def test_numpy_floats_and_ints_are_numbers(self):
-        TrainConfig(lr=np.float32(1e-3), beta1=np.float64(0.9), eps=1, protocol_mix=np.int64(1)).validate()
+        TrainConfig(lr=np.float32(1e-3), lam_l1=np.float64(5.0), lam_cls=1, protocol_mix=np.int64(1)).validate()
 
     def test_numpy_integers_are_integers(self):
         TrainConfig(d=np.int64(32), heads=np.int32(2), batch_size=np.int64(4), seed=np.uint8(3)).validate()
@@ -250,6 +270,19 @@ class TestCheckpoint:
         fresh = tiny_model(seed=1)
         assert list(m2.params) == list(m.params)
         assert any(not np.array_equal(t.data, fresh.params[n].data) for n, t in m.params.items())
+        for name, t in m.params.items():
+            assert np.array_equal(t.data, m2.params[name].data), name
+
+    def test_a_checkpoint_echoing_the_retired_adam_keys_loads(self, tmp_path):
+        # its config text as `train` wrote it while beta1, beta2 and eps were fields
+        cfg = tiny_train_config("corpus", **self.ECHO)
+        echoed = cfg.to_text().replace("lr = 0.001\n", "lr = 0.001\nbeta1 = 0.9\nbeta2 = 0.999\neps = 1e-08\n")
+        assert echoed != cfg.to_text()
+        m = tiny_model(seed=9)
+        path = str(tmp_path / "a.sgl")
+        save_checkpoint(path, m, echoed)
+        m2, loaded = load_model(path)
+        assert loaded == cfg
         for name, t in m.params.items():
             assert np.array_equal(t.data, m2.params[name].data), name
 
@@ -820,7 +853,9 @@ class TestParallelStep:
             monkeypatch.setattr(train_module, "_forks_worker", lambda n, p=procs: p == 2)
             jobs.clear()
             replies.clear()
-            ckpt = train(cfg, str(tmp_path / f"p{procs}"), log=lambda m: None)
+            msgs = []
+            ckpt = train(cfg, str(tmp_path / f"p{procs}"), log=msgs.append)
+            assert len(msgs) == cfg.epochs  # one line an epoch, and none of a takeover
             with open(ckpt, "rb") as f, open(tmp_path / f"p{procs}" / "history.json", "rb") as h:
                 files[procs] = (f.read(), h.read())
             shipped[procs] = sum(len(samples) for _, _, samples in jobs)
@@ -856,12 +891,17 @@ class TestParallelStep:
         assert e.value.__cause__ is None  # the parent reran the worker's half and raised itself
 
     def run_with_worker(self, corpus, tmp_path, monkeypatch):
-        """The digests of a pinned 2-process run: batches of 5/5/2 over 2 epochs."""
+        """The digests of a pinned 2-process run, batches of 5/5/2 over 2
+        epochs, and the epochs (from 1) in which it logged that the parent
+        took over from the worker."""
         monkeypatch.setattr(train_module, "_forks_worker", lambda n: True)
         cfg = tiny_train_config(corpus, epochs=2, batch_size=5, protocol_mix=0.5)
-        ckpt = train(cfg, str(tmp_path / "run"), log=lambda m: None)
+        msgs = []
+        ckpt = train(cfg, str(tmp_path / "run"), log=msgs.append)
         assert not multiprocessing.active_children()
-        return training_digests(ckpt)
+        takeovers = [int(re.match(r"epoch (\d+)/2: ", m)[1]) for m in msgs if "the worker failed" in m]
+        assert len(msgs) == cfg.epochs + len(takeovers)
+        return training_digests(ckpt), takeovers
 
     def test_a_worker_that_dies_changes_no_byte(self, train_corpus, tmp_path, monkeypatch):
         # each epoch's worker exits in its first sample: the parent runs that half and the rest
@@ -873,7 +913,7 @@ class TestParallelStep:
             return original_load(ds, sid)
 
         monkeypatch.setattr(Dataset, "load_scene", load_scene)
-        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == PINNED_TRAINING
+        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == (PINNED_TRAINING, [1, 2])
 
     def test_an_exception_in_the_worker_alone_changes_no_byte(self, train_corpus, tmp_path,
                                                                monkeypatch):
@@ -885,7 +925,7 @@ class TestParallelStep:
             return original_load(ds, sid)
 
         monkeypatch.setattr(Dataset, "load_scene", load_scene)
-        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == PINNED_TRAINING
+        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == (PINNED_TRAINING, [1, 2])
 
     @pytest.mark.parametrize("unread_job", [False, True])
     def test_a_killed_worker_changes_no_byte(self, train_corpus, tmp_path, monkeypatch, unread_job):
@@ -924,8 +964,18 @@ class TestParallelStep:
         monkeypatch.setattr(train_module, "_forked_worker", killing_worker)
         if unread_job:
             monkeypatch.setattr(train_module, "_worker", lambda *args: time.sleep(60))
-        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == PINNED_TRAINING
+        assert self.run_with_worker(train_corpus, tmp_path, monkeypatch) == (PINNED_TRAINING, [1, 2])
         assert killed == [-signal.SIGKILL] * 2  # one worker an epoch
+
+    def test_a_worker_exits_when_the_parent_end_of_its_pipe_closes(self, capfd):
+        # as when the parent is killed: the worker must not wait for a job forever
+        with train_module._forked_worker(None, None, None, None) as conn:
+            (worker,) = multiprocessing.active_children()
+            conn.close()
+            worker.join(2)
+            exitcode = worker.exitcode
+        assert exitcode == 0  # by itself, before `_forked_worker` terminated it
+        assert capfd.readouterr().err == ""
 
     def test_a_worker_needs_two_samples_and_two_cpus(self, monkeypatch):
         single_threaded_blas(monkeypatch)
