@@ -26,12 +26,13 @@ the first renderers did.
 On-disk layout:
     scenes/NNNNNN.ppm          binary P6
     sketches/CLASS/NNNN.pgm    binary P5
-    annotations.jsonl          {"image": ..., "boxes": [[x0,y0,x1,y1],..], "classes": [..]}
+    annotations.jsonl          {"boxes": [[x0,y0,x1,y1],..], "classes": [..]}, one line per scene, in id order
     split.json                 the DataConfig, as a JSON object of its six fields
 
 A corpus is a pure function of its `DataConfig`, so `split.json` stores only
-that: `Dataset` derives the seen/unseen classes, scene ids and sketch pools
-from it with `make_splits`, the same call `generate_dataset` makes.
+that. `Dataset` derives the seen/unseen classes, scene ids and sketch pools
+from `Dataset.config` when asked, and `scene_path` and `sketch_path` name the
+files.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -249,6 +250,54 @@ class DataConfig:
     sketches_per_class: int = 24  # the last val_sketches_per_class of them are val sketches
     val_sketches_per_class: int | None = None  # None: a third of the pool, at least 2
     seed: int = 0
+
+    @property
+    def seen(self) -> list:
+        """The class ids that train scenes and sketches may hold."""
+        return [c for c in range(len(CLASS_NAMES)) if c not in self.unseen]
+
+    @property
+    def n_val_sketches(self) -> int:
+        n = self.val_sketches_per_class
+        return max(2, self.sketches_per_class // 3) if n is None else n
+
+    def validate(self) -> None:
+        """Raise a DatasetError for the first field that no corpus can have.
+        Fields are integers (numpy's too, bools not), `unseen` a list or tuple
+        of distinct class ids, fewer than half the classes, and
+        `val_sketches_per_class` may be None. The scene counts are positive
+        and the val pool is a non-empty, proper part of each class's pool."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "unseen":
+                if not (isinstance(v, (list, tuple)) and all(map(_is_int, v))):
+                    raise DatasetError(f"'unseen' {v!r} is not a list of class ids")
+            elif not (_is_int(v) or (v is None and f.name == "val_sketches_per_class")):
+                raise DatasetError(f"{f.name!r} {v!r} is not an int")
+        for name in ("n_train", "n_val"):
+            if getattr(self, name) <= 0:
+                raise DatasetError(f"config field {name} must be positive, got {getattr(self, name)}")
+        unseen = self.unseen
+        if len(set(unseen)) != len(unseen) or not all(0 <= u < len(CLASS_NAMES) for u in unseen):
+            raise DatasetError(f"invalid unseen class ids {tuple(unseen)}")
+        if len(unseen) >= len(CLASS_NAMES) / 2:
+            raise DatasetError("unseen classes must be fewer than half of all classes")
+        if not 0 < self.n_val_sketches < self.sketches_per_class:
+            raise DatasetError("val sketch count must be positive and below the pool size")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def scene_path(sid: int) -> str:
+    """Where scene `sid` lies, relative to the corpus root."""
+    return f"scenes/{sid:06d}.ppm"
+
+
+def sketch_path(cls: int, i: int) -> str:
+    """Where sketch `i` of class `cls` lies, relative to the corpus root."""
+    return f"sketches/{CLASS_NAMES[cls]}/{i:04d}.pgm"
 
 
 @dataclass
@@ -507,58 +556,14 @@ def _parse_pnm_header(data: bytes, path: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# splits and dataset directories
-
-
-@dataclass
-class DatasetSplit:
-    seen: list
-    unseen: list
-    train_scenes: list
-    val_scenes: list
-    train_sketches: dict  # class id -> list of relative paths
-    val_sketches: dict
-
-
-def make_splits(config: DataConfig) -> DatasetSplit:
-    """Decide seen/unseen classes, scene id ranges, and per-class sketch pools."""
-    for name in ("n_train", "n_val"):
-        if getattr(config, name) <= 0:
-            raise DatasetError(f"config field {name} must be positive, got {getattr(config, name)}")
-    all_ids = list(range(len(CLASS_NAMES)))
-    unseen = sorted(int(u) for u in config.unseen)
-    if len(set(unseen)) != len(unseen) or any(u not in all_ids for u in unseen):
-        raise DatasetError(f"invalid unseen class ids {config.unseen}")
-    if len(unseen) >= len(CLASS_NAMES) / 2:
-        raise DatasetError("unseen classes must be fewer than half of all classes")
-    seen = [c for c in all_ids if c not in unseen]
-
-    n_sk = config.sketches_per_class
-    n_val_sk = config.val_sketches_per_class
-    if n_val_sk is None:
-        n_val_sk = max(2, n_sk // 3)
-    if not (0 < n_val_sk < n_sk):
-        raise DatasetError("val sketch count must be positive and below the pool size")
-    train_sk, val_sk = {}, {}
-    for c in all_ids:
-        paths = [f"sketches/{CLASS_NAMES[c]}/{i:04d}.pgm" for i in range(n_sk)]
-        val_sk[c] = paths[n_sk - n_val_sk :]
-        train_sk[c] = [] if c in unseen else paths[: n_sk - n_val_sk]
-    return DatasetSplit(
-        seen=seen,
-        unseen=unseen,
-        train_scenes=list(range(config.n_train)),
-        val_scenes=list(range(config.n_train, config.n_train + config.n_val)),
-        train_sketches=train_sk,
-        val_sketches=val_sk,
-    )
+# dataset directories
 
 
 def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
     """Generate and write a full corpus into `out_dir`, which must be new or
     empty, so that no file of an earlier corpus stays behind; returns the
     loaded Dataset."""
-    split = make_splits(config)
+    config.validate()
     if os.path.exists(out_dir) and (not os.path.isdir(out_dir) or os.listdir(out_dir)):
         raise DatasetError(f"{out_dir}: exists and is not an empty directory")
     os.makedirs(os.path.join(out_dir, "scenes"), exist_ok=True)
@@ -566,30 +571,22 @@ def generate_dataset(config: DataConfig, out_dir: str) -> "Dataset":
         os.makedirs(os.path.join(out_dir, "sketches", name), exist_ok=True)
 
     lines = []
-    for sid in split.train_scenes + split.val_scenes:
-        pool = split.seen if sid < config.n_train else None
+    for sid in range(config.n_train + config.n_val):
+        pool = config.seen if sid < config.n_train else None
         sample = generate_scene(derive_seed(config.seed, "scene", sid), classes=pool)
-        rel = f"scenes/{sid:06d}.ppm"
-        write_ppm(os.path.join(out_dir, rel), sample.image)
-        lines.append(
-            json.dumps(
-                {
-                    "image": rel,
-                    "boxes": [[int(v) for v in b] for b in sample.boxes],
-                    "classes": [int(c) for c in sample.classes],
-                }
-            )
-        )
+        write_ppm(os.path.join(out_dir, scene_path(sid)), sample.image)
+        boxes = [[int(v) for v in b] for b in sample.boxes]
+        lines.append(json.dumps({"boxes": boxes, "classes": [int(c) for c in sample.classes]}))
     with open(os.path.join(out_dir, "annotations.jsonl"), "w") as f:
         f.write("\n".join(lines) + "\n")
 
     for c in range(len(CLASS_NAMES)):
         for i in range(config.sketches_per_class):
             img = render_sketch(c, derive_seed(config.seed, "sketch", c, i))
-            write_pgm(os.path.join(out_dir, f"sketches/{CLASS_NAMES[c]}/{i:04d}.pgm"), img)
+            write_pgm(os.path.join(out_dir, sketch_path(c, i)), img)
 
     with open(os.path.join(out_dir, "split.json"), "w") as f:
-        json.dump(asdict(config), f, indent=1)
+        json.dump(asdict(config), f, indent=1, default=int)  # default: numpy integers
     return Dataset(out_dir)
 
 
@@ -626,7 +623,9 @@ def _json_record(text: str, where: str, keys: tuple) -> dict:
 
 
 def _annotation(rec: dict, where: str) -> Annotation:
-    """The boxes and class ids of one annotation record, checked."""
+    """The boxes and class ids of one annotation record, checked: each box
+    must be one that `_tight_box` can write, 0 <= x0 < x1 <= 64 and
+    0 <= y0 < y1 <= 64 (NaN fails every comparison)."""
     try:
         boxes = np.array(rec["boxes"], dtype=np.float64)
     except (TypeError, ValueError):
@@ -635,6 +634,11 @@ def _annotation(rec: dict, where: str) -> Annotation:
         boxes = boxes.reshape(0, 4)
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise DatasetError(f"{where}: boxes have shape {boxes.shape}, not (n, 4)")
+    x0, y0, x1, y1 = boxes.T
+    inside = (0 <= x0) & (x0 < x1) & (x1 <= IMAGE_SIZE) & (0 <= y0) & (y0 < y1) & (y1 <= IMAGE_SIZE)
+    if not inside.all():
+        box = rec["boxes"][int(np.argmin(inside))]
+        raise DatasetError(f"{where}: box {box!r} is not 0 <= x0 < x1 <= 64 and 0 <= y0 < y1 <= 64")
     classes = rec["classes"]
     if not isinstance(classes, list) or len(classes) != len(boxes):
         raise DatasetError(f"{where}: {len(boxes)} boxes but classes {classes!r}")
@@ -645,20 +649,19 @@ def _annotation(rec: dict, where: str) -> Annotation:
 
 
 def _data_config(text: str, where: str) -> DataConfig:
-    """The DataConfig that split.json text records: exactly its fields, each
-    an int (bools are not ints), `unseen` a list of them and
-    `val_sketches_per_class` possibly null."""
+    """The DataConfig that split.json text records: exactly its fields,
+    passing `DataConfig.validate`, with `unseen` as a tuple."""
     names = [f.name for f in fields(DataConfig)]
     raw = _json_record(text, where, names)
-    for key, v in raw.items():
+    for key in raw:
         if key not in names:
             raise DatasetError(f"{where}: unknown key {key!r}")
-        if key == "unseen":
-            if not (isinstance(v, list) and all(type(u) is int for u in v)):
-                raise DatasetError(f"{where}: 'unseen' {v!r} is not a list of class ids")
-        elif not (type(v) is int or (v is None and key == "val_sketches_per_class")):
-            raise DatasetError(f"{where}: {key!r} {v!r} is not an int")
-    return DataConfig(**{**raw, "unseen": tuple(raw["unseen"])})
+    config = DataConfig(**raw)
+    try:
+        config.validate()
+    except DatasetError as e:
+        raise DatasetError(f"{where}: {e}") from None
+    return replace(config, unseen=tuple(config.unseen))
 
 
 class Dataset:
@@ -678,12 +681,7 @@ class Dataset:
         for lineno, line in enumerate(_read_text(ann_path).split("\n"), 1):
             if line.strip():
                 where = f"{ann_path} line {lineno}"
-                rec = _json_record(line, where, ("image", "boxes", "classes"))
-                if not isinstance(rec["image"], str):
-                    raise DatasetError(f"{where}: 'image' {rec['image']!r} is not a path string")
-                self.annotations.append((rec["image"], _annotation(rec, where)))
-        # both checks come before make_splits, which lists every scene id and
-        # sketch path the config names
+                self.annotations.append(_annotation(_json_record(line, where, ("boxes", "classes")), where))
         n_scenes = self.config.n_train + self.config.n_val
         if len(self.annotations) != n_scenes:
             raise DatasetError(
@@ -691,44 +689,41 @@ class Dataset:
                 f"holds {len(self.annotations)} annotations"
             )
         n_sk = self.config.sketches_per_class
-        last = os.path.join(root, "sketches", CLASS_NAMES[0], f"{n_sk - 1:04d}.pgm")
-        if n_sk > 0 and not os.path.exists(last):
+        last = os.path.join(root, sketch_path(0, n_sk - 1))
+        if not os.path.exists(last):
             raise DatasetError(f"{split_path}: sketches_per_class is {n_sk}, but there is no {last}")
-        try:
-            self.split = make_splits(self.config)
-        except DatasetError as e:
-            raise DatasetError(f"{split_path}: {e}") from None
         self._scene_cache: dict = {}
         self._sketch_cache: dict = {}
 
     def scene_ids(self, subset: str) -> list:
+        n_train = self.config.n_train
         if subset == "train":
-            return list(self.split.train_scenes)
+            return list(range(n_train))
         if subset == "val":
-            return list(self.split.val_scenes)
+            return list(range(n_train, n_train + self.config.n_val))
         raise DatasetError(f"unknown subset {subset!r}")
 
     def annotation(self, sid: int) -> Annotation:
-        return self.annotations[sid][1]
+        return self.annotations[sid]
 
     def load_scene(self, sid: int) -> np.ndarray:
         got = self._scene_cache.get(sid)
         if got is None:
-            got = read_raster(read_ppm, os.path.join(self.root, self.annotations[sid][0]), SCENE_SHAPE)
+            got = read_raster(read_ppm, os.path.join(self.root, scene_path(sid)), SCENE_SHAPE)
             self._scene_cache[sid] = got
         return got
 
     def sketch_pool(self, cls: int, subset: str) -> list:
-        if subset == "train":
-            pools = self.split.train_sketches
-        elif subset == "val":
-            pools = self.split.val_sketches
-        else:
+        """Class `cls`'s `subset` sketch paths: the last `n_val_sketches` of
+        its pool for val, the rest for train unless the class is unseen."""
+        if subset not in ("train", "val"):
             raise DatasetError(f"unknown subset {subset!r}")
-        pool = pools.get(int(cls), [])
-        if not pool:
+        n_sk = self.config.sketches_per_class
+        cut = n_sk - self.config.n_val_sketches
+        ids = range(cut, n_sk) if subset == "val" else range(0 if cls in self.config.unseen else cut)
+        if not ids or int(cls) not in range(len(CLASS_NAMES)):
             raise DatasetError(f"empty {subset} sketch pool for class {cls}")
-        return pool
+        return [sketch_path(int(cls), i) for i in ids]
 
     def draw_sketches(self, rng, cls: int, subset: str, n: int) -> list:
         """`n` paths drawn by `rng` from the `subset` sketch pool of class

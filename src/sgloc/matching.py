@@ -57,7 +57,6 @@ class LossBreakdown:
     l1_loss: float
     giou_loss: float
     total: float
-    weights: LossWeights
     total_tensor: Tensor = field(repr=False)
 
 
@@ -261,14 +260,7 @@ def total_loss(
         matched = gather_rows(boxes, assignment.token_for_gt)
         l1_t = l1_loss_matched(matched, gt_corners)
         giou_t = giou_loss_matched(matched, gt_corners)
-        total_t = add_weighted(score_t, l1_t, giou_t, w)
-        return LossBreakdown(
-            score_t.item(), l1_t.item(), giou_t.item(),
-            total_t.item(), w, total_t,
-        )
+        total_t = add(add(scale(score_t, w.lam_cls), scale(l1_t, w.lam_l1)), scale(giou_t, w.lam_giou))
+        return LossBreakdown(score_t.item(), l1_t.item(), giou_t.item(), total_t.item(), total_t)
     total_t = scale(score_t, w.lam_cls)
-    return LossBreakdown(score_t.item(), 0.0, 0.0, total_t.item(), w, total_t)
-
-
-def add_weighted(score_t: Tensor, l1_t: Tensor, giou_t: Tensor, w: LossWeights) -> Tensor:
-    return add(add(scale(score_t, w.lam_cls), scale(l1_t, w.lam_l1)), scale(giou_t, w.lam_giou))
+    return LossBreakdown(score_t.item(), 0.0, 0.0, total_t.item(), total_t)

@@ -51,8 +51,8 @@ class TestGenData:
         ds = Dataset(data_dir)
         assert len(ds.scene_ids("train")) == 10
         assert len(ds.scene_ids("val")) == 4
-        assert ds.split.unseen == [10, 11]
-        assert len(ds.split.val_sketches[0]) == 2  # a third of the 6-sketch pool
+        assert ds.config.unseen == (10, 11)
+        assert len(ds.sketch_pool(0, "val")) == 2  # a third of the 6-sketch pool
 
 
 class TestTrainEval:
@@ -209,7 +209,7 @@ class TestErrors:
         out = str(tmp_path / "c")
         assert main(["gen-data", "--out", out, "--unseen", "3", "--train", "4", "--val", "2",
                      "--sketches-per-class", "3"]) == 0
-        assert Dataset(out).split.unseen == [3]
+        assert Dataset(out).config.unseen == (3,)
 
     def test_bad_boolean_flag_exits_2(self, tmp_path, capsys):
         assert main(["train", "--refinement", "maybe", "--out", str(tmp_path / "o")]) == 2

@@ -21,10 +21,10 @@ from sgloc.data import (
     derive_seed,
     generate_dataset,
     generate_scene,
-    make_splits,
     read_pgm,
     read_ppm,
     render_sketch,
+    sketch_path,
     splitmix64,
     write_pgm,
     write_ppm,
@@ -347,41 +347,78 @@ class TestClassIds:
 
 
 class TestSplits:
-    def test_closed_world_empty_unseen(self):
-        split = make_splits(DataConfig())
-        assert split.unseen == []
-        assert len(split.seen) == 12
-        assert all(split.train_sketches[c] for c in range(12))
+    def test_closed_world_empty_unseen(self, tmp_path):
+        cfg = DataConfig(n_train=1, n_val=1, sketches_per_class=3)
+        ds = generate_dataset(cfg, str(tmp_path))
+        assert cfg.unseen == () and cfg.seen == list(range(12))
+        assert all(ds.sketch_pool(c, "train") == [sketch_path(c, 0)] for c in range(12))
 
-    def test_open_world_pools(self):
-        split = make_splits(DataConfig(unseen=(10, 11)))
-        assert split.unseen == [10, 11]
-        assert split.train_sketches[10] == [] and split.train_sketches[11] == []
-        assert len(split.val_sketches[10]) == 8
-        assert not set(split.train_sketches[0]) & set(split.val_sketches[0])
+    def test_open_world_pools(self, small_open_dataset):
+        ds, _, _ = small_open_dataset  # unseen 10 and 11; 6 sketches a class, 2 of them val
+        assert ds.config.seen == list(range(10))
+        for c in (10, 11):
+            with pytest.raises(DatasetError, match=f"empty train sketch pool for class {c}"):
+                ds.sketch_pool(c, "train")
+            assert ds.sketch_pool(c, "val") == [sketch_path(c, 4), sketch_path(c, 5)]
+        assert ds.sketch_pool(0, "train") == [sketch_path(0, i) for i in range(4)]
+        assert not set(ds.sketch_pool(0, "train")) & set(ds.sketch_pool(0, "val"))
 
     def test_invalid_unseen_rejected(self):
-        with pytest.raises(DatasetError):
-            make_splits(DataConfig(unseen=(10, 10)))
-        with pytest.raises(DatasetError):
-            make_splits(DataConfig(unseen=(99,)))
-        with pytest.raises(DatasetError):
-            make_splits(DataConfig(unseen=(0, 1, 2, 3, 4, 5)))
+        with pytest.raises(DatasetError, match=r"invalid unseen class ids \(10, 10\)"):
+            DataConfig(unseen=(10, 10)).validate()
+        with pytest.raises(DatasetError, match=r"invalid unseen class ids \(99,\)"):
+            DataConfig(unseen=(99,)).validate()
+        with pytest.raises(DatasetError, match="fewer than half of all classes"):
+            DataConfig(unseen=(0, 1, 2, 3, 4, 5)).validate()
 
-    def test_unseen_classes_alone_make_the_world_open(self):
-        split = make_splits(DataConfig(unseen=(3,)))
-        assert split.unseen == [3] and 3 not in split.seen
-        assert split.train_sketches[3] == [] and split.val_sketches[3]
+    def test_unseen_classes_alone_make_the_world_open(self, tmp_path):
+        cfg = DataConfig(n_train=1, n_val=1, unseen=(3,), sketches_per_class=3)
+        ds = generate_dataset(cfg, str(tmp_path))
+        assert ds.config.unseen == (3,) and 3 not in ds.config.seen
+        with pytest.raises(DatasetError, match="empty train sketch pool for class 3"):
+            ds.sketch_pool(3, "train")
+        assert ds.sketch_pool(3, "val")
 
     @pytest.mark.parametrize("field, value", [("n_train", 0), ("n_train", -3), ("n_val", 0), ("n_val", -1)])
     def test_non_positive_scene_count_is_named(self, field, value):
         with pytest.raises(DatasetError, match=f"config field {field} must be positive, got {value}"):
-            make_splits(DataConfig(**{field: value}))
+            DataConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("pool, want", [(3, 2), (6, 2), (9, 3), (24, 8)])
     def test_default_val_pool_is_a_third_of_the_pool_at_least_two(self, pool, want):
-        split = make_splits(DataConfig(sketches_per_class=pool))
-        assert all(len(split.val_sketches[c]) == want for c in range(len(CLASS_NAMES)))
+        cfg = DataConfig(sketches_per_class=pool)
+        cfg.validate()
+        assert cfg.n_val_sketches == want
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("n_train", True, "'n_train' True is not an int"),
+            ("seed", 1.0, "'seed' 1.0 is not an int"),
+            ("val_sketches_per_class", False, "'val_sketches_per_class' False is not an int"),
+            ("unseen", (True,), r"'unseen' \(True,\) is not a list of class ids"),
+            ("unseen", "10", "'unseen' '10' is not a list of class ids"),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_named(self, field, value, match):
+        with pytest.raises(DatasetError, match=match):
+            DataConfig(**{field: value}).validate()
+
+    def test_numpy_integers_are_integers(self, tmp_path):
+        i = np.int64
+        cfg = DataConfig(n_train=i(2), n_val=i(1), unseen=(i(11),), sketches_per_class=i(3),
+                         val_sketches_per_class=i(1), seed=i(5))
+        ds = generate_dataset(cfg, str(tmp_path / "numpy"))
+        plain = generate_dataset(DataConfig(2, 1, (11,), 3, 1, 5), str(tmp_path / "plain"))
+        assert ds.config == plain.config
+        assert corpus_digest(str(tmp_path / "numpy")) == corpus_digest(str(tmp_path / "plain"))
+
+    @pytest.mark.parametrize("cls", [12, -1, 99])
+    def test_a_class_id_past_the_classes_has_no_pool(self, small_open_dataset, cls):
+        ds, _, _ = small_open_dataset
+        for subset in ("train", "val"):
+            with pytest.raises(DatasetError, match=f"empty {subset} sketch pool for class {cls}"):
+                ds.sketch_pool(cls, subset)
 
 
 class TestPnm:
@@ -503,38 +540,39 @@ class TestDatasetDirectory:
         ds, cfg, out = small_open_dataset
         with open(os.path.join(out, "split.json")) as f:
             assert json.load(f) == {**asdict(cfg), "unseen": [10, 11]}
-        assert ds.config == cfg and ds.split == make_splits(cfg)
+        assert ds.config == cfg
 
     def test_annotation_schema(self, small_open_dataset):
         _, cfg, out = small_open_dataset
         with open(os.path.join(out, "annotations.jsonl")) as f:
             for line in f:
                 rec = json.loads(line)
-                assert set(rec) == {"image", "boxes", "classes"}
+                assert set(rec) == {"boxes", "classes"}
                 assert len(rec["boxes"]) == len(rec["classes"])
                 for b in rec["boxes"]:
                     assert b[0] < b[2] and b[1] < b[3]
 
     def test_open_world_hygiene_exhaustive(self, small_open_dataset):
         ds, cfg, _ = small_open_dataset
-        unseen = set(ds.split.unseen)
-        for sid in ds.split.train_scenes:
+        unseen = set(ds.config.unseen)
+        for sid in ds.scene_ids("train"):
             assert not (set(ds.annotation(sid).classes) & unseen)
         for c in unseen:
-            assert ds.split.train_sketches[c] == []
+            with pytest.raises(DatasetError, match="empty train sketch pool"):
+                ds.sketch_pool(c, "train")
 
     def test_val_scenes_cover_unseen(self, small_open_dataset):
         ds, _, _ = small_open_dataset
         seen_classes = set()
-        for sid in ds.split.val_scenes:
+        for sid in ds.scene_ids("val"):
             seen_classes |= set(ds.annotation(sid).classes)
-        assert seen_classes & set(ds.split.unseen)
+        assert seen_classes & set(ds.config.unseen)
 
     def test_scene_roundtrip(self, small_open_dataset):
         ds, cfg, _ = small_open_dataset
-        sid = ds.split.train_scenes[0]
+        sid = ds.scene_ids("train")[0]
         img = ds.load_scene(sid)
-        regen = generate_scene(derive_seed(cfg.seed, "scene", sid), classes=ds.split.seen)
+        regen = generate_scene(derive_seed(cfg.seed, "scene", sid), classes=ds.config.seen)
         assert np.max(np.abs(img - regen.image)) <= 1.0 / 255.0 + 1e-9
 
     def test_deterministic_regeneration(self, small_open_dataset, tmp_path):
@@ -588,7 +626,7 @@ class TestDatasetDirectory:
 def test_a_wrongly_sized_raster_is_named_when_read(tmp_path, kind):
     ds = generate_dataset(DataConfig(n_train=3, n_val=1, sketches_per_class=3), str(tmp_path))
     if kind == "scene":
-        path, want = os.path.join(str(tmp_path), ds.annotations[0][0]), (64, 64, 3)
+        path, want = os.path.join(str(tmp_path), data.scene_path(0)), (64, 64, 3)
         write_ppm(path, np.zeros((32, 32, 3)))
         load = lambda: ds.load_scene(0)
     else:
@@ -675,6 +713,13 @@ _EXPANDED_SPLIT = json.dumps({
          "annotations.jsonl line 4", r"class id 12 is outside 0\.\.11"),
         (_edit_record(4, lambda r: {**r, "classes": [-1] * len(r["classes"])}),
          "annotations.jsonl line 4", r"class id -1 is outside 0\.\.11"),
+        (_edit_record(5, lambda r: {**r, "boxes": [[10, math.nan, 20, 30]] + r["boxes"][1:]}),
+         "annotations.jsonl line 5",
+         r"box \[10, nan, 20, 30\] is not 0 <= x0 < x1 <= 64 and 0 <= y0 < y1 <= 64"),
+        (_edit_record(5, lambda r: {**r, "boxes": [[50, 50, 10, 10]] + r["boxes"][1:]}),
+         "annotations.jsonl line 5", r"box \[50, 50, 10, 10\] is not 0 <= x0 < x1"),
+        (_edit_record(5, lambda r: {**r, "boxes": r["boxes"][:-1] + [[40, 40, 65, 60]]}),
+         "annotations.jsonl line 5", r"box \[40, 40, 65, 60\] is not 0 <= x0 < x1 <= 64"),
         (_edit_split(lambda s: {**s, "n_train": 0, "n_val": 8}), "split.json",
          "config field n_train must be positive, got 0"),
         (_edit_split(lambda s: {**s, "n_val": 3}), "split.json",
@@ -694,7 +739,6 @@ _EXPANDED_SPLIT = json.dumps({
          r"'unseen' \['10'\] is not a list of class ids"),
         (_edit_split(lambda s: {**s, "unseen": [12]}), "split.json", r"invalid unseen class ids \(12,\)"),
         (_edit_split(lambda s: {**s, "unseen": [10, 10]}), "split.json", r"invalid unseen class ids \(10, 10\)"),
-        (_edit_record(2, lambda r: {**r, "image": 7}), "annotations.jsonl line 2", "'image' 7 is not a path string"),
         (lambda files: files.update({"split.json": files["split.json"].encode().replace(b"seed", b"s\xe9ed")}),
          "split.json", r"not UTF-8 text \(byte \d+: invalid continuation byte\)"),
         (lambda files: files.update({"annotations.jsonl": b"\xff" + files["annotations.jsonl"].encode()}),
@@ -702,10 +746,11 @@ _EXPANDED_SPLIT = json.dumps({
     ],
     ids=["split-json", "split-missing-n-train", "split-unknown-key", "split-expanded-format", "line-json",
          "line-not-object", "line-missing-boxes", "boxes-n-by-3", "boxes-ragged", "boxes-outnumber-classes",
-         "class-id-too-large", "class-id-negative", "n-train-zero", "annotation-count-mismatch",
+         "class-id-too-large", "class-id-negative", "box-nan", "box-inverted", "box-past-the-raster",
+         "n-train-zero", "annotation-count-mismatch",
          "annotation-line-missing", "count-a-string", "count-a-bool", "count-a-float", "val-pool-too-large",
          "sketch-pool-past-the-files", "unseen-a-number", "unseen-holds-a-string", "unseen-id-past-the-end",
-         "unseen-id-repeated", "image-not-a-string", "split-not-utf8", "annotations-not-utf8"],
+         "unseen-id-repeated", "split-not-utf8", "annotations-not-utf8"],
 )
 def test_malformed_metadata_names_file_and_fault(metadata, tmp_path, damage, where, match):
     files, source = metadata
@@ -724,7 +769,21 @@ def test_a_missing_val_pool_size_defaults(metadata, tmp_path):
     _write_corpus(str(tmp_path), files, source)
     ds = Dataset(str(tmp_path))
     assert ds.config.val_sketches_per_class is None
-    assert ds.split == make_splits(DataConfig(n_train=6, n_val=2, sketches_per_class=3))
+    assert ds.sketch_pool(0, "train") == [sketch_path(0, 0)]
+    assert ds.sketch_pool(0, "val") == [sketch_path(0, 1), sketch_path(0, 2)]
+
+
+def test_an_image_key_in_a_record_is_ignored(metadata, tmp_path):
+    # corpora written before the key was dropped held each scene's path there;
+    # the scene is read from its fixed path whatever the key says
+    files, source = metadata
+    files = dict(files)
+    for n in range(1, 9):
+        _edit_record(n, lambda r: {**r, "image": "/etc/passwd"})(files)
+    _write_corpus(str(tmp_path), files, source)
+    os.symlink(os.path.join(source, "scenes"), os.path.join(str(tmp_path), "scenes"))
+    ds = Dataset(str(tmp_path))
+    assert np.array_equal(ds.load_scene(7), Dataset(source).load_scene(7))
 
 
 @pytest.fixture(scope="module")
@@ -766,9 +825,9 @@ def corpus_digest(root: str) -> str:
 @pytest.mark.parametrize(
     "kw, want",
     [
-        (dict(seed=3), "fd2714f1160801951ae2d343c0ddc597c777ed8a3a9b9a30a7d51dc322b68188"),
+        (dict(seed=3), "7666c38a3f6a79305e747f66fea5ceb998c541d830a143f7fda3e87fa2e052dc"),
         (dict(seed=13, unseen=(10, 11)),
-         "7632ea5da63f4eb95d476790a880927f36ba480adf05a4497938bacd1efe42b9"),
+         "a362b430779d7cb9dbc63fcbea62e99c496c71676f9651307c49f3f0a82e0152"),
     ],
     ids=["closed", "open"],
 )

@@ -320,8 +320,8 @@ class TestTotalLoss:
     def test_equals_composition_of_oracles(self, f64, rng):
         scores, boxes, gt_c = self._random_instance(rng)
         a = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_c))
-        lb = total_loss(scores, boxes, gt_c, a)
-        w = lb.weights
+        w = LossWeights()
+        lb = total_loss(scores, boxes, gt_c, a, w)
         s_or = bce_score_loss(Tensor(scores.data), a.labels).item()
         matched = boxes.data[a.token_for_gt]
         l1_or = l1_loss_matched(Tensor(matched), gt_c).item()

@@ -254,7 +254,7 @@ class OracleModel:
         }
         self._cls_by_bytes = {}
         for c in range(len(dataset.class_names)):
-            for rel in dataset.split.val_sketches[c]:
+            for rel in dataset.sketch_pool(c, "val"):
                 self._cls_by_bytes[dataset.load_sketch(rel).tobytes()] = c
 
     def encode_scene(self, image):

@@ -650,7 +650,7 @@ class TestNonFiniteLoss:
             lb = total_loss(*args)
             if output is None and scene[0] in poisoned and saved[0] >= from_epoch:
                 return LossBreakdown(lb.score_loss, lb.l1_loss, lb.giou_loss, math.nan,
-                                     lb.weights, scale(lb.total_tensor, math.nan))
+                                     scale(lb.total_tensor, math.nan))
             return lb
 
         def counting_save(*args):
