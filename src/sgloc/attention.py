@@ -25,6 +25,7 @@ matrices and the head count. `cross_attention` reads the projections and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,12 +71,10 @@ class Block:
         return adapter_fuse(attended, x, self, groups)
 
 
-_pos_cache: dict = {}
-
-
+@functools.cache
 def grid_pos(n: int, d: int) -> np.ndarray:
     """2D sinusoidal position table, n x d, for the g x g grid with g*g = n;
-    row s = y*g + x.
+    row s = y*g + x. The table is cached and read-only.
 
     The first d/2 channels encode x with interleaved sin/cos at geometric
     frequencies (base 10000); the last d/2 encode y the same way.
@@ -85,21 +84,17 @@ def grid_pos(n: int, d: int) -> np.ndarray:
         raise ShapeError(f"{n} tokens do not form a square grid")
     if d % 4 != 0:
         raise ShapeError(f"position encoding width must be divisible by 4, got {d}")
-    key = (n, d)
-    table = _pos_cache.get(key)
-    if table is None:
-        quarter = d // 4
-        freqs = np.power(10000.0, -np.arange(quarter) / quarter)
-        coords = np.arange(g, dtype=np.float64)
-        grid_x = np.tile(coords, g)  # s = y*g + x
-        grid_y = np.repeat(coords, g)
-        table = np.empty((n, d), dtype=np.float64)
-        for half, coord in ((0, grid_x), (d // 2, grid_y)):
-            ang = coord[:, None] * freqs[None, :]
-            table[:, half + 0 : half + d // 2 : 2] = np.sin(ang)
-            table[:, half + 1 : half + d // 2 : 2] = np.cos(ang)
-        table.flags.writeable = False  # shared by every caller
-        _pos_cache[key] = table
+    quarter = d // 4
+    freqs = np.power(10000.0, -np.arange(quarter) / quarter)
+    coords = np.arange(g, dtype=np.float64)
+    grid_x = np.tile(coords, g)  # s = y*g + x
+    grid_y = np.repeat(coords, g)
+    table = np.empty((n, d), dtype=np.float64)
+    for half, coord in ((0, grid_x), (d // 2, grid_y)):
+        ang = coord[:, None] * freqs[None, :]
+        table[:, half + 0 : half + d // 2 : 2] = np.sin(ang)
+        table[:, half + 1 : half + d // 2 : 2] = np.cos(ang)
+    table.flags.writeable = False  # shared by every caller
     return table
 
 

@@ -386,8 +386,8 @@ def generate_scene(seed: int, classes=None) -> SceneSample:
 
 
 def _class_id(cls) -> int:
-    """`cls` as an int class id, or a ValueError naming it."""
-    if not isinstance(cls, (int, np.integer)) or not 0 <= cls < len(CLASS_NAMES):
+    """`cls` as an int class id, or a ValueError naming it; bools are not ids."""
+    if not _is_int(cls) or not 0 <= cls < len(CLASS_NAMES):
         raise ValueError(f"class id {cls!r} is outside 0..{len(CLASS_NAMES) - 1}")
     return int(cls)
 

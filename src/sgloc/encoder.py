@@ -29,6 +29,7 @@ bundle reproduces the single-query computation bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,22 +75,13 @@ def _check_pixels(pixels: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} pixel values must be finite and lie in [0, 1]")
 
 
-_pool_cache: dict = {}
-
-
+@functools.cache
 def _pool_matrix(g: int, dtype) -> np.ndarray:
-    """Constant (g*g/4) x (g*g) matrix averaging 2x2 token neighborhoods."""
-    key = (g, np.dtype(dtype).str)
-    got = _pool_cache.get(key)
-    if got is None:
-        half = g // 2
-        got = np.zeros((half * half, g * g), dtype=dtype)
-        for oy in range(half):
-            for ox in range(half):
-                for dy in (0, 1):
-                    for dx in (0, 1):
-                        got[oy * half + ox, (2 * oy + dy) * g + (2 * ox + dx)] = 0.25
-        _pool_cache[key] = got
+    """Constant (g*g/4) x (g*g) matrix averaging 2x2 token neighborhoods;
+    cached and read-only."""
+    half_pool = np.repeat(np.eye(g // 2, dtype=dtype), 2, axis=1) * 0.5
+    got = np.kron(half_pool, half_pool)
+    got.flags.writeable = False
     return got
 
 

@@ -42,16 +42,6 @@ class LossWeights:
 
 
 @dataclass
-class Assignment:
-    """Injective map from ground-truth index to token index, plus the induced
-    0/1 token labels."""
-
-    token_for_gt: np.ndarray  # (G,) int
-    labels: np.ndarray  # (T,) int8
-    total_cost: float
-
-
-@dataclass
 class LossBreakdown:
     score_loss: float
     l1_loss: float
@@ -66,48 +56,37 @@ class LossBreakdown:
 # Exact min-cost injective assignment via a DP over (token index, subset of
 # ground truths): O(T * 2^G * G). Reconstruction is deterministic; when the
 # optimum is not unique the lexicographically smallest assignment vector
-# (token index for gt 0, then gt 1, ...) is returned.
-
-_subset_idx_cache: dict = {}
-
-
-def _subset_indices(G: int):
-    got = _subset_idx_cache.get(G)
-    if got is None:
-        full = 1 << G
-        got = []
-        for g in range(G):
-            with_g = np.array([s for s in range(full) if s & (1 << g)], dtype=np.intp)
-            got.append((with_g, with_g ^ (1 << g)))
-        _subset_idx_cache[G] = got
-    return got
+# (token index for gt 0, then gt 1, ...) is returned. To find it,
+# `_lexicographic_optimum` holds gt g on token t by setting every other entry
+# of cost column g to inf. The finite complete assignments of that DP are
+# exactly those that give g to t, each summed in token order as in the
+# unmasked DP, so its dp[T, full] equals the optimum exactly when one of them
+# is optimal.
 
 
-def _dp_table(cost: np.ndarray, fixed: dict | None = None) -> np.ndarray:
+def _dp_table(cost: np.ndarray) -> np.ndarray:
     """dp[t, S]: the least cost of giving the ground truths in subset S to
-    distinct tokens among the first t. `fixed` maps a token t to the gt it is
-    forced to take."""
+    distinct tokens among the first t."""
     T, G = cost.shape
-    idx = _subset_indices(G)
+    subsets = np.arange(1 << G)
+    moves = []  # per gt g: the subsets that hold g, and the same without g
+    for g in range(G):
+        with_g = subsets[(subsets & (1 << g)) != 0]
+        moves.append((with_g, with_g ^ (1 << g)))
     dp = np.full((T + 1, 1 << G), np.inf)
     dp[0, 0] = 0.0
     for t in range(T):
         cur, nxt = dp[t], dp[t + 1]
-        g = None if fixed is None else fixed.get(t)
-        if g is None:
-            nxt[:] = cur
-            row = cost[t]
-            for gg in range(G):
-                with_g, without_g = idx[gg]
-                nxt[with_g] = np.minimum(nxt[with_g], cur[without_g] + row[gg])
-        else:
-            with_g, without_g = idx[g]
-            nxt[with_g] = cur[without_g] + cost[t, g]
+        nxt[:] = cur
+        row = cost[t]
+        for g, (with_g, without_g) in enumerate(moves):
+            nxt[with_g] = np.minimum(nxt[with_g], cur[without_g] + row[g])
     return dp
 
 
-def hungarian_assign(cost) -> Assignment:
-    """Minimum-total-cost injective assignment of ground truths to tokens."""
+def hungarian_assign(cost) -> np.ndarray:
+    """Minimum-total-cost injective assignment of ground truths to tokens:
+    the (G,) token index of each ground truth."""
     cost = np.ascontiguousarray(np.asarray(cost, dtype=np.float64))
     if cost.ndim != 2:
         raise ShapeError(f"cost matrix must be rank-2, got shape {cost.shape}")
@@ -115,59 +94,45 @@ def hungarian_assign(cost) -> Assignment:
     if T < G:
         raise ShapeError(f"need at least as many tokens as ground truths: {T} < {G}")
     if G == 0:
-        return Assignment(np.zeros(0, dtype=np.intp), np.zeros(T, dtype=np.int8), 0.0)
+        return np.zeros(0, dtype=np.intp)
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
 
     dp = _dp_table(cost)
-    full = (1 << G) - 1
-
     token_for_gt = np.full(G, -1, dtype=np.intp)
-    t, S = T, full
-    tie = False
+    t, S = T, (1 << G) - 1
     while S and t > 0:
         val = dp[t, S]
-        choices = []
-        if dp[t - 1, S] == val:
-            choices.append(-1)
+        choices = [-1] if dp[t - 1, S] == val else []
         for g in range(G):
             bit = 1 << g
             if S & bit and dp[t - 1, S ^ bit] + cost[t - 1, g] == val:
                 choices.append(g)
         if len(choices) != 1:
-            tie = True
-            break
+            return _lexicographic_optimum(cost, float(dp[T, -1]))
         g = choices[0]
         if g >= 0:
             token_for_gt[g] = t - 1
             S ^= 1 << g
         t -= 1
-
-    if tie:
-        token_for_gt = _lexicographic_optimum(cost, float(dp[T, full]))
-
-    labels = np.zeros(T, dtype=np.int8)
-    labels[token_for_gt] = 1
-    total = 0.0
-    for g in range(G):
-        total += float(cost[token_for_gt[g], g])
-    return Assignment(token_for_gt, labels, total)
+    return token_for_gt
 
 
 def _lexicographic_optimum(cost: np.ndarray, cstar: float) -> np.ndarray:
+    """The lexicographically smallest assignment of total cost `cstar`."""
     T, G = cost.shape
-    fixed: dict = {}
+    held = cost.copy()
     out = np.full(G, -1, dtype=np.intp)
     for g in range(G):
         for t in range(T):
-            if t in fixed:
+            if t in out[:g]:
                 continue
-            fixed[t] = g
-            if _dp_table(cost, fixed)[T, -1] == cstar:
+            held[:, g] = np.inf
+            held[t, g] = cost[t, g]
+            if _dp_table(held)[T, -1] == cstar:
                 out[g] = t
                 break
-            del fixed[t]
-        if out[g] < 0:  # pragma: no cover - dp guarantees feasibility
+        else:  # pragma: no cover - dp guarantees feasibility
             raise RuntimeError("assignment reconstruction failed")
     return out
 
@@ -177,7 +142,7 @@ def _lexicographic_optimum(cost: np.ndarray, cstar: float) -> np.ndarray:
 
 
 def build_cost_matrix(scores, boxes, gt_corners, weights: LossWeights | None = None) -> np.ndarray:
-    """Assignment costs: -lam_cls * score + lam_l1 * L1 + lam_giou * (1 - giou).
+    """Matching costs: -lam_cls * score + lam_l1 * L1 + lam_giou * (1 - giou).
 
     `scores` (T,) and `boxes` (T,4 center-size) are detached prediction values;
     `gt_corners` (G,4) are normalized corner boxes. No gradients flow here.
@@ -246,18 +211,22 @@ def total_loss(
     scores: Tensor,
     boxes: Tensor,
     gt_corners,
-    assignment: Assignment,
+    token_for_gt,
     weights: LossWeights | None = None,
 ) -> LossBreakdown:
-    """Weighted sum: score BCE over all tokens, L1 + GIoU over matched pairs."""
+    """Weighted sum: score BCE over all tokens, with label 1 at each gt's
+    token in `token_for_gt` and 0 elsewhere; L1 + GIoU over matched pairs."""
     w = weights or LossWeights()
     gt_corners = np.asarray(gt_corners, dtype=np.float64).reshape(-1, 4)
     G = gt_corners.shape[0]
-    if assignment.token_for_gt.shape[0] != G:
-        raise ShapeError(f"assignment covers {assignment.token_for_gt.shape[0]} gts, given {G}")
-    score_t = bce_score_loss(scores, assignment.labels)
+    token_for_gt = np.asarray(token_for_gt, dtype=np.intp)
+    if token_for_gt.shape != (G,):
+        raise ShapeError(f"assignment shape {token_for_gt.shape} does not cover {G} gts")
+    labels = np.zeros(scores.data.size)
+    labels[token_for_gt] = 1.0
+    score_t = bce_score_loss(scores, labels)
     if G > 0:
-        matched = gather_rows(boxes, assignment.token_for_gt)
+        matched = gather_rows(boxes, token_for_gt)
         l1_t = l1_loss_matched(matched, gt_corners)
         giou_t = giou_loss_matched(matched, gt_corners)
         total_t = add(add(scale(score_t, w.lam_cls), scale(l1_t, w.lam_l1)), scale(giou_t, w.lam_giou))

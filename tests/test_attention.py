@@ -86,7 +86,7 @@ class TestPosEncoding:
 
     def test_deterministic(self):
         a = grid_pos(25, 12).copy()
-        attention._pos_cache.clear()  # rebuild the table from scratch
+        grid_pos.cache_clear()  # rebuild the table from scratch
         assert np.array_equal(grid_pos(25, 12), a)
 
     def test_row_indexing_is_y_major(self):

@@ -326,12 +326,12 @@ class TestRenderersMatchTheirOracles:
 
 
 class TestClassIds:
-    @pytest.mark.parametrize("bad", [-1, len(CLASS_NAMES)])
+    @pytest.mark.parametrize("bad", [-1, len(CLASS_NAMES), True, False])
     def test_sketch_of_an_unknown_class(self, bad):
         with pytest.raises(ValueError, match=rf"class id {bad} is outside 0\.\.11"):
             render_sketch(bad, 1)
 
-    @pytest.mark.parametrize("pool", [[-1], [0, 3, len(CLASS_NAMES)]])
+    @pytest.mark.parametrize("pool", [[-1], [0, 3, len(CLASS_NAMES)], [True], [2, False]])
     def test_scene_pool_with_an_unknown_class(self, pool):
         with pytest.raises(ValueError, match=rf"class id {pool[-1]} is outside"):
             generate_scene(1, classes=pool)

@@ -7,6 +7,7 @@ from sgloc import tensor as T
 from sgloc.encoder import (
     SKETCH_TOKENS,
     ImageFeatureStage,
+    _pool_matrix,
     bundle_size,
     encode_stage0,
     image_block,
@@ -111,6 +112,21 @@ class TestImageBlock:
         stage = ImageFeatureStage(0, Tensor(np.full((16, TINY.d), 0.7)))
         out = image_block(stage, blk)
         assert np.allclose(out.tokens.data, 0.7, atol=1e-7)
+
+    @pytest.mark.parametrize("g", [2, 4, 8, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_matrix_averages_each_2x2_neighborhood(self, g, dtype):
+        half = g // 2
+        want = np.zeros((half * half, g * g), dtype=dtype)
+        for oy in range(half):
+            for ox in range(half):
+                for dy in (0, 1):
+                    for dx in (0, 1):
+                        want[oy * half + ox, (2 * oy + dy) * g + (2 * ox + dx)] = 0.25
+        got = _pool_matrix(g, dtype)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0, 0] = 1.0  # one cached table is shared by every caller
 
     def test_odd_extent_rejected(self, rng):
         m = tiny_model()

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from sgloc import matching
 from sgloc.boxes import corners_to_cxcywh, cxcywh_to_corners
 from sgloc.boxes import giou as giou_table
 from sgloc.boxes import iou as iou_table
 from sgloc.matching import (
-    Assignment,
     LossWeights,
     bce_score_loss,
     build_cost_matrix,
@@ -43,17 +43,36 @@ def brute_force_assignments(cost):
     return best, argmins
 
 
+def total_cost(cost, token_for_gt) -> float:
+    """An assignment's cost, summed in gt order as `brute_force_assignments` does."""
+    tot = 0.0
+    for g, t in enumerate(token_for_gt):
+        tot += float(cost[t, g])
+    return tot
+
+
+def labels(token_for_gt, T) -> list:
+    """The 0/1 token labels an assignment induces."""
+    return [int(t in token_for_gt) for t in range(T)]
+
+
 class TestHungarian:
     def test_two_by_two(self):
-        a = hungarian_assign(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert list(a.token_for_gt) == [0, 1]
-        assert a.total_cost == 2.0
-        assert list(a.labels) == [1, 1]
+        cost = np.array([[1.0, 2.0], [2.0, 1.0]])
+        a = hungarian_assign(cost)
+        assert list(a) == [0, 1]
+        assert total_cost(cost, a) == 2.0
+        assert labels(a, 2) == [1, 1]
+
+    def test_returns_token_indices(self):
+        a = hungarian_assign(np.zeros((3, 2)))
+        assert a.dtype == np.intp and a.shape == (2,)
 
     def test_one_by_one(self):
-        a = hungarian_assign(np.array([[7.0]]))
-        assert list(a.token_for_gt) == [0]
-        assert a.total_cost == 7.0
+        cost = np.array([[7.0]])
+        a = hungarian_assign(cost)
+        assert list(a) == [0]
+        assert total_cost(cost, a) == 7.0
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
     def test_matches_brute_force(self, size, rng):
@@ -61,7 +80,7 @@ class TestHungarian:
             cost = rng.standard_normal((size, size))
             got = hungarian_assign(cost)
             best, _ = brute_force_assignments(cost)
-            assert got.total_cost == best
+            assert total_cost(cost, got) == best
 
     def test_rectangular_matches_brute_force(self, rng):
         for _ in range(60):
@@ -70,28 +89,40 @@ class TestHungarian:
             cost = rng.standard_normal((T, G))
             got = hungarian_assign(cost)
             best, _ = brute_force_assignments(cost)
-            assert got.total_cost == best
+            assert total_cost(cost, got) == best
 
     def test_lexicographic_tie_break_all_zero(self):
         a = hungarian_assign(np.zeros((5, 3)))
-        assert list(a.token_for_gt) == [0, 1, 2]
+        assert list(a) == [0, 1, 2]
 
-    def test_lexicographic_tie_break_integer_ties(self, rng):
-        for _ in range(40):
-            cost = rng.integers(0, 3, size=(5, 3)).astype(np.float64)
+    def test_lexicographic_tie_break_integer_ties(self, rng, monkeypatch):
+        fallback = matching._lexicographic_optimum
+        calls = []
+
+        def counted(cost, cstar):
+            calls.append(cost.shape)
+            return fallback(cost, cstar)
+
+        monkeypatch.setattr(matching, "_lexicographic_optimum", counted)
+        for _ in range(200):
+            T = int(rng.integers(1, 9))
+            G = int(rng.integers(1, min(T, 4) + 1))
+            cost = rng.integers(0, 3, size=(T, G)).astype(np.float64)
             got = hungarian_assign(cost)
             best, argmins = brute_force_assignments(cost)
-            assert got.total_cost == best
-            assert tuple(got.token_for_gt) == min(argmins)
+            assert total_cost(cost, got) == best
+            assert tuple(got) == min(argmins)
+        assert len(calls) > 50
+        assert len(set(calls)) > 10  # the fallback ran on many shapes
 
     def test_duplicate_rows_pick_earlier_token(self):
         row = np.array([3.0, 1.0])
         cost = np.stack([row + 5, row, row])  # tokens 1 and 2 identical
         got = hungarian_assign(cost)
-        assert tuple(got.token_for_gt) == (1, 2) or got.token_for_gt[0] < got.token_for_gt[1]
+        assert tuple(got) == (1, 2) or got[0] < got[1]
         best, argmins = brute_force_assignments(cost)
-        assert got.total_cost == best
-        assert tuple(got.token_for_gt) == min(argmins)
+        assert total_cost(cost, got) == best
+        assert tuple(got) == min(argmins)
 
     def test_more_gts_than_tokens_rejected(self):
         with pytest.raises(ShapeError):
@@ -103,15 +134,15 @@ class TestHungarian:
 
     def test_empty_gt(self):
         a = hungarian_assign(np.zeros((4, 0)))
-        assert a.token_for_gt.size == 0
-        assert list(a.labels) == [0, 0, 0, 0]
+        assert a.size == 0
+        assert labels(a, 4) == [0, 0, 0, 0]
 
     def test_injective(self, rng):
         for _ in range(20):
             cost = rng.standard_normal((10, 4))
             a = hungarian_assign(cost)
-            assert len(set(a.token_for_gt.tolist())) == 4
-            assert int(a.labels.sum()) == 4
+            assert len(set(a.tolist())) == 4
+            assert sum(labels(a, 10)) == 4
 
 
 class TestGiou:
@@ -302,6 +333,11 @@ class TestTotalLoss:
         want = bce_score_loss(Tensor(scores.data), np.zeros(6)).item()
         assert lb.total == pytest.approx(2.0 * want, abs=1e-9)
 
+    def test_assignment_must_cover_every_gt(self, rng):
+        scores, boxes, gt_c = self._random_instance(rng, T=6, G=2)
+        with pytest.raises(ShapeError, match="does not cover 2 gts"):
+            total_loss(scores, boxes, gt_c, np.array([3]))
+
     def test_perfect_predictions_near_zero(self):
         gt_c = np.array([[0.2, 0.2, 0.6, 0.6], [0.6, 0.55, 0.9, 0.95]])
         gt_cs = corners_to_cxcywh(gt_c)
@@ -313,7 +349,7 @@ class TestTotalLoss:
         scores[0] = scores[4] = 1.0 - 1e-6
         cost = build_cost_matrix(scores, boxes, gt_c)
         a = hungarian_assign(cost)
-        assert list(a.token_for_gt) == [0, 4]
+        assert list(a) == [0, 4]
         lb = total_loss(Tensor(scores), Tensor(boxes), gt_c, a)
         assert lb.total < 1e-4
 
@@ -322,8 +358,8 @@ class TestTotalLoss:
         a = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_c))
         w = LossWeights()
         lb = total_loss(scores, boxes, gt_c, a, w)
-        s_or = bce_score_loss(Tensor(scores.data), a.labels).item()
-        matched = boxes.data[a.token_for_gt]
+        s_or = bce_score_loss(Tensor(scores.data), labels(a, scores.shape[0])).item()
+        matched = boxes.data[a]
         l1_or = l1_loss_matched(Tensor(matched), gt_c).item()
         gi_or = np.mean([1.0 - giou(cxcywh_to_corners(matched[i]), gt_c[i]) for i in range(3)])
         want = w.lam_cls * s_or + w.lam_l1 * l1_or + w.lam_giou * gi_or
