@@ -721,7 +721,7 @@ class Dataset:
         n_sk = self.config.sketches_per_class
         cut = n_sk - self.config.n_val_sketches
         ids = range(cut, n_sk) if subset == "val" else range(0 if cls in self.config.unseen else cut)
-        if not ids or int(cls) not in range(len(CLASS_NAMES)):
+        if not ids or not _is_int(cls) or not 0 <= cls < len(CLASS_NAMES):
             raise DatasetError(f"empty {subset} sketch pool for class {cls}")
         return [sketch_path(int(cls), i) for i in ids]
 

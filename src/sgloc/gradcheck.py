@@ -1,5 +1,7 @@
-"""Finite-difference verification of every differentiable op and the full
-end-to-end training loss, run at 64-bit precision."""
+"""Finite-difference verification at 64-bit precision: every taped op of
+`tensor` (`_OP_CASES`), one transformer block, the training loss
+`matching.total_loss` on its own, and the whole model's training loss end to
+end."""
 
 from __future__ import annotations
 
@@ -7,34 +9,27 @@ import numpy as np
 
 from . import tensor as T
 from .attention import Block
+from .boxes import cxcywh_to_corners
 from .matching import build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
 from .tensor import (
     Tensor,
-    absolute,
     add,
     add_rowvec,
     attend,
     bmm,
     concat,
-    div,
     finite_difference_check,
-    gather_rows,
     global_max_pool,
     layer_norm_rows,
-    log,
     matmul,
-    maximum,
     mean_groups,
-    minimum,
     mul,
     relu,
     reshape,
     scale,
     sigmoid,
-    slice_cols,
     softmax_rows,
-    sub,
     sum_all,
 )
 
@@ -76,9 +71,7 @@ def _projected(op):
 
 _OP_CASES = [
     ("add", [(3, 4), (3, 4)], _projected(add)),
-    ("sub", [(3, 4), (3, 4)], _projected(sub)),
     ("mul", [(3, 3), (3, 3)], _projected(mul)),
-    ("div", [(4,), (4,)], lambda a, b: sum_all(div(a, add(mul(b, b), Tensor(np.ones(4)))))),
     ("scale", [(3, 2)], _projected(lambda a: scale(a, 1.7))),
     ("matmul", [(3, 4), (4, 2)], _projected(matmul)),
     ("bmm", [(2, 3, 4), (2, 4, 5)], _projected(bmm)),
@@ -90,17 +83,10 @@ _OP_CASES = [
     ("reshape", [(3, 4)], _projected(lambda a: reshape(a, (2, 6)))),
     ("relu", [(4, 4)], _projected(relu)),
     ("sigmoid", [(4, 4)], _projected(sigmoid)),
-    ("log", [(6,)], lambda a: sum_all(log(add(mul(a, a), Tensor(np.ones(6)))))),
-    ("absolute", [(5,)], _projected(absolute)),
-    ("maximum", [(4, 4), (4, 4)], _projected(maximum)),
-    ("maximum_scalar", [(4, 4)], _projected(lambda a: maximum(a, 0.1))),
-    ("minimum", [(4, 4), (4, 4)], _projected(minimum)),
     ("softmax_rows", [(3, 5)], _projected(softmax_rows)),
     ("softmax_rows_rank3", [(2, 3, 5)], _projected(softmax_rows)),
     ("layer_norm_rows", [(3, 6)], _projected(layer_norm_rows)),
     ("concat", [(2, 3), (4, 3)], _projected(lambda a, b: concat([a, b], axis=0))),
-    ("slice_cols", [(3, 6)], _projected(lambda a: slice_cols(a, 1, 4))),
-    ("gather_rows", [(5, 3)], _projected(lambda a: gather_rows(a, [0, 2, 2, 4]))),
     ("add_rowvec", [(3, 4), (4,)], _projected(add_rowvec)),
     ("sum_all", [(3, 4)], lambda a: sum_all(mul(a, a))),
     ("global_max_pool", [(6, 4)], _projected(global_max_pool)),
@@ -115,7 +101,8 @@ def check_op_case(name, shapes, loss_fn, rng, eps: float = EPS) -> float:
 
 
 def check_ops(eps: float = EPS) -> list:
-    """Per-op finite-difference checks; returns [(name, max_rel_err)]."""
+    """Finite-difference checks of each `_OP_CASES` op, one block and
+    `total_loss`; returns [(name, max_rel_err)]."""
     rng = np.random.default_rng(7)
     results = [(name, check_op_case(name, shapes, loss_fn, rng, eps)) for name, shapes, loss_fn in _OP_CASES]
 
@@ -132,6 +119,17 @@ def check_ops(eps: float = EPS) -> list:
     r = Tensor(rng.standard_normal((3, d)))
     block_loss = lambda: sum_all(mul(blk(x, kv, groups=groups), r))
     results.append(("block", finite_difference_check(block_loss, bparams, eps=eps)))
+
+    # The training loss alone, at 3 ground truths on 8 tokens: scores inside
+    # the clamp and boxes with positive extents, as the heads produce them.
+    n_tok, n_gt = 8, 3
+    center_size = lambda n: np.column_stack([rng.uniform(0.3, 0.7, (n, 2)), rng.uniform(0.1, 0.4, (n, 2))])
+    scores = Tensor(rng.uniform(0.05, 0.95, n_tok), requires_grad=True)
+    boxes = Tensor(center_size(n_tok), requires_grad=True)
+    gt = cxcywh_to_corners(center_size(n_gt))
+    assign = rng.permutation(n_tok)[:n_gt]
+    matched_loss = lambda: total_loss(scores, boxes, gt, assign).total_tensor
+    results.append(("total_loss", finite_difference_check(matched_loss, [scores, boxes], eps=eps)))
     return results
 
 

@@ -4,7 +4,8 @@ Predicted boxes use normalized center-size form (cx, cy, w, h) in (0,1);
 ground-truth boxes are handled in normalized corner form (x0, y0, x1, y1).
 The assignment itself runs on detached values, with box geometry from
 `boxes`; gradients only flow through the loss terms evaluated at the
-resulting discrete matching, whose GIoU term is built on the tape here.
+resulting discrete matching. `total_loss` is one tape node whose forward and
+VJP are written out here in float64 numpy.
 """
 
 from __future__ import annotations
@@ -14,22 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import corners_to_cxcywh, cxcywh_to_corners, giou
-from .tensor import (
-    ShapeError,
-    Tensor,
-    absolute,
-    add,
-    div,
-    gather_rows,
-    log,
-    maximum,
-    minimum,
-    mul,
-    scale,
-    slice_cols,
-    sub,
-    sum_all,
-)
+from .tensor import ShapeError, Tensor, _make
 
 _SCORE_EPS = 1e-7
 
@@ -157,56 +143,6 @@ def build_cost_matrix(scores, boxes, gt_corners, weights: LossWeights | None = N
     return -w.lam_cls * scores[:, None] + w.lam_l1 * l1 + w.lam_giou * (1.0 - gi)
 
 
-def bce_score_loss(scores: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy over all tokens; scores clamped to
-    [1e-7, 1 - 1e-7] before the logs."""
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if scores.ndim != 1 or scores.shape[0] != y.shape[0]:
-        raise ShapeError(f"scores shape {scores.shape} vs labels {y.shape}")
-    s = minimum(maximum(scores, _SCORE_EPS), 1.0 - _SCORE_EPS)
-    y_t = Tensor(y)
-    ny_t = Tensor(1.0 - y)
-    one = Tensor(np.ones_like(y))
-    pos = mul(y_t, log(s))
-    negt = mul(ny_t, log(sub(one, s)))
-    return scale(sum_all(add(pos, negt)), -1.0 / y.shape[0])
-
-
-def _col(x: Tensor, j: int) -> Tensor:
-    return slice_cols(x, j, j + 1)
-
-
-def giou_loss_matched(pred_boxes: Tensor, gt_corners: np.ndarray) -> Tensor:
-    """Mean (1 - giou) over matched pairs; `pred_boxes` is a (G,4) center-size
-    tensor on the tape, `gt_corners` a constant (G,4) array."""
-    G = pred_boxes.shape[0]
-    cx, cy, w, h = (_col(pred_boxes, j) for j in range(4))
-    hw, hh = scale(w, 0.5), scale(h, 0.5)
-    x0, x1 = sub(cx, hw), add(cx, hw)
-    y0, y1 = sub(cy, hh), add(cy, hh)
-    g = np.asarray(gt_corners, dtype=np.float64).reshape(G, 4)
-    gx0, gy0, gx1, gy1 = (Tensor(g[:, j : j + 1]) for j in range(4))
-
-    iw = maximum(sub(minimum(x1, gx1), maximum(x0, gx0)), 0.0)
-    ih = maximum(sub(minimum(y1, gy1), maximum(y0, gy0)), 0.0)
-    inter = mul(iw, ih)
-    area_p = mul(w, h)
-    area_g = Tensor(((g[:, 2] - g[:, 0]) * (g[:, 3] - g[:, 1])).reshape(G, 1))
-    union = sub(add(area_p, area_g), inter)
-    iou = div(inter, union)
-    hull = mul(sub(maximum(x1, gx1), minimum(x0, gx0)), sub(maximum(y1, gy1), minimum(y0, gy0)))
-    gi = sub(iou, div(sub(hull, union), hull))
-    ones = Tensor(np.ones((G, 1)))
-    return scale(sum_all(sub(ones, gi)), 1.0 / G)
-
-
-def l1_loss_matched(pred_boxes: Tensor, gt_corners: np.ndarray) -> Tensor:
-    """Mean over matched pairs of the L1 distance in center-size form."""
-    G = pred_boxes.shape[0]
-    gt_cs = corners_to_cxcywh(np.asarray(gt_corners).reshape(G, 4))
-    return scale(sum_all(absolute(sub(pred_boxes, Tensor(gt_cs)))), 1.0 / G)
-
-
 def total_loss(
     scores: Tensor,
     boxes: Tensor,
@@ -214,22 +150,72 @@ def total_loss(
     token_for_gt,
     weights: LossWeights | None = None,
 ) -> LossBreakdown:
-    """Weighted sum: score BCE over all tokens, with label 1 at each gt's
-    token in `token_for_gt` and 0 elsewhere; L1 + GIoU over matched pairs."""
+    """Weighted sum of the mean score BCE over all T tokens, with label 1 at
+    each gt's token in `token_for_gt` and 0 elsewhere, and the mean L1 and
+    mean (1 - GIoU) of the matched pairs: one tape node over `scores` (T,)
+    and `boxes` (T, 4 center-size).
+
+    The forward and its analytic VJP run in float64; the VJP is cast to each
+    parent's dtype. Scores are clamped to [1e-7, 1 - 1e-7] before the logs.
+    Subgradients are those of the elementwise formulas: zero outside the
+    clamp and at every max/min tie, and sign(0) = 0.
+    """
     w = weights or LossWeights()
-    gt_corners = np.asarray(gt_corners, dtype=np.float64).reshape(-1, 4)
-    G = gt_corners.shape[0]
-    token_for_gt = np.asarray(token_for_gt, dtype=np.intp)
-    if token_for_gt.shape != (G,):
-        raise ShapeError(f"assignment shape {token_for_gt.shape} does not cover {G} gts")
-    labels = np.zeros(scores.data.size)
-    labels[token_for_gt] = 1.0
-    score_t = bce_score_loss(scores, labels)
-    if G > 0:
-        matched = gather_rows(boxes, token_for_gt)
-        l1_t = l1_loss_matched(matched, gt_corners)
-        giou_t = giou_loss_matched(matched, gt_corners)
-        total_t = add(add(scale(score_t, w.lam_cls), scale(l1_t, w.lam_l1)), scale(giou_t, w.lam_giou))
-        return LossBreakdown(score_t.item(), l1_t.item(), giou_t.item(), total_t.item(), total_t)
-    total_t = scale(score_t, w.lam_cls)
-    return LossBreakdown(score_t.item(), 0.0, 0.0, total_t.item(), total_t)
+    T = scores.size
+    if scores.ndim != 1 or boxes.shape != (T, 4):
+        raise ShapeError(f"scores {scores.shape} and boxes {boxes.shape} are not (T,) and (T, 4)")
+    gt = np.asarray(gt_corners, dtype=np.float64).reshape(-1, 4)
+    G = gt.shape[0]
+    tok = np.asarray(token_for_gt, dtype=np.intp)
+    if tok.shape != (G,):
+        raise ShapeError(f"assignment shape {tok.shape} does not cover {G} gts")
+    outside = tok[(tok < 0) | (tok >= T)]
+    if outside.size:
+        raise ShapeError(f"token index {outside[0]} is outside 0..{T - 1}")
+
+    y = np.zeros(T)
+    y[tok] = 1.0
+    s = np.asarray(scores.data, dtype=np.float64)
+    sc = np.minimum(np.maximum(s, _SCORE_EPS), 1.0 - _SCORE_EPS)
+    score = np.sum(y * np.log(sc) + (1.0 - y) * np.log(1.0 - sc)) * (-1.0 / T)
+    if G == 0:
+        l1 = gi_loss = 0.0
+    else:
+        m = np.asarray(boxes.data, dtype=np.float64)[tok]
+        d = m - corners_to_cxcywh(gt)
+        l1 = np.sum(np.abs(d)) * (1.0 / G)
+        # x and y side by side: the matched boxes' and the gts' (lo, hi) corners
+        wh = m[:, 2:]
+        lo, hi = m[:, :2] - 0.5 * wh, m[:, :2] + 0.5 * wh
+        glo, ghi = gt[:, :2], gt[:, 2:]
+        ext = np.minimum(hi, ghi) - np.maximum(lo, glo)
+        clip = np.maximum(ext, 0.0)
+        span = np.maximum(hi, ghi) - np.minimum(lo, glo)
+        inter = clip[:, 0] * clip[:, 1]
+        union = wh[:, 0] * wh[:, 1] + (ghi - glo).prod(axis=1) - inter
+        hull = span[:, 0] * span[:, 1]
+        gi_loss = np.sum(1.0 - (inter / union - (hull - union) / hull)) * (1.0 / G)
+    total = w.lam_cls * score + w.lam_l1 * l1 + w.lam_giou * gi_loss
+
+    def bw(g):
+        g = float(g)
+        inside = (s > _SCORE_EPS) & (s < 1.0 - _SCORE_EPS)
+        gs = (g * w.lam_cls / T) * ((1.0 - y) / (1.0 - sc) - y / sc) * inside
+        if G == 0:
+            return gs.astype(scores.data.dtype), None
+        dgi = -g * w.lam_giou / G  # d total / d giou of each matched pair
+        dunion = dgi * (1.0 / hull - inter / (union * union))
+        dhull = -dgi * union / (hull * hull)
+        dclip = (dgi / union - dunion)[:, None] * clip[:, ::-1]
+        dext = dclip * (ext > 0)
+        dspan = dhull[:, None] * span[:, ::-1]
+        dhi = dext * (hi < ghi) + dspan * (hi > ghi)
+        dlo = -dext * (lo > glo) - dspan * (lo < glo)
+        dm = np.concatenate([dlo + dhi, dunion[:, None] * wh[:, ::-1] + 0.5 * (dhi - dlo)], axis=1)
+        dm += (g * w.lam_l1 / G) * np.sign(d)
+        gb = np.zeros((T, 4))
+        np.add.at(gb, tok, dm)
+        return gs.astype(scores.data.dtype), gb.astype(boxes.data.dtype)
+
+    out = _make(np.asarray(total, dtype=scores.data.dtype), (scores, boxes), bw)
+    return LossBreakdown(float(score), float(l1), float(gi_loss), float(total), out)

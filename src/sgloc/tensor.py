@@ -139,12 +139,6 @@ def _make(arr: np.ndarray, parents: tuple, bw: Callable) -> Tensor:
     return t
 
 
-def _as_const(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 
@@ -156,28 +150,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    out = a.data - b.data
-    return _make(out, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product of equal-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     ad, bd = a.data, b.data
     return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise quotient of equal-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"div: shapes {a.shape} and {b.shape} differ")
-    ad, bd = a.data, b.data
-    out = ad / bd
-    return _make(out, (a, b), lambda g: (g / bd, -g * ad / (bd * bd)))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -198,46 +176,6 @@ def sigmoid(a: Tensor) -> Tensor:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    return _make(np.log(ad), (a,), lambda g: (g / ad,))
-
-
-def absolute(a: Tensor) -> Tensor:
-    sign = np.sign(a.data)  # subgradient 0 at 0
-    return _make(np.abs(a.data), (a,), lambda g: (g * sign,))
-
-
-def maximum(a: Tensor, b) -> Tensor:
-    """Elementwise max against an equal-shape tensor or a scalar; ties get zero gradient."""
-    b = _as_const(b, a)
-    if b.ndim != 0 and a.shape != b.shape:
-        raise ShapeError(f"maximum: shapes {a.shape} and {b.shape} differ")
-    ad, bd = a.data, b.data
-    out = np.maximum(ad, bd)
-    ma = ad > bd
-    mb = bd > ad
-    return _make(out, (a, b), lambda g: (g * ma, _collapse(g * mb, bd.shape)))
-
-
-def minimum(a: Tensor, b) -> Tensor:
-    """Elementwise min against an equal-shape tensor or a scalar; ties get zero gradient."""
-    b = _as_const(b, a)
-    if b.ndim != 0 and a.shape != b.shape:
-        raise ShapeError(f"minimum: shapes {a.shape} and {b.shape} differ")
-    ad, bd = a.data, b.data
-    out = np.minimum(ad, bd)
-    ma = ad < bd
-    mb = bd < ad
-    return _make(out, (a, b), lambda g: (g * ma, _collapse(g * mb, bd.shape)))
-
-
-def _collapse(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    return g.sum().reshape(shape)  # scalar operand
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +374,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, offsets, axis=axis))
 
     return _make(out, tuple(tensors), bw)
-
-
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    if a.ndim != 2 or not (0 <= j0 < j1 <= a.shape[1]):
-        raise ShapeError(f"slice_cols({j0},{j1}) invalid for shape {a.shape}")
-    out = a.data[:, j0:j1].copy()
-    shape = a.shape
-
-    def bw(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[:, j0:j1] = g
-        return (full,)
-
-    return _make(out, (a,), bw)
-
-
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows by integer index; the gradient scatter-adds back."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if a.ndim != 2:
-        raise ShapeError(f"gather_rows expects rank-2, got {a.shape}")
-    out = a.data[idx].copy()
-    shape = a.shape
-
-    def bw(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _make(out, (a,), bw)
 
 
 def add_rowvec(a: Tensor, b: Tensor) -> Tensor:

@@ -420,6 +420,16 @@ class TestSplits:
             with pytest.raises(DatasetError, match=f"empty {subset} sketch pool for class {cls}"):
                 ds.sketch_pool(cls, subset)
 
+    @pytest.mark.parametrize("cls", [True, 1.5, 1.0, "1"])
+    def test_a_class_id_that_is_not_an_integer_has_no_pool(self, small_open_dataset, cls):
+        ds, _, _ = small_open_dataset
+        for subset in ("train", "val"):
+            with pytest.raises(DatasetError, match=f"empty {subset} sketch pool for class {cls}"):
+                ds.sketch_pool(cls, subset)
+            with pytest.raises(DatasetError, match=f"empty {subset} sketch pool for class {cls}"):
+                ds.draw_sketches(np.random.default_rng(0), cls, subset, 1)
+        assert ds.sketch_pool(np.int64(1), "val") == ds.sketch_pool(1, "val")
+
 
 class TestPnm:
     def test_ppm_roundtrip_bit_exact(self, tmp_path, rng):

@@ -3,27 +3,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgloc import matching
+from sgloc import matching, tensor
 from sgloc.boxes import corners_to_cxcywh, cxcywh_to_corners
 from sgloc.boxes import giou as giou_table
 from sgloc.boxes import iou as iou_table
-from sgloc.matching import (
-    LossWeights,
-    bce_score_loss,
-    build_cost_matrix,
-    giou_loss_matched,
-    hungarian_assign,
-    l1_loss_matched,
-    total_loss,
-)
-from sgloc.tensor import ShapeError, Tensor, backward, finite_difference_check, sum_all
+from sgloc.matching import LossWeights, build_cost_matrix, hungarian_assign, total_loss
+from sgloc.tensor import ShapeError, Tensor, backward, finite_difference_check
 from test_boxes import giou_scalar
+
+SCORE_EPS = 1e-7  # the clamp of the score BCE
 
 
 def giou(a, b) -> float:
     """GIoU of one pair, read from the pairwise table."""
     return float(giou_table([a], [b])[0, 0])
+
+
+def random_boxes(rng, n) -> np.ndarray:
+    """(n, 4) center-size boxes with centers in 0.3-0.7 and sizes in 0.1-0.3."""
+    return np.column_stack([rng.uniform(0.3, 0.7, (n, 2)), rng.uniform(0.1, 0.3, (n, 2))])
+
+
+def score_only(scores, labels):
+    """`total_loss` at weights (1, 0, 0): the score BCE of `scores` with label
+    1 where `labels` is 1. Each positive token is matched to one gt box."""
+    tok = np.flatnonzero(np.asarray(labels))
+    gt = np.tile([0.2, 0.2, 0.6, 0.6], (tok.size, 1))
+    boxes = Tensor(np.full((scores.shape[0], 4), 0.5))
+    return total_loss(scores, boxes, gt, tok, LossWeights(1.0, 0.0, 0.0))
 
 
 def brute_force_assignments(cost):
@@ -198,31 +208,20 @@ class TestGiou:
                 assert table[t, g] == giou_scalar(boxes[t], gts[g])
 
     def test_tensor_route_matches_scalar_oracle(self, f64, rng):
-        pred = np.column_stack(
-            [rng.uniform(0.3, 0.7, 4), rng.uniform(0.3, 0.7, 4), rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4)]
-        )
-        gt_c = cxcywh_to_corners(
-            np.column_stack(
-                [rng.uniform(0.3, 0.7, 4), rng.uniform(0.3, 0.7, 4), rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4)]
-            )
-        )
-        got = giou_loss_matched(Tensor(pred), gt_c).item()
+        pred = random_boxes(rng, 4)
+        gt_c = cxcywh_to_corners(random_boxes(rng, 4))
+        lb = total_loss(Tensor(rng.random(4)), Tensor(pred), gt_c, np.arange(4), LossWeights(0.0, 0.0, 1.0))
         want = np.mean([1.0 - giou_scalar(cxcywh_to_corners(pred[i]), gt_c[i]) for i in range(4)])
-        assert got == pytest.approx(want, abs=1e-9)
+        assert lb.giou_loss == pytest.approx(want, abs=1e-12)
+        assert lb.total == lb.giou_loss
 
     def test_giou_loss_gradcheck(self, f64, rng):
-        pred = Tensor(
-            np.column_stack(
-                [rng.uniform(0.3, 0.7, 3), rng.uniform(0.3, 0.7, 3), rng.uniform(0.1, 0.3, 3), rng.uniform(0.1, 0.3, 3)]
-            ),
-            requires_grad=True,
-        )
-        gt_c = cxcywh_to_corners(
-            np.column_stack(
-                [rng.uniform(0.3, 0.7, 3), rng.uniform(0.3, 0.7, 3), rng.uniform(0.1, 0.3, 3), rng.uniform(0.1, 0.3, 3)]
-            )
-        )
-        err = finite_difference_check(lambda: giou_loss_matched(pred, gt_c), [pred], eps=1e-6)
+        pred = Tensor(random_boxes(rng, 3), requires_grad=True)
+        gt_c = cxcywh_to_corners(random_boxes(rng, 3))
+        scores = Tensor(rng.random(3))
+        weights = LossWeights(0.0, 0.0, 1.0)
+        err = finite_difference_check(lambda: total_loss(scores, pred, gt_c, [2, 0, 1], weights).total_tensor,
+                                      [pred], eps=1e-6)
         assert err < 1e-5
 
 
@@ -230,38 +229,42 @@ class TestBce:
     def test_half_scores_give_ln2(self, f64):
         s = Tensor(np.full(8, 0.5))
         labels = np.array([1, 0, 1, 0, 0, 0, 1, 1])
-        assert bce_score_loss(s, labels).item() == pytest.approx(math.log(2), abs=1e-9)
+        assert score_only(s, labels).total == pytest.approx(math.log(2), abs=1e-9)
 
     def test_perfect_scores_drive_loss_to_zero(self):
         labels = np.array([1.0, 0.0, 1.0])
         for gap in [1e-2, 1e-4, 1e-6]:
             s = Tensor(np.abs(labels - gap))
-            assert bce_score_loss(s, labels).item() < -math.log(1 - gap) + 1e-6
+            assert score_only(s, labels).total < -math.log(1 - gap) + 1e-6
 
     def test_against_direct_oracle(self, f64, rng):
         s = rng.uniform(0.05, 0.95, 12)
         y = (rng.random(12) < 0.3).astype(np.float64)
-        got = bce_score_loss(Tensor(s), y).item()
+        lb = score_only(Tensor(s), y)
         want = -np.mean(y * np.log(s) + (1 - y) * np.log(1 - s))
-        assert got == pytest.approx(want, abs=1e-12)
+        assert lb.score_loss == pytest.approx(want, abs=1e-12)
+        assert lb.total == lb.score_loss
 
-    def test_extreme_scores_clamped(self):
-        s = Tensor(np.array([0.0, 1.0]))
-        out = bce_score_loss(s, np.array([0.0, 1.0])).item()
-        assert np.isfinite(out)
+    def test_extreme_scores_clamped(self, f64):
+        # outside the clamp the loss is finite and flat
+        s = Tensor(np.array([0.0, 1.0, SCORE_EPS, 1.0 - SCORE_EPS, 0.5]), requires_grad=True)
+        lb = score_only(s, np.array([0.0, 1.0, 1.0, 0.0, 1.0]))
+        assert np.isfinite(lb.total)
+        g = backward(lb.total_tensor)[s]
+        assert np.array_equal(g[:4], np.zeros(4)) and g[4] < 0
 
     def test_minimized_at_labels(self, f64):
         # gradient sign on both sides of s = y
         for y, s_lo, s_hi in [(1.0, 0.6, 0.99), (0.0, 0.01, 0.4)]:
             for s in (s_lo, s_hi):
                 t = Tensor(np.array([s]), requires_grad=True)
-                g = backward(bce_score_loss(t, np.array([y])))[t][0]
+                g = backward(score_only(t, np.array([y])).total_tensor)[t][0]
                 assert (g < 0) == (s < y)
 
     def test_gradcheck(self, f64, rng):
         p = Tensor(rng.uniform(0.1, 0.9, 10), requires_grad=True)
         y = (rng.random(10) < 0.5).astype(np.float64)
-        err = finite_difference_check(lambda: bce_score_loss(p, y), [p], eps=1e-6)
+        err = finite_difference_check(lambda: score_only(p, y).total_tensor, [p], eps=1e-6)
         assert err < 1e-5
 
 
@@ -308,35 +311,80 @@ class TestCostMatrix:
                 assert got[t, g] == pytest.approx(want, abs=1e-12)
 
 
+def pinned_loss(s, b, gt, tok, w, at):
+    """The weighted training loss, written out in numpy, with each clamp,
+    max, min and sign fixed to the branch it takes at the point `at` = (s0,
+    b0), a tie taking the gt's side. It is smooth around `at`, so its central
+    differences there are the subgradient that `total_loss` promises."""
+    s0, b0 = at
+    y = np.zeros(len(s))
+    y[tok] = 1.0
+    sc = np.where(s0 <= SCORE_EPS, SCORE_EPS, np.where(s0 >= 1 - SCORE_EPS, 1 - SCORE_EPS, s))
+    loss = -w.lam_cls * np.mean(y * np.log(sc) + (1 - y) * np.log(1 - sc))
+    if not len(tok):
+        return loss
+
+    def corners(boxes):
+        c, wh = boxes[tok, :2], boxes[tok, 2:]
+        return c - 0.5 * wh, c + 0.5 * wh
+
+    (lo, hi), (lo0, hi0) = corners(b), corners(b0)
+    glo, ghi = gt[:, :2], gt[:, 2:]
+    ext = np.where(hi0 < ghi, hi, ghi) - np.where(lo0 > glo, lo, glo)
+    ext0 = np.minimum(hi0, ghi) - np.maximum(lo0, glo)
+    inter = np.where(ext0 > 0, ext, 0.0).prod(axis=1)
+    union = b[tok, 2] * b[tok, 3] + (ghi - glo).prod(axis=1) - inter
+    hull = (np.where(hi0 > ghi, hi, ghi) - np.where(lo0 < glo, lo, glo)).prod(axis=1)
+    gi = inter / union - (hull - union) / hull
+    d = b[tok] - corners_to_cxcywh(gt)
+    d0 = b0[tok] - corners_to_cxcywh(gt)
+    return loss + w.lam_l1 * np.sum(np.sign(d0) * d) / len(tok) + w.lam_giou * np.mean(1.0 - gi)
+
+
+def central_differences(f, x, h=1e-6) -> np.ndarray:
+    """The gradient of `f` at the vector `x`, one entry at a time."""
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in np.eye(x.size) * h])
+
+
 class TestTotalLoss:
     def _random_instance(self, rng, T=8, G=3):
         scores = Tensor(rng.uniform(0.05, 0.95, T), requires_grad=True)
-        boxes = Tensor(
-            np.column_stack(
-                [rng.uniform(0.3, 0.7, T), rng.uniform(0.3, 0.7, T), rng.uniform(0.1, 0.3, T), rng.uniform(0.1, 0.3, T)]
-            ),
-            requires_grad=True,
-        )
-        gt_c = cxcywh_to_corners(
-            np.column_stack(
-                [rng.uniform(0.3, 0.7, G), rng.uniform(0.3, 0.7, G), rng.uniform(0.1, 0.3, G), rng.uniform(0.1, 0.3, G)]
-            )
-        )
-        return scores, boxes, gt_c
+        boxes = Tensor(random_boxes(rng, T), requires_grad=True)
+        return scores, boxes, cxcywh_to_corners(random_boxes(rng, G))
 
     def test_no_foreground(self, rng):
-        scores = Tensor(rng.uniform(0.1, 0.9, 6))
-        boxes = Tensor(rng.uniform(0.1, 0.9, (6, 4)))
+        scores = Tensor(rng.uniform(0.1, 0.9, 6), requires_grad=True)
+        boxes = Tensor(rng.uniform(0.1, 0.9, (6, 4)), requires_grad=True)
         a = hungarian_assign(np.zeros((6, 0)))
         lb = total_loss(scores, boxes, np.zeros((0, 4)), a)
         assert lb.l1_loss == 0.0 and lb.giou_loss == 0.0
-        want = bce_score_loss(Tensor(scores.data), np.zeros(6)).item()
-        assert lb.total == pytest.approx(2.0 * want, abs=1e-9)
+        want = -np.mean(np.log(1.0 - scores.data.astype(np.float64)))
+        assert lb.total == pytest.approx(2.0 * want, abs=1e-12)
+        assert list(backward(lb.total_tensor)) == [scores]  # the boxes get no gradient
 
     def test_assignment_must_cover_every_gt(self, rng):
         scores, boxes, gt_c = self._random_instance(rng, T=6, G=2)
         with pytest.raises(ShapeError, match="does not cover 2 gts"):
             total_loss(scores, boxes, gt_c, np.array([3]))
+
+    @pytest.mark.parametrize("token", [-1, 6, 99])
+    def test_a_token_index_outside_the_tokens_is_named(self, rng, token):
+        scores, boxes, gt_c = self._random_instance(rng, T=6, G=2)
+        with pytest.raises(ShapeError, match=rf"token index {token} is outside 0\.\.5"):
+            total_loss(scores, boxes, gt_c, np.array([2, token]))
+
+    def test_scores_and_boxes_must_be_t_and_t_by_4(self, rng):
+        scores, boxes, gt_c = self._random_instance(rng, T=6, G=1)
+        for s, b in [(Tensor(np.ones((6, 1))), boxes), (scores, Tensor(np.ones((5, 4))))]:
+            with pytest.raises(ShapeError, match=r"are not \(T,\) and \(T, 4\)"):
+                total_loss(s, b, gt_c, [0])
+
+    def test_one_tape_node_with_gradients_in_each_parents_dtype(self, rng):
+        scores, boxes, gt_c = self._random_instance(rng)
+        lb = total_loss(scores, boxes, gt_c, [5, 1, 2])
+        assert tensor._topo(lb.total_tensor) == [lb.total_tensor]
+        grads = backward(lb.total_tensor)
+        assert lb.total_tensor.data.dtype == grads[scores].dtype == grads[boxes].dtype == np.float32
 
     def test_perfect_predictions_near_zero(self):
         gt_c = np.array([[0.2, 0.2, 0.6, 0.6], [0.6, 0.55, 0.9, 0.95]])
@@ -358,25 +406,21 @@ class TestTotalLoss:
         a = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_c))
         w = LossWeights()
         lb = total_loss(scores, boxes, gt_c, a, w)
-        s_or = bce_score_loss(Tensor(scores.data), labels(a, scores.shape[0])).item()
+        y = np.array(labels(a, scores.shape[0]))
+        s_or = -np.mean(y * np.log(scores.data) + (1 - y) * np.log(1 - scores.data))
         matched = boxes.data[a]
-        l1_or = l1_loss_matched(Tensor(matched), gt_c).item()
+        l1_or = np.abs(matched - corners_to_cxcywh(gt_c)).sum() / 3
         gi_or = np.mean([1.0 - giou(cxcywh_to_corners(matched[i]), gt_c[i]) for i in range(3)])
         want = w.lam_cls * s_or + w.lam_l1 * l1_or + w.lam_giou * gi_or
-        assert lb.total == pytest.approx(want, abs=1e-9)
+        assert lb.total == pytest.approx(want, abs=1e-12)
         assert lb.total == pytest.approx(
             w.lam_cls * lb.score_loss + w.lam_l1 * lb.l1_loss + w.lam_giou * lb.giou_loss,
-            abs=1e-9,
+            abs=1e-12,
         )
 
     def test_gradcheck_full_loss(self, f64, rng):
         scores_p = Tensor(rng.uniform(0.1, 0.9, 6), requires_grad=True)
-        boxes_p = Tensor(
-            np.column_stack(
-                [rng.uniform(0.3, 0.7, 6), rng.uniform(0.3, 0.7, 6), rng.uniform(0.1, 0.3, 6), rng.uniform(0.1, 0.3, 6)]
-            ),
-            requires_grad=True,
-        )
+        boxes_p = Tensor(random_boxes(rng, 6), requires_grad=True)
         gt_c = cxcywh_to_corners(np.array([[0.4, 0.4, 0.25, 0.22], [0.7, 0.6, 0.2, 0.3]]))
         a = hungarian_assign(build_cost_matrix(scores_p.data, boxes_p.data, gt_c))
 
@@ -395,3 +439,42 @@ class TestTotalLoss:
         lb2 = total_loss(scores, boxes, gt_c, a)
         g2 = backward(lb2.total_tensor)[scores]
         assert np.array_equal(g1, g2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_tok=st.integers(1, 12), n_gt=st.integers(0, 4), tie=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_terms_and_gradient_match_numpy_oracles(self, n_tok, n_gt, tie, seed):
+        rng = np.random.default_rng(seed)
+        G = min(n_gt, n_tok)
+        s = rng.uniform(0.01, 0.99, n_tok)
+        edge = rng.random(n_tok) < 0.3  # at or beyond the clamp
+        s[edge] = rng.choice([0.0, SCORE_EPS, 1.0 - SCORE_EPS, 1.0], int(edge.sum()))
+        b = random_boxes(rng, n_tok)
+        gt = cxcywh_to_corners(random_boxes(rng, G))
+        tok = rng.permutation(n_tok)[:G]
+        if tie and G:  # x0 == gx0 and cy == the gt's cy, exactly as total_loss computes them
+            x0 = b[tok[0], 0] - 0.5 * b[tok[0], 2]
+            gt[0, [0, 2]] = x0, x0 + (gt[0, 2] - gt[0, 0])
+            b[tok[0], 1] = corners_to_cxcywh(gt[0])[1]
+        w = LossWeights(*rng.uniform(0.5, 3.0, 3))
+        with tensor.precision("f64"):
+            scores, boxes = Tensor(s, requires_grad=True), Tensor(b, requires_grad=True)
+            lb = total_loss(scores, boxes, gt, tok, w)
+            grads = backward(lb.total_tensor)
+
+        y = np.zeros(n_tok)
+        y[tok] = 1.0
+        sc = np.clip(s, SCORE_EPS, 1.0 - SCORE_EPS)
+        assert lb.score_loss == pytest.approx(-np.mean(y * np.log(sc) + (1 - y) * np.log(1 - sc)), rel=1e-12)
+        if G:
+            assert lb.l1_loss == pytest.approx(np.abs(b[tok] - corners_to_cxcywh(gt)).sum() / G, rel=1e-12)
+            want = np.mean(1.0 - np.diag(giou_table(cxcywh_to_corners(b[tok]), gt)))
+            assert lb.giou_loss == pytest.approx(want, rel=1e-12, abs=1e-15)
+        else:
+            assert lb.l1_loss == lb.giou_loss == 0.0
+        assert lb.total == pytest.approx(
+            w.lam_cls * lb.score_loss + w.lam_l1 * lb.l1_loss + w.lam_giou * lb.giou_loss, rel=1e-12)
+
+        flat = lambda x: pinned_loss(x[:n_tok], x[n_tok:].reshape(-1, 4), gt, tok, w, (s, b))
+        want = central_differences(flat, np.concatenate([s, b.ravel()]))
+        got = np.concatenate([grads[scores], grads.get(boxes, np.zeros_like(b)).ravel()])
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)

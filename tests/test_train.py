@@ -615,8 +615,8 @@ class TestTrainLoop:
 
 
 PINNED_TRAINING = (
-    "f4ec26a4365447192576a20b3bdfe46d6bce9387182d7fab40ba2cc61a0f3302",
-    "f9068ee1d14c54a766502b2382bd3ce2865d30044313b9bde282fede968d3dbb",
+    "4b61885316522e765aaa5357694aefd7386cac26ddda0297fe4a0054d2fb0c3a",
+    "382deeada748b403ab4931866c835aac0e116d48bd9a8b0bdddbe90bb9fe81af",
 )
 
 
