@@ -20,7 +20,8 @@ the heads, takes a softmax over (groups*heads, n_q, n_k) and merges them back.
 
 A block holds its own weights: the three projections, the two adapter
 matrices and the head count. `cross_attention` reads the projections and
-`adapter_fuse` the adapter matrices of the block it is given.
+`adapter_fuse` the adapter matrices of the block it is given. Neither checks
+shapes: the `tensor` ops they call refuse a mismatch with a `ShapeError`.
 """
 
 from __future__ import annotations
@@ -102,12 +103,7 @@ def _add_pos(seq: Tensor, table: np.ndarray | None, groups: int) -> Tensor:
     """Add one group's position table to each of the `groups` row blocks."""
     if table is None:
         return seq
-    n, d = seq.shape[0] // groups, seq.shape[1]
-    if table.shape != (n, d):
-        raise ShapeError(f"position table shape {table.shape} != sequence {(n, d)}")
-    if groups > 1:
-        table = np.tile(table, (groups, 1))
-    return add(seq, Tensor(table.astype(seq.data.dtype)))
+    return add(seq, Tensor(np.tile(table, (groups, 1)).astype(seq.data.dtype)))
 
 
 def cross_attention(
@@ -129,27 +125,14 @@ def cross_attention(
     group's keys, never to the values. Only `block`'s projections are read;
     the projected token matrices go to one `tensor.attend` call.
     """
-    d = block.wq.shape[0]
-    if (
-        query_seq.shape[1] != d
-        or key_seq.shape[1] != d
-        or key_seq.shape[0] % groups
-    ):
-        raise ShapeError(
-            f"attention shapes mismatch: q {query_seq.shape}, kv {key_seq.shape}, "
-            f"block width {d}, {groups} groups"
-        )
     q = matmul(_add_pos(query_seq, q_pos, 1), block.wq)
     k = matmul(_add_pos(key_seq, k_pos, groups), block.wk)
     v = matmul(key_seq, block.wv)
-    return attend(q, k, v, 1.0 / math.sqrt(d // block.heads), block.heads, groups)
+    return attend(q, k, v, 1.0 / math.sqrt(block.wq.shape[1] // block.heads), block.heads, groups)
 
 
 def adapter_fuse(attended: Tensor, residual: Tensor, block: Block, groups: int = 1) -> Tensor:
     """residual + W_out(relu(mean_G(W_in(attended)))), position-wise per row;
     `attended` stacks G row blocks of `residual`'s shape, group-major. Only
     `block`'s adapter weights are read."""
-    n, d = residual.shape
-    if attended.shape != (groups * n, d):
-        raise ShapeError(f"adapter_fuse: {attended.shape} is not {groups} groups of {residual.shape}")
     return add(residual, matmul(relu(mean_groups(matmul(attended, block.w_in), groups)), block.w_out))

@@ -85,7 +85,9 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(master: int, *salts) -> int:
-    """Independent child seed from a master seed and a salt tuple."""
+    """Independent child seed from an integer master seed and a salt tuple."""
+    if not _is_int(master):
+        raise ValueError(f"a seed must be an integer, got {master!r}")
     x = splitmix64(int(master) & 0xFFFFFFFFFFFFFFFF)
     for s in salts:
         if isinstance(s, str):

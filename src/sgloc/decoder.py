@@ -2,13 +2,14 @@
 
 Each decoder layer is a (self, cross) pair of `attention.Block`s on the DET
 tokens: one over themselves, one over the multi-scale encoder memory. Layer
-0's first block reads only the learned DET embedding, so `det_queries` runs it
-apart from `decode`, which takes its result; the ops and their order are those
-of one pass through all layers, so the split is exact. After decoding, one block
-pulls sketch features into the object tokens and a mirrored block pulls object
-features into the sketch tokens. Scores come from a small MLP over each
-refined token concatenated with the max-pooled global sketch embedding, boxes
-from another; each MLP is a list of (w, b) layers, and `mlp` applies both.
+0's first block reads only the learned DET embedding, so
+`SketchLocalizer.encode_scene` runs it apart from `decode`, which takes its
+result; the ops and their order are those of one pass through all layers, so
+the split is exact. After decoding, one block pulls sketch features into the
+object tokens and a mirrored block pulls object features into the sketch
+tokens. Scores come from a small MLP over each refined token concatenated with
+the max-pooled global sketch embedding, boxes from another; each MLP is a list
+of (w, b) layers, and `mlp` applies both.
 """
 
 from __future__ import annotations
@@ -37,19 +38,12 @@ class LocalizationResult:
     detections: list  # [(np.ndarray(4), float score)]
 
 
-def det_queries(det_embed: Tensor, self_block: Block) -> Tensor:
-    """The learned T x d `det_embed` after layer 0's pre-normed `self_block`
-    among the tokens. No scene or sketch reaches them; `decode` continues
-    from them."""
-    return self_block(det_embed, norm=True)
-
-
 def decode(features: list, layers: list, det0: Tensor) -> Tensor:
     """Refine the DET tokens against the concatenated multi-scale memory.
 
     `features` holds one token matrix per encoder stage, `layers` one
     (self, cross) block pair per decoder layer, and `det0` is
-    `det_queries(det_embed, layers[0][0])`. Each layer: a pre-normed block
+    `layers[0][0](det_embed, norm=True)`. Each layer: a pre-normed block
     among the tokens (layer 0's result is `det0`, which reads no input, so it
     may be computed once for many calls), then one over all stage tokens
     (each stage keeping its own grid's position encoding).

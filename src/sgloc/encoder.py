@@ -5,13 +5,14 @@ grid, row s = y*g + x; `attention.grid_pos(n, d)` is its position table.
 Every stage below is one pre-normed self-attention `attention.Block`; every
 fusion is one `Block` from one token set over another.
 
-The image path is a plain patch-embedding transformer: each stage runs a
-self-attention block over the tokens, then a 2x2 average pool halves the grid
-side. After every stage the sketch bundle is fused into the stage output (image
-tokens as queries, sketch tokens as keys/values); the fused outputs of all
-stages form the multi-scale memory handed to the decoder. The functions take
-the weights they read as arguments: a patch-embedding matrix, one block, or a
-list of blocks per stage.
+Scene and sketch are patch-embedded alike, as in a ViT, by `patch_tokens`.
+The image path is then a plain transformer: each stage runs a self-attention
+block over the tokens, then a 2x2 average pool halves the grid side. After
+every stage the sketch bundle is fused into the stage output (image tokens as
+queries, sketch tokens as keys/values); the fused outputs of all stages form
+the multi-scale memory handed to the decoder. The functions take the weights
+they read as arguments: a patch-embedding matrix, one block, or a list of
+blocks per stage.
 
 The path is split where the first sketch enters. `encode_stage0` runs the
 patch embedding and stage 0's block and pool, which read the scene alone;
@@ -50,29 +51,20 @@ class ImageFeatureStage:
     tokens: Tensor  # n x d over a square grid
 
 
-def image_to_patches(image: np.ndarray) -> np.ndarray:
-    """Non-overlapping IMAGE_PATCH-sided patches of a scene, row-major token order."""
-    if image.shape != SCENE_SHAPE:
-        raise ShapeError(f"expected an RGB scene of shape {SCENE_SHAPE}, got {image.shape}")
-    p, g = IMAGE_PATCH, IMAGE_SIZE // IMAGE_PATCH
-    return image.reshape(g, p, g, p, 3).transpose(0, 2, 1, 3, 4).reshape(g * g, p * p * 3)
-
-
-def sketch_to_patches(raster: np.ndarray) -> np.ndarray:
-    """Non-overlapping SKETCH_PATCH-sided patches of a sketch, row-major token order."""
-    if raster.shape != SKETCH_SHAPE:
-        raise ShapeError(f"expected a grayscale sketch of shape {SKETCH_SHAPE}, got {raster.shape}")
-    p, g = SKETCH_PATCH, IMAGE_SIZE // SKETCH_PATCH
-    return raster.reshape(g, p, g, p).transpose(0, 2, 1, 3).reshape(g * g, p * p)
-
-
-def _check_pixels(pixels: np.ndarray, what: str) -> None:
-    """A scene or sketch must be an array of finite values in [0, 1]; NaN
-    fails too."""
+def patch_tokens(pixels: np.ndarray, patch_embed: Tensor, shape: tuple, patch: int, what: str) -> Tensor:
+    """Tokens of a raster of `shape` (a scene or a sketch, finite values in
+    [0, 1]): its non-overlapping `patch`-sided patches in row-major token
+    order, s = y*g + x, times `patch_embed`, plus `grid_pos`. `what` names the
+    raster in errors."""
     if not isinstance(pixels, np.ndarray):
         raise ValueError(f"{what} must be a numpy array, got {type(pixels).__name__}")
-    if not (0.0 <= pixels.min() and pixels.max() <= 1.0):
+    if pixels.shape != shape:
+        raise ShapeError(f"expected a {what} of shape {shape}, got {pixels.shape}")
+    if not (0.0 <= pixels.min() and pixels.max() <= 1.0):  # NaN fails too
         raise ValueError(f"{what} pixel values must be finite and lie in [0, 1]")
+    p, g = patch, shape[0] // patch
+    patches = pixels.reshape(g, p, g, p, -1).transpose(0, 2, 1, 3, 4).reshape(g * g, -1)
+    return add(matmul(Tensor(patches), patch_embed), Tensor(grid_pos(g * g, patch_embed.shape[1])))
 
 
 @functools.cache
@@ -89,10 +81,8 @@ def encode_sketch(raster: np.ndarray, patch_embed: Tensor, blocks: list) -> Tens
     """Patch-embed a 64x64 grayscale sketch with the (SKETCH_PATCH**2) x d
     `patch_embed` and run the self-attention `blocks`; returns its
     SKETCH_TOKENS x d map."""
-    _check_pixels(raster, "sketch")
+    x = patch_tokens(raster, patch_embed, SKETCH_SHAPE, SKETCH_PATCH, "sketch")
     pos = grid_pos(SKETCH_TOKENS, patch_embed.shape[1])
-    patches = Tensor(sketch_to_patches(raster))
-    x = add(matmul(patches, patch_embed), Tensor(pos))
     for blk in blocks:  # pre-norm, as in the Swin blocks this stands in for
         x = blk(x, norm=True, q_pos=pos, k_pos=pos)
     return x
@@ -108,15 +98,6 @@ def image_block(stage: ImageFeatureStage, block: Block) -> ImageFeatureStage:
     x = block(stage.tokens, norm=True, q_pos=pos, k_pos=pos)
     pooled = matmul(Tensor(_pool_matrix(g, x.data.dtype)), x)
     return ImageFeatureStage(stage.index + 1, pooled)
-
-
-def embed_image(image: np.ndarray, patch_embed: Tensor) -> ImageFeatureStage:
-    """Stage 0's input: the scene's patches times the (IMAGE_PATCH**2*3) x d
-    `patch_embed`, plus positions."""
-    _check_pixels(image, "scene")
-    patches = Tensor(image_to_patches(image))
-    pos = grid_pos(patches.shape[0], patch_embed.shape[1])
-    return ImageFeatureStage(0, add(matmul(patches, patch_embed), Tensor(pos)))
 
 
 def bundle_size(bundle: Tensor) -> int:
@@ -150,7 +131,8 @@ def fuse_queries(bundle: Tensor, block: Block) -> Tensor:
 def encode_stage0(image: np.ndarray, patch_embed: Tensor, block: Block) -> ImageFeatureStage:
     """Patch-embed a scene and run stage 0's `block` and pool: the part of the
     image path that no sketch reaches. Its result starts `sketch_guided_encode`."""
-    return image_block(embed_image(image, patch_embed), block)
+    tokens = patch_tokens(image, patch_embed, SCENE_SHAPE, IMAGE_PATCH, "scene")
+    return image_block(ImageFeatureStage(0, tokens), block)
 
 
 def sketch_guided_encode(stage0: ImageFeatureStage, bundle: Tensor | None, blocks: list, fusions: list | None) -> list:
@@ -162,8 +144,6 @@ def sketch_guided_encode(stage0: ImageFeatureStage, bundle: Tensor | None, block
     bundle is ignored and may be None. Returns the fused token matrix of
     every stage.
     """
-    if len(blocks) < 2:
-        raise ShapeError("encoder needs at least 2 stages")
     if bundle is None and fusions is not None:
         raise ValueError("a query-conditioned encoder needs a sketch bundle")
     stage = stage0

@@ -151,9 +151,9 @@ def total_loss(
     weights: LossWeights | None = None,
 ) -> LossBreakdown:
     """Weighted sum of the mean score BCE over all T tokens, with label 1 at
-    each gt's token in `token_for_gt` and 0 elsewhere, and the mean L1 and
-    mean (1 - GIoU) of the matched pairs: one tape node over `scores` (T,)
-    and `boxes` (T, 4 center-size).
+    each gt's token in `token_for_gt` (G distinct integer indices) and 0
+    elsewhere, and the mean L1 and mean (1 - GIoU) of the matched pairs: one
+    tape node over `scores` (T,) and `boxes` (T, 4 center-size).
 
     The forward and its analytic VJP run in float64; the VJP is cast to each
     parent's dtype. Scores are clamped to [1e-7, 1 - 1e-7] before the logs.
@@ -166,12 +166,15 @@ def total_loss(
         raise ShapeError(f"scores {scores.shape} and boxes {boxes.shape} are not (T,) and (T, 4)")
     gt = np.asarray(gt_corners, dtype=np.float64).reshape(-1, 4)
     G = gt.shape[0]
-    tok = np.asarray(token_for_gt, dtype=np.intp)
+    tok = np.asarray(token_for_gt)
     if tok.shape != (G,):
         raise ShapeError(f"assignment shape {tok.shape} does not cover {G} gts")
+    if G and (tok.dtype.kind not in "iu" or len(set(tok.tolist())) < G):
+        raise ShapeError(f"token indices {tok.tolist()} are not {G} distinct integers")
     outside = tok[(tok < 0) | (tok >= T)]
     if outside.size:
         raise ShapeError(f"token index {outside[0]} is outside 0..{T - 1}")
+    tok = tok.astype(np.intp)
 
     y = np.zeros(T)
     y[tok] = 1.0

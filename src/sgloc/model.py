@@ -13,7 +13,6 @@ from .data import IMAGE_SIZE, derive_seed
 from .decoder import (
     LocalizationResult,
     decode,
-    det_queries,
     predict_boxes,
     refine_object_tokens,
     refine_query_tokens,
@@ -213,7 +212,7 @@ class SketchLocalizer:
         `no_grad`, one EncodedScene can answer every query of its scene.
         """
         stage0 = encode_stage0(image, self.image_embed, self.image_blocks[0])
-        return EncodedScene(self, stage0, det_queries(self.det_embed, self.decoder_layers[0][0]))
+        return EncodedScene(self, stage0, self.decoder_layers[0][0](self.det_embed, norm=True))
 
     def forward(self, image, sketches) -> tuple:
         """Score and box every DET token for one scene and 1..L query sketches.

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestTrainEval:
     def test_checkpoint_written(self, trained):
         _, _, ckpt = trained
         assert os.path.exists(ckpt)
-        assert open(ckpt, "rb").read(4) == b"SGL1"
+        assert Path(ckpt).read_bytes()[:4] == b"SGL1"
 
     def test_eval_emits_schema_json(self, trained, capsys):
         _, data_dir, ckpt = trained

@@ -5,6 +5,7 @@ import os
 import re
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +132,14 @@ class TestSeeds:
         assert derive_seed(0, "scene", 1) != derive_seed(0, "scene", 2)
         assert derive_seed(0, "scene", 1) != derive_seed(1, "scene", 1)
         assert derive_seed(0, "a") != derive_seed(0, "b")
+
+    @pytest.mark.parametrize("master", [1.5, 1.0, True, np.True_, "3", None, np.float64(3.0)])
+    def test_derive_seed_refuses_a_master_that_is_not_an_integer(self, master):
+        with pytest.raises(ValueError, match="a seed must be an integer"):
+            derive_seed(master, "scene", 1)
+
+    def test_derive_seed_takes_numpy_integers(self):
+        assert derive_seed(np.int64(3), "scene", 1) == derive_seed(np.uint8(3), "scene", 1) == derive_seed(3, "scene", 1)
 
 
 class TestGenerateScene:
@@ -438,7 +447,7 @@ class TestPnm:
         write_ppm(p, img)
         back = read_ppm(p)
         write_ppm(str(tmp_path / "y.ppm"), back)
-        assert open(p, "rb").read() == open(str(tmp_path / "y.ppm"), "rb").read()
+        assert Path(p).read_bytes() == (tmp_path / "y.ppm").read_bytes()
 
     def test_pgm_roundtrip_bit_exact(self, tmp_path, rng):
         img = rng.random((64, 64))
@@ -589,8 +598,8 @@ class TestDatasetDirectory:
         _, cfg, out = small_open_dataset
         out2 = str(tmp_path / "again")
         generate_dataset(cfg, out2)
-        a = open(os.path.join(out, "scenes/000003.ppm"), "rb").read()
-        b = open(os.path.join(out2, "scenes/000003.ppm"), "rb").read()
+        a = Path(out, "scenes/000003.ppm").read_bytes()
+        b = Path(out2, "scenes/000003.ppm").read_bytes()
         assert a == b
 
     def test_non_empty_directory_is_refused_and_left_as_it_was(self, small_open_dataset):

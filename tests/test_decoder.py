@@ -7,7 +7,6 @@ import pytest
 from sgloc.attention import cross_attention, grid_pos
 from sgloc.decoder import (
     decode,
-    det_queries,
     predict_boxes,
     refine_object_tokens,
     refine_query_tokens,
@@ -33,7 +32,7 @@ def fake_features(rng, d):
 
 def first_det(m):
     """The DET tokens after decoder layer 0's self-attention block."""
-    return det_queries(m.det_embed, m.decoder_layers[0][0])
+    return m.decoder_layers[0][0](m.det_embed, norm=True)
 
 
 class TestDecode:
@@ -324,3 +323,8 @@ class TestEncodeScene:
             scene = a.encode_scene(rand_image(rng))
         with pytest.raises(ValueError, match="only for the model that made it"):
             b.localize(scene, [rand_sketch(rng)])
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        with pytest.raises(ValueError, match="a seed must be an integer"):
+            tiny_model(seed=seed)

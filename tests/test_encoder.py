@@ -1,19 +1,23 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sgloc import tensor as T
+from sgloc.attention import grid_pos
+from sgloc.data import SCENE_SHAPE, SKETCH_SHAPE
 from sgloc.encoder import (
+    IMAGE_PATCH,
+    SKETCH_PATCH,
     SKETCH_TOKENS,
     ImageFeatureStage,
     _pool_matrix,
     bundle_size,
     encode_stage0,
     image_block,
-    image_to_patches,
+    patch_tokens,
     sketch_guided_encode,
-    sketch_to_patches,
 )
 from sgloc.model import ModelConfig, SketchLocalizer
 from sgloc.tensor import ShapeError, Tensor, finite_difference_check, mul, sum_all
@@ -43,20 +47,34 @@ def rand_image(rng):
 
 
 class TestPatches:
-    def test_image_patch_layout(self, rng):
-        img = rng.random((64, 64, 3))
-        p = image_to_patches(img)
-        assert p.shape == (256, 48)
-        # token s = y*16 + x; check patch (y=2, x=3)
-        want = img[8:12, 12:16, :].reshape(-1)
-        assert np.array_equal(p[2 * 16 + 3], want)
+    """`patch_tokens` with an identity `patch_embed`: token s is patch s plus
+    position row s."""
 
-    def test_sketch_patch_layout(self, rng):
+    def test_image_patch_layout(self, f64, rng):
+        img = rng.random((64, 64, 3))
+        tok = patch_tokens(img, Tensor(np.eye(48)), SCENE_SHAPE, IMAGE_PATCH, "scene").data
+        assert tok.shape == (256, 48)
+        # token s = y*16 + x; check patch (y=2, x=3)
+        s = 2 * 16 + 3
+        want = img[8:12, 12:16, :].reshape(-1) + grid_pos(256, 48)[s]
+        assert np.array_equal(tok[s], want)
+
+    def test_sketch_patch_layout(self, f64, rng):
         img = rng.random((64, 64))
-        p = sketch_to_patches(img)
-        assert p.shape == (64, 64)
-        want = img[8:16, 0:8].reshape(-1)
-        assert np.array_equal(p[8], want)  # token s = 1*8 + 0
+        tok = patch_tokens(img, Tensor(np.eye(64)), SKETCH_SHAPE, SKETCH_PATCH, "sketch").data
+        assert tok.shape == (64, 64)
+        want = img[8:16, 0:8].reshape(-1) + grid_pos(64, 64)[8]
+        assert np.array_equal(tok[8], want)  # token s = 1*8 + 0
+
+    @pytest.mark.parametrize("shape", [(0,), (64,), (64, 64, 3), (32, 32), (64, 64, 1)])
+    def test_a_sketch_of_another_shape_is_named(self, shape):
+        with pytest.raises(ShapeError, match=rf"expected a sketch of shape \(64, 64\), got {re.escape(str(shape))}"):
+            tiny_model().encode_sketches([np.zeros(shape)])
+
+    @pytest.mark.parametrize("shape", [(0,), (64, 64), (64, 64, 1), (64, 64, 4)])
+    def test_a_scene_of_another_shape_is_named(self, shape):
+        with pytest.raises(ShapeError, match=r"expected a scene of shape \(64, 64, 3\)"):
+            tiny_model().encode_scene(np.zeros(shape))
 
 
 class TestEncodeSketch:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,6 +373,23 @@ class TestTotalLoss:
         scores, boxes, gt_c = self._random_instance(rng, T=6, G=2)
         with pytest.raises(ShapeError, match=rf"token index {token} is outside 0\.\.5"):
             total_loss(scores, boxes, gt_c, np.array([2, token]))
+
+    @pytest.mark.parametrize("tok", [[1.7], [True], [1.0], np.array([1.0]), np.array([1], dtype=np.float32)])
+    def test_a_token_index_that_is_not_an_integer_is_named(self, rng, tok):
+        scores, boxes, gt_c = self._random_instance(rng, T=6, G=1)
+        with pytest.raises(ShapeError, match=r"token indices .* are not 1 distinct integers"):
+            total_loss(scores, boxes, gt_c, tok)
+
+    @pytest.mark.parametrize("tok", [[1, 1], [4, 2, 4], np.array([0, 3, 0], dtype=np.int64)])
+    def test_a_token_given_to_two_gts_is_named(self, rng, tok):
+        scores, boxes, gt_c = self._random_instance(rng, T=6, G=len(tok))
+        with pytest.raises(ShapeError, match=re.escape(f"token indices {list(map(int, tok))} are not {len(tok)} distinct")):
+            total_loss(scores, boxes, gt_c, tok)
+
+    @pytest.mark.parametrize("tok", [[3], np.array([3], dtype=np.uint8), np.array([3], dtype=np.int32), (3,)])
+    def test_any_integer_dtype_gives_the_same_total(self, rng, tok):
+        scores, boxes, gt_c = self._random_instance(rng, T=6, G=1)
+        assert total_loss(scores, boxes, gt_c, tok).total == total_loss(scores, boxes, gt_c, [3]).total
 
     def test_scores_and_boxes_must_be_t_and_t_by_4(self, rng):
         scores, boxes, gt_c = self._random_instance(rng, T=6, G=1)

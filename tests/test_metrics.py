@@ -347,6 +347,11 @@ class TestEvaluateQueries:
             r = evaluate_queries(model, tiny_corpus, "1Q", "val")
             assert r.ap50 >= r.map - 1e-12
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, tiny_corpus, seed):
+        with pytest.raises(ValueError, match="a seed must be an integer"):
+            evaluate_queries(RandomModel(5), tiny_corpus, "1Q", "val", seed=seed)
+
     def test_deterministic_reports(self, tiny_corpus):
         a = evaluate_queries(RandomModel(5), tiny_corpus, "1Q", "val", seed=1)
         b = evaluate_queries(RandomModel(5), tiny_corpus, "1Q", "val", seed=1)

@@ -10,6 +10,7 @@ import signal
 import struct
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ class TestCheckpoint:
         save_checkpoint(p1, m, cfg_text)
         m2, _ = load_model(p1)
         save_checkpoint(p2, m2, cfg_text)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_values_restored_exactly(self, tmp_path):
         m = tiny_model(seed=9)
@@ -523,7 +524,7 @@ class TestTrainLoop:
         cfg = tiny_train_config(train_corpus, epochs=2)
         c1 = train(cfg, str(tmp_path / "r1"), log=lambda m: None)
         c2 = train(cfg, str(tmp_path / "r2"), log=lambda m: None)
-        assert open(c1, "rb").read() == open(c2, "rb").read()
+        assert Path(c1).read_bytes() == Path(c2).read_bytes()
 
     def test_load_model_roundtrip(self, train_corpus, tmp_path):
         cfg = tiny_train_config(train_corpus)
