@@ -213,12 +213,12 @@ def _rasterize(loops, w: int = IMAGE_SIZE, h: int = IMAGE_SIZE) -> np.ndarray:
     ys = np.arange(h) + 0.5
     x1, y1 = np.concatenate(loops).T
     x2, y2 = np.concatenate([np.roll(loop, -1, axis=0) for loop in loops]).T
-    slanted = y1 != y2
-    x1, y1, x2, y2 = (v[slanted, None] for v in (x1, y1, x2, y2))
-    crosses = (y1 > ys) != (y2 > ys)  # (E, h)
-    xint = x1 + (ys - y1) * (x2 - x1) / (y2 - y1)
-    rows = np.nonzero(crosses)[1]
-    left = np.searchsorted(xs, xint[crosses], side="left")  # centres left of each crossing
+    # (edge, row) of each crossing. Only these divide: a horizontal edge
+    # crosses no row, and a nearly horizontal one would overflow at the rows
+    # it does not cross.
+    e, rows = np.nonzero((y1[:, None] > ys) != (y2[:, None] > ys))
+    xint = x1[e] + (ys[rows] - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+    left = np.searchsorted(xs, xint, side="left")  # centres left of each crossing
     counts = np.bincount(rows * (w + 1) + left, minlength=h * (w + 1)).reshape(h, w + 1)
     right = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # [i, j]: crossings right of centre j - 1
     return (right[:, 1:] & 1).astype(bool)
@@ -667,7 +667,8 @@ def _data_config(text: str, where: str) -> DataConfig:
 
 
 class Dataset:
-    """Read access to a generated corpus directory, with raster caching."""
+    """Read access to a generated corpus directory. `load_scene` and
+    `load_sketch` read their file at every call."""
 
     image_size = IMAGE_SIZE
     class_names = CLASS_NAMES
@@ -694,8 +695,6 @@ class Dataset:
         last = os.path.join(root, sketch_path(0, n_sk - 1))
         if not os.path.exists(last):
             raise DatasetError(f"{split_path}: sketches_per_class is {n_sk}, but there is no {last}")
-        self._scene_cache: dict = {}
-        self._sketch_cache: dict = {}
 
     def scene_ids(self, subset: str) -> list:
         n_train = self.config.n_train
@@ -709,11 +708,7 @@ class Dataset:
         return self.annotations[sid]
 
     def load_scene(self, sid: int) -> np.ndarray:
-        got = self._scene_cache.get(sid)
-        if got is None:
-            got = read_raster(read_ppm, os.path.join(self.root, scene_path(sid)), SCENE_SHAPE)
-            self._scene_cache[sid] = got
-        return got
+        return read_raster(read_ppm, os.path.join(self.root, scene_path(sid)), SCENE_SHAPE)
 
     def sketch_pool(self, cls: int, subset: str) -> list:
         """Class `cls`'s `subset` sketch paths: the last `n_val_sketches` of
@@ -734,8 +729,4 @@ class Dataset:
         return [pool[i] for i in rng.choice(len(pool), size=n, replace=len(pool) < n)]
 
     def load_sketch(self, rel_path: str) -> np.ndarray:
-        got = self._sketch_cache.get(rel_path)
-        if got is None:
-            got = read_raster(read_pgm, os.path.join(self.root, rel_path), SKETCH_SHAPE)
-            self._sketch_cache[rel_path] = got
-        return got
+        return read_raster(read_pgm, os.path.join(self.root, rel_path), SKETCH_SHAPE)

@@ -89,14 +89,12 @@ def encode_sketch(raster: np.ndarray, patch_embed: Tensor, blocks: list) -> Tens
 
 
 def image_block(stage: ImageFeatureStage, block: Block) -> ImageFeatureStage:
-    """A self-attention block over the stage tokens, then a 2x2 average pool."""
+    """A self-attention block over the stage tokens, then a 2x2 average pool.
+    The pool's matmul raises ShapeError for a grid of odd side."""
     n, d = stage.tokens.shape
     pos = grid_pos(n, d)
-    g = math.isqrt(n)
-    if g % 2:
-        raise ShapeError(f"a stage grid must have an even side to pool, got {g}x{g}")
     x = block(stage.tokens, norm=True, q_pos=pos, k_pos=pos)
-    pooled = matmul(Tensor(_pool_matrix(g, x.data.dtype)), x)
+    pooled = matmul(Tensor(_pool_matrix(math.isqrt(n), x.data.dtype)), x)
     return ImageFeatureStage(stage.index + 1, pooled)
 
 

@@ -6,6 +6,10 @@ The assignment itself runs on detached values, with box geometry from
 `boxes`; gradients only flow through the loss terms evaluated at the
 resulting discrete matching. `total_loss` is one tape node whose forward and
 VJP are written out here in float64 numpy.
+
+The matching cost and the loss weight their score, L1 and GIoU terms by the
+constants `LOSS_WEIGHTS`, 2/5/2 as in DETR (Carion et al., arXiv 2005.12872).
+Both read them when called, so a test can patch them to isolate one term.
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ from .tensor import ShapeError, Tensor, _make
 
 _SCORE_EPS = 1e-7
 
-
-@dataclass
-class LossWeights:
-    lam_cls: float = 2.0
-    lam_l1: float = 5.0
-    lam_giou: float = 2.0
+LOSS_WEIGHTS = (2.0, 5.0, 2.0)  # score, L1, GIoU
 
 
 @dataclass
@@ -127,40 +126,36 @@ def _lexicographic_optimum(cost: np.ndarray, cstar: float) -> np.ndarray:
 # losses
 
 
-def build_cost_matrix(scores, boxes, gt_corners, weights: LossWeights | None = None) -> np.ndarray:
-    """Matching costs: -lam_cls * score + lam_l1 * L1 + lam_giou * (1 - giou).
+def build_cost_matrix(scores, boxes, gt_corners) -> np.ndarray:
+    """Matching costs: -w_score * score + w_l1 * L1 + w_giou * (1 - giou),
+    with (w_score, w_l1, w_giou) = `LOSS_WEIGHTS`.
 
     `scores` (T,) and `boxes` (T,4 center-size) are detached prediction values;
     `gt_corners` (G,4) are normalized corner boxes. No gradients flow here.
     """
-    w = weights or LossWeights()
+    w_score, w_l1, w_giou = LOSS_WEIGHTS
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     boxes = np.asarray(boxes, dtype=np.float64)
     gt_corners = np.asarray(gt_corners, dtype=np.float64).reshape(-1, 4)
     gt_cs = corners_to_cxcywh(gt_corners)
     l1 = np.abs(boxes[:, None, :] - gt_cs[None, :, :]).sum(axis=2)
     gi = giou(cxcywh_to_corners(boxes), gt_corners)
-    return -w.lam_cls * scores[:, None] + w.lam_l1 * l1 + w.lam_giou * (1.0 - gi)
+    return -w_score * scores[:, None] + w_l1 * l1 + w_giou * (1.0 - gi)
 
 
-def total_loss(
-    scores: Tensor,
-    boxes: Tensor,
-    gt_corners,
-    token_for_gt,
-    weights: LossWeights | None = None,
-) -> LossBreakdown:
-    """Weighted sum of the mean score BCE over all T tokens, with label 1 at
-    each gt's token in `token_for_gt` (G distinct integer indices) and 0
-    elsewhere, and the mean L1 and mean (1 - GIoU) of the matched pairs: one
-    tape node over `scores` (T,) and `boxes` (T, 4 center-size).
+def total_loss(scores: Tensor, boxes: Tensor, gt_corners, token_for_gt) -> LossBreakdown:
+    """The `LOSS_WEIGHTS`-weighted sum of the mean score BCE over all T
+    tokens, with label 1 at each gt's token in `token_for_gt` (G distinct
+    integer indices) and 0 elsewhere, and the mean L1 and mean (1 - GIoU) of
+    the matched pairs: one tape node over `scores` (T,) and `boxes` (T, 4
+    center-size).
 
     The forward and its analytic VJP run in float64; the VJP is cast to each
     parent's dtype. Scores are clamped to [1e-7, 1 - 1e-7] before the logs.
     Subgradients are those of the elementwise formulas: zero outside the
     clamp and at every max/min tie, and sign(0) = 0.
     """
-    w = weights or LossWeights()
+    w_score, w_l1, w_giou = LOSS_WEIGHTS
     T = scores.size
     if scores.ndim != 1 or boxes.shape != (T, 4):
         raise ShapeError(f"scores {scores.shape} and boxes {boxes.shape} are not (T,) and (T, 4)")
@@ -198,15 +193,15 @@ def total_loss(
         union = wh[:, 0] * wh[:, 1] + (ghi - glo).prod(axis=1) - inter
         hull = span[:, 0] * span[:, 1]
         gi_loss = np.sum(1.0 - (inter / union - (hull - union) / hull)) * (1.0 / G)
-    total = w.lam_cls * score + w.lam_l1 * l1 + w.lam_giou * gi_loss
+    total = w_score * score + w_l1 * l1 + w_giou * gi_loss
 
     def bw(g):
         g = float(g)
         inside = (s > _SCORE_EPS) & (s < 1.0 - _SCORE_EPS)
-        gs = (g * w.lam_cls / T) * ((1.0 - y) / (1.0 - sc) - y / sc) * inside
+        gs = (g * w_score / T) * ((1.0 - y) / (1.0 - sc) - y / sc) * inside
         if G == 0:
             return gs.astype(scores.data.dtype), None
-        dgi = -g * w.lam_giou / G  # d total / d giou of each matched pair
+        dgi = -g * w_giou / G  # d total / d giou of each matched pair
         dunion = dgi * (1.0 / hull - inter / (union * union))
         dhull = -dgi * union / (hull * hull)
         dclip = (dgi / union - dunion)[:, None] * clip[:, ::-1]
@@ -215,7 +210,7 @@ def total_loss(
         dhi = dext * (hi < ghi) + dspan * (hi > ghi)
         dlo = -dext * (lo > glo) - dspan * (lo < glo)
         dm = np.concatenate([dlo + dhi, dunion[:, None] * wh[:, ::-1] + 0.5 * (dhi - dlo)], axis=1)
-        dm += (g * w.lam_l1 / G) * np.sign(d)
+        dm += (g * w_l1 / G) * np.sign(d)
         gb = np.zeros((T, 4))
         np.add.at(gb, tok, dm)
         return gs.astype(scores.data.dtype), gb.astype(boxes.data.dtype)

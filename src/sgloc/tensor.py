@@ -390,14 +390,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def add_n(tensors: Sequence[Tensor]) -> Tensor:
-    """Left-to-right sum of a nonempty list (fixed order for determinism)."""
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = add(acc, t)
-    return acc
-
-
 def global_max_pool(x: Tensor) -> Tensor:
     """Per-channel max over the rows of an n x d feature map; returns a
     length-d vector. Gradient routes to the first argmax row."""

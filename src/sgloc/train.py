@@ -17,8 +17,9 @@ The config echoed into a checkpoint is flat `key = value` text, one
 `TrainConfig` field per line. Key order is not significant: a file written
 before the model fields came first still parses to the same config. Keys of
 deleted fields (`RETIRED_KEYS`) are skipped, so older checkpoints and config
-files parse: `mode` whatever its value, Adam's `beta1`, `beta2` and `eps`
-only at the value now fixed. Any other value of these raises ValueError.
+files parse: `mode` whatever its value; Adam's `beta1`, `beta2` and `eps`,
+and the loss weights `lam_cls`, `lam_l1` and `lam_giou`, only at the value
+now fixed. Any other value of these raises ValueError.
 
 Training is fully deterministic given the config seed: data order, query
 sampling, and parameter init all derive from it. Identical configs therefore
@@ -83,7 +84,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Dataset, derive_seed
-from .matching import LossWeights, build_cost_matrix, hungarian_assign, total_loss
+from .matching import LOSS_WEIGHTS, build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
 from .tensor import NonFiniteError, backward, scale
 
@@ -95,7 +96,8 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 # keys of deleted config fields, each with the one value it may hold; None: any
-RETIRED_KEYS = {"mode": None, "beta1": ADAM_BETAS[0], "beta2": ADAM_BETAS[1], "eps": ADAM_EPS}
+RETIRED_KEYS = {"mode": None, "beta1": ADAM_BETAS[0], "beta2": ADAM_BETAS[1], "eps": ADAM_EPS,
+                "lam_cls": LOSS_WEIGHTS[0], "lam_l1": LOSS_WEIGHTS[1], "lam_giou": LOSS_WEIGHTS[2]}
 
 
 @dataclass
@@ -105,9 +107,6 @@ class TrainConfig(ModelConfig):
     lr: float = 1e-3
     batch_size: int = 8
     epochs: int = 40
-    lam_cls: float = LossWeights.lam_cls
-    lam_l1: float = LossWeights.lam_l1
-    lam_giou: float = LossWeights.lam_giou
     seed: int = 0
     dataset: str = ""
     protocol_mix: float = 0.5  # probability that a batch uses 5 query sketches
@@ -115,7 +114,7 @@ class TrainConfig(ModelConfig):
     def validate(self) -> None:
         super().validate()
         self._require(("batch_size", "epochs", "seed"), (int, np.integer), "an integer")
-        self._require(("lr", "lam_cls", "lam_l1", "lam_giou", "protocol_mix"), (numbers.Real,), "a number")
+        self._require(("lr", "protocol_mix"), (numbers.Real,), "a number")
         self._require(("dataset",), (str,), "a string")
         # `from_text` splits lines, cuts them at '#' and strips them: the path must survive that
         ds = self.dataset
@@ -126,17 +125,10 @@ class TrainConfig(ModelConfig):
         for name in ("lr", "batch_size", "epochs"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"config field {name} must be positive")
-        for name in ("lam_cls", "lam_l1", "lam_giou"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"config field {name} must not be negative")
-        for name in ("lr", "lam_cls", "lam_l1", "lam_giou"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"config field {name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.lr):
+            raise ValueError(f"config field lr must be finite, got {self.lr}")
         if not 0.0 <= self.protocol_mix <= 1.0:
             raise ValueError("protocol_mix must lie in [0, 1]")
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.lam_cls, self.lam_l1, self.lam_giou)
 
     def to_text(self) -> str:
         lines = []
@@ -375,7 +367,7 @@ def _sample_query(rng, dataset: Dataset, ann, n_sketch: int):
     return cls, dataset.draw_sketches(rng, cls, "train", n_sketch)
 
 
-def _sample_step(model, dataset, sid, cls, paths, weights, n, epoch, grads):
+def _sample_step(model, dataset, sid, cls, paths, n, epoch, grads):
     """Forward, matching and loss of one sample of a batch of `n`, then a
     backward sweep of its loss scaled by 1/n onto the totals `grads`.
 
@@ -388,21 +380,21 @@ def _sample_step(model, dataset, sid, cls, paths, weights, n, epoch, grads):
     if not (np.isfinite(scores.data).all() and np.isfinite(boxes.data).all()):
         raise NonFiniteError(f"non-finite forward output {where}")
     gt_corners = ann.boxes[[c == cls for c in ann.classes]] / float(dataset.image_size)
-    assign = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_corners, weights))
-    lb = total_loss(scores, boxes, gt_corners, assign, weights)
+    assign = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_corners))
+    lb = total_loss(scores, boxes, gt_corners, assign)
     if not np.isfinite(lb.total):
         raise NonFiniteError(f"non-finite loss {where}")
     backward(scale(lb.total_tensor, 1.0 / n), grads)
     return lb.score_loss, lb.l1_loss, lb.giou_loss, lb.total
 
 
-def _run_half(model, dataset, weights, grads, epoch, n, samples) -> list:
+def _run_half(model, dataset, grads, epoch, n, samples) -> list:
     """Zero the gradient slab `grads`, then run `samples`, [(sid, cls,
     sketch paths)] of one step of `n`, into it one after the other. Returns
     one loss record per sample."""
     for g in grads.values():
         g.fill(0)
-    return [_sample_step(model, dataset, *s, weights, n, epoch, grads) for s in samples]
+    return [_sample_step(model, dataset, *s, n, epoch, grads) for s in samples]
 
 
 # BLAS counts as single-threaded when each of these reads "1", as bench/run.py
@@ -443,7 +435,7 @@ def _slab(arrays: list) -> list:
     return [np.frombuffer(buf, a.dtype, a.size, off).reshape(a.shape) for a, off in zip(arrays, offsets)]
 
 
-def _worker(conn, parent_end, model, dataset, weights, grads) -> None:
+def _worker(conn, parent_end, model, dataset, grads) -> None:
     """A forked worker's loop for one epoch, until the parent terminates it
     or its end of the pipe closes.
 
@@ -458,7 +450,7 @@ def _worker(conn, parent_end, model, dataset, weights, grads) -> None:
         while True:
             job = conn.recv()
             try:
-                reply = _run_half(model, dataset, weights, grads, *job)
+                reply = _run_half(model, dataset, grads, *job)
             except Exception:  # the parent reruns the half, and meets the exception if it recurs
                 reply = None
             conn.send(reply)
@@ -474,14 +466,14 @@ def _receive(conn):
 
 
 @contextlib.contextmanager
-def _forked_worker(model, dataset, weights, grads):
+def _forked_worker(model, dataset, grads):
     """A worker forked for one epoch, as the parent's end of its pipe. On
     every exit it is terminated and joined: it is idle then, unless the
     parent raised while it ran a half."""
     ctx = multiprocessing.get_context("fork")
     conn, child = ctx.Pipe()
     # daemon: stopped at interpreter exit even if this process dies past `finally`
-    proc = ctx.Process(target=_worker, args=(child, conn, model, dataset, weights, grads), daemon=True)
+    proc = ctx.Process(target=_worker, args=(child, conn, model, dataset, grads), daemon=True)
     proc.start()
     child.close()
     try:
@@ -519,7 +511,6 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
         t.data = shared
     grads_a, grads_b = (dict(zip(leaves, _slab([t.data for t in leaves]))) for _ in range(2))
     state = OptimState(model.params)
-    weights = config.loss_weights()
     rng = np.random.default_rng(derive_seed(config.seed, "train"))
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "last.sgl")
@@ -530,7 +521,7 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_ids))
         records = []
-        worker = _forked_worker(model, dataset, weights, grads_b) if fork else contextlib.nullcontext()
+        worker = _forked_worker(model, dataset, grads_b) if fork else contextlib.nullcontext()
         with worker as conn:
             for start in range(0, len(order), config.batch_size):
                 batch = [train_ids[i] for i in order[start : start + config.batch_size]]
@@ -542,13 +533,13 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
                 if conn:
                     with contextlib.suppress(OSError):  # a dead worker: `_receive` gives None
                         conn.send((epoch, n, samples[half:]))
-                records += _run_half(model, dataset, weights, grads_a, epoch, n, samples[:half])
+                records += _run_half(model, dataset, grads_a, epoch, n, samples[:half])
                 reply = _receive(conn) if conn else None
                 if reply is None:  # no worker, or it failed: the parent runs this half and the rest
                     if conn:
                         log(f"epoch {epoch + 1}/{config.epochs}: the worker failed; this process runs the rest")
                     conn = None
-                    reply = _run_half(model, dataset, weights, grads_b, epoch, n, samples[half:])
+                    reply = _run_half(model, dataset, grads_b, epoch, n, samples[half:])
                 records += reply
                 for a, b in zip(grads_a.values(), grads_b.values()):
                     np.add(a, b, out=a)

@@ -146,8 +146,9 @@ class TestErrors:
             (b"d = 8\nbogus = 1\n", "config line 2: unknown key 'bogus'"),
             (b"d = 8\n\xff\n", "not UTF-8 text (byte 6: invalid start byte)"),
             (b"d = 8\nbeta1 = 0.5\n", "config line 2: beta1 is fixed at 0.9, got '0.5'"),
+            (b"d = 8\nlam_cls = 50\n", "config line 2: lam_cls is fixed at 2.0, got '50'"),
         ],
-        ids=["unknown-key", "not-utf8", "retired-key"],
+        ids=["unknown-key", "not-utf8", "retired-key", "retired-loss-weight"],
     )
     def test_config_file_errors_name_the_file(self, tmp_path, capsys, blob, fault):
         cfg = tmp_path / "bad.cfg"
@@ -202,6 +203,13 @@ class TestErrors:
     @pytest.mark.parametrize("flag, value", [("--beta1", "0.9"), ("--beta2", "0.999"), ("--eps", "1e-8")])
     def test_deleted_adam_flag_exits_2(self, tmp_path, capsys, flag, value):
         # Adam's betas and eps are constants of `sgloc.train`, not settings
+        assert main(["train", flag, value, "--out", str(tmp_path / "o")]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("flag, value", [("--lam-cls", "2"), ("--lam-l1", "5"), ("--lam-giou", "2")])
+    def test_deleted_loss_weight_flag_exits_2(self, tmp_path, capsys, flag, value):
+        # the loss weights are the constant `sgloc.matching.LOSS_WEIGHTS`, not settings
         assert main(["train", flag, value, "--out", str(tmp_path / "o")]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")

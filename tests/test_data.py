@@ -55,7 +55,8 @@ def rasterize_loop(loops, w=64, h=64):
             if y1[e] == y2[e]:
                 continue
             cond = (y1[e] > py) != (y2[e] > py)
-            xint = x1[e] + (py - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
+            with np.errstate(over="ignore"):  # at a nearly horizontal edge; `cond` drops those rows
+                xint = x1[e] + (py - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
             inside ^= cond & (px < xint)
     return inside
 
@@ -318,6 +319,14 @@ class TestRenderersMatchTheirOracles:
             warnings.simplefilter("error")
             mask = data._rasterize([loop])
         assert mask.shape == (64, 64) and not mask.any()
+
+    def test_nearly_horizontal_edge_renders_without_warnings(self):
+        # its y-extent of 1e-306 would overflow (y - y1) / (y2 - y1) at every row
+        loop = np.array([(3.0, 1e-306), (40.0, 0.0), (20.0, 50.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = data._rasterize([loop])
+        assert mask.any() and np.array_equal(mask, rasterize_loop([loop]))
 
     def test_vertices_on_pixel_centre_rows(self):
         square = np.array([(10.2, 10.5), (30.7, 10.5), (30.7, 30.5), (10.2, 30.5)])

@@ -149,7 +149,7 @@ class TestImageBlock:
     def test_odd_extent_rejected(self, rng):
         m = tiny_model()
         stage = ImageFeatureStage(0, Tensor(rng.standard_normal((9, TINY.d))))  # 3x3
-        with pytest.raises(ShapeError, match="even side"):
+        with pytest.raises(ShapeError, match="matmul: inner extents differ"):  # the 2x2 pool's
             image_block(stage, m.image_blocks[0])
         stage = ImageFeatureStage(0, Tensor(rng.standard_normal((8, TINY.d))))  # no square grid
         with pytest.raises(ShapeError, match="square grid"):

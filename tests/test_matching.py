@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from sgloc import matching, tensor
 from sgloc.boxes import corners_to_cxcywh, cxcywh_to_corners
 from sgloc.boxes import giou as giou_table
 from sgloc.boxes import iou as iou_table
-from sgloc.matching import LossWeights, build_cost_matrix, hungarian_assign, total_loss
+from sgloc.matching import build_cost_matrix, hungarian_assign, total_loss
 from sgloc.tensor import ShapeError, Tensor, backward, finite_difference_check
 from test_boxes import giou_scalar
 
@@ -34,7 +35,8 @@ def score_only(scores, labels):
     tok = np.flatnonzero(np.asarray(labels))
     gt = np.tile([0.2, 0.2, 0.6, 0.6], (tok.size, 1))
     boxes = Tensor(np.full((scores.shape[0], 4), 0.5))
-    return total_loss(scores, boxes, gt, tok, LossWeights(1.0, 0.0, 0.0))
+    with mock.patch.object(matching, "LOSS_WEIGHTS", (1.0, 0.0, 0.0)):
+        return total_loss(scores, boxes, gt, tok)
 
 
 def brute_force_assignments(cost):
@@ -208,20 +210,21 @@ class TestGiou:
             for g in range(3):
                 assert table[t, g] == giou_scalar(boxes[t], gts[g])
 
-    def test_tensor_route_matches_scalar_oracle(self, f64, rng):
+    def test_tensor_route_matches_scalar_oracle(self, f64, rng, monkeypatch):
+        monkeypatch.setattr(matching, "LOSS_WEIGHTS", (0.0, 0.0, 1.0))
         pred = random_boxes(rng, 4)
         gt_c = cxcywh_to_corners(random_boxes(rng, 4))
-        lb = total_loss(Tensor(rng.random(4)), Tensor(pred), gt_c, np.arange(4), LossWeights(0.0, 0.0, 1.0))
+        lb = total_loss(Tensor(rng.random(4)), Tensor(pred), gt_c, np.arange(4))
         want = np.mean([1.0 - giou_scalar(cxcywh_to_corners(pred[i]), gt_c[i]) for i in range(4)])
         assert lb.giou_loss == pytest.approx(want, abs=1e-12)
         assert lb.total == lb.giou_loss
 
-    def test_giou_loss_gradcheck(self, f64, rng):
+    def test_giou_loss_gradcheck(self, f64, rng, monkeypatch):
+        monkeypatch.setattr(matching, "LOSS_WEIGHTS", (0.0, 0.0, 1.0))
         pred = Tensor(random_boxes(rng, 3), requires_grad=True)
         gt_c = cxcywh_to_corners(random_boxes(rng, 3))
         scores = Tensor(rng.random(3))
-        weights = LossWeights(0.0, 0.0, 1.0)
-        err = finite_difference_check(lambda: total_loss(scores, pred, gt_c, [2, 0, 1], weights).total_tensor,
+        err = finite_difference_check(lambda: total_loss(scores, pred, gt_c, [2, 0, 1]).total_tensor,
                                       [pred], eps=1e-6)
         assert err < 1e-5
 
@@ -280,17 +283,15 @@ class TestCostMatrix:
         cost = build_cost_matrix(scores, boxes, gt_c)
         assert cost[:, 0].argmin() == 3
 
-    def test_zero_weights_zero_matrix(self, rng):
-        cost = build_cost_matrix(
-            rng.random(5),
-            rng.random((5, 4)),
-            np.array([[0.1, 0.1, 0.5, 0.5]]),
-            LossWeights(0.0, 0.0, 0.0),
-        )
+    def test_zero_weights_zero_matrix(self, rng, monkeypatch):
+        monkeypatch.setattr(matching, "LOSS_WEIGHTS", (0.0, 0.0, 0.0))
+        cost = build_cost_matrix(rng.random(5), rng.random((5, 4)), np.array([[0.1, 0.1, 0.5, 0.5]]))
         assert np.array_equal(cost, np.zeros((5, 1)))
 
-    def test_matches_per_entry_evaluation(self, rng):
-        w = LossWeights(2.0, 5.0, 2.0)
+    def test_matches_per_entry_evaluation(self, rng, monkeypatch):
+        # three distinct weights, so that a swap of two of them shows
+        w_score, w_l1, w_giou = 3.0, 5.0, 2.0
+        monkeypatch.setattr(matching, "LOSS_WEIGHTS", (w_score, w_l1, w_giou))
         scores = rng.random(4)
         boxes = np.column_stack(
             [rng.uniform(0.3, 0.7, 4), rng.uniform(0.3, 0.7, 4), rng.uniform(0.1, 0.3, 4), rng.uniform(0.1, 0.3, 4)]
@@ -300,28 +301,30 @@ class TestCostMatrix:
                 [rng.uniform(0.3, 0.7, 2), rng.uniform(0.3, 0.7, 2), rng.uniform(0.1, 0.3, 2), rng.uniform(0.1, 0.3, 2)]
             )
         )
-        got = build_cost_matrix(scores, boxes, gt_c, w)
+        got = build_cost_matrix(scores, boxes, gt_c)
         gt_cs = corners_to_cxcywh(gt_c)
         for t in range(4):
             for g in range(2):
                 want = (
-                    -w.lam_cls * scores[t]
-                    + w.lam_l1 * np.abs(boxes[t] - gt_cs[g]).sum()
-                    + w.lam_giou * (1.0 - giou(cxcywh_to_corners(boxes[t]), gt_c[g]))
+                    -w_score * scores[t]
+                    + w_l1 * np.abs(boxes[t] - gt_cs[g]).sum()
+                    + w_giou * (1.0 - giou(cxcywh_to_corners(boxes[t]), gt_c[g]))
                 )
                 assert got[t, g] == pytest.approx(want, abs=1e-12)
 
 
 def pinned_loss(s, b, gt, tok, w, at):
-    """The weighted training loss, written out in numpy, with each clamp,
-    max, min and sign fixed to the branch it takes at the point `at` = (s0,
-    b0), a tie taking the gt's side. It is smooth around `at`, so its central
-    differences there are the subgradient that `total_loss` promises."""
+    """The training loss at the (score, L1, GIoU) weights `w`, written out in
+    numpy, with each clamp, max, min and sign fixed to the branch it takes at
+    the point `at` = (s0, b0), a tie taking the gt's side. It is smooth around
+    `at`, so its central differences there are the subgradient that
+    `total_loss` promises."""
     s0, b0 = at
     y = np.zeros(len(s))
     y[tok] = 1.0
     sc = np.where(s0 <= SCORE_EPS, SCORE_EPS, np.where(s0 >= 1 - SCORE_EPS, 1 - SCORE_EPS, s))
-    loss = -w.lam_cls * np.mean(y * np.log(sc) + (1 - y) * np.log(1 - sc))
+    w_score, w_l1, w_giou = w
+    loss = -w_score * np.mean(y * np.log(sc) + (1 - y) * np.log(1 - sc))
     if not len(tok):
         return loss
 
@@ -339,7 +342,7 @@ def pinned_loss(s, b, gt, tok, w, at):
     gi = inter / union - (hull - union) / hull
     d = b[tok] - corners_to_cxcywh(gt)
     d0 = b0[tok] - corners_to_cxcywh(gt)
-    return loss + w.lam_l1 * np.sum(np.sign(d0) * d) / len(tok) + w.lam_giou * np.mean(1.0 - gi)
+    return loss + w_l1 * np.sum(np.sign(d0) * d) / len(tok) + w_giou * np.mean(1.0 - gi)
 
 
 def central_differences(f, x, h=1e-6) -> np.ndarray:
@@ -422,17 +425,17 @@ class TestTotalLoss:
     def test_equals_composition_of_oracles(self, f64, rng):
         scores, boxes, gt_c = self._random_instance(rng)
         a = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt_c))
-        w = LossWeights()
-        lb = total_loss(scores, boxes, gt_c, a, w)
+        w_score, w_l1, w_giou = matching.LOSS_WEIGHTS
+        lb = total_loss(scores, boxes, gt_c, a)
         y = np.array(labels(a, scores.shape[0]))
         s_or = -np.mean(y * np.log(scores.data) + (1 - y) * np.log(1 - scores.data))
         matched = boxes.data[a]
         l1_or = np.abs(matched - corners_to_cxcywh(gt_c)).sum() / 3
         gi_or = np.mean([1.0 - giou(cxcywh_to_corners(matched[i]), gt_c[i]) for i in range(3)])
-        want = w.lam_cls * s_or + w.lam_l1 * l1_or + w.lam_giou * gi_or
+        want = w_score * s_or + w_l1 * l1_or + w_giou * gi_or
         assert lb.total == pytest.approx(want, abs=1e-12)
         assert lb.total == pytest.approx(
-            w.lam_cls * lb.score_loss + w.lam_l1 * lb.l1_loss + w.lam_giou * lb.giou_loss,
+            w_score * lb.score_loss + w_l1 * lb.l1_loss + w_giou * lb.giou_loss,
             abs=1e-12,
         )
 
@@ -473,10 +476,10 @@ class TestTotalLoss:
             x0 = b[tok[0], 0] - 0.5 * b[tok[0], 2]
             gt[0, [0, 2]] = x0, x0 + (gt[0, 2] - gt[0, 0])
             b[tok[0], 1] = corners_to_cxcywh(gt[0])[1]
-        w = LossWeights(*rng.uniform(0.5, 3.0, 3))
-        with tensor.precision("f64"):
+        w = w_score, w_l1, w_giou = tuple(rng.uniform(0.5, 3.0, 3))
+        with tensor.precision("f64"), mock.patch.object(matching, "LOSS_WEIGHTS", w):
             scores, boxes = Tensor(s, requires_grad=True), Tensor(b, requires_grad=True)
-            lb = total_loss(scores, boxes, gt, tok, w)
+            lb = total_loss(scores, boxes, gt, tok)
             grads = backward(lb.total_tensor)
 
         y = np.zeros(n_tok)
@@ -490,7 +493,7 @@ class TestTotalLoss:
         else:
             assert lb.l1_loss == lb.giou_loss == 0.0
         assert lb.total == pytest.approx(
-            w.lam_cls * lb.score_loss + w.lam_l1 * lb.l1_loss + w.lam_giou * lb.giou_loss, rel=1e-12)
+            w_score * lb.score_loss + w_l1 * lb.l1_loss + w_giou * lb.giou_loss, rel=1e-12)
 
         flat = lambda x: pinned_loss(x[:n_tok], x[n_tok:].reshape(-1, 4), gt, tok, w, (s, b))
         want = central_differences(flat, np.concatenate([s, b.ravel()]))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from sgloc.tensor import (
     Tensor,
     accumulate,
     add,
-    add_n,
     attend,
     backward,
     bmm,
@@ -145,7 +146,7 @@ class TestBatched:
     def test_mean_groups_matches_add_n_then_scale_bit_exact(self, rng):
         blocks = [Tensor(rng.standard_normal((3, 4))) for _ in range(5)]
         got = mean_groups(concat(blocks, axis=0), 5).data
-        assert np.array_equal(got, scale(add_n(blocks), 1.0 / 5).data)
+        assert np.array_equal(got, scale(functools.reduce(add, blocks), 1.0 / 5).data)
 
     def test_mean_groups_single_group_is_identity(self, rng):
         x = Tensor(rng.standard_normal((3, 4)))
@@ -372,7 +373,7 @@ def random_loss(ws, terms):
     """sum_all of a left-to-right sum of scale(mul(op(ws[i]), ws[j]), s) terms:
     a leaf may appear in several terms and twice in one."""
     ops = (lambda t: t, sigmoid, lambda t: scale(t, -1.0))
-    return sum_all(add_n([scale(mul(ops[o](ws[i]), ws[j]), s) for i, j, o, s in terms]))
+    return sum_all(functools.reduce(add, [scale(mul(ops[o](ws[i]), ws[j]), s) for i, j, o, s in terms]))
 
 
 class TestBackwardInto:
@@ -586,7 +587,3 @@ class TestTensorBasics:
         w = leaf(rng.standard_normal((3, 2)))
         grads = backward(sum_all(mul(w, w)))
         assert grads[w].shape == w.shape
-
-    def test_add_n_order(self):
-        xs = [leaf([float(i)]) for i in range(4)]
-        assert add_n(xs).data[0] == 6.0

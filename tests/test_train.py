@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from sgloc.data import DataConfig, Dataset, DatasetError, derive_seed, generate_
 from sgloc.matching import LossBreakdown, build_cost_matrix, hungarian_assign, total_loss
 from sgloc.model import ModelConfig, SketchLocalizer
 from sgloc import tensor as T
-from sgloc.tensor import NonFiniteError, Tensor, add_n, backward, scale
+from sgloc.tensor import NonFiniteError, Tensor, add, backward, scale
 from sgloc.train import (
     OptimState,
     TrainConfig,
@@ -147,7 +148,16 @@ class TestTrainConfig:
             "lam_giou = 2.0\nseed = 0\ndataset = \nprotocol_mix = 0.5\n"
         )
         assert TrainConfig.from_text(old) == TrainConfig()
-        assert TrainConfig().to_text() == old.replace("beta1 = 0.9\nbeta2 = 0.999\neps = 1e-08\n", "")
+
+    def test_text_written_while_the_loss_weights_had_config_fields_parses_to_default(self):
+        # `TrainConfig().to_text()` as written while lam_cls, lam_l1 and lam_giou were fields
+        old = (
+            "d = 64\nheads = 4\nstages = 3\ndec_layers = 2\nnum_tokens = 100\nd_hidden = 128\n"
+            "sketch_layers = 2\nencoder_fusion = true\nrefinement = true\nlr = 0.001\nbatch_size = 8\n"
+            "epochs = 40\nlam_cls = 2.0\nlam_l1 = 5.0\nlam_giou = 2.0\nseed = 0\ndataset = \nprotocol_mix = 0.5\n"
+        )
+        assert TrainConfig.from_text(old) == TrainConfig()
+        assert TrainConfig().to_text() == old.replace("lam_cls = 2.0\nlam_l1 = 5.0\nlam_giou = 2.0\n", "")
 
     def test_mode_key_of_older_files_is_skipped(self):
         assert TrainConfig.from_text("mode = open\nd = 32\n") == TrainConfig(d=32)
@@ -168,23 +178,28 @@ class TestTrainConfig:
             TrainConfig.from_text(f"# run\n{key} = {value}\n")
         assert str(e.value) == f"config line 2: {key} is fixed at {fixed}, got {value!r}"
 
-    @pytest.mark.parametrize(
-        "field, value, want",
-        [
-            ("lr", math.nan, "be positive"),
-            ("lam_cls", -2.0, "not be negative"),
-            ("lam_l1", -1.0, "not be negative"),
-            ("lam_giou", math.nan, "not be negative"),
-        ],
-    )
+    @pytest.mark.parametrize("key, fixed", [("lam_cls", 2.0), ("lam_l1", 5.0), ("lam_giou", 2.0)])
+    def test_a_retired_loss_weight_is_skipped_only_at_its_fixed_value(self, key, fixed):
+        for value in (f"{fixed}", f"{fixed:g}"):
+            assert TrainConfig.from_text(f"d = 32\n{key} = {value}\n") == TrainConfig(d=32)
+        for value in ("50", "-2.0", "nan", "0", "fast"):
+            with pytest.raises(ValueError) as e:
+                TrainConfig.from_text(f"# run\n{key} = {value}\n")
+            assert str(e.value) == f"config line 2: {key} is fixed at {fixed}, got {value!r}"
+
+    @pytest.mark.parametrize("field, value, want", [("lr", math.nan, "be positive")])
     def test_optimizer_and_loss_settings_are_checked(self, field, value, want):
         with pytest.raises(ValueError, match=f"config field {field} must {want}"):
             TrainConfig(**{field: value}).validate()
 
     @pytest.mark.parametrize("field", ["lr", "lam_cls", "lam_l1", "lam_giou"])
     def test_infinite_optimizer_and_loss_settings_are_refused(self, field):
-        for cfg in (TrainConfig(**{field: math.inf}), TrainConfig.from_text(f"{field} = inf\n")):
-            with pytest.raises(ValueError, match=f"config field {field} must be finite, got inf"):
+        if field != "lr":  # a loss weight is a retired key, refused as it is parsed
+            with pytest.raises(ValueError, match=f"config line 1: {field} is fixed at .*, got 'inf'"):
+                TrainConfig.from_text(f"{field} = inf\n")
+            return
+        for cfg in (TrainConfig(lr=math.inf), TrainConfig.from_text("lr = inf\n")):
+            with pytest.raises(ValueError, match="config field lr must be finite, got inf"):
                 cfg.validate()
 
     def test_repeated_key_names_both_lines(self):
@@ -210,8 +225,8 @@ class TestTrainConfig:
         "field, value, kind",
         [("encoder_fusion", "false", "a bool"), ("refinement", "false", "a bool"),
          ("refinement", 1, "a bool"), ("encoder_fusion", None, "a bool"),
-         ("lr", "0.1", "a number"), ("protocol_mix", "0.5", "a number"), ("lam_cls", None, "a number"),
-         ("lam_giou", False, "a number"), ("dataset", None, "a string"), ("dataset", 3, "a string")],
+         ("lr", "0.1", "a number"), ("protocol_mix", "0.5", "a number"), ("dataset", None, "a string"),
+         ("dataset", 3, "a string")],
     )
     def test_wrongly_typed_field_is_named(self, field, value, kind):
         with pytest.raises(ValueError, match=re.escape(f"config field {field} must be {kind}, got {value!r}")):
@@ -234,7 +249,8 @@ class TestTrainConfig:
         assert TrainConfig.from_text(cfg.to_text()).dataset == dataset
 
     def test_numpy_floats_and_ints_are_numbers(self):
-        TrainConfig(lr=np.float32(1e-3), lam_l1=np.float64(5.0), lam_cls=1, protocol_mix=np.int64(1)).validate()
+        TrainConfig(lr=np.float32(1e-3), protocol_mix=np.int64(1)).validate()
+        TrainConfig(lr=1, protocol_mix=np.float64(0.5)).validate()
 
     def test_numpy_integers_are_integers(self):
         TrainConfig(d=np.int64(32), heads=np.int32(2), batch_size=np.int64(4), seed=np.uint8(3)).validate()
@@ -275,10 +291,12 @@ class TestCheckpoint:
             assert np.array_equal(t.data, m2.params[name].data), name
 
     def test_a_checkpoint_echoing_the_retired_adam_keys_loads(self, tmp_path):
-        # its config text as `train` wrote it while beta1, beta2 and eps were fields
+        # its config text as `train` wrote it while beta1, beta2 and eps, and the
+        # loss weights lam_cls, lam_l1 and lam_giou, were fields
         cfg = tiny_train_config("corpus", **self.ECHO)
         echoed = cfg.to_text().replace("lr = 0.001\n", "lr = 0.001\nbeta1 = 0.9\nbeta2 = 0.999\neps = 1e-08\n")
-        assert echoed != cfg.to_text()
+        echoed = echoed.replace("\nseed = ", "\nlam_cls = 2.0\nlam_l1 = 5.0\nlam_giou = 2.0\nseed = ")
+        assert echoed.count("\n") == cfg.to_text().count("\n") + 6
         m = tiny_model(seed=9)
         path = str(tmp_path / "a.sgl")
         save_checkpoint(path, m, echoed)
@@ -807,16 +825,15 @@ class TestParallelStep:
             batch = [ids[i] for i in rng.permutation(len(ids))[: cfg.batch_size]]
             n_sketch = 5 if rng.random() < cfg.protocol_mix else 1
             model = SketchLocalizer(cfg, seed=cfg.seed)
-            weights = cfg.loss_weights()
             losses = []
             for sid in batch:
                 ann = ds.annotation(sid)
                 cls, paths = train_module._sample_query(rng, ds, ann, n_sketch)
                 scores, boxes = model.forward(ds.load_scene(sid), [ds.load_sketch(p) for p in paths])
                 gt = ann.boxes[[c == cls for c in ann.classes]] / float(ds.image_size)
-                assign = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt, weights))
-                losses.append(total_loss(scores, boxes, gt, assign, weights).total_tensor)
-            want = backward(scale(add_n(losses), 1.0 / len(batch)))
+                assign = hungarian_assign(build_cost_matrix(scores.data, boxes.data, gt))
+                losses.append(total_loss(scores, boxes, gt, assign).total_tensor)
+            want = backward(scale(functools.reduce(add, losses), 1.0 / len(batch)))
         assert got.keys() == model.params.keys()
         for name, t in model.params.items():
             assert got[name].dtype == np.float64, name
@@ -970,7 +987,7 @@ class TestParallelStep:
 
     def test_a_worker_exits_when_the_parent_end_of_its_pipe_closes(self, capfd):
         # as when the parent is killed: the worker must not wait for a job forever
-        with train_module._forked_worker(None, None, None, None) as conn:
+        with train_module._forked_worker(None, None, None) as conn:
             (worker,) = multiprocessing.active_children()
             conn.close()
             worker.join(2)
