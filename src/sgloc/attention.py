@@ -1,4 +1,4 @@
-"""The model's one repeated unit, `Block`, and the pieces it is built from.
+"""The model's one repeated unit, `Block`, and the grid position tables.
 
 Every attention site in the model is a `Block` call: the image and sketch
 encoder stages, the sketch-guided fusion after each image stage, both halves
@@ -14,20 +14,23 @@ own and the adapter averages the G hidden pre-activations; with G = 1 the
 mean is the identity.
 
 Attention is packed: each projection is one d x d matrix whose column block h
-belongs to head h. One `tensor.attend` call on the three projected token
-matrices is the single tape node for every head and every group: it splits
-the heads, takes a softmax over (groups*heads, n_q, n_k) and merges them back.
+belongs to head h. The heads are split off the projected token matrices
+(`_split`), one softmax is taken over (G*heads, n_q, n_k) scores, and the
+heads are merged back (`_merge`).
 
-A block holds its own weights: the three projections, the two adapter
-matrices and the head count. `cross_attention` reads the projections and
-`adapter_fuse` the adapter matrices of the block it is given. Neither checks
-shapes: the `tensor` ops they call refuse a mismatch with a `ShapeError`.
+A block call is one tape node, whatever the number of heads and groups. Its
+forward and backward are written out in numpy, step by step as the `tensor`
+ops it stands for: layer_norm_rows, add (of the position tables), matmul,
+bmm, scale, softmax_rows, mean_groups, relu and add. Its results and
+gradients are the bits of that composition. Its shapes are checked once, up
+front, and a mismatch raises `ShapeError`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +38,14 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
-    add,
-    attend,
-    layer_norm_rows,
-    matmul,
-    mean_groups,
-    relu,
+    _bmm,
+    _bmm_grads,
+    _grouped,
+    _layer_norm,
+    _layer_norm_grad,
+    _make,
+    _softmax_,
+    _softmax_grad_,
 )
 
 
@@ -66,10 +71,131 @@ class Block:
                  q_pos=None, k_pos=None, groups: int = 1) -> Tensor:
         """`x` is the n x d residual stream. The queries are `x`, pre-normed
         when `norm` is set; `kv` (default: the queries) stacks `groups` groups
-        of keys/values. `q_pos`/`k_pos` are as in `cross_attention`."""
-        q = layer_norm_rows(x) if norm else x
-        attended = cross_attention(q, q if kv is None else kv, self, q_pos, k_pos, groups)
-        return adapter_fuse(attended, x, self, groups)
+        of keys/values, group-major. The queries attend to each group on its
+        own, with a softmax over that group's keys only. `q_pos` is an n x d
+        table added to the queries, and `k_pos` one group's table added to
+        every group's keys, never to the values.
+
+        The node's parents are `x` twice (the residual, then the query path)
+        and `kv` twice (the value path, then the key path), then the five
+        weights. Without `kv` and with `norm`, the value, key and query paths
+        all read the normed `x`; their gradients are summed in that order and
+        reach `x` as its second parent. These are the orders in which a
+        backward sweep of the composition meets them.
+        """
+        weights = (self.wq, self.wk, self.wv, self.w_in, self.w_out)
+        self._check(x, kv, q_pos, k_pos, groups)
+        wq, wk, wv, w_in, w_out = (w.data for w in weights)
+        heads = self.heads
+        xd = x.data
+        qn, inv = _layer_norm(xd) if norm else (xd, None)
+        kvd = qn if kv is None else kv.data
+        qp = qn if q_pos is None else qn + _pos_rows(q_pos, 1, qn.dtype)
+        kp = kvd if k_pos is None else kvd + _pos_rows(k_pos, groups, kvd.dtype)
+        s = 1.0 / math.sqrt(wq.shape[1] // heads)
+        qh = _split(qp @ wq, heads, 1)
+        kt4 = _grouped(_split(kp @ wk, heads, groups), heads, True)
+        v4 = _grouped(_split(kvd @ wv, heads, groups), groups * heads, False)
+        p = _bmm(qh, kt4)  # scores, then probabilities in place
+        p *= s
+        _softmax_(p)
+        att = _merge(_bmm(p, v4), heads)
+        hid = att @ w_in
+        if groups > 1:
+            hid = hid.reshape(groups, -1, hid.shape[1]).sum(axis=0) * (1.0 / groups)
+        mask = hid > 0  # relu'(0) = 0
+        act = hid * mask
+        out = xd + act @ w_out
+
+        src = x if kv is None else kv
+        fold = kv is None and norm
+        needs_x, needs_src = x.requires_grad, src.requires_grad
+        needs_w = [w.requires_grad for w in weights]
+
+        def bw(g):
+            gh = (g @ w_out.T) * mask
+            if groups > 1:
+                gh = np.broadcast_to(gh * (1.0 / groups), (groups, *gh.shape)).reshape(-1, gh.shape[1])
+            gp, gv = _bmm_grads(_split(gh @ w_in.T, heads, groups), p, v4, False)
+            _softmax_grad_(gp, p)
+            gp *= s
+            gq, gk = _bmm_grads(gp, qh, kt4, True)
+            gq, gk, gv = _merge(gq, heads), _merge(gk, heads), _merge(gv, heads)
+            if fold:
+                g_q = _layer_norm_grad(gv @ wv.T + gk @ wk.T + gq @ wq.T, qn, inv) if needs_x else None
+                g_inputs = (g, g_q)
+            else:
+                g_q = gq @ wq.T if needs_x else None
+                if norm and needs_x:
+                    g_q = _layer_norm_grad(g_q, qn, inv)
+                g_inputs = (g, gv @ wv.T if needs_src else None, gk @ wk.T if needs_src else None, g_q)
+            g_weights = tuple(a.T @ b if need else None
+                              for need, a, b in zip(needs_w, (qp, kp, kvd, att, act), (gq, gk, gv, gh, g)))
+            return g_inputs + g_weights
+
+        parents = (x, x) if fold else (x, src, src, x)
+        return _make(out, parents + weights, bw)
+
+    def _check(self, x: Tensor, kv: Tensor | None, q_pos, k_pos, groups: int) -> None:
+        """Raise ShapeError unless the operands of a call chain, before any
+        arithmetic: numpy would broadcast a (1, d) position table silently."""
+        src = x if kv is None else kv
+        shapes = [w.shape for w in (self.wq, self.wk, self.wv, self.w_in, self.w_out)]
+        if x.ndim != 2 or src.ndim != 2 or any(len(s) != 2 for s in shapes):
+            raise ShapeError(f"block: queries {x.shape}, keys {src.shape} and weights {shapes} "
+                             f"must all be rank 2")
+        (n, d), (rows, d_kv) = x.shape, src.shape
+        wq, wk, wv, w_in, w_out = shapes
+        if not (wq[0] == d and wk[0] == wv[0] == d_kv and wq[1] == wk[1] and w_in[0] == wv[1]
+                and w_out[0] == w_in[1] and w_out[1] == d
+                and wq[1] % self.heads == 0 and wv[1] % self.heads == 0):
+            raise ShapeError(f"block: weights {shapes} do not chain {d}-wide queries and {d_kv}-wide "
+                             f"keys back to width {d} with {self.heads} heads")
+        if groups < 1 or rows % groups:
+            raise ShapeError(f"block: {rows} key rows do not split into {groups} groups")
+        for name, table, want in (("q_pos", q_pos, (n, d)), ("k_pos", k_pos, (rows // groups, d_kv))):
+            if table is not None and np.shape(table) != want:
+                raise ShapeError(f"block: {name} of shape {np.shape(table)} is not the {want} "
+                                 f"{'query' if name == 'q_pos' else 'one-group key'} shape")
+
+
+def _split(arr: np.ndarray, heads: int, groups: int) -> np.ndarray:
+    """(G*n, H*dk) -> (G*H, n, dk): row block g, column block h becomes batch
+    entry g*H + h."""
+    rows, d = arr.shape
+    n, dk = rows // groups, d // heads
+    return arr.reshape(groups, n, heads, dk).transpose(0, 2, 1, 3).reshape(groups * heads, n, dk)
+
+
+def _merge(arr: np.ndarray, heads: int) -> np.ndarray:
+    """Inverse of `_split`: (G*H, n, dk) -> (G*n, H*dk)."""
+    b, n, dk = arr.shape
+    groups = b // heads
+    return arr.reshape(groups, heads, n, dk).transpose(0, 2, 1, 3).reshape(groups * n, heads * dk)
+
+
+_TILED: dict = {}  # id(table) -> {(groups, dtype): rows}, while the table lives
+
+
+def _pos_rows(table, groups: int, dtype) -> np.ndarray:
+    """`table` repeated `groups` times down its rows and cast to `dtype`.
+
+    A read-only table that owns its data, as each `grid_pos` table does,
+    cannot change, so its results are cached, read-only, until the table is
+    freed. Any other table is tiled afresh at each call."""
+    table = np.asarray(table)
+    if table.flags.writeable or not table.flags.owndata:
+        return np.tile(table, (groups, 1)).astype(dtype)
+    per_table = _TILED.get(id(table))
+    if per_table is None:
+        per_table = _TILED[id(table)] = {}
+        weakref.finalize(table, _TILED.pop, id(table), None)
+    key = (groups, np.dtype(dtype))
+    rows = per_table.get(key)
+    if rows is None:
+        rows = per_table[key] = np.tile(table, (groups, 1)).astype(dtype)
+        rows.flags.writeable = False
+    return rows
 
 
 @functools.cache
@@ -97,42 +223,3 @@ def grid_pos(n: int, d: int) -> np.ndarray:
         table[:, half + 1 : half + d // 2 : 2] = np.cos(ang)
     table.flags.writeable = False  # shared by every caller
     return table
-
-
-def _add_pos(seq: Tensor, table: np.ndarray | None, groups: int) -> Tensor:
-    """Add one group's position table to each of the `groups` row blocks."""
-    if table is None:
-        return seq
-    return add(seq, Tensor(np.tile(table, (groups, 1)).astype(seq.data.dtype)))
-
-
-def cross_attention(
-    query_seq: Tensor,
-    key_seq: Tensor,
-    block: Block,
-    q_pos=None,
-    k_pos=None,
-    groups: int = 1,
-) -> Tensor:
-    """Multi-head attention from one query sequence over `groups` independent
-    key/value groups.
-
-    `query_seq` is n_q x d. `key_seq` stacks G groups of n_k rows each,
-    group-major ((G*n_k) x d), and serves as both keys and values. The
-    queries attend to each group on its own, with a softmax over that group's
-    keys only; the result is (G*n_q) x d, group-major. `q_pos` is an n_q x d
-    table added to the queries, and `k_pos` an n_k x d table added to every
-    group's keys, never to the values. Only `block`'s projections are read;
-    the projected token matrices go to one `tensor.attend` call.
-    """
-    q = matmul(_add_pos(query_seq, q_pos, 1), block.wq)
-    k = matmul(_add_pos(key_seq, k_pos, groups), block.wk)
-    v = matmul(key_seq, block.wv)
-    return attend(q, k, v, 1.0 / math.sqrt(block.wq.shape[1] // block.heads), block.heads, groups)
-
-
-def adapter_fuse(attended: Tensor, residual: Tensor, block: Block, groups: int = 1) -> Tensor:
-    """residual + W_out(relu(mean_G(W_in(attended)))), position-wise per row;
-    `attended` stacks G row blocks of `residual`'s shape, group-major. Only
-    `block`'s adapter weights are read."""
-    return add(residual, matmul(relu(mean_groups(matmul(attended, block.w_in), groups)), block.w_out))

@@ -1,14 +1,14 @@
 """Finite-difference verification at 64-bit precision: every taped op of
-`tensor` (`_OP_CASES`), one transformer block, the training loss
-`matching.total_loss` on its own, and the whole model's training loss end to
-end."""
+`tensor` and the one-node `attention.Block` call (`_OP_CASES`), the training
+loss `matching.total_loss` on its own, and the whole model's training loss
+end to end."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import tensor as T
-from .attention import Block
+from .attention import Block, grid_pos
 from .boxes import cxcywh_to_corners
 from .matching import build_cost_matrix, hungarian_assign, total_loss
 from .model import ModelConfig, SketchLocalizer
@@ -16,7 +16,6 @@ from .tensor import (
     Tensor,
     add,
     add_rowvec,
-    attend,
     bmm,
     concat,
     finite_difference_check,
@@ -69,6 +68,21 @@ def _projected(op):
     return loss
 
 
+def _block_call(**call):
+    """A d = 8, two-head `Block` call whose leaves are the queries x, the
+    keys/values kv when the call has them, and the five weights. The weights
+    enter scaled by 0.4, so that the softmax does not saturate on
+    standard-normal draws."""
+
+    def op(x, *rest):
+        *kv, wq, wk, wv, w_in, w_out = rest
+        return Block(*(scale(w, 0.4) for w in (wq, wk, wv, w_in, w_out)), heads=2)(x, *kv, **call)
+
+    return _projected(op)
+
+
+_WEIGHTS = [(8, 8), (8, 8), (8, 8), (8, 16), (16, 8)]  # attn q, k, v; adapter in, out
+
 _OP_CASES = [
     ("add", [(3, 4), (3, 4)], _projected(add)),
     ("mul", [(3, 3), (3, 3)], _projected(mul)),
@@ -77,8 +91,12 @@ _OP_CASES = [
     ("bmm", [(2, 3, 4), (2, 4, 5)], _projected(bmm)),
     ("bmm_transpose_b", [(2, 3, 4), (2, 5, 4)], _projected(lambda a, b: bmm(a, b, transpose_b=True))),
     ("bmm_shared_a", [(2, 3, 4), (6, 5, 4)], _projected(lambda a, b: bmm(a, b, transpose_b=True))),
-    ("attend", [(3, 8), (5, 8), (5, 6)], _projected(lambda q, k, v: attend(q, k, v, 0.7, 2))),
-    ("attend_shared_q", [(3, 8), (15, 8), (15, 6)], _projected(lambda q, k, v: attend(q, k, v, 0.7, 2, 3))),
+    # pre-normed self-attention over a 2x2 grid, as `encoder.image_block` calls it
+    ("block_self", [(4, 8)] + _WEIGHTS, _block_call(norm=True, q_pos=grid_pos(4, 8), k_pos=grid_pos(4, 8))),
+    # 4 grid tokens over each of G = 2 groups of 3x3 grid tokens, as
+    # `encoder.encoder_fusion_multi` fuses a two-sketch bundle
+    ("block_groups", [(4, 8), (18, 8)] + _WEIGHTS,
+     _block_call(q_pos=grid_pos(4, 8), k_pos=grid_pos(9, 8), groups=2)),
     ("mean_groups", [(6, 4)], _projected(lambda a: mean_groups(a, 3))),
     ("reshape", [(3, 4)], _projected(lambda a: reshape(a, (2, 6)))),
     ("relu", [(4, 4)], _projected(relu)),
@@ -101,24 +119,10 @@ def check_op_case(name, shapes, loss_fn, rng, eps: float = EPS) -> float:
 
 
 def check_ops(eps: float = EPS) -> list:
-    """Finite-difference checks of each `_OP_CASES` op, one block and
-    `total_loss`; returns [(name, max_rel_err)]."""
+    """Finite-difference checks of each `_OP_CASES` op and of `total_loss`;
+    returns [(name, max_rel_err)]."""
     rng = np.random.default_rng(7)
     results = [(name, check_op_case(name, shapes, loss_fn, rng, eps)) for name, shapes, loss_fn in _OP_CASES]
-
-    # One block call with G = 2 key/value groups, as the encoder fusion of a
-    # two-sketch bundle runs it: 3 queries attend over each group's 5 keys,
-    # and the adapter averages the two hidden pre-activations.
-    d, heads, groups = 8, 2, 2
-    shapes = [(d, d), (d, d), (d, d), (d, 2 * d), (2 * d, d)]  # attn q, k, v; adapter in, out
-    bparams = [Tensor(rng.standard_normal(s) * 0.4, requires_grad=True) for s in shapes]
-    wq, wk, wv, w_in, w_out = bparams
-    blk = Block(wq, wk, wv, w_in, w_out, heads)
-    x = Tensor(rng.standard_normal((3, d)))
-    kv = Tensor(rng.standard_normal((groups * 5, d)))
-    r = Tensor(rng.standard_normal((3, d)))
-    block_loss = lambda: sum_all(mul(blk(x, kv, groups=groups), r))
-    results.append(("block", finite_difference_check(block_loss, bparams, eps=eps)))
 
     # The training loss alone, at 3 ground truths on 8 tokens: scores inside
     # the clamp and boxes with positive extents, as the heads produce them.

@@ -9,6 +9,11 @@ loss reaches; passed such a dict as `into`, it adds onto those totals in
 place. Inside `no_grad()` ops record nothing, so each intermediate is freed
 as soon as its last reader is done with it.
 
+The model's two largest composites record one node each, with their forward
+and backward written out in numpy over the private helpers below: a call of
+`attention.Block` and the training loss `matching.total_loss`. The ops here
+are the rest, and the reference those two are checked against.
+
 In-place buffer rule: an op may mutate only arrays it has just allocated
 itself, in its forward or in its backward. Input data and incoming gradients
 are shared (`add` hands one gradient array to both parents), so they are
@@ -226,65 +231,13 @@ def _bmm_grads(g: np.ndarray, ad: np.ndarray, bt4: np.ndarray, transpose_b: bool
     """Gradients of `_bmm(ad, bt4)` for cotangent `g`: `a`'s summed over the
     groups and `b`'s in b's own layout, both newly allocated."""
     g4 = g.reshape(*bt4.shape[:2], *g.shape[1:])
-    ga = (g4 @ bt4.transpose(0, 1, 3, 2)).sum(axis=0)
+    ga = g4 @ bt4.transpose(0, 1, 3, 2)
+    ga = ga[0] if len(ga) == 1 else ga.sum(axis=0)
     if transpose_b:
         gb = g4.transpose(0, 1, 3, 2) @ ad
     else:
         gb = ad.transpose(0, 2, 1) @ g4
     return ga, gb.reshape(-1, *gb.shape[2:])
-
-
-def attend(q: Tensor, k: Tensor, v: Tensor, s: float, heads: int, groups: int = 1) -> Tensor:
-    """Multi-head softmax(s * q_h k_{g,h}^T) v_{g,h}, softmax over each row,
-    as one tape node on token matrices: q (n, H*dk), k (G*m, H*dk), v (G*m,
-    H*dv) -> (G*n, H*dv). Column block h is head h; row block g of k and v
-    is group g, and row block g of the result is the queries over group g.
-
-    The heads are split (`_split`) and merged (`_merge`) inside the node.
-    Between them the arithmetic is that of bmm(q, k, transpose_b) -> scale
-    -> softmax_rows -> bmm(., v) on the heads, q shared by the groups as in
-    `bmm`, in the same order, so results and gradients are the same bits.
-    One (G*H, n, m) buffer goes from scores to probabilities in place and is
-    the only one the tape keeps; the backward reuses its own (G*H, n, m)
-    gradient buffer the same way.
-    """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError(f"attend expects rank-2 operands, got {q.shape}, {k.shape} and {v.shape}")
-    if (q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or k.shape[0] % groups
-            or q.shape[1] % heads or v.shape[1] % heads):
-        raise ShapeError(f"attend: q {q.shape}, k {k.shape} and v {v.shape} do not chain "
-                         f"as {groups} groups of {heads} heads")
-    s = float(s)
-    qd = _split(q.data, heads, 1)
-    kt4 = _grouped(_split(k.data, heads, groups), heads, True)
-    v4 = _grouped(_split(v.data, heads, groups), groups * heads, False)
-    p = _bmm(qd, kt4)
-    p *= s
-    _softmax_(p)
-
-    def bw(g):
-        gp, gv = _bmm_grads(_split(g, heads, groups), p, v4, False)
-        _softmax_grad_(gp, p)
-        gp *= s
-        gq, gk = _bmm_grads(gp, qd, kt4, True)
-        return _merge(gq, heads), _merge(gk, heads), _merge(gv, heads)
-
-    return _make(_merge(_bmm(p, v4), heads), (q, k, v), bw)
-
-
-def _merge(arr: np.ndarray, heads: int) -> np.ndarray:
-    """Inverse of `_split`: (G*H, n, dk) -> (G*n, H*dk)."""
-    b, n, dk = arr.shape
-    groups = b // heads
-    return arr.reshape(groups, heads, n, dk).transpose(0, 2, 1, 3).reshape(groups * n, heads * dk)
-
-
-def _split(arr: np.ndarray, heads: int, groups: int) -> np.ndarray:
-    """(G*n, H*dk) -> (G*H, n, dk): row block g, column block h becomes batch
-    entry g*H + h."""
-    rows, d = arr.shape
-    n, dk = rows // groups, d // heads
-    return arr.reshape(groups, n, heads, dk).transpose(0, 2, 1, 3).reshape(groups * heads, n, dk)
 
 
 def mean_groups(x: Tensor, groups: int) -> Tensor:
@@ -312,19 +265,25 @@ def layer_norm_rows(x: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean and unit variance (no affine terms)."""
     if x.ndim != 2:
         raise ShapeError(f"layer_norm_rows expects rank-2, got {x.shape}")
+    out, inv = _layer_norm(x.data, eps)
+    return _make(out, (x,), lambda g: (_layer_norm_grad(g, out, inv),))
+
+
+def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> tuple:
+    """`layer_norm_rows` of an n x d array: (normalized rows, 1/std per row).
+    A mean is taken as sum / d, which is the bits of `np.mean`."""
     d = x.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv
+    xc = x - x.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
+    return xc * inv, inv
 
-    def bw(g):
-        g_mean = g.mean(axis=1, keepdims=True)
-        proj = (g * out).mean(axis=1, keepdims=True)
-        return ((g - g_mean - out * proj) * inv,)
 
-    return _make(out, (x,), bw)
+def _layer_norm_grad(g: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The gradient of `_layer_norm`'s input for cotangent `g`, newly allocated."""
+    d = g.shape[1]
+    g_mean = g.sum(axis=1, keepdims=True) / d
+    proj = (g * out).sum(axis=1, keepdims=True) / d
+    return (g - g_mean - out * proj) * inv
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -338,7 +297,7 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def _softmax_(buf: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with max subtraction, written into `buf`."""
-    buf -= buf.max(axis=-1, keepdims=True)
+    buf -= np.fmax.reduce(buf, axis=-1, keepdims=True)  # the max, without NaN checks
     np.exp(buf, out=buf)
     buf /= buf.sum(axis=-1, keepdims=True)
     return buf

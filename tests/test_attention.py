@@ -1,16 +1,14 @@
+import gc
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgloc.attention import (
-    Block,
-    adapter_fuse,
-    cross_attention,
-    grid_pos,
-)
-from sgloc import attention, decoder, encoder
+from sgloc.attention import Block, _pos_rows, _TILED, grid_pos
+from sgloc import decoder, encoder
 from sgloc import tensor as T
 from sgloc.data import derive_seed
 from sgloc.tensor import (
@@ -21,25 +19,40 @@ from sgloc.tensor import (
     finite_difference_check,
     layer_norm_rows,
     mul,
+    relu,
     sum_all,
 )
 from sgloc.model import ModelConfig, SketchLocalizer
+from reference_block import block_call
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 
-def attention_block(wq, wk, wv, heads):
-    """A block with projections only; `cross_attention` reads no adapter weight."""
-    return Block(wq=wq, wk=wk, wv=wv, w_in=None, w_out=None, heads=heads)
-
-
-def adapter_block(w_in, w_out):
-    """A block with adapter weights only; `adapter_fuse` reads no projection."""
-    return Block(wq=None, wk=None, wv=None, w_in=w_in, w_out=w_out, heads=1)
+def passthrough(d):
+    """Adapter weights ([I, -I], [I; -I]): relu(a) - relu(-a) is a, so a block
+    with this adapter adds the group mean of its attended rows to x."""
+    eye = np.eye(d)
+    return Tensor(np.hstack([eye, -eye])), Tensor(np.vstack([eye, -eye]))
 
 
 def make_attention(d, heads, rng, requires_grad=False):
+    """A block with random projections and the `passthrough` adapter."""
     mk = lambda shape: Tensor(rng.standard_normal(shape) * 0.3, requires_grad=requires_grad)
-    return attention_block(wq=mk((d, d)), wk=mk((d, d)), wv=mk((d, d)), heads=heads)
+    return Block(mk((d, d)), mk((d, d)), mk((d, d)), *passthrough(d), heads=heads)
+
+
+def make_block(d, d_h, heads, rng, requires_grad=False):
+    """A block with random projections and adapter."""
+    mk = lambda shape: Tensor(rng.standard_normal(shape) * 0.3, requires_grad=requires_grad)
+    return Block(mk((d, d)), mk((d, d)), mk((d, d)), mk((d, d_h)), mk((d_h, d)), heads=heads)
+
+
+def attended(p, q, kv, q_pos=None, k_pos=None, groups=1):
+    """The attention output of block `p` (a `make_attention` block) for the
+    query rows `q`, averaged over the `groups`: the residual x is zero, and
+    the queries enter as the query position table."""
+    kv = kv if isinstance(kv, Tensor) else Tensor(kv)
+    table = q if q_pos is None else q + q_pos
+    return p(Tensor(np.zeros(q.shape)), kv, q_pos=table, k_pos=k_pos, groups=groups).data
 
 
 def key_width(p):
@@ -110,9 +123,9 @@ class TestCrossAttention:
     def test_single_key_collapses_softmax(self, rng):
         d, H = 8, 2
         p = make_attention(d, H, rng)
-        q = Tensor(rng.standard_normal((5, d)))
+        q = rng.standard_normal((5, d))
         kv = Tensor(rng.standard_normal((1, d)))
-        out = cross_attention(q, kv, p).data
+        out = attended(p, q, kv)
         want = kv.data @ p.wv.data
         for r in range(5):
             assert np.allclose(out[r], want[0], atol=1e-6)
@@ -120,12 +133,12 @@ class TestCrossAttention:
     def test_joint_key_value_permutation_invariance(self, rng):
         d, H, n_k = 8, 2, 6
         p = make_attention(d, H, rng)
-        q = Tensor(rng.standard_normal((3, d)))
+        q = rng.standard_normal((3, d))
         kv = rng.standard_normal((n_k, d))
         pos = rng.standard_normal((n_k, d)) * 0.1
         perm = rng.permutation(n_k)
-        out1 = cross_attention(Tensor(q.data), Tensor(kv), p, k_pos=pos).data
-        out2 = cross_attention(Tensor(q.data), Tensor(kv[perm]), p, k_pos=pos[perm]).data
+        out1 = attended(p, q, kv, k_pos=pos)
+        out2 = attended(p, q, kv[perm], k_pos=pos[perm])
         assert np.max(np.abs(out1 - out2)) < 1e-5
 
     def test_matches_direct_formula(self, f64, rng):
@@ -134,10 +147,10 @@ class TestCrossAttention:
         wq = rng.standard_normal((d, d))
         wk = rng.standard_normal((d, d))
         wv = rng.standard_normal((d, d))
-        p = attention_block(Tensor(wq), Tensor(wk), Tensor(wv), 1)
+        p = Block(Tensor(wq), Tensor(wk), Tensor(wv), *passthrough(d), heads=1)
         q = rng.standard_normal((2, d))
         k = rng.standard_normal((2, d))
-        got = cross_attention(Tensor(q), Tensor(k), p).data
+        got = attended(p, q, k)
 
         logits = (q @ wq) @ (k @ wk).T / math.sqrt(d)
         att = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -151,11 +164,11 @@ class TestCrossAttention:
         p = make_attention(d, H, rng)
         p.wq = Tensor(np.zeros((d, d)))
         p.wv = Tensor(rng.standard_normal((d, d)))
-        q = Tensor(rng.standard_normal((3, d)))
+        q = rng.standard_normal((3, d))
         kv = Tensor(rng.standard_normal((4, d)))
         pos = rng.standard_normal((4, d))
-        out1 = cross_attention(q, kv, p, k_pos=None).data
-        out2 = cross_attention(q, kv, p, k_pos=pos).data
+        out1 = attended(p, q, kv, k_pos=None)
+        out2 = attended(p, q, kv, k_pos=pos)
         assert np.allclose(out1, out2, atol=1e-6)
 
     def test_convex_hull_bound(self, rng):
@@ -163,9 +176,9 @@ class TestCrossAttention:
         d, H = 8, 2
         dv = d // H
         p = make_attention(d, H, rng)
-        q = Tensor(rng.standard_normal((5, d)))
+        q = rng.standard_normal((5, d))
         kv = Tensor(rng.standard_normal((7, d)))
-        out = cross_attention(q, kv, p).data
+        out = attended(p, q, kv)
         for h in range(H):
             v_proj = kv.data @ head_cols(p.wv, p, h)
             lo, hi = v_proj.min(axis=0), v_proj.max(axis=0)
@@ -176,14 +189,14 @@ class TestCrossAttention:
         d, H = 8, 2
         p = make_attention(d, H, rng, requires_grad=True)
         params = [p.wq, p.wk, p.wv]
-        q = Tensor(rng.standard_normal((3, d)))
+        q = rng.standard_normal((3, d))
         kv = Tensor(rng.standard_normal((4, d)))
         pos_q = rng.standard_normal((3, d)) * 0.2
         pos_k = rng.standard_normal((4, d)) * 0.2
         r = Tensor(rng.standard_normal((3, d)))
 
         def loss():
-            out = cross_attention(q, kv, p, q_pos=pos_q, k_pos=pos_k)
+            out = p(Tensor(np.zeros((3, d))), kv, q_pos=q + pos_q, k_pos=pos_k)
             return sum_all(mul(out, r))
 
         assert finite_difference_check(loss, params, eps=1e-5) < 1e-5
@@ -191,13 +204,13 @@ class TestCrossAttention:
     def test_width_mismatch(self, rng):
         p = make_attention(8, 2, rng)
         with pytest.raises(ShapeError):
-            cross_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 8))), p)
+            p(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 8))))
 
     def test_group_rows_must_split_evenly(self, rng):
         p = make_attention(8, 2, rng)
         kv = Tensor(np.ones((5, 8)))
         with pytest.raises(ShapeError):
-            cross_attention(Tensor(np.ones((4, 8))), kv, p, groups=2)
+            p(Tensor(np.ones((4, 8))), kv, groups=2)
 
 
 class TestPackedMatchesPerHeadLoop:
@@ -209,35 +222,36 @@ class TestPackedMatchesPerHeadLoop:
         p = make_attention(d, heads, rng)
         q, kv = rng.standard_normal((5, d)), rng.standard_normal((7, d))
         q_pos, k_pos = rng.standard_normal((5, d)), rng.standard_normal((7, d))
-        got = cross_attention(Tensor(q), Tensor(kv), p, q_pos=q_pos, k_pos=k_pos).data
+        got = attended(p, q, kv, q_pos=q_pos, k_pos=k_pos)
         want = per_head_oracle(q + q_pos, kv + k_pos, kv, p)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_groups_attend_only_to_their_own_keys(self, f64, rng):
+        # the block's adapter averages the groups, each attended on its own
         d, heads, G, n_q, n_k = 8, 2, 3, 4, 5
         p = make_attention(d, heads, rng)
         q = rng.standard_normal((n_q, d))
         kv = rng.standard_normal((G * n_k, d))
         q_pos, k_pos = rng.standard_normal((n_q, d)), rng.standard_normal((n_k, d))
-        got = cross_attention(Tensor(q), Tensor(kv), p, q_pos=q_pos, k_pos=k_pos, groups=G).data
-        assert got.shape == (G * n_q, d)
-        for g in range(G):
-            kg = kv[g * n_k : (g + 1) * n_k]
-            want = per_head_oracle(q + q_pos, kg + k_pos, kg, p)
-            assert np.max(np.abs(got[g * n_q : (g + 1) * n_q] - want)) < 1e-12
+        got = attended(p, q, kv, q_pos=q_pos, k_pos=k_pos, groups=G)
+        assert got.shape == (n_q, d)
+        per_group = [per_head_oracle(q + q_pos, kg + k_pos, kg, p) for kg in np.split(kv, G)]
+        assert np.max(np.abs(got - sum(per_group) / G)) < 1e-12
+        joint = per_head_oracle(q + q_pos, kv + np.tile(k_pos, (G, 1)), kv, p)
+        assert np.max(np.abs(got - joint)) > 1e-3
 
     def test_gradcheck_groups(self, f64, rng):
         d, G = 8, 3
         p = make_attention(d, 2, rng, requires_grad=True)
         params = [p.wq, p.wk, p.wv]
-        q = Tensor(rng.standard_normal((4, d)))
+        q = rng.standard_normal((4, d))
         kv = Tensor(rng.standard_normal((G * 2, d)))
         pos_q = rng.standard_normal((4, d)) * 0.2
         pos_k = rng.standard_normal((2, d)) * 0.2
-        r = Tensor(rng.standard_normal((G * 4, d)))
+        r = Tensor(rng.standard_normal((4, d)))
 
         def loss():
-            out = cross_attention(q, kv, p, q_pos=pos_q, k_pos=pos_k, groups=G)
+            out = p(Tensor(np.zeros((4, d))), kv, q_pos=q + pos_q, k_pos=pos_k, groups=G)
             return sum_all(mul(out, r))
 
         assert finite_difference_check(loss, params, eps=1e-5) < 1e-5
@@ -273,10 +287,11 @@ class TestPackedModelParameters:
 class TestTapeSize:
     """Tape nodes of one default-config forward, reduced to
     sum(scores * R1) + sum(boxes * R2). A refactor of the model must not add
-    nodes; a change that means to must update these counts."""
+    nodes; a change that means to must update these counts. Each `Block`
+    call is one node."""
 
     @pytest.mark.parametrize(
-        "n_sketches, ablate, nodes", [(1, False, 185), (5, False, 286), (1, True, 137), (5, True, 235)]
+        "n_sketches, ablate, nodes", [(1, False, 49), (5, False, 67), (1, True, 44), (5, True, 62)]
     )
     def test_default_config_tape_nodes(self, rng, n_sketches, ablate, nodes):
         cfg = ModelConfig(encoder_fusion=not ablate, refinement=not ablate)
@@ -302,7 +317,7 @@ def test_skipping_constant_matmul_operands_changes_no_leaf_gradient(rng, monkeyp
     grads = []
     for both in (False, True):
         if both:
-            for module in (attention, encoder, decoder):
+            for module in (encoder, decoder):
                 monkeypatch.setattr(module, "matmul", _matmul_both)
         model = SketchLocalizer(ModelConfig())
         scores, boxes = model.forward(image, sketches)
@@ -313,6 +328,53 @@ def test_skipping_constant_matmul_operands_changes_no_leaf_gradient(rng, monkeyp
         assert np.array_equal(g, grads[1][name]), name
 
 
+def call_and_grads(call, prec, seed, *, n=4, n_k=9, d=8, d_h=16, heads=2, groups=1, cross=True,
+                   norm=False, grid=True, outside=False):
+    """The output of one block call, by `call` (`Block.__call__` or
+    `reference_block.block_call`), and the gradients of x, kv and the five
+    weights, all drawn from `seed` at precision `prec`.
+
+    x and kv are relu of leaves, so that their gradients are summed by the
+    sweep before they reach a leaf. `grid` takes the position tables from
+    `grid_pos` (n and n_k square), else from random draws. With `outside`,
+    x also feeds a second term of the loss."""
+    rng = np.random.default_rng(seed)
+    with T.precision(prec):
+        weights = [Tensor(rng.standard_normal(s) * 0.5, requires_grad=True)
+                   for s in ((d, d), (d, d), (d, d), (d, d_h), (d_h, d))]
+        x0 = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        kv0 = Tensor(rng.standard_normal((groups * n_k, d)), requires_grad=True) if cross else None
+        x, kv = relu(x0), relu(kv0) if cross else None
+        keys = n_k if cross else n // groups
+        if grid:
+            q_pos, k_pos = grid_pos(n, d), grid_pos(keys, d)
+        else:
+            q_pos, k_pos = rng.standard_normal((n, d)), rng.standard_normal((keys, d))
+        out = call(Block(*weights, heads=heads), x, kv, norm=norm, q_pos=q_pos, k_pos=k_pos, groups=groups)
+        loss = sum_all(mul(out, Tensor(rng.standard_normal(out.shape))))
+        if outside:
+            loss = add(loss, sum_all(mul(x, x)))
+        grads = backward(loss)
+    return out.data, [grads.get(t) for t in (x0, kv0, *weights) if t is not None]
+
+
+def assert_same_bits(got, want):
+    (out, grads), (out_ref, grads_ref) = got, want
+    assert out.dtype == out_ref.dtype and np.array_equal(out, out_ref)
+    assert len(grads) == len(grads_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert g.dtype == g_ref.dtype and np.array_equal(g, g_ref)
+
+
+BIT_CASES = {
+    "self-normed-with-positions": dict(cross=False, norm=True),
+    "groups-1": dict(groups=1),
+    "groups-5": dict(groups=5),
+    "groups-5-normed": dict(groups=5, norm=True),
+    "x-also-feeds-another-op": dict(outside=True, groups=2),
+}
+
+
 class TestBlock:
     def test_self_attention_attends_over_the_normed_queries(self, rng):
         mk = lambda shape: Tensor(rng.standard_normal(shape) * 0.3)
@@ -321,58 +383,165 @@ class TestBlock:
         assert np.array_equal(blk(x, norm=True).data, blk(x, layer_norm_rows(x), norm=True).data)
         assert np.array_equal(blk(x).data, blk(x, x).data)
 
+    @pytest.mark.parametrize("prec", ["f32", "f64"])
+    @pytest.mark.parametrize("case", list(BIT_CASES))
+    def test_equals_the_composition_bit_for_bit(self, prec, case):
+        kw = BIT_CASES[case]
+        assert_same_bits(call_and_grads(Block.__call__, prec, 5, **kw), call_and_grads(block_call, prec, 5, **kw))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        prec=st.sampled_from(["f32", "f64"]), heads=st.integers(1, 3), dk=st.integers(1, 3),
+        groups=st.integers(1, 3), n=st.integers(1, 5), n_k=st.integers(1, 5),
+        cross=st.booleans(), norm=st.booleans(), outside=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_composition_on_any_shapes(self, prec, heads, dk, groups, n, n_k, cross, norm,
+                                                  outside, seed):
+        n = n * groups if not cross else n  # self-attention splits its own rows into the groups
+        kw = dict(n=n, n_k=n_k, d=heads * dk, d_h=3, heads=heads, groups=groups, cross=cross, norm=norm,
+                  grid=False, outside=outside)
+        assert_same_bits(call_and_grads(Block.__call__, prec, seed, **kw),
+                         call_and_grads(block_call, prec, seed, **kw))
+
+    @pytest.mark.parametrize("prec", ["f32", "f64"])
+    def test_default_model_equals_the_composition_bit_for_bit(self, prec, monkeypatch):
+        # a 5Q forward and backward, every one of the 88 leaves
+        rng = np.random.default_rng(3)
+        image, sketches = rand_image(rng), [rand_sketch(rng) for _ in range(5)]
+        r1, r2 = rng.standard_normal(100), rng.standard_normal((100, 4))
+        runs = []
+        for call in (Block.__call__, block_call):
+            monkeypatch.setattr(Block, "__call__", call)
+            with T.precision(prec):
+                model = SketchLocalizer(ModelConfig())
+                scores, boxes = model.forward(image, sketches)
+                grads = backward(add(sum_all(mul(scores, Tensor(r1))), sum_all(mul(boxes, Tensor(r2)))))
+            assert len(grads) == len(model.params) == 88
+            runs.append((np.concatenate([scores.data, boxes.data.ravel()]),
+                         [grads[t] for t in model.params.values()]))
+        assert_same_bits(*runs)
+
+    def test_one_tape_node_holds_one_score_sized_array(self, rng):
+        blk = make_block(8, 12, 2, rng, requires_grad=True)
+        weights = (blk.wq, blk.wk, blk.wv, blk.w_in, blk.w_out)
+        x = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+        kv = Tensor(rng.standard_normal((15, 8)), requires_grad=True)
+        out = blk(x, kv, groups=3)
+        assert out._parents == (x, kv, kv, x, *weights)
+        assert len(T._topo(sum_all(out))) == 2
+        held = [c.cell_contents for c in out._bw.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert [a.shape for a in held].count((6, 3, 5)) == 1  # (groups*heads, n_q, n_k)
+        normed = blk(x, norm=True)
+        assert normed._parents == (x, x, *weights)
+
+    SHAPE_ERRORS = {
+        # name: (x shape, kv shape or None, call keywords), for a d = 8, 2-head block
+        "q_pos-one-row": ((4, 8), (9, 8), dict(q_pos=np.ones((1, 8)))),
+        "q_pos-width": ((4, 8), (9, 8), dict(q_pos=np.ones((4, 4)))),
+        "k_pos-one-row": ((4, 8), (9, 8), dict(k_pos=np.ones((1, 8)))),
+        "k_pos-all-groups": ((4, 8), (18, 8), dict(k_pos=np.ones((18, 8)), groups=2)),
+        "k_pos-one-row-self": ((4, 8), None, dict(k_pos=np.ones((1, 8)), norm=True)),
+        "x-width": ((4, 6), (9, 8), {}),
+        "kv-width": ((4, 8), (9, 6), {}),
+        "x-rank": ((2, 4, 8), (9, 8), {}),
+        "kv-rank": ((4, 8), (8,), {}),
+        "group-split": ((4, 8), (9, 8), dict(groups=2)),
+        "zero-groups": ((4, 8), (9, 8), dict(groups=0)),
+    }
+
+    @pytest.mark.parametrize("case", list(SHAPE_ERRORS))
+    def test_a_shape_that_does_not_chain_is_named(self, rng, case):
+        x_shape, kv_shape, kw = self.SHAPE_ERRORS[case]
+        blk = make_block(8, 12, 2, rng)
+        kv = None if kv_shape is None else Tensor(np.ones(kv_shape))
+        with pytest.raises(ShapeError, match="^block: "):
+            blk(Tensor(np.ones(x_shape)), kv, **kw)
+
+    @pytest.mark.parametrize("heads, w_out", [(3, (12, 8)), (2, (12, 6)), (2, (10, 8))],
+                             ids=["8-columns-in-3-heads", "adapter-back-to-width-6", "adapter-widths-12-then-10"])
+    def test_weights_that_do_not_chain_are_named(self, rng, heads, w_out):
+        blk = replace(make_block(8, 12, heads, rng), w_out=Tensor(np.ones(w_out)))
+        with pytest.raises(ShapeError, match="do not chain"):
+            blk(Tensor(np.ones((4, 8))))
+
+
+class TestPositionRows:
+    def test_a_grid_table_is_tiled_once_read_only(self):
+        table = grid_pos(16, 8)
+        rows = _pos_rows(table, 3, np.float32)
+        assert _pos_rows(table, 3, np.float32) is rows
+        assert not rows.flags.writeable and rows.dtype == np.float32
+        assert np.array_equal(rows, np.tile(table, (3, 1)).astype(np.float32))
+        assert _pos_rows(table, 1, np.float64) is not rows
+
+    def test_a_writeable_table_is_read_at_every_call(self, rng):
+        table = rng.standard_normal((4, 8))
+        first = _pos_rows(table, 2, np.float64)
+        table[0, 0] = 7.0
+        assert _pos_rows(table, 2, np.float64)[4, 0] == 7.0 and first[4, 0] != 7.0
+        assert id(table) not in _TILED
+
+    def test_a_cached_entry_goes_with_its_table(self, rng):
+        table = rng.standard_normal((4, 8))
+        table.flags.writeable = False
+        key = id(table)
+        _pos_rows(table, 2, np.float32)
+        assert key in _TILED
+        del table
+        gc.collect()
+        assert key not in _TILED
+
 
 class TestAdapterFuse:
-    def test_rows_must_match_groups(self):
-        p = adapter_block(Tensor(np.ones((4, 6))), Tensor(np.ones((6, 4))))
+    """The adapter half of a block call: x + W_out relu(W_in attended)."""
+
+    def test_rows_must_match_groups(self, rng):
+        blk = make_block(4, 6, 1, rng)
         with pytest.raises(ShapeError):
-            adapter_fuse(Tensor(np.ones((6, 4))), Tensor(np.ones((2, 4))), p, groups=2)
+            blk(Tensor(np.ones((2, 4))), Tensor(np.ones((7, 4))), groups=2)
+
     def test_zero_weights_identity(self, rng):
         d, dh = 6, 12
-        p = adapter_block(Tensor(np.zeros((d, dh))), Tensor(np.zeros((dh, d))))
+        blk = replace(make_block(d, dh, 2, rng), w_in=Tensor(np.zeros((d, dh))), w_out=Tensor(np.zeros((dh, d))))
         res = Tensor(rng.standard_normal((4, d)))
-        att = Tensor(rng.standard_normal((4, d)))
-        assert np.array_equal(adapter_fuse(att, res, p).data, res.data)
+        kv = Tensor(rng.standard_normal((4, d)))
+        assert np.array_equal(blk(res, kv).data, res.data)
 
     def test_zero_out_projection_identity_bit_exact(self, rng):
         d, dh = 6, 12
-        p = adapter_block(
-            Tensor(rng.standard_normal((d, dh))), Tensor(np.zeros((dh, d)))
-        )
+        blk = replace(make_block(d, dh, 2, rng), w_out=Tensor(np.zeros((dh, d))))
         res = Tensor(rng.standard_normal((4, d)))
-        att = Tensor(rng.standard_normal((4, d)))
-        assert np.array_equal(adapter_fuse(att, res, p).data, res.data)
+        kv = Tensor(rng.standard_normal((4, d)))
+        assert np.array_equal(blk(res, kv).data, res.data)
 
     def test_zero_attended_gives_residual(self, rng):
+        # zero value projections: every attended row is zero
         d, dh = 6, 12
-        p = adapter_block(
-            Tensor(rng.standard_normal((d, dh))), Tensor(rng.standard_normal((dh, d)))
-        )
+        blk = replace(make_block(d, dh, 2, rng), wv=Tensor(np.zeros((d, d))))
         res = Tensor(rng.standard_normal((4, d)))
-        att = Tensor(np.zeros((4, d)))
-        assert np.array_equal(adapter_fuse(att, res, p).data, res.data)
+        kv = Tensor(rng.standard_normal((4, d)))
+        assert np.array_equal(blk(res, kv).data, res.data)
 
     def test_against_direct_oracle(self, f64, rng):
         d, dh = 8, 16
-        w_in = rng.standard_normal((d, dh))
-        w_out = rng.standard_normal((dh, d))
-        p = adapter_block(Tensor(w_in), Tensor(w_out))
-        att = rng.standard_normal((3, d))
+        blk = make_block(d, dh, 2, rng)
         res = rng.standard_normal((3, d))
-        got = adapter_fuse(Tensor(att), Tensor(res), p).data
-        want = res + np.maximum(att @ w_in, 0.0) @ w_out
+        kv = rng.standard_normal((5, d))
+        got = blk(Tensor(res), Tensor(kv)).data
+        att = per_head_oracle(res, kv, kv, blk)
+        want = res + np.maximum(att @ blk.w_in.data, 0.0) @ blk.w_out.data
         assert np.max(np.abs(got - want)) < 1e-6
 
     def test_gradcheck(self, f64, rng):
         d, dh = 6, 10
-        w_in = Tensor(rng.standard_normal((d, dh)), requires_grad=True)
-        w_out = Tensor(rng.standard_normal((dh, d)), requires_grad=True)
-        p = adapter_block(w_in, w_out)
-        att = Tensor(rng.standard_normal((3, d)))
+        blk = make_block(d, dh, 2, rng)
+        blk.w_in = Tensor(rng.standard_normal((d, dh)), requires_grad=True)
+        blk.w_out = Tensor(rng.standard_normal((dh, d)), requires_grad=True)
         res = Tensor(rng.standard_normal((3, d)))
+        kv = Tensor(rng.standard_normal((4, d)))
         r = Tensor(rng.standard_normal((3, d)))
 
         def loss():
-            return sum_all(mul(adapter_fuse(att, res, p), r))
+            return sum_all(mul(blk(res, kv), r))
 
-        assert finite_difference_check(loss, [w_in, w_out], eps=1e-5) < 1e-5
+        assert finite_difference_check(loss, [blk.w_in, blk.w_out], eps=1e-5) < 1e-5

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sgloc.attention import cross_attention, grid_pos
+from sgloc.attention import grid_pos
 from sgloc.decoder import (
     decode,
     predict_boxes,
@@ -22,6 +22,7 @@ from sgloc.tensor import (
     no_grad,
     sum_all,
 )
+from reference_block import cross_attention
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 

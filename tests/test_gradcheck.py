@@ -52,13 +52,14 @@ def _taped_ops() -> set:
 
 def test_every_taped_op_has_a_gradcheck_case():
     ops = _taped_ops()
-    assert {"attend", "matmul", "softmax_rows"} <= ops
+    assert {"matmul", "softmax_rows"} <= ops
     assert sorted(ops - {name for name, _, _ in gradcheck._OP_CASES}) == []
 
 
 def test_every_gradcheck_case_names_a_taped_op():
-    # a case is named after its op, or after its op and a variant ("bmm_transpose_b")
-    ops = _taped_ops()
+    # a case is named after its op, or after its op and a variant ("bmm_transpose_b");
+    # "block" is a call of `attention.Block`, which records one node of its own
+    ops = _taped_ops() | {"block"}
     stray = [name for name, _, _ in gradcheck._OP_CASES
              if not any(name == op or name.startswith(op + "_") for op in ops)]
     assert stray == []

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sgloc.attention import adapter_fuse, cross_attention, grid_pos
+from sgloc.attention import grid_pos
 from sgloc.encoder import SKETCH_TOKENS, encoder_fusion_multi, fuse_queries
 from sgloc.tensor import Tensor, backward, concat, mean_groups, sum_all
+from reference_block import adapter_fuse, cross_attention
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
 

@@ -12,7 +12,6 @@ from sgloc.tensor import (
     Tensor,
     accumulate,
     add,
-    attend,
     backward,
     bmm,
     concat,
@@ -155,84 +154,6 @@ class TestBatched:
     def test_mean_groups_rejects_uneven_split(self):
         with pytest.raises(ShapeError):
             mean_groups(Tensor(np.ones((5, 2))), 2)
-
-
-def attend_chain(q, k, v, s):
-    """The four ops `attend` fuses, in the order it computes them, on heads
-    already split off with `T._split`."""
-    return bmm(softmax_rows(scale(bmm(q, k, transpose_b=True), s)), v)
-
-
-def merged(x, heads, groups):
-    """`x`'s heads merged with `T._merge` as a tape node whose backward splits
-    the cotangent with `T._split`, so `attend_chain` meets it in the layout
-    that `attend` gives it."""
-    return T._make(T._merge(x.data, heads), (x,), lambda g: (T._split(g, heads, groups),))
-
-
-class TestAttend:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        prec=st.sampled_from(["f32", "f64"]),
-        heads=st.integers(1, 3), groups=st.integers(1, 3), n=st.integers(1, 5),
-        m=st.integers(1, 6), dk=st.integers(1, 4), dv=st.integers(1, 4),
-        s=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1),
-    )
-    def test_equals_the_unfused_chain_bit_for_bit(self, prec, heads, groups, n, m, dk, dv, s, seed):
-        rng = np.random.default_rng(seed)
-        with T.precision(prec):
-            q, k, v = (leaf(rng.standard_normal(shape) * 2.0)
-                       for shape in ((n, heads * dk), (groups * m, heads * dk), (groups * m, heads * dv)))
-            r = Tensor(rng.standard_normal((groups * n, heads * dv)))
-            out = attend(q, k, v, s, heads, groups)
-            grads = backward(sum_all(mul(out, r)))
-            qh, kh, vh = (leaf(T._split(t.data, heads, g)) for t, g in ((q, 1), (k, groups), (v, groups)))
-            chain = merged(attend_chain(qh, kh, vh, s), heads, groups)
-            chain_grads = backward(sum_all(mul(chain, r)))
-        assert out.data.dtype == chain.data.dtype
-        assert np.array_equal(out.data, chain.data)
-        for t, th in ((q, qh), (k, kh), (v, vh)):
-            assert np.array_equal(grads[t], T._merge(chain_grads[th], heads))
-
-    def test_head_blocks_match_a_per_head_oracle(self, f64, rng):
-        # output block (g, h) is softmax(s * q_h k_{g,h}^T) v_{g,h}
-        heads, groups, n, m, dk, dv, s = 3, 2, 4, 5, 2, 3, 0.6
-        q = rng.standard_normal((n, heads * dk))
-        k = rng.standard_normal((groups * m, heads * dk))
-        v = rng.standard_normal((groups * m, heads * dv))
-        got = attend(Tensor(q), Tensor(k), Tensor(v), s, heads, groups).data
-        assert got.shape == (groups * n, heads * dv)
-        for g in range(groups):
-            for h in range(heads):
-                rows, qc, vc = slice(g * m, (g + 1) * m), slice(h * dk, (h + 1) * dk), slice(h * dv, (h + 1) * dv)
-                scores = s * q[:, qc] @ k[rows, qc].T
-                w = np.exp(scores - scores.max(axis=1, keepdims=True))
-                want = (w / w.sum(axis=1, keepdims=True)) @ v[rows, vc]
-                assert np.max(np.abs(got[g * n : (g + 1) * n, vc] - want)) < 1e-12
-
-    def test_one_tape_node_holds_one_score_sized_array(self, rng):
-        q = leaf(rng.standard_normal((3, 8)))
-        k = leaf(rng.standard_normal((15, 8)))
-        v = leaf(rng.standard_normal((15, 4)))
-        out = attend(q, k, v, 0.5, heads=2, groups=3)
-        assert out._parents == (q, k, v)
-        held = [c.cell_contents for c in out._bw.__closure__ if isinstance(c.cell_contents, np.ndarray)]
-        assert [a.shape for a in held].count((6, 3, 5)) == 1
-
-    def test_shape_errors(self):
-        ones = lambda *shape: Tensor(np.ones(shape))
-        with pytest.raises(ShapeError):
-            attend(ones(2, 3, 4), ones(2, 5, 4), ones(2, 5, 2), 1.0, 1)  # rank 3
-        with pytest.raises(ShapeError):
-            attend(ones(3, 4), ones(5, 6), ones(5, 2), 1.0, 2)  # key widths differ
-        with pytest.raises(ShapeError):
-            attend(ones(3, 4), ones(5, 4), ones(4, 2), 1.0, 2)  # 5 keys, 4 values
-        with pytest.raises(ShapeError):
-            attend(ones(3, 4), ones(5, 4), ones(5, 2), 1.0, 2, groups=2)  # 5 rows, 2 groups
-        with pytest.raises(ShapeError):
-            attend(ones(3, 6), ones(5, 6), ones(5, 6), 1.0, 4)  # 6 columns, 4 heads
-        with pytest.raises(ShapeError):
-            attend(ones(3, 4), ones(5, 4), ones(5, 3), 1.0, 2)  # 3 value columns, 2 heads
 
 
 class TestNoGrad:
@@ -551,6 +472,42 @@ class TestLayerNorm:
         a = T.layer_norm_rows(Tensor(x)).data
         b = T.layer_norm_rows(Tensor(x * 7.0)).data
         assert np.allclose(a, b, atol=1e-5)
+
+
+class TestExactRewrites:
+    """The helpers compute a mean as sum / d, a softmax's max with
+    `np.fmax.reduce`, and skip the sum over a single group: each gives the
+    bits of the plain numpy expression it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 6), d=st.integers(1, 70),
+           seed=st.integers(0, 2**32 - 1))
+    def test_layer_norm_equals_the_mean_formula(self, dtype, n, d, seed):
+        rng = np.random.default_rng(seed)
+        x, g = (rng.standard_normal((n, d)).astype(dtype) * 3 for _ in range(2))
+        xc = x - x.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
+        out = xc * inv
+        want = (g - g.mean(axis=1, keepdims=True) - out * (g * out).mean(axis=1, keepdims=True)) * inv
+        got_out, got_inv = T._layer_norm(x)
+        assert np.array_equal(got_out, out) and np.array_equal(got_inv, inv)
+        assert np.array_equal(T._layer_norm_grad(g, out, inv), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]), shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_softmax_equals_the_max_formula(self, dtype, shape, seed):
+        x = (np.random.default_rng(seed).standard_normal(shape) * 10).astype(dtype)
+        want = np.exp(x - x.max(axis=-1, keepdims=True))
+        want /= want.sum(axis=-1, keepdims=True)
+        assert np.array_equal(T._softmax_(x.copy()), want)
+
+    def test_one_group_gradient_equals_the_sum_over_groups(self, rng):
+        a, b, g = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 6, 5)), rng.standard_normal((3, 4, 6))
+        bt4 = T._grouped(b, 3, True)
+        ga, gb = T._bmm_grads(g, a, bt4, True)
+        assert np.array_equal(ga, (g[None] @ bt4.transpose(0, 1, 3, 2)).sum(axis=0))
+        assert np.array_equal(gb, (g.transpose(0, 2, 1) @ a))
 
 
 class TestTensorBasics:
