@@ -240,6 +240,25 @@ class TestPackedMatchesPerHeadLoop:
         joint = per_head_oracle(q + q_pos, kv + np.tile(k_pos, (G, 1)), kv, p)
         assert np.max(np.abs(got - joint)) > 1e-3
 
+    def test_head_blocks_match_a_per_head_oracle(self, f64, rng):
+        # column block h of the output is the group mean of softmax(s q_h k_{g,h}^T) v_{g,h}
+        heads, G, n, m, dk = 3, 2, 4, 5, 2
+        p = make_attention(heads * dk, heads, rng)
+        x = rng.standard_normal((n, heads * dk))
+        kv = rng.standard_normal((G * m, heads * dk))
+        got = attended(p, x, kv, groups=G)
+        assert got.shape == (n, heads * dk)
+        s = 1.0 / math.sqrt(dk)
+        for h in range(heads):
+            q = x @ head_cols(p.wq, p, h)
+            want = 0.0
+            for g in range(G):
+                kg = kv[g * m : (g + 1) * m]
+                scores = s * q @ (kg @ head_cols(p.wk, p, h)).T
+                w = np.exp(scores - scores.max(axis=1, keepdims=True))
+                want = want + (w / w.sum(axis=1, keepdims=True)) @ (kg @ head_cols(p.wv, p, h)) / G
+            assert np.max(np.abs(got[:, h * dk : (h + 1) * dk] - want)) < 1e-12
+
     def test_gradcheck_groups(self, f64, rng):
         d, G = 8, 3
         p = make_attention(d, 2, rng, requires_grad=True)
