@@ -19,34 +19,23 @@ belongs to head h. The heads are split off the projected token matrices
 heads are merged back (`_merge`).
 
 A block call is one tape node, whatever the number of heads and groups. Its
-forward and backward are written out in numpy, step by step as the `tensor`
-ops it stands for: layer_norm_rows, add (of the position tables), matmul,
-bmm, scale, softmax_rows, mean_groups, relu and add. Its results and
-gradients are the bits of that composition. Its shapes are checked once, up
-front, and a mismatch raises `ShapeError`.
+forward and backward are written out in numpy, step by step as the taped ops
+it stands for: layer_norm_rows, add (of the position tables), matmul, a
+batched matmul, scale, a softmax, mean_groups, relu and add. Its results and
+gradients are the bits of that composition, which `tests/reference_block.py`
+keeps, with the batched matmul and softmax ops that only it uses. Its shapes
+are checked once, up front, and a mismatch raises `ShapeError`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    _bmm,
-    _bmm_grads,
-    _grouped,
-    _layer_norm,
-    _layer_norm_grad,
-    _make,
-    _softmax_,
-    _softmax_grad_,
-)
+from .tensor import ShapeError, Tensor, _layer_norm, _layer_norm_grad, _make
 
 
 @dataclass
@@ -90,16 +79,17 @@ class Block:
         xd = x.data
         qn, inv = _layer_norm(xd) if norm else (xd, None)
         kvd = qn if kv is None else kv.data
-        qp = qn if q_pos is None else qn + _pos_rows(q_pos, 1, qn.dtype)
-        kp = kvd if k_pos is None else kvd + _pos_rows(k_pos, groups, kvd.dtype)
+        qp = qn if q_pos is None else qn + np.asarray(q_pos, qn.dtype)
+        kp = kvd if k_pos is None else (  # the one table added to each group
+            kvd.reshape(groups, -1, kvd.shape[1]) + np.asarray(k_pos, kvd.dtype)).reshape(kvd.shape)
         s = 1.0 / math.sqrt(wq.shape[1] // heads)
-        qh = _split(qp @ wq, heads, 1)
-        kt4 = _grouped(_split(kp @ wk, heads, groups), heads, True)
-        v4 = _grouped(_split(kvd @ wv, heads, groups), groups * heads, False)
-        p = _bmm(qh, kt4)  # scores, then probabilities in place
-        p *= s
+        qh = _split(qp @ wq, heads, 1)  # (H, n_q, dk)
+        kh = _split(kp @ wk, heads, groups).reshape(groups, heads, -1, qh.shape[2])  # (G, H, n_k, dk)
+        vh = _split(kvd @ wv, heads, groups)  # (G*H, n_k, dv)
+        p = (qh @ kh.transpose(0, 1, 3, 2)).reshape(groups * heads, qh.shape[1], -1)
+        p *= s  # scores, then probabilities in place
         _softmax_(p)
-        att = _merge(_bmm(p, v4), heads)
+        att = _merge(p @ vh, heads)
         hid = att @ w_in
         if groups > 1:
             hid = hid.reshape(groups, -1, hid.shape[1]).sum(axis=0) * (1.0 / groups)
@@ -116,10 +106,14 @@ class Block:
             gh = (g @ w_out.T) * mask
             if groups > 1:
                 gh = np.broadcast_to(gh * (1.0 / groups), (groups, *gh.shape)).reshape(-1, gh.shape[1])
-            gp, gv = _bmm_grads(_split(gh @ w_in.T, heads, groups), p, v4, False)
+            go = _split(gh @ w_in.T, heads, groups)
+            gp, gv = go @ vh.transpose(0, 2, 1), p.transpose(0, 2, 1) @ go
             _softmax_grad_(gp, p)
             gp *= s
-            gq, gk = _bmm_grads(gp, qh, kt4, True)
+            g4 = gp.reshape(groups, heads, *gp.shape[1:])  # (G, H, n_q, n_k)
+            gq = g4 @ kh
+            gq = gq[0] if groups == 1 else gq.sum(axis=0)  # the queries are shared by the groups
+            gk = (g4.transpose(0, 1, 3, 2) @ qh).reshape(vh.shape[0], -1, qh.shape[2])
             gq, gk, gv = _merge(gq, heads), _merge(gk, heads), _merge(gv, heads)
             if fold:
                 g_q = _layer_norm_grad(gv @ wv.T + gk @ wk.T + gq @ wq.T, qn, inv) if needs_x else None
@@ -174,28 +168,19 @@ def _merge(arr: np.ndarray, heads: int) -> np.ndarray:
     return arr.reshape(groups, heads, n, dk).transpose(0, 2, 1, 3).reshape(groups * n, heads * dk)
 
 
-_TILED: dict = {}  # id(table) -> {(groups, dtype): rows}, while the table lives
+def _softmax_(buf: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max subtraction, written into `buf`."""
+    buf -= np.fmax.reduce(buf, axis=-1, keepdims=True)  # the max, without NaN checks
+    np.exp(buf, out=buf)
+    buf /= buf.sum(axis=-1, keepdims=True)
+    return buf
 
 
-def _pos_rows(table, groups: int, dtype) -> np.ndarray:
-    """`table` repeated `groups` times down its rows and cast to `dtype`.
-
-    A read-only table that owns its data, as each `grid_pos` table does,
-    cannot change, so its results are cached, read-only, until the table is
-    freed. Any other table is tiled afresh at each call."""
-    table = np.asarray(table)
-    if table.flags.writeable or not table.flags.owndata:
-        return np.tile(table, (groups, 1)).astype(dtype)
-    per_table = _TILED.get(id(table))
-    if per_table is None:
-        per_table = _TILED[id(table)] = {}
-        weakref.finalize(table, _TILED.pop, id(table), None)
-    key = (groups, np.dtype(dtype))
-    rows = per_table.get(key)
-    if rows is None:
-        rows = per_table[key] = np.tile(table, (groups, 1)).astype(dtype)
-        rows.flags.writeable = False
-    return rows
+def _softmax_grad_(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The softmax backward, out * (g - sum(g * out)), written into `g`."""
+    g -= (g * out).sum(axis=-1, keepdims=True)
+    g *= out
+    return g
 
 
 @functools.cache

@@ -10,9 +10,10 @@ place. Inside `no_grad()` ops record nothing, so each intermediate is freed
 as soon as its last reader is done with it.
 
 The model's two largest composites record one node each, with their forward
-and backward written out in numpy over the private helpers below: a call of
-`attention.Block` and the training loss `matching.total_loss`. The ops here
-are the rest, and the reference those two are checked against.
+and backward written out in numpy: a call of `attention.Block` (which shares
+layer norm's `_layer_norm` and `_layer_norm_grad` with `layer_norm_rows`)
+and the training loss `matching.total_loss`. The ops here are the rest, and
+the parts of the composition a Block call is checked against.
 
 In-place buffer rule: an op may mutate only arrays it has just allocated
 itself, in its forward or in its backward. Input data and incoming gradients
@@ -198,48 +199,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), lambda g: (g @ bd.T if ra else None, ad.T @ g if rb else None))
 
 
-def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Batched matmul of rank-3 operands: (B, n, k) @ (B, k, m) -> (B, n, m),
-    or (B, n, k) @ (B, m, k)^T with `transpose_b`.
-
-    `a` may also hold B/G entries for G groups of b: a[i] then multiplies
-    b[g*(B/G) + i] for every g, and its gradient sums over the groups.
-    """
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError(f"bmm expects rank-3 operands, got {a.shape} and {b.shape}")
-    ad = a.data
-    if b.shape[0] % a.shape[0] or ad.shape[2] != b.shape[2 if transpose_b else 1]:
-        raise ShapeError(f"bmm: operands {a.shape} and {b.shape} do not chain")
-    bt4 = _grouped(b.data, a.shape[0], transpose_b)
-    return _make(_bmm(ad, bt4), (a, b), lambda g: _bmm_grads(g, ad, bt4, transpose_b))
-
-
-def _grouped(bd: np.ndarray, ba: int, transpose_b: bool) -> np.ndarray:
-    """The right operand of `bmm` as (G, ba, k, m) for a left operand of `ba`
-    batch entries."""
-    bt = bd.transpose(0, 2, 1) if transpose_b else bd
-    return bt.reshape(bd.shape[0] // ba, ba, *bt.shape[1:])
-
-
-def _bmm(ad: np.ndarray, bt4: np.ndarray) -> np.ndarray:
-    """`bmm`'s product, (G*ba, n, m), in a newly allocated array."""
-    groups, ba, _, m = bt4.shape
-    return (ad @ bt4).reshape(groups * ba, ad.shape[1], m)
-
-
-def _bmm_grads(g: np.ndarray, ad: np.ndarray, bt4: np.ndarray, transpose_b: bool) -> tuple:
-    """Gradients of `_bmm(ad, bt4)` for cotangent `g`: `a`'s summed over the
-    groups and `b`'s in b's own layout, both newly allocated."""
-    g4 = g.reshape(*bt4.shape[:2], *g.shape[1:])
-    ga = g4 @ bt4.transpose(0, 1, 3, 2)
-    ga = ga[0] if len(ga) == 1 else ga.sum(axis=0)
-    if transpose_b:
-        gb = g4.transpose(0, 1, 3, 2) @ ad
-    else:
-        gb = ad.transpose(0, 2, 1) @ g4
-    return ga, gb.reshape(-1, *gb.shape[2:])
-
-
 def mean_groups(x: Tensor, groups: int) -> Tensor:
     """Mean of the G leading row blocks: (G*n, k) -> (n, k). With G = 1 the
     input itself is returned."""
@@ -284,30 +243,6 @@ def _layer_norm_grad(g: np.ndarray, out: np.ndarray, inv: np.ndarray) -> np.ndar
     g_mean = g.sum(axis=1, keepdims=True) / d
     proj = (g * out).sum(axis=1, keepdims=True) / d
     return (g - g_mean - out * proj) * inv
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis of a rank-2 or rank-3 tensor, computed with
-    max subtraction."""
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"softmax_rows expects rank 2 or 3, got {x.shape}")
-    out = _softmax_(x.data.copy(order="K"))
-    return _make(out, (x,), lambda g: (_softmax_grad_(g.copy(order="K"), out),))
-
-
-def _softmax_(buf: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max subtraction, written into `buf`."""
-    buf -= np.fmax.reduce(buf, axis=-1, keepdims=True)  # the max, without NaN checks
-    np.exp(buf, out=buf)
-    buf /= buf.sum(axis=-1, keepdims=True)
-    return buf
-
-
-def _softmax_grad_(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The softmax backward, out * (g - sum(g * out)), written into `g`."""
-    g -= (g * out).sum(axis=-1, keepdims=True)
-    g *= out
-    return g
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

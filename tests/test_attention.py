@@ -1,4 +1,3 @@
-import gc
 import math
 from dataclasses import replace
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgloc.attention import Block, _pos_rows, _TILED, grid_pos
+from sgloc.attention import Block, grid_pos
 from sgloc import decoder, encoder
 from sgloc import tensor as T
 from sgloc.data import derive_seed
@@ -484,31 +483,21 @@ class TestBlock:
             blk(Tensor(np.ones((4, 8))))
 
 
-class TestPositionRows:
-    def test_a_grid_table_is_tiled_once_read_only(self):
-        table = grid_pos(16, 8)
-        rows = _pos_rows(table, 3, np.float32)
-        assert _pos_rows(table, 3, np.float32) is rows
-        assert not rows.flags.writeable and rows.dtype == np.float32
-        assert np.array_equal(rows, np.tile(table, (3, 1)).astype(np.float32))
-        assert _pos_rows(table, 1, np.float64) is not rows
-
-    def test_a_writeable_table_is_read_at_every_call(self, rng):
-        table = rng.standard_normal((4, 8))
-        first = _pos_rows(table, 2, np.float64)
-        table[0, 0] = 7.0
-        assert _pos_rows(table, 2, np.float64)[4, 0] == 7.0 and first[4, 0] != 7.0
-        assert id(table) not in _TILED
-
-    def test_a_cached_entry_goes_with_its_table(self, rng):
-        table = rng.standard_normal((4, 8))
-        table.flags.writeable = False
-        key = id(table)
-        _pos_rows(table, 2, np.float32)
-        assert key in _TILED
-        del table
-        gc.collect()
-        assert key not in _TILED
+class TestPositionTables:
+    @pytest.mark.parametrize("refrozen", [False, True], ids=["writeable", "unfrozen-edited-refrozen"])
+    @pytest.mark.parametrize("name, rows", [("q_pos", 4), ("k_pos", 3)])
+    def test_a_table_edited_between_calls_changes_the_next_output(self, rng, name, rows, refrozen):
+        blk = make_block(8, 12, 2, rng)
+        x, kv = Tensor(rng.standard_normal((4, 8))), Tensor(rng.standard_normal((9, 8)))
+        table = rng.standard_normal((rows, 8))
+        table.flags.writeable = not refrozen
+        first = blk(x, kv, groups=3, **{name: table}).data
+        table.flags.writeable = True
+        table[0, 0] += 1.0
+        table.flags.writeable = not refrozen
+        second = blk(x, kv, groups=3, **{name: table}).data
+        assert not np.array_equal(first, second)
+        assert np.array_equal(second, blk(x, kv, groups=3, **{name: table.copy()}).data)
 
 
 class TestAdapterFuse:

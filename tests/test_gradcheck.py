@@ -1,4 +1,6 @@
+import ast
 import inspect
+import pathlib
 import re
 
 import numpy as np
@@ -52,14 +54,40 @@ def _taped_ops() -> set:
 
 def test_every_taped_op_has_a_gradcheck_case():
     ops = _taped_ops()
-    assert {"matmul", "softmax_rows"} <= ops
+    assert {"matmul", "layer_norm_rows"} <= ops
     assert sorted(ops - {name for name, _, _ in gradcheck._OP_CASES}) == []
 
 
 def test_every_gradcheck_case_names_a_taped_op():
-    # a case is named after its op, or after its op and a variant ("bmm_transpose_b");
+    # a case is named after its op, or after its op and a variant ("block_groups");
     # "block" is a call of `attention.Block`, which records one node of its own
     ops = _taped_ops() | {"block"}
     stray = [name for name, _, _ in gradcheck._OP_CASES
              if not any(name == op or name.startswith(op + "_") for op in ops)]
     assert stray == []
+
+
+def _names_read(tree: ast.Module) -> set:
+    """The names a module reads, bare or as an attribute of its alias of
+    `tensor`, outside an assignment to `_OP_CASES`; imports are not reads."""
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for a in node.names if a.name == "tensor"}
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_OP_CASES" for t in node.targets):
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_every_taped_op_is_read_outside_the_gradcheck_table():
+    # an op that only its own gradcheck row calls is dead code
+    package = pathlib.Path(T.__file__).parent
+    read = set().union(*(_names_read(ast.parse(path.read_text(), str(path)))
+                         for path in package.glob("*.py") if path.name != "tensor.py"))
+    assert sorted(_taped_ops() - read) == []

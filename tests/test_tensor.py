@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgloc import gradcheck
+from sgloc import attention, gradcheck
 from sgloc import tensor as T
 from sgloc.tensor import (
     ShapeError,
@@ -13,7 +13,6 @@ from sgloc.tensor import (
     accumulate,
     add,
     backward,
-    bmm,
     concat,
     finite_difference_check,
     global_max_pool,
@@ -23,7 +22,6 @@ from sgloc.tensor import (
     relu,
     scale,
     sigmoid,
-    softmax_rows,
     sum_all,
 )
 
@@ -77,71 +75,7 @@ class TestMatmul:
             assert np.max(np.abs(left - right)) < 1e-4
 
 
-class TestSoftmaxRows:
-    def test_symmetry(self):
-        out = softmax_rows(Tensor([[0.0, 0.0]])).data
-        assert np.allclose(out, [[0.5, 0.5]])
-
-    def test_no_overflow(self):
-        out = softmax_rows(Tensor([[1000.0, 0.0]])).data
-        assert abs(out[0, 0] - 1.0) < 1e-6 and abs(out[0, 1]) < 1e-6
-
-    def test_against_exp_sum_oracle(self, f64, rng):
-        x = rng.standard_normal((1, 7))
-        got = softmax_rows(Tensor(x)).data
-        want = np.exp(x) / np.exp(x).sum()
-        assert np.max(np.abs(got - want)) < 1e-9
-
-    def test_rows_sum_to_one_and_shift_invariant(self, rng):
-        x = rng.standard_normal((5, 9))
-        out = softmax_rows(Tensor(x)).data
-        assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-6
-        shifted = softmax_rows(Tensor(x + 3.7)).data
-        assert np.max(np.abs(out - shifted)) < 1e-6
-
-    def test_rank3_is_rank2_per_batch_entry(self, f64, rng):
-        x = rng.standard_normal((3, 4, 6))
-        got = softmax_rows(Tensor(x)).data
-        for b in range(3):
-            assert np.array_equal(got[b], softmax_rows(Tensor(x[b])).data)
-
-    def test_rank4_rejected(self):
-        with pytest.raises(ShapeError):
-            softmax_rows(Tensor(np.ones((2, 2, 2, 2))))
-
-
-class TestBatched:
-    def test_bmm_against_loop_oracle(self, f64, rng):
-        a = rng.standard_normal((3, 4, 2))
-        b = rng.standard_normal((3, 2, 5))
-        got = bmm(Tensor(a), Tensor(b)).data
-        for i in range(3):
-            assert np.max(np.abs(got[i] - matmul_loops(a[i], b[i]))) < 1e-12
-
-    def test_bmm_transpose_b(self, f64, rng):
-        a = rng.standard_normal((2, 4, 3))
-        b = rng.standard_normal((2, 5, 3))
-        got = bmm(Tensor(a), Tensor(b), transpose_b=True).data
-        for i in range(2):
-            assert np.max(np.abs(got[i] - matmul_loops(a[i], b[i].T))) < 1e-12
-
-    def test_bmm_shared_a_repeats_over_groups(self, f64, rng):
-        # a holds B/G = 2 entries; b holds G = 3 groups of 2, group-major
-        a = rng.standard_normal((2, 4, 3))
-        b = rng.standard_normal((6, 3, 5))
-        got = bmm(Tensor(a), Tensor(b)).data
-        for g in range(3):
-            for i in range(2):
-                assert np.max(np.abs(got[2 * g + i] - a[i] @ b[2 * g + i])) < 1e-12
-
-    def test_bmm_shape_errors(self):
-        with pytest.raises(ShapeError):
-            bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 2))))
-        with pytest.raises(ShapeError):
-            bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
-        with pytest.raises(ShapeError):
-            bmm(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 2))))
-
+class TestMeanGroups:
     def test_mean_groups_matches_add_n_then_scale_bit_exact(self, rng):
         blocks = [Tensor(rng.standard_normal((3, 4))) for _ in range(5)]
         got = mean_groups(concat(blocks, axis=0), 5).data
@@ -475,9 +409,9 @@ class TestLayerNorm:
 
 
 class TestExactRewrites:
-    """The helpers compute a mean as sum / d, a softmax's max with
-    `np.fmax.reduce`, and skip the sum over a single group: each gives the
-    bits of the plain numpy expression it replaces."""
+    """Layer norm takes a mean as sum / d, and Block's softmax takes its max
+    with `np.fmax.reduce`: each gives the bits of the plain numpy expression
+    it replaces."""
 
     @settings(max_examples=60, deadline=None)
     @given(dtype=st.sampled_from([np.float32, np.float64]), n=st.integers(1, 6), d=st.integers(1, 70),
@@ -500,14 +434,7 @@ class TestExactRewrites:
         x = (np.random.default_rng(seed).standard_normal(shape) * 10).astype(dtype)
         want = np.exp(x - x.max(axis=-1, keepdims=True))
         want /= want.sum(axis=-1, keepdims=True)
-        assert np.array_equal(T._softmax_(x.copy()), want)
-
-    def test_one_group_gradient_equals_the_sum_over_groups(self, rng):
-        a, b, g = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 6, 5)), rng.standard_normal((3, 4, 6))
-        bt4 = T._grouped(b, 3, True)
-        ga, gb = T._bmm_grads(g, a, bt4, True)
-        assert np.array_equal(ga, (g[None] @ bt4.transpose(0, 1, 3, 2)).sum(axis=0))
-        assert np.array_equal(gb, (g.transpose(0, 2, 1) @ a))
+        assert np.array_equal(attention._softmax_(x.copy()), want)
 
 
 class TestTensorBasics:
