@@ -25,6 +25,15 @@ batched matmul, scale, a softmax, mean_groups, relu and add. Its results and
 gradients are the bits of that composition, which `tests/reference_block.py`
 keeps, with the batched matmul and softmax ops that only it uses. Its shapes
 are checked once, up front, and a mismatch raises `ShapeError`.
+
+The node saves each array its backward reads once, until the sweep passes
+it: the (normed) queries and their 1/std, the position-added query and key
+rows, the split heads, the softmax probabilities, the attended rows and the
+adapter's activations. A self-attention call given one table object as both
+`q_pos` and `k_pos` (every image stage and sketch block) adds it once and
+uses the query rows as the key rows; two equal tables are added each on its
+own. The relu mask is read back from the activations as `act > 0`, which is
+exactly where the pre-activation is positive.
 """
 
 from __future__ import annotations
@@ -80,8 +89,11 @@ class Block:
         qn, inv = _layer_norm(xd) if norm else (xd, None)
         kvd = qn if kv is None else kv.data
         qp = qn if q_pos is None else qn + np.asarray(q_pos, qn.dtype)
-        kp = kvd if k_pos is None else (  # the one table added to each group
-            kvd.reshape(groups, -1, kvd.shape[1]) + np.asarray(k_pos, kvd.dtype)).reshape(kvd.shape)
+        if kv is None and k_pos is q_pos:  # self-attention with one table: the key rows are the query rows
+            kp = qp
+        else:
+            kp = kvd if k_pos is None else (  # the one table added to each group
+                kvd.reshape(groups, -1, kvd.shape[1]) + np.asarray(k_pos, kvd.dtype)).reshape(kvd.shape)
         s = 1.0 / math.sqrt(wq.shape[1] // heads)
         qh = _split(qp @ wq, heads, 1)  # (H, n_q, dk)
         kh = _split(kp @ wk, heads, groups).reshape(groups, heads, -1, qh.shape[2])  # (G, H, n_k, dk)
@@ -93,8 +105,7 @@ class Block:
         hid = att @ w_in
         if groups > 1:
             hid = hid.reshape(groups, -1, hid.shape[1]).sum(axis=0) * (1.0 / groups)
-        mask = hid > 0  # relu'(0) = 0
-        act = hid * mask
+        act = hid * (hid > 0)  # relu'(0) = 0
         out = xd + act @ w_out
 
         src = x if kv is None else kv
@@ -103,7 +114,7 @@ class Block:
         needs_w = [w.requires_grad for w in weights]
 
         def bw(g):
-            gh = (g @ w_out.T) * mask
+            gh = (g @ w_out.T) * (act > 0)  # hid > 0 exactly where act > 0
             if groups > 1:
                 gh = np.broadcast_to(gh * (1.0 / groups), (groups, *gh.shape)).reshape(-1, gh.shape[1])
             go = _split(gh @ w_in.T, heads, groups)

@@ -6,8 +6,11 @@ A parameter is a leaf `Tensor(data, requires_grad=True)`; a model names its
 parameters in one {name: Tensor} dict. `backward()` walks the tape once and
 returns a plain {leaf: gradient array} dict with an entry for each leaf the
 loss reaches; passed such a dict as `into`, it adds onto those totals in
-place. Inside `no_grad()` ops record nothing, so each intermediate is freed
-as soon as its last reader is done with it.
+place. A tape is swept once: the sweep releases each node's parents and
+closure as soon as the node's backward has run, so the arrays only that node
+saved are freed during the sweep, and a later sweep that reaches a released
+node raises `SweptTapeError`. Inside `no_grad()` ops record nothing, so each
+intermediate is freed as soon as its last reader is done with it.
 
 The model's two largest composites record one node each, with their forward
 and backward written out in numpy: a call of `attention.Block` (which shares
@@ -44,6 +47,11 @@ class PrecisionError(RuntimeError):
 
 class NonFiniteError(RuntimeError):
     """Raised when a NaN/inf value reaches a place that must stay finite."""
+
+
+class SweptTapeError(RuntimeError):
+    """Raised when a backward sweep reaches a tape node that an earlier sweep
+    released."""
 
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -118,6 +126,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
+        """The one value of a size-1 tensor, as a float; ShapeError for more."""
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a tensor of one value, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self) -> str:
@@ -305,7 +316,15 @@ def global_max_pool(x: Tensor) -> Tensor:
 # backward pass
 
 
+def _swept(g):
+    """The backward closure of a node that a sweep has released."""
+    raise SweptTapeError("this tape node was released by an earlier backward sweep")
+
+
 def _topo(root: Tensor) -> list:
+    """The non-leaf nodes that `root` reaches, each after its parents.
+    SweptTapeError if one of them has a released parent: it would pass for a
+    leaf."""
     order = []
     seen = {id(root)}
     stack = [(root, 0)]
@@ -314,6 +333,8 @@ def _topo(root: Tensor) -> list:
         parents = node._parents
         while i < len(parents):
             p = parents[i]
+            if p._bw is _swept:
+                raise SweptTapeError("the loss reaches a tape node that an earlier backward sweep released")
             if p.requires_grad and p._parents and id(p) not in seen:
                 seen.add(id(p))
                 stack.append((node, i + 1))
@@ -356,9 +377,17 @@ def backward(loss: Tensor, into: dict | None = None) -> dict:
     both additions, in the order the sweep reaches them. `into` is changed in
     place and returned, so one sweep per term of a sum of losses totals its
     gradient while holding one term's tape at a time.
+
+    The sweep consumes the tape. Once a node's backward has run, the node
+    drops its parents and its closure, and with them the arrays only it
+    saved, and is marked as swept; its `data` stays. A loss that is, or
+    reaches, a swept node raises SweptTapeError before any gradient is
+    added: a second sweep would find no tape behind it.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
+    if loss._bw is _swept:
+        raise SweptTapeError("this loss was swept by an earlier backward call")
     grads = {} if into is None else into
     if not loss.requires_grad:
         return grads
@@ -366,19 +395,21 @@ def backward(loss: Tensor, into: dict | None = None) -> dict:
     if not loss._parents:  # the loss is a leaf itself
         accumulate(grads, loss, seed)
         return grads
+    order = _topo(loss)
     pending = {loss: seed}
-    for node in reversed(_topo(loss)):
+    while order:
+        node = order.pop()
         g = pending.pop(node, None)
-        if g is None:
-            continue
-        for p, pg in zip(node._parents, node._bw(g)):
-            if pg is None or not p.requires_grad:
-                continue
-            if not p._parents:
-                accumulate(grads, p, pg)
-                continue
-            acc = pending.get(p)
-            pending[p] = pg if acc is None else acc + pg
+        if g is not None:
+            for p, pg in zip(node._parents, node._bw(g)):
+                if pg is None or not p.requires_grad:
+                    continue
+                if not p._parents:
+                    accumulate(grads, p, pg)
+                    continue
+                acc = pending.get(p)
+                pending[p] = pg if acc is None else acc + pg
+        node._parents, node._bw = (), _swept
     return grads
 
 

@@ -22,6 +22,7 @@ from sgloc.tensor import (
     sum_all,
 )
 from sgloc.model import ModelConfig, SketchLocalizer
+import reference_block
 from reference_block import block_call
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
 
@@ -347,19 +348,26 @@ def test_skipping_constant_matmul_operands_changes_no_leaf_gradient(rng, monkeyp
 
 
 def call_and_grads(call, prec, seed, *, n=4, n_k=9, d=8, d_h=16, heads=2, groups=1, cross=True,
-                   norm=False, grid=True, outside=False):
+                   norm=False, grid=True, tables=None, dead_units=False, outside=False):
     """The output of one block call, by `call` (`Block.__call__` or
     `reference_block.block_call`), and the gradients of x, kv and the five
     weights, all drawn from `seed` at precision `prec`.
 
     x and kv are relu of leaves, so that their gradients are summed by the
     sweep before they reach a leaf. `grid` takes the position tables from
-    `grid_pos` (n and n_k square), else from random draws. With `outside`,
-    x also feeds a second term of the loss."""
+    `grid_pos` (n and n_k square), else from random draws. A self-attention
+    call with one group can get the query table as its key table too:
+    `tables="shared"` passes that one array object, `tables="copies"` an
+    equal copy. `dead_units` zeroes every third column of `w_in`, so that
+    the adapter's hidden pre-activations hold exact zeros next to negative
+    and positive values. With `outside`, x also feeds a second term of the
+    loss."""
     rng = np.random.default_rng(seed)
     with T.precision(prec):
         weights = [Tensor(rng.standard_normal(s) * 0.5, requires_grad=True)
                    for s in ((d, d), (d, d), (d, d), (d, d_h), (d_h, d))]
+        if dead_units:
+            weights[3].data[:, ::3] = 0
         x0 = Tensor(rng.standard_normal((n, d)), requires_grad=True)
         kv0 = Tensor(rng.standard_normal((groups * n_k, d)), requires_grad=True) if cross else None
         x, kv = relu(x0), relu(kv0) if cross else None
@@ -368,6 +376,9 @@ def call_and_grads(call, prec, seed, *, n=4, n_k=9, d=8, d_h=16, heads=2, groups
             q_pos, k_pos = grid_pos(n, d), grid_pos(keys, d)
         else:
             q_pos, k_pos = rng.standard_normal((n, d)), rng.standard_normal((keys, d))
+        if tables is not None:
+            assert not cross and groups == 1
+            k_pos = q_pos if tables == "shared" else q_pos.copy()
         out = call(Block(*weights, heads=heads), x, kv, norm=norm, q_pos=q_pos, k_pos=k_pos, groups=groups)
         loss = sum_all(mul(out, Tensor(rng.standard_normal(out.shape))))
         if outside:
@@ -390,6 +401,11 @@ BIT_CASES = {
     "groups-5": dict(groups=5),
     "groups-5-normed": dict(groups=5, norm=True),
     "x-also-feeds-another-op": dict(outside=True, groups=2),
+    # self-attention reuses its position-added query rows as the key rows only for one table object
+    "self-normed-one-table-object": dict(cross=False, norm=True, grid=False, tables="shared"),
+    "self-one-table-object": dict(cross=False, grid=False, tables="shared"),
+    "self-normed-two-equal-tables": dict(cross=False, norm=True, grid=False, tables="copies"),
+    "adapter-dead-units": dict(dead_units=True, groups=2),
 }
 
 
@@ -451,6 +467,28 @@ class TestBlock:
         assert [a.shape for a in held].count((6, 3, 5)) == 1  # (groups*heads, n_q, n_k)
         normed = blk(x, norm=True)
         assert normed._parents == (x, x, *weights)
+
+    def test_the_dead_units_case_meets_zeros_and_negatives_at_the_relu(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(reference_block, "relu", lambda t: seen.append(t.data.copy()) or relu(t))
+        call_and_grads(block_call, "f32", 5, **BIT_CASES["adapter-dead-units"])
+        (hid,) = seen
+        assert (hid == 0).any() and (hid < 0).any() and (hid > 0).any()
+
+    @pytest.mark.parametrize("norm", [False, True])
+    def test_self_attention_with_one_table_saves_its_rows_once(self, rng, norm):
+        blk = make_block(8, 12, 2, rng, requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
+        table = rng.standard_normal((4, 8))
+
+        def held(out):
+            arrays = [c.cell_contents for c in out._bw.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+            return {id(a): a for a in arrays}.values()
+
+        one = held(blk(x, norm=norm, q_pos=table, k_pos=table))
+        two = held(blk(x, norm=norm, q_pos=table, k_pos=table.copy()))
+        assert len(one) == len(two) - 1  # the key rows are the query rows
+        assert not any(a.dtype == bool for a in one)  # the relu mask is read back from the activations
 
     SHAPE_ERRORS = {
         # name: (x shape, kv shape or None, call keywords), for a d = 8, 2-head block

@@ -250,9 +250,10 @@ class TestBackwardInto:
         terms = [[(i % n_leaves, j % n_leaves, o, s) for i, j, o, s in t] for t in terms]
         with T.precision(prec):
             ws = [leaf(rng.standard_normal(shape) * 2.0) for _ in range(n_leaves)]
-            l1, l2 = (random_loss(ws, t) for t in terms)
-            whole = backward(add(l1, l2))
+            whole = backward(add(*(random_loss(ws, t) for t in terms)))
+            # a sweep releases its tape, so the chained sweeps run on l1 and l2 built afresh;
             # one sweep over add(l1, l2) reaches l2's tape first
+            l1, l2 = (random_loss(ws, t) for t in terms)
             first = backward(l2)
             totals = dict(first)
             chained = backward(l1, into=first)
@@ -302,6 +303,39 @@ class TestBackwardInto:
         assert backward(sum_all(add(mul(w, u), mul(w, w))), into=into) is into
         assert added == [(w, [2.0]), (w, [2.0]), (w, [3.0]), (u, [2.0])]
         assert into[w].tolist() == [8.0] and into[u].tolist() == [2.0]
+
+
+class TestSweptTape:
+    def test_the_same_loss_swept_twice_raises(self):
+        w = leaf([2.0])
+        loss = sum_all(mul(w, w))
+        grads = backward(loss)
+        total = grads[w].copy()
+        with pytest.raises(T.SweptTapeError):
+            backward(loss, into=grads)
+        assert np.array_equal(grads[w], total)  # nothing was added
+
+    def test_a_new_loss_over_a_swept_node_raises_before_adding(self):
+        w, u = leaf([2.0]), leaf([3.0])
+        swept = sum_all(mul(w, w))
+        backward(swept)
+        fresh = sum_all(mul(u, w))
+        into = {u: np.array([1.0], dtype=u.data.dtype)}
+        with pytest.raises(T.SweptTapeError):
+            backward(add(fresh, swept), into=into)
+        assert into.keys() == {u} and into[u].tolist() == [1.0]
+
+    def test_every_node_is_released_and_keeps_its_data(self, rng):
+        w = leaf(rng.standard_normal((3, 3)))
+        h = relu(matmul(w, w))
+        loss = sum_all(h)
+        nodes = T._topo(loss)
+        assert len(nodes) == 3
+        backward(loss)
+        assert all(n._parents == () and n._bw is T._swept and n.requires_grad for n in nodes)
+        assert np.array_equal(h.data, np.maximum(w.data @ w.data, 0))
+        assert w._bw is None  # a leaf is no tape node: a new loss over it sweeps as before
+        assert np.array_equal(backward(sum_all(relu(w)))[w], (w.data > 0).astype(w.data.dtype))
 
 
 class TestAccumulate:
@@ -466,6 +500,15 @@ class TestTensorBasics:
             with T.precision("f16"):
                 pass
         assert Tensor([1.0]).data.dtype == np.float32
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_reads_the_one_value(self, shape):
+        assert Tensor(np.full(shape, 2.5)).item() == 2.5
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1)])
+    def test_item_refuses_more_than_one_value(self, shape):
+        with pytest.raises(ShapeError, match="one value"):
+            Tensor(np.arange(float(np.prod(shape))).reshape(shape)).item()
 
     def test_gradient_map_shapes(self, rng):
         w = leaf(rng.standard_normal((3, 2)))

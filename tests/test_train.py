@@ -27,6 +27,8 @@ from sgloc.tensor import NonFiniteError, Tensor, add, backward, scale
 from sgloc.train import (
     OptimState,
     TrainConfig,
+    _run_half,
+    _sample_query,
     adam_step,
     load_model,
     read_checkpoint,
@@ -653,6 +655,31 @@ class TestTrainLoop:
             finally:
                 tracemalloc.stop()
         assert peaks[8] < 2 * peaks[1], peaks
+
+    def test_the_sweep_frees_the_tape_as_it_goes(self, train_corpus, monkeypatch):
+        # one 5Q sample of the default model, run as a step runs it: the backward sweep
+        # releases each node's saved arrays once it has passed the node, so the traced peak
+        # stays near the traced size after the forward, when the whole tape is alive
+        ds = Dataset(train_corpus)
+        model = SketchLocalizer(ModelConfig(), seed=0)
+        grads = {t: np.zeros_like(t.data) for t in model.params.values()}
+        sid = ds.scene_ids("train")[0]
+        sample = (sid, *_sample_query(np.random.default_rng(0), ds, ds.annotation(sid), 5))
+        after_forward = []
+
+        def forward(*args):
+            out = SketchLocalizer.forward(model, *args)
+            after_forward.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(model, "forward", forward)
+        tracemalloc.start()
+        try:
+            _run_half(model, ds, grads, 0, 1, [sample])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(after_forward) == 1 and peak < 1.1 * after_forward[0], (peak, after_forward)
 
 
 PINNED_TRAINING = (
