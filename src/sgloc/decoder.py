@@ -4,8 +4,10 @@ Each decoder layer is a (self, cross) pair of `attention.Block`s on the DET
 tokens: one over themselves, one over the multi-scale encoder memory. Layer
 0's first block reads only the learned DET embedding, so
 `SketchLocalizer.encode_scene` runs it apart from `decode`, which takes its
-result; the ops and their order are those of one pass through all layers, so
-the split is exact. After decoding, one block pulls sketch features into the
+result, `det0`; the ops and their order are those of one pass through all
+layers, so the split is exact. Since `det0` reads only parameters, one result
+serves every scene while they are unchanged: an evaluation computes it once,
+for its first scene. After decoding, one block pulls sketch features into the
 object tokens and a mirrored block pulls object features into the sketch
 tokens. Scores come from a small MLP over each refined token concatenated with
 the max-pooled global sketch embedding, boxes from another; each MLP is a list
@@ -45,7 +47,7 @@ def decode(features: list, layers: list, det0: Tensor) -> Tensor:
     (self, cross) block pair per decoder layer, and `det0` is
     `layers[0][0](det_embed, norm=True)`. Each layer: a pre-normed block
     among the tokens (layer 0's result is `det0`, which reads no input, so it
-    may be computed once for many calls), then one over all stage tokens
+    may be computed once for many calls and scenes), then one over all stage tokens
     (each stage keeping its own grid's position encoding).
     """
     memory = layer_norm_rows(concat(features, axis=0))

@@ -5,7 +5,10 @@ AP uses COCO-style conventions at desk scale: greedy score-ordered matching,
 large-object bucket (area >= 400 px^2 at 64x64) for the AP^L analog.
 Detections are pooled per query class across scenes, as one `Detections`
 set of arrays per class; reported aggregates are means over the queried
-classes. Box areas and IoUs come from `boxes`, one IoU table per AP call.
+classes. Box areas and IoUs come from `boxes`. One `average_precision` call
+scores a class at every threshold of a sweep: it sorts the detections and
+builds the IoU table, the same-scene mask and the box areas once, then walks
+the events below and takes the envelope for each threshold in turn.
 
 Greedy matching walks the detections in (-score, index) order, and each
 either takes a ground truth or does not. A ground truth is *live* for a
@@ -27,6 +30,7 @@ the first detection at or after the walk's position that it overlaps.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,16 +100,21 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def average_precision(dets: Detections, gts, iou_thresh, area_range=None) -> float:
-    """AP for one class: greedy highest-score-first matching, each ground truth
-    used at most once, 101-point interpolated precision envelope.
+def average_precision(dets: Detections, gts, thresholds, area_range=None) -> list:
+    """AP for one class at each IoU threshold of `thresholds`, in their order:
+    greedy highest-score-first matching, each ground truth used at most once,
+    101-point interpolated precision envelope.
 
     `gts` maps scene id -> (G, 4) corner boxes. With `area_range = (lo, hi)`,
     ground truths outside the range are ignored rather than counted, and
     unmatched detections whose own area falls outside the range do not count
-    as false positives (COCO size-bucket convention). Matching jumps from one
-    match event to the next, as the module docstring describes.
+    as false positives (COCO size-bucket convention). The score order, IoU
+    table, same-scene mask and areas are built once and serve every
+    threshold; matching at each jumps from one match event to the next, as
+    the module docstring describes. `thresholds` is a non-empty sequence of
+    finite numbers in (0, 1]; a bare number raises a ValueError.
     """
+    thresholds = _check_thresholds(thresholds)
     lo, hi = area_range if area_range is not None else (0.0, np.inf)
 
     per_scene = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b in gts.values()]
@@ -114,15 +123,37 @@ def average_precision(dets: Detections, gts, iou_thresh, area_range=None) -> flo
     gt_in_range = (lo <= gt_area) & (gt_area < hi)
     n_pos = int(gt_in_range.sum())
     if n_pos == 0:
-        return 0.0
+        return [0.0] * len(thresholds)
 
     gt_scene = np.repeat(list(gts), [len(b) for b in per_scene])
     order = np.argsort(-dets.scores, kind="stable")
     det_boxes = dets.boxes[order]
-    table = iou(det_boxes, gt_boxes)
-    n = len(dets)
-    hits = (table >= iou_thresh) & (dets.scenes[order, None] == gt_scene[None, :])
-    hits = np.concatenate([hits, np.ones((1, len(gt_scene)), dtype=bool)])  # row n: no more hits
+    # row n, past the last detection, hits every gt at every threshold
+    sentinel = np.ones((1, len(gt_scene)))
+    table = np.concatenate([iou(det_boxes, gt_boxes), np.inf * sentinel])
+    same = np.concatenate([dets.scenes[order, None] == gt_scene[None, :], sentinel > 0])
+    det_area = area(det_boxes)
+    det_in_range = (lo <= det_area) & (det_area < hi)
+    return [_ap_at(table, (table >= t) & same, gt_in_range, det_in_range, n_pos) for t in thresholds]
+
+
+def _check_thresholds(thresholds) -> list:
+    """`thresholds` as a list, or a ValueError naming what is wrong with it."""
+    if isinstance(thresholds, (numbers.Number, str, bytes)) or np.ndim(thresholds) != 1:
+        raise ValueError(f"IoU thresholds must be a sequence of numbers, got {thresholds!r}")
+    out = list(thresholds)
+    if not out:
+        raise ValueError("IoU thresholds must not be empty")
+    for t in out:
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not 0.0 < t <= 1.0:
+            raise ValueError(f"an IoU threshold must be a finite number in (0, 1], got {t!r}")
+    return out
+
+
+def _ap_at(table, hits, gt_in_range, det_in_range, n_pos: int) -> float:
+    """AP from one threshold's `hits` (IoU at or above it, same scene) over
+    the score-ordered rows of `table`, whose last row is the sentinel."""
+    n = len(table) - 1
     # first row at or after the walk's position that each live gt overlaps
     nxt = hits.argmax(axis=0)
     is_tp = np.zeros(n, dtype=bool)
@@ -140,8 +171,7 @@ def average_precision(dets: Detections, gts, iou_thresh, area_range=None) -> flo
         rest = cands[cands != chosen]
         nxt[rest] = r + 1 + hits[r + 1 :, rest].argmax(axis=0)
 
-    det_area = area(det_boxes)
-    counted = is_tp | (~is_event & (lo <= det_area) & (det_area < hi))
+    counted = is_tp | (~is_event & det_in_range)
     flags = is_tp[counted]  # True = TP, False = FP; ignored detections are left out
     if not len(flags):
         return 0.0
@@ -174,7 +204,11 @@ def evaluate_queries(
     ascending order, one `model.localize` call per query. Each scene is first
     encoded once, under `no_grad`, by `model.encode_scene`, and that encoding
     answers all of its queries: no sketch reaches it, so each answer is
-    bit-identical to `localize` on the raw scene.
+    bit-identical to `localize` on the raw scene. Every scene after the first
+    reuses the first one's DET tokens (`det0_from`), which read only
+    parameters, and nothing changes those during an evaluation. Each class
+    is scored by one `average_precision` call per area range, which returns
+    the whole IoU sweep.
     """
     if not isinstance(protocol, str) or protocol.upper() not in ("1Q", "5Q"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -186,11 +220,14 @@ def evaluate_queries(
     gts_by_class: dict = {}
     n_queries = 0
     size = float(dataset.image_size)
+    first = None  # the first scene's encoding, whose det0 the others reuse
     for sid in scene_ids:
         ann = dataset.annotation(sid)
         present = sorted(set(ann.classes))
         with no_grad():
-            scene = model.encode_scene(dataset.load_scene(sid))
+            scene = model.encode_scene(dataset.load_scene(sid), det0_from=first)
+        if first is None:
+            first = scene
         for cls in present:
             rng = np.random.default_rng(derive_seed(seed, "eval", sid, cls))
             sketches = [dataset.load_sketch(p) for p in dataset.draw_sketches(rng, cls, subset, n_query)]
@@ -209,13 +246,9 @@ def evaluate_queries(
     for cls in sorted(gts_by_class):
         dets = Detections.concat(dets_by_class[cls])
         gts = gts_by_class[cls]
-        sweep = [average_precision(dets, gts, t) for t in IOU_SWEEP]
+        sweep = average_precision(dets, gts, IOU_SWEEP)
         has_large = any((area(boxes) >= LARGE_AREA).any() for boxes in gts.values())
-        ap_l = (
-            float(np.mean([average_precision(dets, gts, t, large) for t in IOU_SWEEP]))
-            if has_large
-            else -1.0
-        )
+        ap_l = float(np.mean(average_precision(dets, gts, IOU_SWEEP, large))) if has_large else -1.0
         per_class[dataset.class_names[cls]] = {
             "map": float(np.mean(sweep)),
             "ap50": float(sweep[0]),

@@ -72,8 +72,11 @@ class EncodedScene:
     enters: stage 0's pooled tokens, before fusion 0, and the DET tokens after
     decoder layer 0's self-attention block.
 
-    Valid only for `model`, the model that made it, and only until that
-    model's parameters change: the values are not recomputed when they do.
+    Valid only for `model`, the model that made it, and only while that
+    model's parameters are unchanged: the values are not recomputed when they
+    change. The same rule holds for its `det0` when `encode_scene` reuses it
+    for another scene: `det0` reads only parameters, so it is the same for
+    every scene while they stay unchanged.
     """
 
     model: "SketchLocalizer"
@@ -204,15 +207,30 @@ class SketchLocalizer:
             raise ValueError("need at least one query sketch")
         return concat([encode_sketch(s, self.sketch_embed, self.sketch_blocks) for s in sketches], axis=0)
 
-    def encode_scene(self, image: np.ndarray) -> EncodedScene:
+    def encode_scene(self, image: np.ndarray, det0_from: EncodedScene | None = None) -> EncodedScene:
         """The sketch-free prefix of `forward` for one (64, 64, 3) scene.
 
         `forward(image, s)` is `forward(encode_scene(image), s)`: the same ops
         in the same order, so the results are bit-identical. Made under
         `no_grad`, one EncodedScene can answer every query of its scene.
+
+        With `det0_from`, an earlier EncodedScene of this model, its `det0` is
+        reused instead of running decoder layer 0's self block again. That is
+        exact only while the parameters are unchanged since `det0_from` was
+        made; a scene of another model raises a ValueError.
         """
+        if det0_from is not None:
+            self._check_own(det0_from)
         stage0 = encode_stage0(image, self.image_embed, self.image_blocks[0])
+        if det0_from is not None:
+            return EncodedScene(self, stage0, det0_from.det0)
         return EncodedScene(self, stage0, self.decoder_layers[0][0](self.det_embed, norm=True))
+
+    def _check_own(self, scene) -> None:
+        if not isinstance(scene, EncodedScene):
+            raise ValueError(f"expected an EncodedScene, got {type(scene).__name__}")
+        if scene.model is not self:
+            raise ValueError("an EncodedScene is valid only for the model that made it")
 
     def forward(self, image, sketches) -> tuple:
         """Score and box every DET token for one scene and 1..L query sketches.
@@ -222,8 +240,7 @@ class SketchLocalizer:
         ops. Returns (scores (T,), boxes (T,4)) as tape tensors.
         """
         scene = image if isinstance(image, EncodedScene) else self.encode_scene(image)
-        if scene.model is not self:
-            raise ValueError("an EncodedScene is valid only for the model that made it")
+        self._check_own(scene)
         bundle = self.encode_sketches(sketches)
         features = sketch_guided_encode(scene.stage0, bundle, self.image_blocks, self.fusion_blocks)
         det = decode(features, self.decoder_layers, scene.det0)
