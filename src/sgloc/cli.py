@@ -56,8 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--sketch", action="append", required=True, help="repeatable for multi-query")
     l.add_argument("--threshold", type=float, default=0.5)
 
-    c = sub.add_parser("gradcheck", help="finite-difference verification at f64")
-    c.add_argument("--max-coords", type=int, default=500)
+    sub.add_parser("gradcheck", help="finite-difference verification at f64")
     return p
 
 
@@ -129,7 +128,7 @@ def _cmd_localize(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .gradcheck import TOLERANCE, run_all
 
-    ok, rows = run_all(max_coords=args.max_coords)
+    ok, rows = run_all()
     for name, err, good in rows:
         print(f"{name:28s} {err:.3e}  {'ok' if good else 'FAIL'}")
     print(f"{'PASS' if ok else 'FAIL'} (tolerance {TOLERANCE:g})")

@@ -103,9 +103,9 @@ def derive_seed(master: int, *salts) -> int:
 # filled with the even-odd rule (the ring's hole is its second loop)
 
 
-def _circle_loop(r: float, n: int = 40, cx: float = 0.0, cy: float = 0.0) -> np.ndarray:
-    a = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return np.stack([cx + r * np.cos(a), cy + r * np.sin(a)], axis=1)
+def _circle_loop(r: float) -> np.ndarray:
+    a = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+    return np.stack([r * np.cos(a), r * np.sin(a)], axis=1)
 
 
 def _star_loop() -> np.ndarray:
@@ -198,19 +198,19 @@ def _transform(loops, rot: float, scale_xy, center) -> list:
     return out
 
 
-def _rasterize(loops, w: int = IMAGE_SIZE, h: int = IMAGE_SIZE) -> np.ndarray:
+def _rasterize(loops) -> np.ndarray:
     """Even-odd fill of closed loops onto a pixel-center grid, by crossing
     parity per row.
 
     Every non-horizontal edge crosses the row of pixel centres at height y
     when exactly one of its ends lies below y, at x = x1 + (y - y1)(x2 - x1) /
     (y2 - y1). A pixel is inside when an odd number of its row's crossings
-    lie strictly right of its centre. All edges and rows are one (E, h)
+    lie strictly right of its centre. All edges and rows are one (E, size)
     array, so the mask is bit-identical to toggling, edge by edge, every
     pixel whose centre lies left of that edge's crossing.
     """
-    xs = np.arange(w) + 0.5
-    ys = np.arange(h) + 0.5
+    size = IMAGE_SIZE
+    xs = ys = np.arange(size) + 0.5
     x1, y1 = np.concatenate(loops).T
     x2, y2 = np.concatenate([np.roll(loop, -1, axis=0) for loop in loops]).T
     # (edge, row) of each crossing. Only these divide: a horizontal edge
@@ -219,7 +219,7 @@ def _rasterize(loops, w: int = IMAGE_SIZE, h: int = IMAGE_SIZE) -> np.ndarray:
     e, rows = np.nonzero((y1[:, None] > ys) != (y2[:, None] > ys))
     xint = x1[e] + (ys[rows] - y1[e]) * (x2[e] - x1[e]) / (y2[e] - y1[e])
     left = np.searchsorted(xs, xint, side="left")  # centres left of each crossing
-    counts = np.bincount(rows * (w + 1) + left, minlength=h * (w + 1)).reshape(h, w + 1)
+    counts = np.bincount(rows * (size + 1) + left, minlength=size * (size + 1)).reshape(size, size + 1)
     right = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]  # [i, j]: crossings right of centre j - 1
     return (right[:, 1:] & 1).astype(bool)
 

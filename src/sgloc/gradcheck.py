@@ -33,6 +33,7 @@ from .tensor import (
 
 TOLERANCE = 1e-5
 EPS = 1e-5
+END_TO_END_COORDS = 500  # parameter coordinates sampled by the end-to-end check
 
 TINY_MODEL = ModelConfig(
     d=8, heads=2, stages=2, dec_layers=1, num_tokens=4, d_hidden=16, sketch_layers=1
@@ -108,18 +109,18 @@ _OP_CASES = [
 ]
 
 
-def check_op_case(name, shapes, loss_fn, rng, eps: float = EPS) -> float:
+def check_op_case(name, shapes, loss_fn, rng) -> float:
     """Finite-difference check of one `_OP_CASES` entry on standard-normal
     inputs drawn from `rng`; returns the max relative error."""
     leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
-    return finite_difference_check(lambda: loss_fn(*leaves), leaves, eps=eps)
+    return finite_difference_check(lambda: loss_fn(*leaves), leaves, eps=EPS)
 
 
-def check_ops(eps: float = EPS) -> list:
+def check_ops() -> list:
     """Finite-difference checks of each `_OP_CASES` op and of `total_loss`;
     returns [(name, max_rel_err)]."""
     rng = np.random.default_rng(7)
-    results = [(name, check_op_case(name, shapes, loss_fn, rng, eps)) for name, shapes, loss_fn in _OP_CASES]
+    results = [(name, check_op_case(name, shapes, loss_fn, rng)) for name, shapes, loss_fn in _OP_CASES]
 
     # The training loss alone, at 3 ground truths on 8 tokens: scores inside
     # the clamp and boxes with positive extents, as the heads produce them.
@@ -130,16 +131,16 @@ def check_ops(eps: float = EPS) -> list:
     gt = cxcywh_to_corners(center_size(n_gt))
     assign = rng.permutation(n_tok)[:n_gt]
     matched_loss = lambda: total_loss(scores, boxes, gt, assign).total_tensor
-    results.append(("total_loss", finite_difference_check(matched_loss, [scores, boxes], eps=eps)))
+    results.append(("total_loss", finite_difference_check(matched_loss, [scores, boxes], eps=EPS)))
     return results
 
 
-def check_end_to_end(max_coords: int = 500, seed: int = 0, eps: float = EPS) -> float:
+def check_end_to_end() -> float:
     """Finite differences through the whole pipeline (two query sketches, so
     the multi-query fusion paths are exercised) against the training loss with
     a frozen assignment."""
-    rng = np.random.default_rng(seed)
-    model = SketchLocalizer(TINY_MODEL, seed=seed)
+    rng = np.random.default_rng(0)
+    model = SketchLocalizer(TINY_MODEL, seed=0)
     image = rng.random((64, 64, 3))
     sketches = [rng.random((64, 64)) * 0.5 for _ in range(2)]
     gt = np.array([[0.1, 0.2, 0.45, 0.6], [0.5, 0.5, 0.9, 0.8]])
@@ -151,13 +152,13 @@ def check_end_to_end(max_coords: int = 500, seed: int = 0, eps: float = EPS) -> 
         s, b = model.forward(image, sketches)
         return total_loss(s, b, gt, assign).total_tensor
 
-    return finite_difference_check(loss, model.params.values(), eps=eps, max_coords=max_coords, seed=seed)
+    return finite_difference_check(loss, model.params.values(), eps=EPS, max_coords=END_TO_END_COORDS)
 
 
-def run_all(max_coords: int = 500):
+def run_all():
     """Run every check at f64; returns (all_ok, [(name, err, ok)])."""
     with T.precision("f64"):
         rows = [(name, err, err < TOLERANCE) for name, err in check_ops()]
-        err = check_end_to_end(max_coords=max_coords)
+        err = check_end_to_end()
         rows.append(("end_to_end_loss", err, err < TOLERANCE))
     return all(ok for _, _, ok in rows), rows

@@ -64,25 +64,11 @@ first. Every exception is raised before the step's Adam update, so no
 parameter changes, and the worker is terminated and joined before it
 propagates, also while it still runs its half: no worker outlives `train`.
 If the parent itself is killed, the worker exits when its pipe closes.
-
-The process keeps its freed heap. Each sample frees its tape once its
-backward is done, and the next sample allocates as much again. glibc hands
-freed memory back to the kernel, and the next sample faults it in again page
-by page, until its dynamic policy has raised its mmap and trim thresholds.
-`train` sets them at once (`_keep_freed_heap`): 32 MiB and 64 MiB, the
-ceilings that policy reaches. They hold for the rest of the process, and a
-forked worker inherits them. On the benchmark's train-5q workload (one epoch
-of 128 scenes in batches of 8 five-sketch samples, two processes on a 2-CPU
-Xeon) the first pass of a process made 44k minor page faults in the parent
-process without them and 10.6k with them, and ran ~4.5% faster; later passes
-make ~7.2k either way. Where no `mallopt` is found, the allocator is left as
-it is; no result depends on it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import json
 import math
 import mmap
@@ -498,24 +484,6 @@ def _forked_worker(model, dataset, grads):
         conn.close()
 
 
-# glibc's `mallopt` parameter numbers (malloc.h)
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap() -> None:
-    """Have glibc keep freed memory in the process: pin its mmap threshold at
-    32 MiB and its trim threshold at 64 MiB, the ceilings its own dynamic
-    policy reaches. Where no `mallopt` is found, as with another C library,
-    do nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt(M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(M_TRIM_THRESHOLD, 64 << 20)
-
-
 def train(config: TrainConfig, out_dir: str, log=None) -> str:
     """Run the full training loop; returns the path of the final checkpoint.
 
@@ -535,7 +503,6 @@ def train(config: TrainConfig, out_dir: str, log=None) -> str:
     if crowd[worst] > config.num_tokens:
         raise ValueError(f"num_tokens {config.num_tokens} is below the {crowd[worst]} objects of one "
                          f"class in train scene {worst}")
-    _keep_freed_heap()
     model = SketchLocalizer(config, seed=config.seed)
     # the parameter slab, then gradient slabs A and B laid out like it
     leaves = list(model.params.values())

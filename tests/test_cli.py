@@ -254,13 +254,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: {tmp_path / 'split.json'}: missing key 'n_train'\n"
 
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_gradcheck_without_coordinates_is_refused(self, capsys, n):
-        assert main(["gradcheck", "--max-coords", str(n)]) == 1
-        out, err = capsys.readouterr()
-        assert "PASS" not in out
-        assert err == f"error: max_coords must be at least 1, got {n}\n"
-
     def test_missing_dataset_is_runtime_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o")]) == 1
 
@@ -276,7 +269,7 @@ def test_train_help_names_the_blas_variables_that_allow_a_worker(capsys):
 
 
 def test_gradcheck_cli(capsys):
-    code = main(["gradcheck", "--max-coords", "40"])
+    code = main(["gradcheck"])
     out = capsys.readouterr().out
     assert code == 0, out
     assert "end_to_end_loss" in out and "PASS" in out

@@ -11,10 +11,10 @@ from sgloc import tensor as T
 from sgloc.tensor import Tensor, finite_difference_check
 
 
-def _layer_norm_without_mean_term(x: Tensor, eps: float = 1e-5) -> Tensor:
+def _layer_norm_without_mean_term(x: Tensor) -> Tensor:
     """layer_norm_rows with a backward that drops the g_mean term."""
     xc = x.data - x.data.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + T.LAYER_NORM_EPS)
     out = xc * inv
 
     def bw(g):

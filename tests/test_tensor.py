@@ -408,6 +408,12 @@ class TestFiniteDifference:
         with pytest.raises(T.PrecisionError):
             finite_difference_check(lambda: sum_all(w), [w])
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_without_coordinates_is_refused(self, f64, n):
+        w = leaf([1.0])
+        with pytest.raises(ValueError, match=f"^max_coords must be at least 1, got {n}$"):
+            finite_difference_check(lambda: sum_all(w), [w], max_coords=n)
+
 
 class TestGradcheckAllOps:
     """Every op case of `sgloc gradcheck` against the central-difference

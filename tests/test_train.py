@@ -12,7 +12,6 @@ import struct
 import time
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -618,27 +617,6 @@ class TestTrainLoop:
         # 12 scenes in batches of 5 (the last holds 2), 1Q and 5Q batches mixed: every
         # parameter byte and the logged history, pinned so that a change to the step's
         # arithmetic changes these digests on purpose
-        cfg = tiny_train_config(train_corpus, epochs=2, batch_size=5, protocol_mix=0.5)
-        ckpt = train(cfg, str(tmp_path / "run"), log=lambda m: None)
-        assert training_digests(ckpt) == PINNED_TRAINING
-
-    def test_train_pins_the_heap_thresholds(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(train_module.ctypes, "CDLL", lambda name: SimpleNamespace(
-            mallopt=lambda param, value: calls.append((param, value))))
-        train_module._keep_freed_heap()
-        assert calls == [(train_module.M_MMAP_THRESHOLD, 32 << 20), (train_module.M_TRIM_THRESHOLD, 64 << 20)]
-
-    @pytest.mark.parametrize("found", ["no-library", "no-mallopt"])
-    def test_training_bytes_are_pinned_where_mallopt_is_not_found(self, train_corpus, tmp_path, monkeypatch,
-                                                                   found):
-        # as with a C library other than glibc: `train` leaves the allocator as it is
-        def cdll(name):
-            if found == "no-library":
-                raise OSError("no such library")
-            return SimpleNamespace()
-
-        monkeypatch.setattr(train_module.ctypes, "CDLL", cdll)
         cfg = tiny_train_config(train_corpus, epochs=2, batch_size=5, protocol_mix=0.5)
         ckpt = train(cfg, str(tmp_path / "run"), log=lambda m: None)
         assert training_digests(ckpt) == PINNED_TRAINING
