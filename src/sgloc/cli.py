@@ -118,9 +118,9 @@ def _cmd_localize(args) -> int:
     model, _ = load_model(args.ckpt)
     scene = read_raster(read_ppm, args.scene, SCENE_SHAPE, "the model")
     sketches = [read_raster(read_pgm, s, SKETCH_SHAPE, "the model") for s in args.sketch]
-    result = model.localize(scene, sketches, threshold=args.threshold)
-    out = [{"box": [round(float(v), 6) for v in box], "score": round(score, 6)}
-           for box, score in result.detections]
+    dets = model.localize(scene, sketches, threshold=args.threshold).detections
+    out = [{"box": [round(float(v), 6) for v in box], "score": round(float(score), 6)}
+           for box, score in zip(dets["box"], dets["score"])]
     print(json.dumps(out))
     return 0
 

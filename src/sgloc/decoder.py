@@ -33,11 +33,29 @@ from .tensor import (
 )
 
 
+DETECTION = np.dtype([("box", np.float64, (4,)), ("score", np.float64)])
+
+
 @dataclass
 class LocalizationResult:
-    """Scored boxes in normalized center-size form, sorted by descending score."""
+    """Scored boxes in normalized center-size form, sorted by descending score.
 
-    detections: list  # [(np.ndarray(4), float score)]
+    `detections` is one record array of dtype `DETECTION`: `detections["box"]`
+    is (N, 4) (center x, center y, width, height) and `detections["score"]`
+    is (N,). `len` counts the detections, a slice keeps its records, and
+    iterating gives one (box (4,), score) pair of float64 values a detection.
+    """
+
+    detections: np.ndarray
+
+    @classmethod
+    def of(cls, boxes, scores) -> "LocalizationResult":
+        """The result holding row i of `boxes` (N, 4) with `scores[i]`, in
+        the given order, each value cast to float64."""
+        detections = np.empty(len(scores), DETECTION)
+        detections["box"] = boxes
+        detections["score"] = scores
+        return cls(detections)
 
 
 def decode(features: list, layers: list, det0: Tensor) -> Tensor:

@@ -3,12 +3,14 @@
 AP uses COCO-style conventions at desk scale: greedy score-ordered matching,
 101-point interpolation, an IoU sweep of .50:.05:.95 for mAP, and a
 large-object bucket (area >= 400 px^2 at 64x64) for the AP^L analog.
-Detections are pooled per query class across scenes, as one `Detections`
-set of arrays per class; reported aggregates are means over the queried
-classes. Box areas and IoUs come from `boxes`. One `average_precision` call
-scores a class at every threshold of a sweep: it sorts the detections and
-builds the IoU table, the same-scene mask and the box areas once, then walks
-the events below and takes the envelope for each threshold in turn.
+Each query's `localize` result is one record array, whose box and score
+fields are read as they are. Detections are pooled per query class across
+scenes, as one `Detections` set of arrays per class; reported aggregates are
+means over the queried classes. Box areas and IoUs come from `boxes`. One
+`average_precision` call scores a class at every threshold of a sweep: it
+sorts the detections and builds the IoU table, the same-scene mask and the
+box areas once, then walks the events below and takes the envelope for each
+threshold in turn.
 
 Greedy matching walks the detections in (-score, index) order, and each
 either takes a ground truth or does not. A ground truth is *live* for a
@@ -206,7 +208,9 @@ def evaluate_queries(
     answers all of its queries: no sketch reaches it, so each answer is
     bit-identical to `localize` on the raw scene. Every scene after the first
     reuses the first one's DET tokens (`det0_from`), which read only
-    parameters, and nothing changes those during an evaluation. Each class
+    parameters, and nothing changes those during an evaluation. Each
+    answer's `detections` fields give the query's scores and, in corner form
+    and pixels, its boxes; no per-detection Python object is made. Each class
     is scored by one `average_precision` call per area range, which returns
     the whole IoU sweep.
     """
@@ -231,13 +235,13 @@ def evaluate_queries(
         for cls in present:
             rng = np.random.default_rng(derive_seed(seed, "eval", sid, cls))
             sketches = [dataset.load_sketch(p) for p in dataset.draw_sketches(rng, cls, subset, n_query)]
-            result = model.localize(scene, sketches, threshold=0.0)
+            found = model.localize(scene, sketches, threshold=0.0).detections
             n_queries += 1
-            corners = cxcywh_to_corners(np.reshape([b for b, _ in result.detections], (-1, 4))) * size
-            scores = np.array([score for _, score in result.detections], dtype=np.float64)
-            dets_by_class.setdefault(cls, []).append(
-                Detections(corners, scores, np.full(len(scores), sid, dtype=np.int64))
-            )
+            dets_by_class.setdefault(cls, []).append(Detections(
+                cxcywh_to_corners(found["box"]) * size,
+                found["score"],
+                np.full(len(found), sid, dtype=np.int64),
+            ))
             mask = [c == cls for c in ann.classes]
             gts_by_class.setdefault(cls, {})[sid] = ann.boxes[mask]
 

@@ -256,7 +256,10 @@ class SketchLocalizer:
 
     def localize(self, image, sketches, threshold: float = 0.5) -> LocalizationResult:
         """Full forward pass, without a tape; keeps all detections scoring >=
-        threshold, sorted by descending score. No non-maximum suppression.
+        threshold, sorted by descending score, ties by token index. No
+        non-maximum suppression. The detections are one record array, each
+        box and score cast exactly from the f32 outputs to float64 (see
+        `LocalizationResult`).
 
         `image` is a scene or an `EncodedScene`, as for `forward`; a caller
         with several queries of one scene encodes it once under `no_grad`.
@@ -270,7 +273,6 @@ class SketchLocalizer:
         with no_grad():
             scores, boxes = self.forward(image, list(sketches))
         s = scores.data
-        b = boxes.data
         order = np.argsort(-s, kind="stable")  # (-score, index) order
         order = order[s[order] >= threshold]
-        return LocalizationResult(list(zip(b[order].astype(np.float64), s[order].tolist())))
+        return LocalizationResult.of(boxes.data[order], s[order])

@@ -11,7 +11,7 @@ import pytest
 
 import sgloc
 from sgloc.cli import main
-from sgloc.data import Dataset, write_pgm, write_ppm
+from sgloc.data import Dataset, read_pgm, read_ppm, write_pgm, write_ppm
 from sgloc.train import BLAS_THREAD_VARIABLES, load_model, read_checkpoint, save_checkpoint
 from test_train import empty_scenes
 
@@ -105,6 +105,20 @@ class TestTrainEval:
         assert len(out) == 4  # tiny model has 4 tokens
         assert set(out[0]) == {"box", "score"}
         assert all(0 <= v <= 1 for v in out[0]["box"])
+
+    def test_localize_json_is_pinned_to_forward(self, trained, capsys):
+        _, data_dir, ckpt = trained
+        scene = os.path.join(data_dir, "scenes/000001.ppm")
+        sketches = [os.path.join(data_dir, f"sketches/square/000{i}.pgm") for i in (0, 1)]
+        model, _ = load_model(ckpt)
+        s, b = (t.data for t in model.forward(read_ppm(scene), [read_pgm(p) for p in sketches]))
+        threshold = float(np.median(s))
+        keep = [i for i in sorted(range(len(s)), key=lambda i: (-s[i], i)) if s[i] >= threshold]
+        want = [{"box": [round(float(v), 6) for v in b[i]], "score": round(float(s[i]), 6)} for i in keep]
+        argv = ["localize", "--ckpt", ckpt, "--scene", scene, "--threshold", repr(threshold)]
+        assert main(argv + [x for p in sketches for x in ("--sketch", p)]) == 0
+        assert capsys.readouterr().out == json.dumps(want) + "\n"
+        assert len(want) == 2  # the median of 4 distinct scores keeps the top two
 
 
 class TestErrors:

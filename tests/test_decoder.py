@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 
 from sgloc.attention import grid_pos
 from sgloc.decoder import (
+    DETECTION,
+    LocalizationResult,
     decode,
     predict_boxes,
     refine_object_tokens,
     refine_query_tokens,
     score_tokens,
 )
+from sgloc.model import ModelConfig, SketchLocalizer
 from sgloc.tensor import (
     Tensor,
     add,
@@ -24,6 +28,11 @@ from sgloc.tensor import (
 )
 from reference_block import cross_attention
 from test_encoder import TINY, rand_image, rand_sketch, tiny_model
+
+
+def result_of(pairs) -> LocalizationResult:
+    """The result holding the (box (4,), score) pairs, in their order."""
+    return LocalizationResult.of(np.reshape([b for b, _ in pairs], (-1, 4)), [s for _, s in pairs])
 
 
 def fake_features(rng, d):
@@ -190,7 +199,8 @@ class TestLocalize:
     def test_threshold_one_empty(self, rng):
         m = tiny_model()
         res = m.localize(rand_image(rng), [rand_sketch(rng)], threshold=1.0)
-        assert res.detections == []
+        assert res.detections.dtype == result_of([]).detections.dtype == DETECTION
+        assert len(res.detections) == 0
 
     def test_threshold_zero_returns_all_tokens(self, rng):
         m = tiny_model()
@@ -279,7 +289,51 @@ class TestLocalize:
         assert len(res.detections) == len(want) > 0
         for (box, score), (want_box, want_score) in zip(res.detections, want):
             assert box.dtype == np.float64 and np.array_equal(box, want_box)
-            assert type(score) is float and score == want_score
+            assert type(score) is np.float64 and score == want_score
+
+
+class TestLocalizeContract:
+    """What the benchmark and the CLI read of `localize`'s detections."""
+
+    @pytest.mark.parametrize("kind, kept", [("zero", 16), ("median", 8), ("one", 0)])
+    def test_len_slice_and_iteration(self, rng, kind, kept):
+        m = tiny_model(num_tokens=16)
+        image, sketches = rand_image(rng), [rand_sketch(rng)]
+        with no_grad():
+            s, b = (t.data for t in m.forward(image, sketches))
+        threshold = {"zero": 0.0, "median": float(np.median(s)), "one": 1.0}[kind]
+        dets = m.localize(image, sketches, threshold=threshold).detections
+        keep = [i for i in sorted(range(len(s)), key=lambda i: (-s[i], i)) if s[i] >= threshold]
+        assert len(dets) == len(keep) == kept
+        assert len(dets[1:]) == max(len(keep) - 1, 0)
+        pairs = list(dets)
+        assert len(pairs) == len(keep)
+        for (box, score), i in zip(pairs, keep):
+            assert box.dtype == np.float64 and box.shape == (4,)
+            assert type(score) is np.float64
+            assert np.array_equal(box, b[i].astype(np.float64)) and score == float(s[i])
+        for (box, score), (rest_box, rest_score) in zip(pairs[1:], dets[1:]):
+            assert np.array_equal(box, rest_box) and score == rest_score
+
+    def test_kept_results_stay_small(self, rng):
+        # as many results as an eval-1q benchmark pass has queries, each
+        # kept until the pass ends, as the benchmark keeps them
+        m = SketchLocalizer(ModelConfig(), seed=0)
+        image, sketches = rand_image(rng), [rand_sketch(rng)]
+        with no_grad():
+            scene = m.encode_scene(image)
+        m.localize(scene, sketches, threshold=0.0)  # warm any lazily built state
+        kept = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(109):
+                kept.append(m.localize(scene, sketches, threshold=0.0))
+            added = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept[-1].detections) == ModelConfig().num_tokens
+        assert added < 1e6, f"109 kept results add {added / 1e6:.2f} MB"
 
 
 class TestEncodeScene:

@@ -9,7 +9,6 @@ from sgloc import metrics
 from sgloc.boxes import area
 from sgloc.boxes import iou as iou_table
 from sgloc.data import DataConfig, generate_dataset
-from sgloc.decoder import LocalizationResult
 from sgloc.metrics import (
     IOU_SWEEP,
     LARGE_AREA,
@@ -19,6 +18,7 @@ from sgloc.metrics import (
     evaluate_queries,
 )
 from sgloc.tensor import no_grad
+from test_decoder import result_of
 from test_encoder import tiny_model
 
 
@@ -343,7 +343,7 @@ class OracleModel:
             w = (box[2] - box[0]) / size
             h = (box[3] - box[1]) / size
             dets.append((np.array([cx, cy, w, h]), 0.99))
-        return LocalizationResult(dets)
+        return result_of(dets)
 
 
 class RandomModel:
@@ -359,7 +359,7 @@ class RandomModel:
             c = self.rng.uniform(0.2, 0.8, 2)
             wh = self.rng.uniform(0.05, 0.4, 2)
             dets.append((np.array([c[0], c[1], wh[0], wh[1]]), float(self.rng.random())))
-        return LocalizationResult(dets)
+        return result_of(dets)
 
 
 class NoisyOracleModel(OracleModel):
@@ -372,9 +372,11 @@ class NoisyOracleModel(OracleModel):
         self.random = RandomModel(seed)
 
     def localize(self, image, sketches, threshold=0.0):
-        dets = super().localize(image, sketches, threshold).detections
-        dets = dets + self.random.localize(image, sketches, threshold).detections[:6]
-        return LocalizationResult(
+        dets = np.concatenate([
+            super().localize(image, sketches, threshold).detections,
+            self.random.localize(image, sketches, threshold).detections[:6],
+        ])
+        return result_of(
             [(b + self.rng.normal(0.0, 0.02, 4), float(self.rng.integers(1, 5)) / 4) for b, _ in dets]
         )
 
